@@ -160,6 +160,37 @@ def _expansion_term_bound(s: float, alpha: float, k: int) -> float:
     )
 
 
+def _expansion_sum(
+    s: float, alpha: float, k_top: int, inner_tol: float
+) -> tuple[float, float]:
+    """Explicit part of the small-alpha expansion of g_s(alpha), with its error.
+
+    Returns (total, inner_err): the singular leading term plus
+    sum_{k=0}^{k_top} zeta(s-k) (-alpha)^k / k! (the k = s-1 term folded
+    into the -log(alpha) branch for integer s), and the summed certified
+    error of the zeta values, each evaluated to inner_tol.
+    """
+    s_int = round(s)
+    is_integer = abs(s - s_int) < 1e-12 and s_int >= 1
+    if is_integer:
+        prefactor = (-alpha) ** (s_int - 1) / math.factorial(s_int - 1)
+        harmonic = sum(1.0 / m for m in range(1, s_int))
+        total = prefactor * (-math.log(alpha) + harmonic)
+    else:
+        total = math.gamma(1.0 - s) * alpha ** (s - 1.0)
+    inner_err = 0.0
+    coeff = 1.0  # (-alpha)^k / k!, built incrementally
+    for k in range(0, k_top + 1):
+        if k > 0:
+            coeff *= -alpha / k
+        if is_integer and k == s_int - 1:
+            continue
+        z = _zeta_em(s - k, inner_tol)
+        total += z.value * coeff
+        inner_err += z.error_bound * abs(coeff)
+    return total, inner_err
+
+
 def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
     """Convergent expansion of g_s about alpha = 0, certified for alpha <= 0.5.
 
@@ -169,8 +200,6 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
     """
     if alpha > 0.5:
         raise ValidationError("expansion path requires alpha <= 0.5")
-    s_int = round(s)
-    is_integer = abs(s - s_int) < 1e-12 and s_int >= 1
 
     # explicit terms: at least past k = s + 1 so the tail bound applies
     k_top = max(math.ceil(s) + 2, 8)
@@ -186,22 +215,7 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
             )
 
     inner_tol = max(tol / (8.0 * (k_top + 1)), 1e-15)
-    if is_integer:
-        prefactor = (-alpha) ** (s_int - 1) / math.factorial(s_int - 1)
-        harmonic = sum(1.0 / m for m in range(1, s_int))
-        total = prefactor * (-math.log(alpha) + harmonic)
-    else:
-        total = math.gamma(1.0 - s) * alpha ** (s - 1.0)
-    inner_err = 0.0
-    coeff = 1.0
-    for k in range(0, k_top + 1):
-        if k > 0:
-            coeff *= -alpha / k
-        if is_integer and k == s_int - 1:
-            continue
-        z = _zeta_em(s - k, inner_tol)
-        total += z.value * coeff
-        inner_err += z.error_bound * abs(coeff)
+    total, inner_err = _expansion_sum(s, alpha, k_top, inner_tol)
     return BoseEval(
         value=total, error_bound=tail + inner_err, terms_used=k_top + 1
     )
@@ -263,22 +277,9 @@ def bose_small_alpha(s: float, alpha: float, k_max: int) -> float:
         raise ValidationError(f"series order s must be positive, got {s}")
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
-    inner_tol = 1e-13
     s_int = round(s)
     is_integer = abs(s - s_int) < 1e-12 and s_int >= 1
-
-    total = 0.0
-    if is_integer:
-        prefactor = (-alpha) ** (s_int - 1) / math.factorial(s_int - 1)
-        harmonic = sum(1.0 / m for m in range(1, s_int))
-        total += prefactor * (-math.log(alpha) + harmonic)
-    else:
-        total += math.gamma(1.0 - s) * alpha ** (s - 1.0)
-
-    coeff = 1.0  # (-alpha)^k / k!, built incrementally
     for k in range(0, k_max + 1):
-        if k > 0:
-            coeff *= -alpha / k
         if is_integer and k == s_int - 1:
             continue
         arg = s - k
@@ -286,6 +287,4 @@ def bose_small_alpha(s: float, alpha: float, k_max: int) -> float:
             raise ValidationError(
                 f"expansion term k={k} evaluates zeta at {arg}, too close to the pole"
             )
-        z = zeta(arg, inner_tol) if arg > 1.0 else zeta_continued(arg, inner_tol)
-        total += z.value * coeff
-    return total
+    return _expansion_sum(s, alpha, k_max, 1e-13)[0]

@@ -166,41 +166,22 @@ def _finite(x: float) -> Any:
     return x
 
 
-def _run_phase(args) -> dict:
+def _run_solve(args) -> dict:
+    """phase, alpha and free-energy: one density solve, projected per command."""
     sol = thermo.solve_alpha(
         thermo.SystemParams(args.d, args.beta, args.rho), args.tol
     )
-    return {
+    record = {
         "regime": sol.regime,
         "alpha": sol.alpha,
         "residual_bound": args.tol * args.rho,
         "rho_c": _finite(sol.rho_c),
         "beta_c": _finite(sol.beta_c),
         "condensate_fraction": sol.condensate_fraction,
-    }
-
-
-def _run_alpha(args) -> dict:
-    sol = thermo.solve_alpha(
-        thermo.SystemParams(args.d, args.beta, args.rho), args.tol
-    )
-    return {
-        "alpha": sol.alpha,
-        "regime": sol.regime,
-        "residual_bound": args.tol * args.rho,
-    }
-
-
-def _run_free_energy(args) -> dict:
-    sol = thermo.solve_alpha(
-        thermo.SystemParams(args.d, args.beta, args.rho), args.tol
-    )
-    return {
         "free_energy": sol.free_energy,
         "chi": sol.chi,
-        "alpha": sol.alpha,
-        "regime": sol.regime,
     }
+    return {key: record[key] for key in _CSV_COLUMNS[args.command]}
 
 
 def _run_minimize(args) -> dict:
@@ -288,9 +269,9 @@ def _run_scan_long_cycles(args) -> list[dict]:
 
 
 _HANDLERS = {
-    "phase": _run_phase,
-    "alpha": _run_alpha,
-    "free-energy": _run_free_energy,
+    "phase": _run_solve,
+    "alpha": _run_solve,
+    "free-energy": _run_solve,
     "minimize": _run_minimize,
     "exact-z": _run_exact_z,
     "converge": _run_converge,

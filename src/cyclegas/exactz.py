@@ -2,10 +2,15 @@
 
 Each partition (cycle type) carries weight
 prod_k |V|^r_k / (r_k! k^r_k) * (4 pi beta k)^(-d r_k / 2),
-one volume factor per cycle.  A brute-force sum over all n! permutations
-serves as the independent oracle for small n; the free-space heat-kernel mass
-is used per cycle, with the confinement correction exposed as a bracketing
-diagnostic rather than folded into the weights.
+one volume factor per cycle.  Because the weight factors over cycles, the
+sum over all partitions of m obeys the cycle-index recursion
+m Z_m = sum_{k=1}^m k theta_k Z_{m-k}, theta_k = e^{c[k]}, which gives
+log Z and the exact occupation expectations in O(n^2).  Enumeration of the
+partitions (weighted_ensemble) and the sum over all n! permutations
+(brute_force_log_Z) stay on as independent oracles for small n; the
+free-space heat-kernel mass is used per cycle, with the confinement
+correction exposed as a bracketing diagnostic rather than folded into the
+weights.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapError, ValidationError
-from .partitions import EXHAUSTIVE_CAP, Partition, iter_parts, partition_count
+from .partitions import EXHAUSTIVE_CAP, Partition, enumerate_partitions
 from .thermo import SystemParams, chi
 
 BRUTE_FORCE_CAP = 9
@@ -42,6 +47,16 @@ def _cycle_log_constants(params: SystemParams, n: int) -> list[float]:
     return c
 
 
+def _occupation_log_weight(
+    occupations: Iterable[tuple[int, int]], c: list[float]
+) -> float:
+    """sum_k r_k c[k] - log(r_k!) over the (k, r_k) pairs of one partition."""
+    w = 0.0
+    for k, r in occupations:
+        w += r * c[k] - math.lgamma(r + 1)
+    return w
+
+
 def log_weight(lam: Partition, params: SystemParams) -> float:
     """Natural-log ensemble weight of one partition.
 
@@ -50,15 +65,11 @@ def log_weight(lam: Partition, params: SystemParams) -> float:
     n = _require_n(params)
     if lam.n != n:
         raise ValidationError(f"partition of {lam.n} does not match params.n={n}")
-    c = _cycle_log_constants(params, n)
-    w = 0.0
-    for k, r in lam.occupations:
-        w += r * c[k] - math.lgamma(r + 1)
-    return w
+    return _occupation_log_weight(lam.occupations, _cycle_log_constants(params, n))
 
 
-def _logsumexp(values: Iterable[float]) -> float:
-    arr = np.asarray(list(values), dtype=np.float64)
+def _logsumexp(values: Sequence[float]) -> float:
+    arr = np.asarray(values, dtype=np.float64)
     m = float(np.max(arr))
     return m + math.log(float(np.sum(np.exp(arr - m))))
 
@@ -99,13 +110,29 @@ def brute_force_log_Z(params: SystemParams) -> float:
     return _logsumexp(per_perm) - math.lgamma(n + 1)
 
 
-def exact_log_Z(params: SystemParams, confinement: str = "free") -> float:
-    """log of the partition-sum normalisation, streamed over all of P_n.
+def _log_Z_table(c: list[float], n: int) -> np.ndarray:
+    """log Z_m for m = 0..n from m Z_m = sum_{k=1}^m k e^{c[k]} Z_{m-k}, Z_0 = 1.
 
-    Stable log-sum-exp with max shift; weights span hundreds of orders of
-    magnitude by n ~ 60.  confinement="lower" multiplies every cycle weight
-    by the bracketing factor (1 - e^(-d n / 4 beta)); "free" is the
-    free-space heat-kernel mass.
+    Each step is one max-shifted log-sum-exp, so the table stays finite
+    where Z_m itself over- or underflows.
+    """
+    log_k_theta = np.log(np.arange(1, n + 1, dtype=np.float64)) + np.asarray(
+        c[1 : n + 1], dtype=np.float64
+    )
+    log_z = np.zeros(n + 1, dtype=np.float64)
+    for m in range(1, n + 1):
+        log_z[m] = _logsumexp(log_k_theta[:m] + log_z[m - 1 :: -1]) - math.log(m)
+    return log_z
+
+
+def exact_log_Z(params: SystemParams, confinement: str = "free") -> float:
+    """log of the partition-sum normalisation, by the cycle-index recursion.
+
+    Exact up to rounding: the recursion sums the same weights as the
+    partition enumeration, in O(n^2) log-space operations.
+    confinement="lower" multiplies every cycle weight by the bracketing
+    factor (1 - e^(-d n / 4 beta)); "free" is the free-space heat-kernel
+    mass.
     """
     n = _require_n(params)
     if n > EXHAUSTIVE_CAP:
@@ -116,26 +143,7 @@ def exact_log_Z(params: SystemParams, confinement: str = "free") -> float:
     if confinement == "lower":
         shift = math.log1p(-math.exp(-params.d * n / (4.0 * params.beta)))
         c = [ck + shift for ck in c]
-    lg = [math.lgamma(r + 1) for r in range(n + 1)]
-
-    weights = np.empty(partition_count(n), dtype=np.float64)
-    idx = 0
-    for parts in iter_parts(n):
-        w = 0.0
-        cur = parts[0]
-        cnt = 0
-        for p in parts:
-            if p == cur:
-                cnt += 1
-            else:
-                w += cnt * c[cur] - lg[cnt]
-                cur = p
-                cnt = 1
-        w += cnt * c[cur] - lg[cnt]
-        weights[idx] = w
-        idx += 1
-    m = float(np.max(weights))
-    return m + math.log(float(np.sum(np.exp(weights - m))))
+    return float(_log_Z_table(c, n)[n])
 
 
 def confinement_correction_bound(k: int, params: SystemParams) -> tuple[float, float]:
@@ -185,57 +193,34 @@ def weighted_ensemble(params: SystemParams) -> WeightedEnsemble:
             f"materialised ensembles are capped at n <= {EXPECTATION_CAP}, got {n}"
         )
     c = _cycle_log_constants(params, n)
-    table: dict[Partition, float] = {}
-    from .partitions import enumerate_partitions
-
-    for lam in enumerate_partitions(n):
-        w = 0.0
-        for k, r in lam.occupations:
-            w += r * c[k] - math.lgamma(r + 1)
-        table[lam] = w
-    log_z = _logsumexp(table.values())
+    table = {
+        lam: _occupation_log_weight(lam.occupations, c)
+        for lam in enumerate_partitions(n)
+    }
+    log_z = _logsumexp(list(table.values()))
     return WeightedEnsemble(params=params, log_weights=table, log_Z=log_z)
 
 
 def mu_N_expected_shape(params: SystemParams) -> np.ndarray:
     """Exact expectations E[Qhat(k)] = E[r_k]/n for k = 1..n.
 
-    Computed by the full weighted sum; sum_k k E[Qhat(k)] = 1 holds pathwise.
+    E[r_k] = theta_k Z_{n-k} / Z_n with theta_k = e^{c[k]}, read off one
+    cycle-index recursion table.  sum_k k E[Qhat(k)] = 1 is the recursion at
+    m = n and is checked to 1e-10.
     """
     n = _require_n(params)
     if n > EXPECTATION_CAP:
         raise CapError(
             f"exact expectations are capped at n <= {EXPECTATION_CAP}, got {n}"
         )
-    log_z = exact_log_Z(params)
     c = _cycle_log_constants(params, n)
-    lg = [math.lgamma(r + 1) for r in range(n + 1)]
-    expected_r = np.zeros(n + 1, dtype=np.float64)
-    total_prob = 0.0
-    for parts in iter_parts(n):
-        w = 0.0
-        cur = parts[0]
-        cnt = 0
-        runs = []
-        for p in parts:
-            if p == cur:
-                cnt += 1
-            else:
-                w += cnt * c[cur] - lg[cnt]
-                runs.append((cur, cnt))
-                cur = p
-                cnt = 1
-        w += cnt * c[cur] - lg[cnt]
-        runs.append((cur, cnt))
-        prob = math.exp(w - log_z)
-        total_prob += prob
-        for k, r in runs:
-            expected_r[k] += prob * r
-    if abs(total_prob - 1.0) > 1e-10:
-        raise ValidationError(
-            f"ensemble probabilities sum to {total_prob}, expected 1"
-        )
-    return expected_r[1:] / n
+    log_z = _log_Z_table(c, n)
+    ks = np.arange(1, n + 1)
+    eq = np.exp(np.asarray(c[1:]) + log_z[n - ks] - log_z[n]) / n
+    mass = float(ks @ eq)
+    if abs(mass - 1.0) > 1e-10:
+        raise ValidationError(f"sum_k k E[Qhat(k)] = {mass}, expected 1")
+    return eq
 
 
 class ScanRow(NamedTuple):

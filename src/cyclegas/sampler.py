@@ -22,21 +22,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapError, ValidationError
+from .exactz import _cycle_log_constants, _occupation_log_weight
 from .partitions import Partition
 from .thermo import SystemParams, optimal_shape
 
 CHAIN_N_CAP = 100_000
 _BATCHES = 50
-
-
-def _cycle_log_constants(params: SystemParams, n: int) -> list[float]:
-    log_v = math.log(params.volume)
-    d_half = params.d / 2.0
-    four_pi_beta = 4.0 * math.pi * params.beta
-    return [0.0] + [
-        log_v - math.log(k) - d_half * math.log(four_pi_beta * k)
-        for k in range(1, n + 1)
-    ]
 
 
 def _shape_occupations(params: SystemParams) -> dict[int, int]:
@@ -192,9 +183,7 @@ class ChainState:
         for length, r in counts.items():
             for _ in range(r):
                 self._add_cycle(length)
-        self.log_weight = sum(
-            r * self._c[k] - self._lg[r] for k, r in self.occ.items()
-        )
+        self.log_weight = _occupation_log_weight(self.occ.items(), self._c)
 
     @property
     def current(self) -> Partition:
@@ -313,9 +302,7 @@ class ChainState:
             raise ValidationError(f"occupation mass {total} != n={self.n}")
         if len(self.cycles) != sum(self.occ.values()):
             raise ValidationError("cycle list out of sync with occupations")
-        w = 0.0
-        for k, r in self.occ.items():
-            w += r * self._c[k] - self._lg[r]
+        w = _occupation_log_weight(self.occ.items(), self._c)
         if abs(w - self.log_weight) > 1e-10:
             raise ValidationError(
                 f"cached log weight drifted: {self.log_weight} vs {w}"

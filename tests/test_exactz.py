@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclegas.errors import CapError, ValidationError
 from cyclegas.exactz import (
@@ -62,6 +64,29 @@ def recursion_log_Z(params: SystemParams) -> float:
         hi = max(terms)
         log_z.append(hi + math.log(sum(math.exp(t - hi) for t in terms)) - math.log(m))
     return log_z[n]
+
+
+def enumeration_log_Z(params: SystemParams, shift: float = 0.0) -> float:
+    """Oracle: log-sum-exp of log_weight over every partition of n.
+
+    `shift` is added once per cycle, as a constant per-cycle log factor.
+    """
+    logs = np.array(
+        [
+            log_weight(lam, params) + shift * lam.num_cycles
+            for lam in enumerate_partitions(params.n)
+        ]
+    )
+    hi = float(np.max(logs))
+    return hi + math.log(float(np.sum(np.exp(logs - hi))))
+
+
+system_points = st.tuples(
+    st.integers(min_value=1, max_value=3),
+    st.floats(min_value=0.02, max_value=5.0),
+    st.floats(min_value=0.02, max_value=5.0),
+    st.integers(min_value=1, max_value=30),
+)
 
 
 class TestLogWeight:
@@ -148,6 +173,15 @@ class TestExactLogZ:
             p = SystemParams(d, beta, rho, n=n)
             assert exact_log_Z(p) == pytest.approx(recursion_log_Z(p), rel=1e-11)
 
+    @given(system_points)
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_enumeration(self, point):
+        p = SystemParams(*point[:3], n=point[3])
+        want = enumeration_log_Z(p)
+        # relative to log Z, or to Z itself where |log Z| < 1 (log Z crosses
+        # zero inside the sampled box)
+        assert abs(exact_log_Z(p) - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_requires_n(self):
         with pytest.raises(ValidationError):
             exact_log_Z(SystemParams(3, 1.0, 1.0))
@@ -178,6 +212,16 @@ class TestConfinement:
         res = confinement_log_Z_bracket(p)
         assert res["log_z_lower"] <= res["log_z"]
         assert res["log_z"] - res["log_z_lower"] <= res["max_shift"] * (1.0 + 1e-12)
+
+    def test_lower_matches_enumeration(self):
+        # the lower mode multiplies every cycle by (1 - e^(-d n/4 beta)), so
+        # a partition with m cycles gains m log(1 - e^(-d n/4 beta)), about
+        # -0.25 per cycle here, over several cycles per partition
+        p = SystemParams(1, 2.0, 1.0, n=12)
+        shift = math.log1p(-math.exp(-1 * 12 / (4.0 * 2.0)))
+        want = enumeration_log_Z(p, shift)
+        assert want < exact_log_Z(p) - 1.0
+        assert abs(exact_log_Z(p, confinement="lower") - want) <= 1e-12 * abs(want)
 
 
 class TestEnsembleDistribution:
@@ -212,6 +256,21 @@ class TestEnsembleDistribution:
         norm = mu_N_expected_shape(SystemParams(3, BETA_UNIT, 0.5 * rho_c, n=40))
         ks = np.arange(1, 6)
         assert float(ks @ cond[:5]) < float(ks @ norm[:5])
+
+    @given(system_points)
+    @settings(max_examples=40, deadline=None)
+    def test_property_expected_shape_matches_ensemble(self, point):
+        n = point[3]
+        p = SystemParams(*point[:3], n=n)
+        ens = weighted_ensemble(p)
+        want = np.zeros(n)
+        for lam in ens.log_weights:
+            prob = ens.probability(lam)
+            for k, r in lam.occupations:
+                want[k - 1] += prob * r / n
+        got = mu_N_expected_shape(p)
+        assert np.all(want > 0.0)
+        assert float(np.max(np.abs(got - want) / want)) <= 1e-10
 
     def test_cap(self):
         with pytest.raises(CapError):
