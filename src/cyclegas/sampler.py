@@ -303,7 +303,8 @@ class ChainState:
         if len(self.cycles) != sum(self.occ.values()):
             raise ValidationError("cycle list out of sync with occupations")
         w = _occupation_log_weight(self.occ.items(), self._c)
-        if abs(w - self.log_weight) > 1e-10:
+        # relative: every accepted move adds its rounding to the cached sum
+        if abs(w - self.log_weight) > 1e-10 * max(1.0, abs(w)):
             raise ValidationError(
                 f"cached log weight drifted: {self.log_weight} vs {w}"
             )

@@ -121,9 +121,21 @@ def qhat_star_factory(params: SystemParams) -> Callable[[int], float]:
     return qhat_star
 
 
-def _solve_root(d: int, beta: float, rho: float, tol: float) -> float:
-    """Bisection for the unique alpha >= 0 with g_{d/2}(alpha) = rho (4 pi beta)^(d/2)."""
-    target = rho * thermal_factor(d, beta)
+def _solve_root(d: int, beta: float, rho: float, tol: float, rho_c: float) -> float:
+    """The unique alpha > 0 with g_{d/2}(alpha) = rho (4 pi beta)^(d/2).
+
+    Brackets the root in [0, hi] by doubling hi, then narrows the bracket
+    by regula falsi with the Illinois modification (Dowell & Jarratt, BIT
+    11, 168 (1971)): the function value kept at an endpoint retained twice
+    in a row is halved, which makes the step superlinear without a
+    derivative.  A step that falls outside the open bracket, or one taken
+    while an endpoint value is infinite (g_{d/2}(0) = rho_c (4 pi
+    beta)^(d/2) is infinite for d <= 2), is replaced by bisection.  alpha
+    is returned once |g - target| + error_bound <= tol * target certifies
+    it; PrecisionError otherwise.
+    """
+    factor = thermal_factor(d, beta)
+    target = rho * factor
     s = d / 2.0
     inner = max(tol * target / 8.0, 1e-14)
 
@@ -136,17 +148,33 @@ def _solve_root(d: int, beta: float, rho: float, tol: float) -> float:
         if hi > 1e9:
             raise PrecisionError("failed to bracket the root of the density equation")
     lo = 0.0
+    # g - target at the bracket ends: positive at lo, negative at hi
+    f_lo = rho_c * factor - target
+    f_hi = g_hi.value - target
+    kept = None  # the endpoint the last step left in place
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # interval at floating-point resolution
-        g_mid = bose_g(s, mid, inner)
-        if abs(g_mid.value - target) + g_mid.error_bound <= tol * target:
-            return mid
-        if g_mid.value > target:
-            lo = mid
+        x = mid
+        if math.isfinite(f_lo):
+            step = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+            if lo < step < hi:
+                x = step
+        g_x = bose_g(s, x, inner)
+        if abs(g_x.value - target) + g_x.error_bound <= tol * target:
+            return x
+        f_x = g_x.value - target
+        if f_x > 0.0:
+            lo, f_lo = x, f_x
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
+            hi, f_hi = x, f_x
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
     mid = 0.5 * (lo + hi)
     g_final = bose_g(s, mid, inner)
     if abs(g_final.value - target) + g_final.error_bound <= tol * target:
@@ -177,7 +205,7 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
         regime, alpha = REGIME_CONDENSED, 0.0
     else:
         regime = REGIME_NORMAL
-        alpha = _solve_root(d, beta, rho, tol)
+        alpha = _solve_root(d, beta, rho, tol, rho_c)
 
     factor = thermal_factor(d, beta)
     s_energy = (d + 2.0) / 2.0

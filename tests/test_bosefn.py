@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cyclegas import bosefn
 from cyclegas.bosefn import (
     BoseEval,
     bose_g,
@@ -180,11 +181,36 @@ class TestBoseG:
             bose_g(1.5, 0.7, 1e-10, method="expansion")  # alpha beyond 0.5
 
     def test_expansion_agrees_with_direct(self):
+        def direct_terms(s, alpha):
+            d = bose_g(s, alpha, 1e-13, method="direct")
+            e = bose_g(s, alpha, 1e-13, method="expansion")
+            assert abs(d.value - e.value) <= d.error_bound + e.error_bound + 1e-13
+            return d.terms_used
+
         for s in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             for alpha in (0.004, 0.02, 0.1, 0.4):
-                d = bose_g(s, alpha, 1e-13, method="direct")
-                e = bose_g(s, alpha, 1e-13, method="expansion")
-                assert abs(d.value - e.value) <= d.error_bound + e.error_bound + 1e-13
+                direct_terms(s, alpha)
+        # either side of the "auto" crossover: 4,096 to 32,768 direct terms
+        for s in (0.5, 1.0, 1.5, 2.0, 2.5):
+            terms = [direct_terms(s, a) for a in (0.007, 0.0035, 0.0018, 0.0012)]
+            assert min(terms) <= bosefn._DIRECT_TERMS_MAX < max(terms) <= 32_768
+
+    def test_auto_sums_at_most_the_crossover(self, monkeypatch):
+        summed = []
+        direct = bosefn._bose_direct
+
+        def counting_direct(s, alpha, tol):
+            result = direct(s, alpha, tol)
+            summed.append(result.terms_used)
+            return result
+
+        monkeypatch.setattr(bosefn, "_bose_direct", counting_direct)
+        for s in (0.5, 1.0, 1.5, 2.0, 2.5, 3.7):
+            for alpha in np.geomspace(1e-12, 0.5, 25):
+                for tol in (1e-14, 1e-10, 1e-6):
+                    g = bose_g(s, float(alpha), tol)
+                    assert g.error_bound <= tol
+        assert summed and max(summed) <= bosefn._DIRECT_TERMS_MAX
 
     def test_tiny_alpha_is_certified_by_expansion(self):
         g = bose_g(1.5, 1e-8, 1e-12)

@@ -178,6 +178,14 @@ class TestRunChain:
         p = SystemParams(2, 1.0, 1.0, n=40)
         run_chain(p, steps=20_000, seed=1, audit_every=1000)
 
+    def test_audit_drift_is_relative_at_n2000(self):
+        # the cached weight (~1,895) accumulates ~1.1e-10 of rounding over
+        # these steps: within 1e-10 relative, beyond 1e-10 absolute
+        rho_c = critical_density(3, BETA_UNIT)
+        p = SystemParams(3, BETA_UNIT, rho_c / 2.0, n=2000)
+        audited = run_chain(p, steps=100_000, seed=2003, audit_every=997)
+        assert audited == run_chain(p, steps=100_000, seed=2003)
+
     def test_validation_and_caps(self):
         p = SystemParams(3, 1.0, 1.0, n=50)
         with pytest.raises(ValidationError):

@@ -3,8 +3,12 @@
 import math
 import random
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclegas import thermo
 from cyclegas.bosefn import bose_g, zeta
 from cyclegas.errors import ValidationError
 from cyclegas.thermo import (
@@ -108,6 +112,50 @@ class TestSolveAlpha:
             target = rho * thermal_factor(d, beta)
             got = bose_g(d / 2.0, sol.alpha, 1e-14).value
             assert abs(got - target) <= 1e-10 * target
+
+    @given(
+        d=st.integers(min_value=1, max_value=5),
+        beta=st.floats(min_value=0.02, max_value=5.0),
+        log_gap=st.floats(min_value=-6.0, max_value=-1e-3),
+        log_target=st.floats(min_value=-3.0, max_value=math.log10(12.0)),
+        tol=st.sampled_from([1e-10, 1e-12]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_root_matches_polylog(self, d, beta, log_gap, log_target, tol):
+        # d >= 3: rho up to (1 - 1e-6) rho_c; d <= 2: g_{d/2}(alpha) in [1e-3, 12]
+        if d >= 3:
+            rho = critical_density(d, beta) * (1.0 - 10.0**log_gap)
+        else:
+            rho = 10.0**log_target / thermal_factor(d, beta)
+        sol = solve_alpha(SystemParams(d, beta, rho), tol)
+        assert sol.regime == "normal" and sol.alpha > 0.0
+        target = rho * thermal_factor(d, beta)
+        with mpmath.workdps(30):
+            g = float(mpmath.polylog(d / 2.0, mpmath.exp(-mpmath.mpf(sol.alpha))))
+        # 1e-13: double rounding of the certified value
+        assert abs(g - target) <= (tol + 1e-13) * target
+
+    @pytest.mark.parametrize(
+        "d, beta, g_ratio",
+        [(3, b, r) for b in (BETA_UNIT, 0.25, 1.0)
+         for r in (0.990, 0.9905, 0.991, 0.9915, 0.992, 0.995, 0.999)]
+        + [(2, b, g) for b in (BETA_UNIT, 0.25, 1.0) for g in (7.0, 9.2, 11.5)],
+    )
+    def test_near_critical_solve_evaluation_ceiling(self, monkeypatch, d, beta, g_ratio):
+        # d = 3: rho = g_ratio * rho_c; d = 2: g_1(alpha) = g_ratio
+        calls = []
+
+        def counting_bose_g(*args, **kwargs):
+            calls.append(args)
+            return bose_g(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "bose_g", counting_bose_g)
+        if d == 3:
+            rho = g_ratio * critical_density(3, beta)
+        else:
+            rho = g_ratio / thermal_factor(2, beta)
+        assert solve_alpha(SystemParams(d, beta, rho)).regime == "normal"
+        assert len(calls) <= 30
 
     def test_alpha_decreasing_in_rho(self):
         rho_c = critical_density(3, BETA_UNIT)
