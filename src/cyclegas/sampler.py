@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -28,6 +29,7 @@ from .thermo import SystemParams, optimal_shape
 
 CHAIN_N_CAP = 100_000
 _BATCHES = 50
+_LOG2 = math.log(2.0)
 
 
 def _shape_occupations(params: SystemParams) -> dict[int, int]:
@@ -60,7 +62,7 @@ def _shape_occupations(params: SystemParams) -> dict[int, int]:
 def split_move_terms(
     occ: dict[int, int],
     c: list[float],
-    lg: list[float],
+    L: list[float],
     m: int,
     k2: int,
     k: int,
@@ -69,32 +71,30 @@ def split_move_terms(
     """(delta log weight, log Hastings ratio) for splitting a k-cycle at j.
 
     occ/m/k2 describe the state before the move; the move must be legal
-    (occ[k] >= 1, k >= 2, 1 <= j <= k-1).
+    (occ[k] >= 1, k >= 2, 1 <= j <= k-1).  L[r] = log r, so a ratio of
+    factorials r!/(r-1)! is L[r] and log C(m, 2) is L[m] + L[m-1] - log 2.
     """
     j2 = k - j
-    rk = occ[k]
-    dlw = -c[k] + lg[rk] - lg[rk - 1]
+    dlw = -c[k] + L[occ[k]]
+    rj = occ.get(j, 0)
+    log_fwd = -L[k2] - L[k - 1]
     if j == j2:
-        rj = occ.get(j, 0)
-        dlw += 2.0 * c[j] - (lg[rj + 2] - lg[rj])
-        npairs = (rj + 2) * (rj + 1) // 2
-        log_fwd = -math.log(k2) - math.log(k - 1)
+        dlw += 2.0 * c[j] - (L[rj + 2] + L[rj + 1])
+        log_pairs = L[rj + 2] + L[rj + 1] - _LOG2
     else:
-        rj = occ.get(j, 0)
         rj2 = occ.get(j2, 0)
-        dlw += c[j] - (lg[rj + 1] - lg[rj])
-        dlw += c[j2] - (lg[rj2 + 1] - lg[rj2])
-        npairs = (rj + 1) * (rj2 + 1)
-        log_fwd = -math.log(k2) - math.log(k - 1) + math.log(2.0)
-    m_new = m + 1
-    log_rev = math.log(npairs) - math.log(m_new * (m_new - 1) / 2.0)
+        dlw += c[j] - L[rj + 1]
+        dlw += c[j2] - L[rj2 + 1]
+        log_pairs = L[rj + 1] + L[rj2 + 1]
+        log_fwd += _LOG2
+    log_rev = log_pairs - (L[m + 1] + L[m] - _LOG2)
     return dlw, log_rev - log_fwd
 
 
 def merge_move_terms(
     occ: dict[int, int],
     c: list[float],
-    lg: list[float],
+    L: list[float],
     m: int,
     k2: int,
     a: int,
@@ -103,35 +103,32 @@ def merge_move_terms(
     """(delta log weight, log Hastings ratio) for merging an a- and a b-cycle.
 
     occ/m/k2 describe the state before the move; requires two distinct
-    cycles of lengths a and b (occ[a] >= 2 when a == b).
+    cycles of lengths a and b (occ[a] >= 2 when a == b).  L[r] = log r.
     """
     s = a + b
     rs = occ.get(s, 0)
-    if a == b:
-        ra = occ[a]
-        dlw = -2.0 * c[a] + lg[ra] - lg[ra - 2]
-        npairs = ra * (ra - 1) // 2
-        log_rev_choice = 0.0
-        ra_post_zero = ra == 2
-        rb_post_zero = False
-    else:
-        ra = occ[a]
-        rb = occ[b]
-        dlw = (-c[a] + lg[ra] - lg[ra - 1]) + (-c[b] + lg[rb] - lg[rb - 1])
-        npairs = ra * rb
-        log_rev_choice = math.log(2.0)
-        ra_post_zero = ra == 1
-        rb_post_zero = rb == 1
-    dlw += c[s] - (lg[rs + 1] - lg[rs])
-    log_fwd = math.log(npairs) - math.log(m * (m - 1) / 2.0)
+    ra = occ[a]
     k2_new = k2
-    if a >= 2 and ra_post_zero:
-        k2_new -= 1
-    if b >= 2 and rb_post_zero:
-        k2_new -= 1
+    if a == b:
+        dlw = -2.0 * c[a] + L[ra] + L[ra - 1]
+        log_pairs = L[ra] + L[ra - 1] - _LOG2
+        log_rev = 0.0
+        if a >= 2 and ra == 2:
+            k2_new -= 1
+    else:
+        rb = occ[b]
+        dlw = (-c[a] + L[ra]) + (-c[b] + L[rb])
+        log_pairs = L[ra] + L[rb]
+        log_rev = _LOG2
+        if a >= 2 and ra == 1:
+            k2_new -= 1
+        if b >= 2 and rb == 1:
+            k2_new -= 1
+    dlw += c[s] - L[rs + 1]
     if rs == 0:
         k2_new += 1
-    log_rev = -math.log(k2_new) - math.log(s - 1) + log_rev_choice
+    log_fwd = log_pairs - (L[m] + L[m - 1] - _LOG2)
+    log_rev -= L[k2_new] + L[s - 1]
     return dlw, log_rev - log_fwd
 
 
@@ -165,7 +162,8 @@ class ChainState:
         self.rng_seed = seed
         self.rng = random.Random(seed)
         self._c = _cycle_log_constants(params, self.n)
-        self._lg = [math.lgamma(r + 1) for r in range(self.n + 2)]
+        # L[r] = log r for r <= n + 2; L[0] is never read by a legal move
+        self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
         self.step_count = 0
         self.acceptance_counts = {
             "split": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
@@ -181,8 +179,7 @@ class ChainState:
         else:
             counts = _shape_occupations(params)
         for length, r in counts.items():
-            for _ in range(r):
-                self._add_cycle(length)
+            self._apply((), [length] * r)
         self.log_weight = _occupation_log_weight(self.occ.items(), self._c)
 
     @property
@@ -196,104 +193,159 @@ class ChainState:
     def num_cycles(self) -> int:
         return len(self.cycles)
 
-    def _add_cycle(self, length: int) -> None:
-        r = self.occ.get(length, 0) + 1
-        self.occ[length] = r
-        if r == 1 and length >= 2:
-            self.key_pos[length] = len(self.split_keys)
-            self.split_keys.append(length)
-        pos = len(self.cycles)
-        self.cycles.append(length)
-        self.pos_by_len.setdefault(length, set()).add(pos)
+    def _apply(self, removed, added) -> None:
+        """Take cycles of the lengths in `removed` out, then put `added` in.
 
-    def _remove_cycle(self, length: int) -> None:
-        r = self.occ[length] - 1
-        if r == 0:
-            del self.occ[length]
-            if length >= 2:
-                i = self.key_pos.pop(length)
-                last = self.split_keys.pop()
-                if last != length:
-                    self.split_keys[i] = last
-                    self.key_pos[last] = i
-        else:
-            self.occ[length] = r
-        positions = self.pos_by_len[length]
-        pos = positions.pop()
-        last_idx = len(self.cycles) - 1
-        if pos != last_idx:
-            moved = self.cycles[last_idx]
-            self.cycles[pos] = moved
-            mset = self.pos_by_len[moved]
-            mset.discard(last_idx)
-            mset.add(pos)
-        self.cycles.pop()
+        Keeps occ, the cycle list (a removed cycle's slot is refilled by the
+        last one) and the distinct lengths >= 2 in step; which slot a length
+        gives up follows its position set's pop order, so the same calls in
+        the same order give the same chain.
+        """
+        occ = self.occ
+        cycles = self.cycles
+        pos_by_len = self.pos_by_len
+        split_keys = self.split_keys
+        key_pos = self.key_pos
+        for length in removed:
+            r = occ[length] - 1
+            if r == 0:
+                del occ[length]
+                if length >= 2:
+                    i = key_pos.pop(length)
+                    last = split_keys.pop()
+                    if last != length:
+                        split_keys[i] = last
+                        key_pos[last] = i
+            else:
+                occ[length] = r
+            pos = pos_by_len[length].pop()
+            last_idx = len(cycles) - 1
+            if pos != last_idx:
+                moved = cycles[last_idx]
+                cycles[pos] = moved
+                mset = pos_by_len[moved]
+                mset.discard(last_idx)
+                mset.add(pos)
+            cycles.pop()
+        for length in added:
+            r = occ.get(length, 0) + 1
+            occ[length] = r
+            if r == 1 and length >= 2:
+                key_pos[length] = len(split_keys)
+                split_keys.append(length)
+            pos_by_len.setdefault(length, set()).add(len(cycles))
+            cycles.append(length)
 
-    def _draw_split(self) -> Optional[tuple[int, int, float, float]]:
-        k2 = len(self.split_keys)
-        if k2 == 0:
-            return None
-        k = self.split_keys[self.rng.randrange(k2)]
-        j = 1 + self.rng.randrange(k - 1)
-        dlw, lratio = split_move_terms(
-            self.occ, self._c, self._lg, len(self.cycles), k2, k, j
-        )
-        return k, j, dlw, lratio
+    def _advance(self, count: int, dry: bool = False):
+        """The move kernel: `count` Metropolis-Hastings steps.
 
-    def _draw_merge(self) -> Optional[tuple[int, int, float, float]]:
-        m = len(self.cycles)
-        if m < 2:
-            return None
-        i1 = self.rng.randrange(m)
-        i2 = self.rng.randrange(m - 1)
-        if i2 >= i1:
-            i2 += 1
-        a = self.cycles[i1]
-        b = self.cycles[i2]
-        if a > b:
-            a, b = b, a
-        dlw, lratio = merge_move_terms(
-            self.occ, self._c, self._lg, m, len(self.split_keys), a, b
-        )
-        return a, b, dlw, lratio
+        Returns whether the last move landed.  With dry=True it makes one
+        step's draws (the acceptance uniform included) but applies nothing
+        and counts nothing, and returns (kind, detail, delta log weight,
+        log Hastings ratio), detail None on an auto-reject.
+
+        Uniform picks inline Random.randrange's getrandbits rejection loop,
+        so the stream is the one randrange would consume.
+        """
+        rng = self.rng
+        random = rng.random
+        getrandbits = rng.getrandbits
+        exp = math.exp
+        apply = self._apply
+        occ = self.occ
+        cycles = self.cycles
+        split_keys = self.split_keys
+        c = self._c
+        L = self._L
+        split_terms = split_move_terms
+        merge_terms = merge_move_terms
+        log_weight = self.log_weight
+        split_proposed = split_accepted = split_auto = 0
+        merge_proposed = merge_accepted = merge_auto = 0
+        landed = False
+        for _ in range(count):
+            landed = False
+            if random() < 0.5:
+                split_proposed += 1
+                k2 = len(split_keys)
+                if k2 == 0:
+                    split_auto += 1
+                    if dry:
+                        return "split", None, 0.0, 0.0
+                    continue
+                nbits = k2.bit_length()
+                i = getrandbits(nbits)
+                while i >= k2:
+                    i = getrandbits(nbits)
+                k = split_keys[i]
+                km1 = k - 1
+                nbits = km1.bit_length()
+                i = getrandbits(nbits)
+                while i >= km1:
+                    i = getrandbits(nbits)
+                j = 1 + i
+                dlw, lratio = split_terms(occ, c, L, len(cycles), k2, k, j)
+                total = dlw + lratio
+                accept = total >= 0.0 or random() < exp(total)
+                if dry:
+                    return "split", (k, j), dlw, lratio
+                if not accept:
+                    continue
+                removed, added = (k,), (j, k - j)
+                split_accepted += 1
+            else:
+                merge_proposed += 1
+                m = len(cycles)
+                if m < 2:
+                    merge_auto += 1
+                    if dry:
+                        return "merge", None, 0.0, 0.0
+                    continue
+                nbits = m.bit_length()
+                i1 = getrandbits(nbits)
+                while i1 >= m:
+                    i1 = getrandbits(nbits)
+                mm1 = m - 1
+                nbits = mm1.bit_length()
+                i2 = getrandbits(nbits)
+                while i2 >= mm1:
+                    i2 = getrandbits(nbits)
+                if i2 >= i1:
+                    i2 += 1
+                a = cycles[i1]
+                b = cycles[i2]
+                if a > b:
+                    a, b = b, a
+                dlw, lratio = merge_terms(occ, c, L, m, len(split_keys), a, b)
+                total = dlw + lratio
+                accept = total >= 0.0 or random() < exp(total)
+                if dry:
+                    return "merge", (a, b), dlw, lratio
+                if not accept:
+                    continue
+                removed, added = (a, b), (a + b,)
+                merge_accepted += 1
+            apply(removed, added)
+            log_weight += dlw
+            landed = True
+        self.log_weight = log_weight
+        self.step_count += count
+        counts = self.acceptance_counts
+        if split_proposed:
+            tally = counts["split"]
+            tally["proposed"] += split_proposed
+            tally["accepted"] += split_accepted
+            tally["auto_rejected"] += split_auto
+        if merge_proposed:
+            tally = counts["merge"]
+            tally["proposed"] += merge_proposed
+            tally["accepted"] += merge_accepted
+            tally["auto_rejected"] += merge_auto
+        return landed
 
     def step(self) -> bool:
         """One Metropolis-Hastings step; returns True when the move lands."""
-        self.step_count += 1
-        rng = self.rng
-        if rng.random() < 0.5:
-            counts = self.acceptance_counts["split"]
-            counts["proposed"] += 1
-            drawn = self._draw_split()
-            if drawn is None:
-                counts["auto_rejected"] += 1
-                return False
-            k, j, dlw, lratio = drawn
-            total = dlw + lratio
-            if total >= 0.0 or rng.random() < math.exp(total):
-                self._remove_cycle(k)
-                self._add_cycle(j)
-                self._add_cycle(k - j)
-                self.log_weight += dlw
-                counts["accepted"] += 1
-                return True
-            return False
-        counts = self.acceptance_counts["merge"]
-        counts["proposed"] += 1
-        drawn = self._draw_merge()
-        if drawn is None:
-            counts["auto_rejected"] += 1
-            return False
-        a, b, dlw, lratio = drawn
-        total = dlw + lratio
-        if total >= 0.0 or rng.random() < math.exp(total):
-            self._remove_cycle(a)
-            self._remove_cycle(b)
-            self._add_cycle(a + b)
-            self.log_weight += dlw
-            counts["accepted"] += 1
-            return True
-        return False
+        return self._advance(1)
 
     def audit(self) -> None:
         """Recompute invariants; raises on any drift."""
@@ -313,37 +365,26 @@ class ChainState:
 def propose_move(state: ChainState) -> ProposedMove:
     """Draw one candidate move without applying it.
 
-    Consumes the chain's randomness exactly like a step would; the candidate
-    is None when the drawn move kind has no legal move (auto-reject).
+    Consumes the chain's randomness exactly like a step would, acceptance
+    uniform included; the candidate is None when the drawn move kind has no
+    legal move (auto-reject).
     """
-    rng = state.rng
-    occ = dict(state.occ)
-    if rng.random() < 0.5:
-        drawn = state._draw_split()
-        if drawn is None:
-            return ProposedMove("split", None, 0.0, 0.0, ())
-        k, j, dlw, lratio = drawn
+    kind, detail, dlw, lratio = state._advance(1, dry=True)
+    if detail is None:
+        return ProposedMove(kind, None, 0.0, 0.0, ())
+    occ = Counter(state.occ)  # from_counts drops the zeros
+    if kind == "split":
+        k, j = detail
         occ[k] -= 1
-        if occ[k] == 0:
-            del occ[k]
-        occ[j] = occ.get(j, 0) + 1
-        occ[k - j] = occ.get(k - j, 0) + 1
-        return ProposedMove(
-            "split", Partition.from_counts(state.n, occ), lratio, dlw, (k, j)
-        )
-    drawn = state._draw_merge()
-    if drawn is None:
-        return ProposedMove("merge", None, 0.0, 0.0, ())
-    a, b, dlw, lratio = drawn
-    occ[a] -= 1
-    if occ[a] == 0:
-        del occ[a]
-    occ[b] -= 1
-    if occ[b] == 0:
-        del occ[b]
-    occ[a + b] = occ.get(a + b, 0) + 1
+        occ[j] += 1
+        occ[k - j] += 1
+    else:
+        a, b = detail
+        occ[a] -= 1
+        occ[b] -= 1
+        occ[a + b] += 1
     return ProposedMove(
-        "merge", Partition.from_counts(state.n, occ), lratio, dlw, (a, b)
+        kind, Partition.from_counts(state.n, occ), lratio, dlw, detail
     )
 
 
@@ -404,36 +445,51 @@ def run_chain(
     nb = min(_BATCHES, n_samples)
     batch_size = n_samples // nb
 
-    cols = k_report + 1  # qhat components plus the long-cycle mass
+    # index k holds r_k/n sums for k = 1..k_report, index 0 the long-cycle
+    # mass; absent lengths would add 0.0, which is exact, so Python float
+    # sums equal the per-component numpy sums of full sample rows
+    cols = k_report + 1
+    grand_sums = [0.0] * cols
+    batch = [0.0] * cols  # the open batch, stored when it is full
     batch_sums = np.zeros((nb, cols), dtype=np.float64)
-    grand_sums = np.zeros(cols, dtype=np.float64)
     tail_sum = 0.0
-    sample_idx = 0
+    occ = state.occ
 
-    for i in range(steps):
-        state.step()
-        if audit_every and state.step_count % audit_every == 0:
-            state.audit()
-        if i < burn_in or (i - burn_in) % thin != 0:
-            continue
-        row = np.zeros(cols, dtype=np.float64)
+    def advance(count: int) -> None:
+        if not audit_every:
+            state._advance(count)
+            return
+        while count:
+            chunk = min(count, audit_every - state.step_count % audit_every)
+            state._advance(chunk)
+            count -= chunk
+            if state.step_count % audit_every == 0:
+                state.audit()
+
+    # samples are taken after steps burn_in + 1, burn_in + 1 + thin, ...
+    for sample_idx in range(n_samples):
+        advance(thin if sample_idx else burn_in + 1)
         short_mass = 0
         long_mass = 0
-        for k, r in state.occ.items():
+        for k, r in occ.items():
             if k <= k_report:
-                row[k - 1] = r / n
+                x = r / n
+                grand_sums[k] += x
+                batch[k] += x
                 short_mass += k * r
             if k > threshold:
                 long_mass += k * r
-        row[-1] = long_mass / n
-        grand_sums += row
+        x = long_mass / n
+        grand_sums[0] += x
+        batch[0] += x
         tail_sum += (n - short_mass) / n
-        b = sample_idx // batch_size
-        if b < nb:
-            batch_sums[b] += row
-        sample_idx += 1
+        if (sample_idx + 1) % batch_size == 0 and sample_idx < nb * batch_size:
+            # stored as k = 1..k_report, then the long-cycle mass
+            batch_sums[sample_idx // batch_size] = batch[1:] + batch[:1]
+            batch = [0.0] * cols
+    advance(steps - burn_in - 1 - (n_samples - 1) * thin)
 
-    means = grand_sums / sample_idx
+    means = np.array(grand_sums[1:] + grand_sums[:1]) / n_samples
     batch_means = batch_sums / batch_size
     stderr = np.std(batch_means, axis=0, ddof=1) / math.sqrt(nb)
     return CycleStats(
@@ -444,8 +500,8 @@ def run_chain(
         qhat_stderr=tuple(stderr[:-1]),
         long_cycle_fraction=float(means[-1]),
         fraction_stderr=float(stderr[-1]),
-        tail_mass_mean=tail_sum / sample_idx,
-        n_samples=sample_idx,
+        tail_mass_mean=tail_sum / n_samples,
+        n_samples=n_samples,
         acceptance=state.acceptance_counts,
         seed=seed,
     )

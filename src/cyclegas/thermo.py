@@ -121,6 +121,17 @@ def qhat_star_factory(params: SystemParams) -> Callable[[int], float]:
     return qhat_star
 
 
+def _phi(s: float, alpha: float) -> float:
+    """-log(alpha) for s = 1, alpha^(s-1) for s < 1: g_s(alpha) is about
+    linear in it as alpha -> 0."""
+    return -math.log(alpha) if s == 1.0 else alpha ** (s - 1.0)
+
+
+def _phi_inv(s: float, u: float) -> float:
+    """The alpha with _phi(s, alpha) = u."""
+    return math.exp(-u) if s == 1.0 else u ** (1.0 / (s - 1.0))
+
+
 def _solve_root(d: int, beta: float, rho: float, tol: float, rho_c: float) -> float:
     """The unique alpha > 0 with g_{d/2}(alpha) = rho (4 pi beta)^(d/2).
 
@@ -128,11 +139,17 @@ def _solve_root(d: int, beta: float, rho: float, tol: float, rho_c: float) -> fl
     by regula falsi with the Illinois modification (Dowell & Jarratt, BIT
     11, 168 (1971)): the function value kept at an endpoint retained twice
     in a row is halved, which makes the step superlinear without a
-    derivative.  A step that falls outside the open bracket, or one taken
-    while an endpoint value is infinite (g_{d/2}(0) = rho_c (4 pi
-    beta)^(d/2) is infinite for d <= 2), is replaced by bisection.  alpha
-    is returned once |g - target| + error_bound <= tol * target certifies
-    it; PrecisionError otherwise.
+    derivative.  For d <= 2, where g_{d/2}(0) = rho_c (4 pi beta)^(d/2) is
+    infinite, the steps are taken in phi(alpha) (see _phi), in which the
+    leading small-alpha term is linear.  While the left value is infinite
+    and hi <= 1 the step extends a line through the right end: at first with
+    the leading term's slope (-log(alpha) for s = 1, Gamma(1-s) alpha^(s-1)
+    for s < 1), then with the secant through the last two right ends.  A
+    step that falls outside the open bracket is replaced by bisection, as
+    is every step while the left value is infinite and hi > 1, where the
+    leading term does not dominate.  alpha is returned once
+    |g - target| + error_bound <= tol * target certifies it; PrecisionError
+    otherwise.
     """
     factor = thermal_factor(d, beta)
     target = rho * factor
@@ -147,6 +164,8 @@ def _solve_root(d: int, beta: float, rho: float, tol: float, rho_c: float) -> fl
         hi *= 2.0
         if hi > 1e9:
             raise PrecisionError("failed to bracket the root of the density equation")
+    # d <= 2: g_s(alpha) ~ slope * _phi(s, alpha) as alpha -> 0; later a secant
+    slope = math.gamma(1.0 - s) if s < 1.0 else 1.0
     lo = 0.0
     # g - target at the bracket ends: positive at lo, negative at hi
     f_lo = rho_c * factor - target
@@ -156,11 +175,16 @@ def _solve_root(d: int, beta: float, rho: float, tol: float, rho_c: float) -> fl
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # interval at floating-point resolution
-        x = mid
-        if math.isfinite(f_lo):
+        if d >= 3:
             step = lo + f_lo * (hi - lo) / (f_lo - f_hi)
-            if lo < step < hi:
-                x = step
+        elif math.isfinite(f_lo):
+            u_lo, u_hi = _phi(s, lo), _phi(s, hi)
+            step = _phi_inv(s, u_lo + f_lo * (u_hi - u_lo) / (f_lo - f_hi))
+        elif hi <= 1.0:
+            step = _phi_inv(s, _phi(s, hi) - f_hi / slope)
+        else:
+            step = mid
+        x = step if lo < step < hi else mid
         g_x = bose_g(s, x, inner)
         if abs(g_x.value - target) + g_x.error_bound <= tol * target:
             return x
@@ -171,6 +195,10 @@ def _solve_root(d: int, beta: float, rho: float, tol: float, rho_c: float) -> fl
                 f_hi *= 0.5
             kept = "hi"
         else:
+            if d <= 2 and math.isinf(f_lo):
+                du = _phi(s, x) - _phi(s, hi)
+                if du > 0.0 and f_x > f_hi:
+                    slope = (f_x - f_hi) / du
             hi, f_hi = x, f_x
             if kept == "lo":
                 f_lo *= 0.5

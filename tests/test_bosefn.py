@@ -212,6 +212,23 @@ class TestBoseG:
                     assert g.error_bound <= tol
         assert summed and max(summed) <= bosefn._DIRECT_TERMS_MAX
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("offset", [-1e-7, -1e-8, 1e-8, 1e-7])
+    @pytest.mark.parametrize("alpha", [1e-3, 2e-4])
+    def test_auto_meets_tol_next_to_an_integer(self, m, offset, alpha):
+        # Gamma(1-s) alpha^(s-1) and the zeta(s-m+1) term each grow like
+        # 1/|s-m| here and cancel; the expansion once lost ~1e-8 to rounding
+        # while reporting a 1e-18 bound
+        s, tol = m + offset, 1e-12
+        auto = bose_g(s, alpha, tol)
+        direct = bose_g(s, alpha, tol, method="direct")
+        assert auto.error_bound <= tol
+        assert abs(auto.value - direct.value) <= (
+            auto.error_bound + direct.error_bound + 1e-15 * direct.value
+        )
+        with pytest.raises(PrecisionError):
+            bose_g(s, alpha, tol, method="expansion")
+
     def test_tiny_alpha_is_certified_by_expansion(self):
         g = bose_g(1.5, 1e-8, 1e-12)
         # leading behaviour Gamma(-1/2) alpha^(1/2) + zeta(3/2) + zeta(1/2) (-alpha)

@@ -1,5 +1,6 @@
 """Tests for the split/merge chain: reversibility, exactness, condensation."""
 
+import copy
 import math
 from collections import Counter
 
@@ -27,14 +28,122 @@ def occ_stats(occ: dict[int, int]) -> tuple[int, int]:
     return sum(occ.values()), sum(1 for k in occ if k >= 2)
 
 
+def log_table(n: int) -> list[float]:
+    """L[r] = log r for r <= n + 2, the table ChainState passes the move terms."""
+    return [-math.inf] + [math.log(r) for r in range(1, n + 3)]
+
+
+def lgamma_split_terms(occ, c, lg, m, k2, k, j):
+    """The split terms on lg[r] = log r!, the form the L-table terms replaced."""
+    j2 = k - j
+    rk = occ[k]
+    dlw = -c[k] + lg[rk] - lg[rk - 1]
+    rj = occ.get(j, 0)
+    if j == j2:
+        dlw += 2.0 * c[j] - (lg[rj + 2] - lg[rj])
+        npairs = (rj + 2) * (rj + 1) // 2
+        log_fwd = -math.log(k2) - math.log(k - 1)
+    else:
+        rj2 = occ.get(j2, 0)
+        dlw += c[j] - (lg[rj + 1] - lg[rj])
+        dlw += c[j2] - (lg[rj2 + 1] - lg[rj2])
+        npairs = (rj + 1) * (rj2 + 1)
+        log_fwd = -math.log(k2) - math.log(k - 1) + math.log(2.0)
+    log_rev = math.log(npairs) - math.log((m + 1) * m / 2.0)
+    return dlw, log_rev - log_fwd
+
+
+def lgamma_merge_terms(occ, c, lg, m, k2, a, b):
+    """The merge terms on lg[r] = log r!, the form the L-table terms replaced."""
+    s = a + b
+    rs = occ.get(s, 0)
+    ra = occ[a]
+    k2_new = k2
+    if a == b:
+        dlw = -2.0 * c[a] + lg[ra] - lg[ra - 2]
+        npairs = ra * (ra - 1) // 2
+        log_rev_choice = 0.0
+        k2_new -= a >= 2 and ra == 2
+    else:
+        rb = occ[b]
+        dlw = (-c[a] + lg[ra] - lg[ra - 1]) + (-c[b] + lg[rb] - lg[rb - 1])
+        npairs = ra * rb
+        log_rev_choice = math.log(2.0)
+        k2_new -= (a >= 2 and ra == 1) + (b >= 2 and rb == 1)
+    dlw += c[s] - (lg[rs + 1] - lg[rs])
+    log_fwd = math.log(npairs) - math.log(m * (m - 1) / 2.0)
+    k2_new += rs == 0
+    log_rev = -math.log(k2_new) - math.log(s - 1) + log_rev_choice
+    return dlw, log_rev - log_fwd
+
+
+def legal_moves(occ):
+    """Every (split k at j) and (merge a <= b) move from occupations occ."""
+    splits = [(k, j) for k in occ if k >= 2 for j in range(1, k)]
+    lengths = sorted(occ)
+    merges = [
+        (a, b)
+        for i, a in enumerate(lengths)
+        for b in lengths[i:]
+        if a != b or occ[a] >= 2
+    ]
+    return splits, merges
+
+
+def reference_step(st: ChainState) -> tuple[str, str]:
+    """One step written with Random.randrange: (move kind, outcome)."""
+    rng = st.rng
+    if rng.random() < 0.5:
+        kind = "split"
+        k2 = len(st.split_keys)
+        if k2 == 0:
+            return kind, "auto_rejected"
+        k = st.split_keys[rng.randrange(k2)]
+        j = 1 + rng.randrange(k - 1)
+        dlw, lratio = split_move_terms(st.occ, st._c, st._L, len(st.cycles), k2, k, j)
+        removed, added = (k,), (j, k - j)
+    else:
+        kind = "merge"
+        m = len(st.cycles)
+        if m < 2:
+            return kind, "auto_rejected"
+        i1 = rng.randrange(m)
+        i2 = rng.randrange(m - 1)
+        if i2 >= i1:
+            i2 += 1
+        a, b = sorted((st.cycles[i1], st.cycles[i2]))
+        dlw, lratio = merge_move_terms(
+            st.occ, st._c, st._L, m, len(st.split_keys), a, b
+        )
+        removed, added = (a, b), (a + b,)
+    total = dlw + lratio
+    if total >= 0.0 or rng.random() < math.exp(total):
+        st._apply(removed, added)
+        st.log_weight += dlw
+        return kind, "accepted"
+    return kind, "rejected"
+
+
+def chain_snapshot(st: ChainState) -> tuple:
+    """Everything a later step or a recorded sample can depend on."""
+    return (
+        list(st.occ.items()),
+        list(st.cycles),
+        list(st.split_keys),
+        {k: sorted(v) for k, v in st.pos_by_len.items()},
+        st.log_weight,
+        st.step_count,
+        copy.deepcopy(st.acceptance_counts),
+        st.rng.getstate(),
+    )
+
+
 class TestMoveAlgebra:
     def test_unique_split_on_a_two_cycle(self):
         p = SystemParams(3, 1.0, 1.0, n=2)
         st = ChainState(p, seed=1, start="singletons")
         # force the state {r_2: 1}
-        st._remove_cycle(1)
-        st._remove_cycle(1)
-        st._add_cycle(2)
+        st._apply((1, 1), (2,))
         move = None
         while move is None or move.kind != "split":
             move = propose_move(st)
@@ -46,7 +155,7 @@ class TestMoveAlgebra:
         # every split has the inverse merge with opposite log terms
         p = SystemParams(3, 0.5, 1.0, n=n)
         c = _cycle_log_constants(p, n)
-        lg = [math.lgamma(r + 1) for r in range(n + 2)]
+        lg = log_table(n)
         for lam in enumerate_partitions(n):
             occ = lam.as_dict()
             m, k2 = occ_stats(occ)
@@ -64,6 +173,28 @@ class TestMoveAlgebra:
                     dlw_m, lr_m = merge_move_terms(nxt, c, lg, m2, k22, a, b)
                     assert abs(dlw_s + dlw_m) < 1e-12
                     assert abs(lr_s + lr_m) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_log_table_terms_match_lgamma_formulas(self, d):
+        # L[r] = log r replaces differences of lg[r] = log r!; every legal
+        # move of every partition with n <= 10 gets the same terms
+        for n in range(2, 11):
+            p = SystemParams(d, 0.5, 1.0, n=n)
+            c = _cycle_log_constants(p, n)
+            L = log_table(n)
+            lg = [math.lgamma(r + 1) for r in range(n + 2)]
+            for lam in enumerate_partitions(n):
+                occ = lam.as_dict()
+                m, k2 = occ_stats(occ)
+                splits, merges = legal_moves(occ)
+                for k, j in splits:
+                    got = split_move_terms(occ, c, L, m, k2, k, j)
+                    want = lgamma_split_terms(occ, c, lg, m, k2, k, j)
+                    assert got == pytest.approx(want, rel=0, abs=1e-12), (occ, k, j)
+                for a, b in merges:
+                    got = merge_move_terms(occ, c, L, m, k2, a, b)
+                    want = lgamma_merge_terms(occ, c, lg, m, k2, a, b)
+                    assert got == pytest.approx(want, rel=0, abs=1e-12), (occ, a, b)
 
     def test_mass_preserved_on_every_accepted_move(self):
         p = SystemParams(2, 0.5, 2.0, n=30)
@@ -84,6 +215,71 @@ class TestMoveAlgebra:
             assert st.log_weight == pytest.approx(
                 log_weight(st.current, p), abs=1e-10
             )
+
+
+class TestKernel:
+    @pytest.mark.parametrize(
+        "n, start", [(12, "shape"), (200, "shape"), (40, "singletons"), (1, "shape")]
+    )
+    def test_kernel_matches_randrange_reference(self, n, start):
+        # the kernel's inlined getrandbits picks reproduce Random.randrange,
+        # and its counters tally the reference's outcomes
+        p = SystemParams(3, 0.5, 1.0, n=n)
+        st = ChainState(p, seed=n, start=start)
+        ref = copy.deepcopy(st)
+        tally = {kind: Counter() for kind in ("split", "merge")}
+        for i in range(20_000):
+            landed = st.step()
+            kind, outcome = reference_step(ref)
+            tally[kind][outcome] += 1
+            assert landed == (outcome == "accepted")
+            if i % 997 == 0:
+                assert chain_snapshot(st)[:5] == chain_snapshot(ref)[:5]
+                assert st.rng.getstate() == ref.rng.getstate()
+        assert chain_snapshot(st)[:5] == chain_snapshot(ref)[:5]
+        for kind, outcomes in tally.items():
+            assert st.acceptance_counts[kind] == {
+                "proposed": sum(outcomes.values()),
+                "accepted": outcomes["accepted"],
+                "auto_rejected": outcomes["auto_rejected"],
+            }
+
+    @pytest.mark.parametrize("n", [8, 300])
+    def test_batched_advance_equals_single_steps(self, n):
+        p = SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=n)
+        single = ChainState(p, seed=21)
+        batched = ChainState(p, seed=21)
+        for count in (1, 7, 5_000, 20_000):
+            landed = [single.step() for _ in range(count)][-1]
+            assert batched._advance(count) == landed
+            # occ, cycles, log_weight (bitwise), counters and RNG state
+            assert chain_snapshot(batched) == chain_snapshot(single)
+
+    @pytest.mark.parametrize("n, start", [(12, "shape"), (5, "singletons"), (1, "shape")])
+    def test_propose_move_consumes_rng_like_step(self, n, start):
+        p = SystemParams(3, 0.5, 1.0, n=n)
+        st = ChainState(p, seed=5, start=start)
+        kinds = Counter()
+        for _ in range(1_500):
+            twin = copy.deepcopy(st)
+            before = chain_snapshot(twin)
+            move = propose_move(twin)
+            # nothing applied, nothing counted
+            assert chain_snapshot(twin)[:-1] == before[:-1]
+            weight = st.log_weight
+            landed = st.step()
+            assert twin.rng.getstate() == st.rng.getstate()
+            kinds[move.kind, move.candidate is None, landed] += 1
+            if landed:
+                assert move.candidate == st.current
+                assert st.log_weight == weight + move.delta_log_weight
+            else:
+                assert chain_snapshot(st)[:5] == before[:5]
+        if n > 1:
+            assert kinds["split", False, True] and kinds["merge", False, True]
+            assert kinds["split", False, False] or kinds["merge", False, False]
+        else:
+            assert set(kinds) == {("split", True, False), ("merge", True, False)}
 
 
 class TestExactness:

@@ -157,6 +157,38 @@ class TestSolveAlpha:
         assert solve_alpha(SystemParams(d, beta, rho)).regime == "normal"
         assert len(calls) <= 30
 
+    # bose_g calls per solve_alpha (tol 1e-10) when the d <= 2 solver bisected
+    # while g(0) is infinite, for targets g_{d/2}(alpha) in _TARGETS
+    _TARGETS = (0.5, 0.75, 1, 1.5, 2, 3, 4, 5, 6, 7, 8, 9, 9.2, 10, 11.5, 12,
+                14, 16, 18, 20, 22, 25, 28, 30)
+    _BISECTING_CALLS = {
+        1: (9, 10, 10, 11, 11, 12, 13, 13, 14, 14, 14, 15, 15, 15, 15, 15,
+            16, 16, 16, 17, 17, 17, 18, 18),
+        2: (10, 10, 11, 9, 12, 14, 15, 17, 18, 20, 21, 19, 23, 24, 26, 27,
+            30, 33, 33, 36, 41, 44, 50, 53),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_low_dimension_solve_takes_no_more_calls(self, monkeypatch, d):
+        calls = []
+
+        def counting_bose_g(*args, **kwargs):
+            calls.append(args)
+            return bose_g(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "bose_g", counting_bose_g)
+        for target, before in zip(self._TARGETS, self._BISECTING_CALLS[d]):
+            calls.clear()
+            beta = 0.3
+            sol = solve_alpha(SystemParams(d, beta, target / thermal_factor(d, beta)))
+            assert sol.regime == "normal"
+            assert len(calls) <= before, (target, len(calls))
+            if d == 2 and target >= 11.5:
+                assert len(calls) < before, (target, len(calls))
+            if target >= 5:
+                # the leading-term step lands next to these small-alpha roots
+                assert len(calls) <= 8, (target, len(calls))
+
     def test_alpha_decreasing_in_rho(self):
         rho_c = critical_density(3, BETA_UNIT)
         rhos = [f * rho_c for f in (0.1, 0.25, 0.5, 0.75, 0.9)]
