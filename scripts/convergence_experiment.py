@@ -2,7 +2,8 @@
 """Finite-n convergence of (1/n) log Z_n toward -chi for several phase points.
 
 Reproduces the monotone-gap table: six parameter sets spanning both phases
-and dimensions 1..3, sizes 10..60 by default (keep n <= 70).
+and dimensions 1..3, sizes 10..60 by default (n is capped by
+cyclegas.errors.CAPS["exact"]).
 """
 
 import argparse

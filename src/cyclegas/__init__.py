@@ -5,7 +5,7 @@ infinite-volume limits (critical constants, free energy, entropy infimum),
 the limiting cycle-length shapes, and split/merge Monte Carlo for large n.
 """
 
-from .bosefn import BoseEval, bose_g, bose_small_alpha, zeta, zeta_continued
+from .bosefn import BoseEval, bose_g, zeta, zeta_continued
 from .entropy import (
     EntropyDecomposition,
     MinimizeResult,

@@ -22,9 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError, PrecisionError, ValidationError
+from .errors import CAPS, DivergenceError, PrecisionError, ValidationError
 
-TERM_CAP = 10**8
 _CHUNK = 1 << 16
 _MIN_TOL = 1e-14
 
@@ -85,7 +84,7 @@ def _zeta_em(s: float, tol: float) -> BoseEval:
         remainder = abs(b_over_fact[m] * _rising(s, 2 * m + 1)) * n ** (-s - 2 * m - 1)
         if remainder <= tol:
             break
-        if n > 10**7:
+        if n > CAPS["zeta_terms"].limit:
             raise PrecisionError(
                 f"cannot certify zeta({s}) to {tol} within the summation cap"
             )
@@ -132,9 +131,10 @@ def _bose_direct(s: float, alpha: float, tol: float) -> BoseEval:
     k = 16
     while _tail_bound(s, alpha, k) > tol:
         k *= 2
-        if k > TERM_CAP:
+        if k > CAPS["bose_terms"].limit:
             raise PrecisionError(
-                f"cannot certify g_{s}({alpha}) to {tol} within {TERM_CAP} terms"
+                f"cannot certify g_{s}({alpha}) to {tol} within "
+                f"{CAPS['bose_terms'].limit} terms"
             )
     chunk_sums = []
     for lo in range(1, k + 1, _CHUNK):
@@ -300,32 +300,3 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
         return _bose_expansion(s, alpha, tol)
     except PrecisionError:
         return _bose_direct(s, alpha, tol)
-
-
-def bose_small_alpha(s: float, alpha: float, k_max: int) -> float:
-    """Truncated expansion of g_s(alpha) about alpha = 0.
-
-    Non-integer s:  Gamma(1-s) alpha^(s-1) + sum_{k=0}^{k_max} zeta(s-k) (-alpha)^k / k!
-    Integer s:      the -log(alpha) branch replaces the k = s-1 term:
-                    (-alpha)^(s-1)/(s-1)! [-log(alpha) + sum_{m=1}^{s-1} 1/m]
-                    plus the regular sum skipping k = s-1.
-
-    zeta below 1 is supplied by the Euler-Maclaurin continuation.
-    """
-    if not 0.0 < alpha <= 0.5:
-        raise ValidationError(f"alpha must lie in (0, 0.5], got {alpha}")
-    if s <= 0:
-        raise ValidationError(f"series order s must be positive, got {s}")
-    if k_max < 0:
-        raise ValidationError(f"k_max must be >= 0, got {k_max}")
-    s_int = round(s)
-    is_integer = abs(s - s_int) < 1e-12 and s_int >= 1
-    for k in range(0, k_max + 1):
-        if is_integer and k == s_int - 1:
-            continue
-        arg = s - k
-        if abs(arg - 1.0) <= 1e-9:
-            raise ValidationError(
-                f"expansion term k={k} evaluates zeta at {arg}, too close to the pole"
-            )
-    return _expansion_sum(s, alpha, k_max, 1e-13)[0]

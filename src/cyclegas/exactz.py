@@ -22,12 +22,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapError, ValidationError
-from .partitions import EXHAUSTIVE_CAP, Partition, enumerate_partitions
+from .errors import ValidationError, check_cap
+from .partitions import Partition, enumerate_partitions
 from .thermo import SystemParams, chi
-
-BRUTE_FORCE_CAP = 9
-EXPECTATION_CAP = 40
 
 
 def _require_n(params: SystemParams) -> int:
@@ -81,10 +78,7 @@ def brute_force_log_Z(params: SystemParams) -> float:
     |V| (4 pi beta k)^(-d/2); the total is divided by n!.
     """
     n = _require_n(params)
-    if n > BRUTE_FORCE_CAP:
-        raise CapError(
-            f"brute force is capped at n <= {BRUTE_FORCE_CAP} (n! blowup), got {n}"
-        )
+    check_cap("permutations", n)
     log_v = math.log(params.volume)
     d_half = params.d / 2.0
     four_pi_beta = 4.0 * math.pi * params.beta
@@ -135,8 +129,7 @@ def exact_log_Z(params: SystemParams, confinement: str = "free") -> float:
     mass.
     """
     n = _require_n(params)
-    if n > EXHAUSTIVE_CAP:
-        raise CapError(f"exact enumeration is capped at n <= {EXHAUSTIVE_CAP}, got {n}")
+    check_cap("exact", n)
     if confinement not in ("free", "lower"):
         raise ValidationError(f"unknown confinement mode {confinement!r}")
     c = _cycle_log_constants(params, n)
@@ -188,10 +181,7 @@ class WeightedEnsemble:
 def weighted_ensemble(params: SystemParams) -> WeightedEnsemble:
     """Materialise the distribution over P_n (small n only)."""
     n = _require_n(params)
-    if n > EXPECTATION_CAP:
-        raise CapError(
-            f"materialised ensembles are capped at n <= {EXPECTATION_CAP}, got {n}"
-        )
+    check_cap("ensemble", n)
     c = _cycle_log_constants(params, n)
     table = {
         lam: _occupation_log_weight(lam.occupations, c)
@@ -209,10 +199,7 @@ def mu_N_expected_shape(params: SystemParams) -> np.ndarray:
     m = n and is checked to 1e-10.
     """
     n = _require_n(params)
-    if n > EXPECTATION_CAP:
-        raise CapError(
-            f"exact expectations are capped at n <= {EXPECTATION_CAP}, got {n}"
-        )
+    check_cap("ensemble", n)
     c = _cycle_log_constants(params, n)
     log_z = _log_Z_table(c, n)
     ks = np.arange(1, n + 1)

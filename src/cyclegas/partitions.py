@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import CapError, ValidationError
-
-# Streaming enumeration refuses above this; p(120) ~ 1.8e9 items is not
-# desk-scale even as a stream.
-DEFAULT_CAP = 120
-# Exhaustive consumers (weighted sums over all of P_n) stay below this;
-# p(70) ~ 4.1e6.
-EXHAUSTIVE_CAP = 70
+from .errors import ValidationError, check_cap
 
 
 @dataclass(frozen=True)
@@ -129,19 +122,14 @@ class ShapeMeasure:
         )
 
 
-def _check_enumeration_n(n: int, cap: int) -> None:
-    if n < 1:
-        raise ValidationError(f"n must be >= 1 (cap {cap}), got {n}")
-    if n > cap:
-        raise CapError(f"n={n} exceeds the enumeration cap {cap}")
-
-
-def iter_parts(n: int, cap: int = DEFAULT_CAP) -> Iterator[list[int]]:
+def iter_parts(n: int) -> Iterator[list[int]]:
     """Yield each partition of n as a descending parts list, descending-lex.
 
     The yielded list is reused between iterations; copy it if you keep it.
     """
-    _check_enumeration_n(n, cap)
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    check_cap("enumeration", n)
     parts = [n]
     while True:
         yield parts
@@ -161,12 +149,12 @@ def iter_parts(n: int, cap: int = DEFAULT_CAP) -> Iterator[list[int]]:
             rest -= c
 
 
-def iter_occupation_runs(n: int, cap: int = DEFAULT_CAP) -> Iterator[list[tuple[int, int]]]:
+def iter_occupation_runs(n: int) -> Iterator[list[tuple[int, int]]]:
     """Yield each partition of n as a list of (length, count) runs.
 
     Runs are ordered by decreasing length; the list is rebuilt per item.
     """
-    for parts in iter_parts(n, cap):
+    for parts in iter_parts(n):
         runs: list[tuple[int, int]] = []
         cur = parts[0]
         cnt = 0
@@ -181,18 +169,17 @@ def iter_occupation_runs(n: int, cap: int = DEFAULT_CAP) -> Iterator[list[tuple[
         yield runs
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Stream every partition of n exactly once, descending-lex by parts."""
-    for runs in iter_occupation_runs(n, cap):
+    for runs in iter_occupation_runs(n):
         yield Partition(n, tuple(reversed(runs)))
 
 
-def partition_count(n: int, cap: int = DEFAULT_CAP) -> int:
+def partition_count(n: int) -> int:
     """p(n) by the bounded-part DP convolution, exact integer arithmetic."""
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise CapError(f"n={n} exceeds the partition-count cap {cap}")
+    check_cap("enumeration", n)
     dp = [0] * (n + 1)
     dp[0] = 1
     for part in range(1, n + 1):
@@ -227,10 +214,9 @@ def occupations_from_shape(shape: ShapeMeasure) -> Partition:
     return Partition.from_counts(n, counts)
 
 
-def conjugacy_class_size(lam: Partition, cap: int = DEFAULT_CAP) -> int:
+def conjugacy_class_size(lam: Partition) -> int:
     """Exact number of permutations with this cycle type: n!/prod(r_k! k^r_k)."""
-    if lam.n > cap:
-        raise CapError(f"n={lam.n} exceeds the exact class-size cap {cap}")
+    check_cap("enumeration", lam.n)
     num = math.factorial(lam.n)
     den = 1
     for k, r in lam.occupations:

@@ -22,12 +22,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapError, ValidationError
+from .errors import ValidationError, check_cap
 from .exactz import _cycle_log_constants, _occupation_log_weight
 from .partitions import Partition
 from .thermo import SystemParams, optimal_shape
 
-CHAIN_N_CAP = 100_000
 _BATCHES = 50
 _LOG2 = math.log(2.0)
 
@@ -153,8 +152,7 @@ class ChainState:
     def __init__(self, params: SystemParams, seed: int = 0, start: str = "shape"):
         if params.n is None:
             raise ValidationError("chain needs params.n set")
-        if params.n > CHAIN_N_CAP:
-            raise CapError(f"chains are capped at n <= {CHAIN_N_CAP}, got {params.n}")
+        check_cap("chain", params.n)
         if start not in ("shape", "singletons"):
             raise ValidationError(f"unknown start state {start!r}")
         self.params = params
@@ -437,6 +435,10 @@ def run_chain(
         k_report = min(n, 30)
     if threshold is None:
         threshold = default_threshold(n)
+    if k_report < 0:
+        raise ValidationError(f"k_report must be >= 0, got {k_report}")
+    if threshold < 0:
+        raise ValidationError(f"threshold must be >= 0, got {threshold}")
 
     state = ChainState(params, seed=seed)
     n_samples = max(0, (steps - burn_in + thin - 1) // thin)

@@ -62,11 +62,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class ThermoSolution:
-    """Resolved phase point: regime, tilt alpha, and derived quantities.
-
-    cycle_mass(k) is the limiting per-particle mass k * Qhat(k) that the path
-    ensemble places on the class of paths opening with a k-fold loop.
-    """
+    """Resolved phase point: regime, tilt alpha, and derived quantities."""
 
     regime: str
     alpha: float
@@ -75,7 +71,6 @@ class ThermoSolution:
     condensate_fraction: float
     free_energy: float
     chi: float
-    cycle_mass: Callable[[int], float]
 
 
 def thermal_factor(d: int, beta: float) -> float:
@@ -108,17 +103,6 @@ def critical_beta(d: int, rho: float, tol: float = 1e-13) -> float:
         return INFINITE
     z = zeta(d / 2.0, tol).value
     return (z / rho) ** (2.0 / d) / (4.0 * math.pi)
-
-
-def qhat_star_factory(params: SystemParams) -> Callable[[int], float]:
-    """Reference increments: Qhat*(k) = 1/(rho (4 pi beta)^(d/2) k^(1+d/2))."""
-    c = 1.0 / (params.rho * thermal_factor(params.d, params.beta))
-    e = 1.0 + params.d / 2.0
-
-    def qhat_star(k: int) -> float:
-        return c * float(k) ** (-e)
-
-    return qhat_star
 
 
 def _phi(s: float, alpha: float) -> float:
@@ -246,12 +230,6 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
         f = -z.value / (factor * beta)
         fraction = max(0.0, 1.0 - rho_c / rho)
     chi_val = beta * f / rho
-
-    qs = qhat_star_factory(params)
-
-    def cycle_mass(k: int, _a: float = alpha) -> float:
-        return float(k) * qs(k) * math.exp(-_a * float(k))
-
     return ThermoSolution(
         regime=regime,
         alpha=alpha,
@@ -260,7 +238,6 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
         condensate_fraction=fraction,
         free_energy=f,
         chi=chi_val,
-        cycle_mass=cycle_mass,
     )
 
 
@@ -269,16 +246,18 @@ def optimal_shape(
 ) -> tuple[ThermoSolution, Callable[[int], float]]:
     """The minimising increments Qhat(k) = Qhat*(k) e^(-alpha k).
 
+    Qhat*(k) = 1/(rho (4 pi beta)^(d/2) k^(1+d/2)) is the reference shape.
     In the normal regime sum_k k Qhat(k) = 1; in the condensed regime the
     shape carries only rho_c / rho of the mass (the rest escapes to
     unboundedly long cycles).
     """
     sol = solve_alpha(params, tol)
-    qs = qhat_star_factory(params)
+    c = 1.0 / (params.rho * thermal_factor(params.d, params.beta))
+    e = 1.0 + params.d / 2.0
     alpha = sol.alpha
 
     def qhat(k: int) -> float:
-        return qs(k) * math.exp(-alpha * float(k))
+        return c * float(k) ** (-e) * math.exp(-alpha * float(k))
 
     return sol, qhat
 

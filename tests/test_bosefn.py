@@ -13,7 +13,6 @@ from cyclegas import bosefn
 from cyclegas.bosefn import (
     BoseEval,
     bose_g,
-    bose_small_alpha,
     zeta,
     zeta_continued,
 )
@@ -235,6 +234,10 @@ class TestBoseG:
         lead = math.gamma(-0.5) * math.sqrt(1e-8) + 2.6123753486854883
         assert g.error_bound <= 1e-12
         assert abs(g.value - lead) < 1e-6
+        # s = 1/2 diverges like Gamma(1/2) alpha^(-1/2)
+        g = bose_g(0.5, 1e-4, 1e-12)
+        assert g.error_bound <= 1e-12
+        assert abs(g.value / (math.gamma(0.5) * 1e-4 ** -0.5) - 1.0) < 0.02
 
     @given(
         st.floats(min_value=0.3, max_value=4.0),
@@ -249,38 +252,6 @@ class TestBoseG:
         v_lo = bose_g(s, lo, 1e-13)
         v_hi = bose_g(s, hi, 1e-13)
         assert v_lo.value + v_lo.error_bound >= v_hi.value - v_hi.error_bound
-
-
-class TestSmallAlphaExpansion:
-    def test_non_integer_branch(self):
-        got = bose_small_alpha(1.5, 0.01, 3)
-        want = bose_g(1.5, 0.01, 1e-12).value
-        assert abs(got - want) < 1e-6
-
-    def test_integer_branch_s1(self):
-        got = bose_small_alpha(1.0, 0.1, 4)
-        want = -math.log(-math.expm1(-0.1))
-        assert abs(got - want) < 1e-4
-
-    def test_integer_branch_s2(self):
-        got = bose_small_alpha(2.0, 0.05, 6)
-        want = bose_g(2.0, 0.05, 1e-13).value
-        assert abs(got - want) < 1e-8
-
-    def test_leading_alpha_divergence_s_half(self):
-        alpha = 1e-4
-        # precondition caps alpha at 0.5; 1e-4 is fine
-        got = bose_small_alpha(0.5, alpha, 2)
-        lead = math.gamma(0.5) * alpha ** (-0.5)
-        assert abs(got / lead - 1.0) < 0.02
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            bose_small_alpha(1.5, 0.0, 3)
-        with pytest.raises(ValidationError):
-            bose_small_alpha(1.5, 0.7, 3)
-        with pytest.raises(ValidationError):
-            bose_small_alpha(1.5, 0.1, -1)
 
 
 class TestBoseEval:

@@ -1,0 +1,89 @@
+"""The resource-cap table: each route's boundary, the stated costs, the term caps."""
+
+import math
+
+import pytest
+
+from cyclegas import bosefn
+from cyclegas.errors import CAPS, CapError, PrecisionError
+from cyclegas.exactz import (
+    brute_force_log_Z,
+    confinement_log_Z_bracket,
+    convergence_scan,
+    exact_log_Z,
+    mu_N_expected_shape,
+    weighted_ensemble,
+)
+from cyclegas.partitions import (
+    Partition,
+    conjugacy_class_size,
+    enumerate_partitions,
+    iter_occupation_runs,
+    iter_parts,
+    partition_count,
+)
+from cyclegas.sampler import ChainState, run_chain
+from cyclegas.thermo import SystemParams
+
+
+def at(n: int) -> SystemParams:
+    return SystemParams(3, 1.0, 1.0, n=n)
+
+
+# every call that sizes its work by n, with the route whose cap guards it
+GUARDED = [
+    ("enumeration", lambda n: next(iter_parts(n))),
+    ("enumeration", lambda n: next(iter_occupation_runs(n))),
+    ("enumeration", lambda n: next(enumerate_partitions(n))),
+    ("enumeration", partition_count),
+    ("enumeration", lambda n: conjugacy_class_size(Partition(n, ((n, 1),)))),
+    ("exact", lambda n: exact_log_Z(at(n))),
+    ("exact", lambda n: convergence_scan(SystemParams(3, 1.0, 1.0), [n])),
+    ("exact", lambda n: confinement_log_Z_bracket(at(n))),
+    ("ensemble", lambda n: weighted_ensemble(at(n))),
+    ("ensemble", lambda n: mu_N_expected_shape(at(n))),
+    ("permutations", lambda n: brute_force_log_Z(at(n))),
+    ("chain", lambda n: ChainState(at(n))),
+    ("chain", lambda n: run_chain(at(n), steps=100)),
+]
+
+
+@pytest.mark.parametrize(
+    "route, call", GUARDED, ids=[f"{route}-{i}" for i, (route, _) in enumerate(GUARDED)]
+)
+def test_route_runs_at_its_cap_and_refuses_one_more(route, call):
+    cap = CAPS[route]
+    call(cap.limit)
+    with pytest.raises(CapError) as err:
+        call(cap.limit + 1)
+    want = f"n={cap.limit + 1} exceeds the {route} cap of {cap.limit} ({cap.cost})"
+    assert str(err.value) == want
+
+
+def test_stated_costs_hold():
+    assert partition_count(120) == 1_844_349_560
+    assert partition_count(70) == 4_087_968
+    assert partition_count(40) == 37_338
+    assert math.factorial(9) == 362_880
+    for route in ("enumeration", "exact", "ensemble"):
+        cap = CAPS[route]
+        assert f"p({cap.limit}) = {partition_count(cap.limit):,}" in cap.cost
+    cap = CAPS["permutations"]
+    assert f"{cap.limit}! = {math.factorial(cap.limit):,}" in cap.cost
+
+
+def test_term_caps_bound_the_certified_series(monkeypatch):
+    def direct():
+        return bosefn.bose_g(1.5, 1e-3, 1e-10, method="direct")
+
+    def zeta():  # uncached: 127 summed terms, 6 corrections
+        return bosefn._zeta_em.__wrapped__(2.5, 1e-30)
+
+    assert direct().terms_used == 16_384
+    assert zeta().terms_used == 133
+    monkeypatch.setitem(CAPS, "bose_terms", CAPS["bose_terms"]._replace(limit=8_192))
+    with pytest.raises(PrecisionError):
+        direct()
+    monkeypatch.setitem(CAPS, "zeta_terms", CAPS["zeta_terms"]._replace(limit=32))
+    with pytest.raises(PrecisionError):
+        zeta()

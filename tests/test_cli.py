@@ -223,6 +223,17 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--k-report", "--threshold"])
+    def test_negative_sample_size(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys,
+            ["sample", "--d", "3", "--beta", "1", "--rho", "1", "--n", "50",
+             "--steps", "1000", flag, "-1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid" in err
+
     def test_bad_n_list(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclegas.errors import CapError, ValidationError
+from cyclegas.errors import CAPS, CapError, ValidationError
 from cyclegas.partitions import (
-    DEFAULT_CAP,
     Partition,
     ShapeMeasure,
     conjugacy_class_size,
@@ -93,8 +92,9 @@ class TestEnumeration:
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
             list(enumerate_partitions(0))
-        with pytest.raises(CapError, match=str(DEFAULT_CAP)):
-            list(enumerate_partitions(DEFAULT_CAP + 1))
+        cap = CAPS["enumeration"].limit
+        with pytest.raises(CapError, match=str(cap)):
+            list(enumerate_partitions(cap + 1))
 
 
 class TestPartitionCount:
@@ -111,7 +111,7 @@ class TestPartitionCount:
 
     def test_cap(self):
         with pytest.raises(CapError):
-            partition_count(DEFAULT_CAP + 1)
+            partition_count(CAPS["enumeration"].limit + 1)
 
 
 class TestClassSizes:

@@ -388,6 +388,9 @@ class TestRunChain:
             run_chain(p, steps=100, burn_in=200, seed=0)
         with pytest.raises(ValidationError):
             run_chain(SystemParams(3, 1.0, 1.0), steps=100)
+        for bad in ({"k_report": -1}, {"k_report": -3}, {"threshold": -1}):
+            with pytest.raises(ValidationError):
+                run_chain(p, steps=100, seed=0, **bad)
         with pytest.raises(CapError):
             ChainState(SystemParams(3, 1.0, 1.0, n=200_000))
 

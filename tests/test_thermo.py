@@ -235,12 +235,6 @@ class TestOptimalShape:
             star = c * k ** (-2.5)
             assert qhat(k) / star == pytest.approx(math.exp(-sol.alpha * k), rel=1e-12)
 
-    def test_cycle_mass_matches_qhat(self):
-        params = SystemParams(2, 0.3, 0.8)
-        sol, qhat = optimal_shape(params)
-        for k in (1, 2, 5, 17):
-            assert sol.cycle_mass(k) == pytest.approx(k * qhat(k), rel=1e-14)
-
 
 class TestFreeEnergy:
     def test_condensed_is_density_independent(self):
