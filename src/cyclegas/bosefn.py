@@ -84,11 +84,11 @@ def _zeta_em(s: float, tol: float) -> BoseEval:
         remainder = abs(b_over_fact[m] * _rising(s, 2 * m + 1)) * n ** (-s - 2 * m - 1)
         if remainder <= tol:
             break
+        n *= 2
         if n > CAPS["zeta_terms"].limit:
             raise PrecisionError(
                 f"cannot certify zeta({s}) to {tol} within the summation cap"
             )
-        n *= 2
     ks = np.arange(1, n, dtype=np.float64)
     partial = float(np.sum(ks ** (-s)))
     value = partial + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
@@ -99,8 +99,8 @@ def _zeta_em(s: float, tol: float) -> BoseEval:
 
 def zeta(s: float, tol: float) -> BoseEval:
     """Riemann zeta for s > 1, Euler-Maclaurin accelerated, certified."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     if s <= 1.0:
         raise DivergenceError(f"zeta diverges for s <= 1, got s={s}")
     if s <= 1.0 + 1e-9:
@@ -110,8 +110,8 @@ def zeta(s: float, tol: float) -> BoseEval:
 
 def zeta_continued(s: float, tol: float = 1e-13) -> BoseEval:
     """Analytic continuation of zeta to s < 1 (s != 1), certified."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     if s >= 1.0:
         return zeta(s, tol)
     return _zeta_em(s, tol)
@@ -276,8 +276,8 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
         raise ValidationError(f"series order s must be positive, got {s}")
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
-    if tol < _MIN_TOL:
-        raise ValidationError(f"tol must be >= {_MIN_TOL}, got {tol}")
+    if not _MIN_TOL <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= {_MIN_TOL}, got {tol}")
     if method not in ("auto", "direct", "expansion"):
         raise ValidationError(f"unknown method {method!r}")
     if alpha == 0.0:

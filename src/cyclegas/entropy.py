@@ -5,7 +5,8 @@ function is in bijection with its increment sequence).  S(Q) =
 sum_k Qhat(k) (log(Qhat(k)/Qhat*(k)) - 1) with the convention 0 log 0 = 0.
 Minimisation over {Qhat >= 0, sum_k k Qhat(k) = 1} is solved exactly through
 the scalar Lagrangian dual: stationarity forces Qhat = Qhat* e^(-lambda k),
-leaving a single monotone root for lambda.
+leaving a single monotone root for lambda, found by the same bracketed
+solver as the density equation (thermo._bracketed_root).
 
 In the condensed regime the truncated dual root sits below zero and the
 constraint mass piles up at k = K; that boundary mass is the finite-K shadow
@@ -15,15 +16,16 @@ of the escaping minimising sequences and is reported, never suppressed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PrecisionError, ValidationError
+from .errors import ValidationError
 from .thermo import (
     REGIME_CONDENSED,
     SystemParams,
+    _bracketed_root,
     solve_alpha,
     thermal_factor,
 )
@@ -137,58 +139,47 @@ class MinimizeResult:
     s_value: float
     boundary_mass: float  # K * Qhat(K), the constraint mass on the last site
     constraint_residual: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResult:
     """Minimise truncated S over {Qhat >= 0, sum_k k Qhat(k) = 1}.
 
     Stationarity gives Qhat(k) = Qhat*(k) e^(-lambda k); lambda solves the
-    scalar constraint by bisection (lambda < 0 is allowed: the truncated
-    problem is always feasible).  In the normal regime lambda approaches the
-    root of the density equation as K grows; in the condensed regime lambda
-    approaches 0 from below and mass concentrates at k = K.
+    scalar constraint sum_k k Qhat(k) = 1 to |residual| <= min(tol, 1e-7)
+    with thermo._bracketed_root, the root solver of the density equation
+    (lambda < 0 is allowed: the truncated problem is always feasible).  In
+    the normal regime lambda approaches the root of the density equation as
+    K grows; in the condensed regime lambda approaches 0 from below and mass
+    concentrates at k = K.
     """
     if K < 100:
         raise ValidationError(f"K must be >= 100, got {K}")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"tol must be in (0, 1), got {tol}")
     qs = qhat_star_array(params, K)
     ks = np.arange(1, K + 1, dtype=np.float64)
     log_base = np.log(ks * qs)
 
-    f0 = _log_constraint_mass(0.0, log_base, ks)
-    if f0 > 0.0:
-        lo, hi = 0.0, 1.0
-        while _log_constraint_mass(hi, log_base, ks) > 0.0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise PrecisionError("failed to bracket the dual variable above 0")
-    elif f0 < 0.0:
-        hi, lo = 0.0, -1.0 / K
-        while _log_constraint_mass(lo, log_base, ks) < 0.0:
-            lo *= 2.0
-            if lo < -1e6:
-                raise PrecisionError("failed to bracket the dual variable below 0")
-    else:
-        lo = hi = 0.0
+    # a shape that is not relaxed must hold its mass to _MASS_ATOL
+    tol = min(tol, _MASS_ATOL)
 
-    lam = 0.5 * (lo + hi)
-    residual = math.expm1(_log_constraint_mass(lam, log_base, ks))
-    for _ in range(300):
-        if abs(residual) <= tol:
-            break
-        if residual > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        nxt = 0.5 * (lo + hi)
-        if nxt == lam or nxt == lo or nxt == hi:
-            break
-        lam = nxt
-        residual = math.expm1(_log_constraint_mass(lam, log_base, ks))
-    if abs(residual) > tol:
-        raise PrecisionError(f"dual bisection stalled at residual {residual}")
+    def residual(lam: float) -> tuple[float, float]:
+        return math.expm1(_log_constraint_mass(lam, log_base, ks)), 0.0
+
+    # the mass falls as lambda rises: search above 0 when it exceeds 1 there
+    r0 = residual(0.0)[0]
+    if r0 > 0.0:
+        lam, res = _bracketed_root(residual, 0.0, r0, 1.0, tol)
+    else:
+        # below 0 the mass grows about linearly in the boundary term K Qhat(K)
+        # = e^(log_base[-1] - lambda K); a step that rounds to a boundary term
+        # v <= 0 maps outside the bracket, which makes it a bisection
+        log_top = float(log_base[-1])
+        boundary = (
+            lambda lam: math.exp(log_top - lam * K),
+            lambda v: (log_top - math.log(v)) / K if v > 0.0 else math.inf,
+        )
+        lam, res = _bracketed_root(residual, 0.0, r0, -1.0 / K, tol, boundary)
 
     qh = qs * np.exp(-lam * ks)
     shape = TruncatedShape(qh, relaxed=False)
@@ -198,8 +189,7 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
         lam=lam,
         s_value=s_value,
         boundary_mass=float(K * qh[-1]),
-        constraint_residual=residual,
-        diagnostics={"bracket": (lo, hi), "K": K},
+        constraint_residual=res,
     )
 
 

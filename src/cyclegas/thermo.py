@@ -105,95 +105,102 @@ def critical_beta(d: int, rho: float, tol: float = 1e-13) -> float:
     return (z / rho) ** (2.0 / d) / (4.0 * math.pi)
 
 
-def _phi(s: float, alpha: float) -> float:
-    """-log(alpha) for s = 1, alpha^(s-1) for s < 1: g_s(alpha) is about
-    linear in it as alpha -> 0."""
-    return -math.log(alpha) if s == 1.0 else alpha ** (s - 1.0)
+def _bracketed_root(
+    f: Callable[[float], tuple[float, float]],
+    a: float,
+    f_a: float,
+    b: float,
+    tol_abs: float,
+    u: tuple[Callable[[float], float], Callable[[float], float]] = (float, float),
+    lead: tuple[float, float] = (0.0, -INFINITE),
+) -> tuple[float, float]:
+    """The x where a decreasing f crosses zero, and f(x).
 
-
-def _phi_inv(s: float, u: float) -> float:
-    """The alpha with _phi(s, alpha) = u."""
-    return math.exp(-u) if s == 1.0 else u ** (1.0 / (s - 1.0))
-
-
-def _solve_root(d: int, beta: float, rho: float, tol: float, rho_c: float) -> float:
-    """The unique alpha > 0 with g_{d/2}(alpha) = rho (4 pi beta)^(d/2).
-
-    Brackets the root in [0, hi] by doubling hi, then narrows the bracket
-    by regula falsi with the Illinois modification (Dowell & Jarratt, BIT
-    11, 168 (1971)): the function value kept at an endpoint retained twice
-    in a row is halved, which makes the step superlinear without a
-    derivative.  For d <= 2, where g_{d/2}(0) = rho_c (4 pi beta)^(d/2) is
-    infinite, the steps are taken in phi(alpha) (see _phi), in which the
-    leading small-alpha term is linear.  While the left value is infinite
-    and hi <= 1 the step extends a line through the right end: at first with
-    the leading term's slope (-log(alpha) for s = 1, Gamma(1-s) alpha^(s-1)
-    for s < 1), then with the secant through the last two right ends.  A
-    step that falls outside the open bracket is replaced by bisection, as
-    is every step while the left value is infinite and hi > 1, where the
-    leading term does not dominate.  alpha is returned once
-    |g - target| + error_bound <= tol * target certifies it; PrecisionError
-    otherwise.
+    f(x) returns (value, error_bound); f has the sign of f_a (which may be
+    infinite) at a, where it is not evaluated.  The far end starts at b and
+    doubles its distance from a until f certifiably changes sign there.  The
+    bracket [lo, hi] is then narrowed by regula falsi with the Illinois
+    modification (Dowell & Jarratt, BIT 11, 168 (1971)), which halves the
+    value kept at an end retained twice in a row, in the coordinate u[0]
+    (inverse u[1], by default the identity) in which f is about linear.
+    While f(lo) is infinite and hi <= lead[1], a step extends the line
+    through hi with slope lead[0] in u, later the secant through the last
+    two values at hi; other steps while f(lo) is infinite, and steps that
+    leave the open bracket, bisect.  Returns the first step with |f(x)| +
+    error_bound <= tol_abs; PrecisionError after 400 evaluations or at float
+    resolution.
     """
-    factor = thermal_factor(d, beta)
-    target = rho * factor
-    s = d / 2.0
-    inner = max(tol * target / 8.0, 1e-14)
-
-    hi = 1.0
-    while True:
-        g_hi = bose_g(s, hi, inner)
-        if g_hi.value + g_hi.error_bound < target:
-            break
-        hi *= 2.0
-        if hi > 1e9:
-            raise PrecisionError("failed to bracket the root of the density equation")
-    # d <= 2: g_s(alpha) ~ slope * _phi(s, alpha) as alpha -> 0; later a secant
-    slope = math.gamma(1.0 - s) if s < 1.0 else 1.0
-    lo = 0.0
-    # g - target at the bracket ends: positive at lo, negative at hi
-    f_lo = rho_c * factor - target
-    f_hi = g_hi.value - target
-    kept = None  # the endpoint the last step left in place
+    to_u, from_u = u
+    slope, lead_max = lead
+    lo = hi = a  # until the sign change is found
+    f_lo = f_hi = f_a
+    kept = None  # the end the last step left in place
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # interval at floating-point resolution
-        if d >= 3:
-            step = lo + f_lo * (hi - lo) / (f_lo - f_hi)
-        elif math.isfinite(f_lo):
-            u_lo, u_hi = _phi(s, lo), _phi(s, hi)
-            step = _phi_inv(s, u_lo + f_lo * (u_hi - u_lo) / (f_lo - f_hi))
-        elif hi <= 1.0:
-            step = _phi_inv(s, _phi(s, hi) - f_hi / slope)
+        if lo == hi:
+            x = b
         else:
             step = mid
-        x = step if lo < step < hi else mid
-        g_x = bose_g(s, x, inner)
-        if abs(g_x.value - target) + g_x.error_bound <= tol * target:
-            return x
-        f_x = g_x.value - target
-        if f_x > 0.0:
+            if math.isfinite(f_lo):
+                u_lo, u_hi = to_u(lo), to_u(hi)
+                step = from_u(u_lo + f_lo * (u_hi - u_lo) / (f_lo - f_hi))
+            elif hi <= lead_max:
+                step = from_u(to_u(hi) - f_hi / slope)
+            x = step if lo < step < hi else mid
+        f_x, error = f(x)
+        if lo == hi:
+            if (f_x if b > a else -f_x) + error < 0.0:
+                lo, hi, f_lo, f_hi = (a, b, f_a, f_x) if b > a else (b, a, f_x, f_a)
+            else:
+                b = a + 2.0 * (b - a)
+        elif abs(f_x) + error <= tol_abs:
+            return x, f_x
+        elif mid == lo or mid == hi:
+            break  # bracket at floating-point resolution
+        elif f_x > 0.0:
             lo, f_lo = x, f_x
             if kept == "hi":
                 f_hi *= 0.5
             kept = "hi"
         else:
-            if d <= 2 and math.isinf(f_lo):
-                du = _phi(s, x) - _phi(s, hi)
+            if math.isinf(f_lo):
+                du = to_u(x) - to_u(hi)
                 if du > 0.0 and f_x > f_hi:
                     slope = (f_x - f_hi) / du
             hi, f_hi = x, f_x
             if kept == "lo":
                 f_lo *= 0.5
             kept = "lo"
-    mid = 0.5 * (lo + hi)
-    g_final = bose_g(s, mid, inner)
-    if abs(g_final.value - target) + g_final.error_bound <= tol * target:
-        return mid
-    raise PrecisionError(
-        f"density-equation residual not certified below {tol} (d={d}, beta={beta}, rho={rho})"
+    raise PrecisionError(f"root not certified to {tol_abs:.3g}: last step {x!r} in [{lo!r}, {hi!r}]")
+
+
+def _solve_root(d: int, beta: float, rho: float, tol: float, rho_c: float) -> float:
+    """The unique alpha > 0 with g_{d/2}(alpha) = rho (4 pi beta)^(d/2).
+
+    For d <= 2, g_{d/2}(0) = rho_c (4 pi beta)^(d/2) is infinite; steps are
+    taken in the coordinate in which the leading small-alpha term of g_{d/2}
+    is linear, and follow that term while alpha <= 1, where it dominates.
+    """
+    factor = thermal_factor(d, beta)
+    target = rho * factor
+    s = d / 2.0
+    inner = max(tol * target / 8.0, 1e-14)
+
+    def excess(alpha: float) -> tuple[float, float]:
+        g = bose_g(s, alpha, inner)
+        return g.value - target, g.error_bound
+
+    coordinate = {}
+    if d == 2:  # g_1(alpha) = -log(alpha) + O(alpha)
+        coordinate = {"u": (lambda a: -math.log(a), lambda v: math.exp(-v)),
+                      "lead": (1.0, 1.0)}
+    elif d == 1:  # g_(1/2)(alpha) = Gamma(1/2) alpha^(-1/2) + O(1)
+        coordinate = {"u": (lambda a: a**-0.5, lambda v: v**-2.0),
+                      "lead": (math.gamma(0.5), 1.0)}
+    alpha, _ = _bracketed_root(
+        excess, 0.0, rho_c * factor - target, 1.0, tol * target, **coordinate
     )
+    return alpha
 
 
 def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSolution:
@@ -205,8 +212,8 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
     unboundedly long cycles.  |rho - rho_c| <= tol * rho is labelled
     'critical' and handled on the condensed branch.
     """
-    if tol < _MIN_TOL:
-        raise ValidationError(f"tol must be >= {_MIN_TOL}, got {tol}")
+    if not _MIN_TOL <= tol < 1.0:
+        raise ValidationError(f"tol must be in [{_MIN_TOL}, 1), got {tol}")
     d, beta, rho = params.d, params.beta, params.rho
     rho_c = critical_density(d, beta, min(tol, 1e-13))
     beta_c = critical_beta(d, rho, min(tol, 1e-13))

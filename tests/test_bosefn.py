@@ -179,6 +179,15 @@ class TestBoseG:
         with pytest.raises(ValidationError):
             bose_g(1.5, 0.7, 1e-10, method="expansion")  # alpha beyond 0.5
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_is_rejected(self, tol):
+        with pytest.raises(ValidationError):
+            bose_g(1.5, 0.1, tol)
+        with pytest.raises(ValidationError):
+            zeta(2.5, tol)
+        with pytest.raises(ValidationError):
+            zeta_continued(0.5, tol)
+
     def test_expansion_agrees_with_direct(self):
         def direct_terms(s, alpha):
             d = bose_g(s, alpha, 1e-13, method="direct")

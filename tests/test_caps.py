@@ -87,3 +87,12 @@ def test_term_caps_bound_the_certified_series(monkeypatch):
     monkeypatch.setitem(CAPS, "zeta_terms", CAPS["zeta_terms"]._replace(limit=32))
     with pytest.raises(PrecisionError):
         zeta()
+
+
+def test_zeta_term_cap_holds_after_doubling(monkeypatch):
+    # zeta(2.5) to 1e-30 needs n = 128 summed terms; a cap of 64 must refuse
+    # it rather than run one doubling past the cap
+    monkeypatch.setitem(CAPS, "zeta_terms", CAPS["zeta_terms"]._replace(limit=64))
+    bosefn._zeta_em.cache_clear()
+    with pytest.raises(PrecisionError):
+        bosefn._zeta_em(2.5, 1e-30)

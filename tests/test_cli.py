@@ -234,6 +234,16 @@ class TestExitCodes:
         assert out == ""
         assert "invalid" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e300"])
+    @pytest.mark.parametrize("command", ["phase", "alpha", "free-energy", "minimize"])
+    def test_meaningless_tol(self, capsys, command, tol):
+        code, out, err = run_cli(
+            capsys, [command, "--d", "3", "--beta", "1", "--rho", "0.01", "--tol", tol]
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid" in err
+
     def test_bad_n_list(self, capsys):
         code, _, _ = run_cli(
             capsys,

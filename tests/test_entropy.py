@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cyclegas import entropy
 from cyclegas.entropy import (
     TruncatedShape,
     entropy_decomposition,
@@ -22,6 +23,37 @@ from cyclegas.errors import ValidationError
 from cyclegas.thermo import SystemParams, chi, critical_density, solve_alpha, zeta
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
+log_constraint_mass = entropy._log_constraint_mass
+
+
+def bisection_oracle(params: SystemParams, K: int, tol: float) -> float:
+    """The dual root by a two-sided bracket search and plain bisection."""
+    ks = np.arange(1, K + 1, dtype=np.float64)
+    log_base = np.log(ks * qhat_star_array(params, K))
+
+    def log_mass(lam):
+        return log_constraint_mass(lam, log_base, ks)
+
+    if log_mass(0.0) > 0.0:
+        lo, hi = 0.0, 1.0
+        while log_mass(hi) > 0.0:
+            hi *= 2.0
+    else:
+        lo, hi = -1.0 / K, 0.0
+        while log_mass(lo) < 0.0:
+            lo *= 2.0
+    lam = 0.5 * (lo + hi)
+    residual = math.expm1(log_mass(lam))
+    for _ in range(300):
+        if abs(residual) <= tol:
+            return lam
+        if residual > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        lam = 0.5 * (lo + hi)
+        residual = math.expm1(log_mass(lam))
+    raise AssertionError(f"bisection stalled at residual {residual}")
 
 
 def normal_params() -> SystemParams:
@@ -183,6 +215,55 @@ class TestMinimizeS:
     def test_constraint_and_K_validation(self):
         with pytest.raises(ValidationError):
             minimize_S(normal_params(), K=99)
+        for tol in (0.0, 1.0, 1e300, math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                minimize_S(normal_params(), K=500, tol=tol)
+
+    def test_loose_tol_still_gives_a_shape(self):
+        # a TruncatedShape holds its mass to 1e-7, so a looser tol is tightened
+        for params in (normal_params(), condensed_params()):
+            res = minimize_S(params, K=5000, tol=1e-3)
+            assert abs(res.constraint_residual) <= 1e-7
+
+    # d1-condensed: at rho = 2000, sum_k k Qhat*(k) is below 1 for both K, so
+    # the truncated d = 1 problem piles mass at k = K as d = 3 does above rho_c
+    @pytest.mark.parametrize("K", [5000, 100_000])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize(
+        "params",
+        [normal_params(), SystemParams(1, BETA_UNIT, 2000.0),
+         condensed_params(0.5), condensed_params(2.0)],
+        ids=["d1-normal", "d1-condensed", "d3-normal", "d3-condensed"],
+    )
+    def test_dual_evaluation_ceiling(self, monkeypatch, params, tol, K):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return log_constraint_mass(*args)
+
+        monkeypatch.setattr(entropy, "_log_constraint_mass", counting)
+        res = minimize_S(params, K=K, tol=tol)
+        assert abs(res.constraint_residual) <= tol
+        assert len(calls) <= 24, calls
+
+    @given(
+        d=st.integers(1, 3),
+        K=st.integers(100, 20_000),
+        ratio=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)),
+        tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bisection_oracle(self, d, K, ratio, tol):
+        # at beta = 1/4pi the truncated mass at lambda = 0 is rho_K / rho
+        rho_K = float(np.sum(np.arange(1, K + 1, dtype=np.float64) ** (-d / 2.0)))
+        params = SystemParams(d, BETA_UNIT, ratio * rho_K)
+        res = minimize_S(params, K=K, tol=tol)
+        assert abs(res.constraint_residual) <= tol
+        # the residual's slope in lambda is -sum_k k^2 Qhat(k), at least the
+        # mass (within tol of 1) in magnitude, so each root is within about
+        # tol of the exact one
+        assert abs(res.lam - bisection_oracle(params, K, tol)) <= 3 * tol
 
     def test_stationarity_residual(self):
         params = normal_params()

@@ -321,5 +321,6 @@ class TestSystemParams:
             SystemParams(3, 1.0, 0.0)
         with pytest.raises(ValidationError):
             SystemParams(3, 1.0, 1.0, n=0)
-        with pytest.raises(ValidationError):
-            solve_alpha(SystemParams(3, 1.0, 1.0), tol=1e-14)
+        for tol in (1e-14, 1.0, 1e300, math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                solve_alpha(SystemParams(3, 1.0, 1.0), tol=tol)
