@@ -5,7 +5,7 @@ infinite-volume limits (critical constants, free energy, entropy infimum),
 the limiting cycle-length shapes, and split/merge Monte Carlo for large n.
 """
 
-from .bosefn import BoseEval, bose_g, zeta, zeta_continued
+from .bosefn import BoseEval, bose_g, zeta
 from .entropy import (
     EntropyDecomposition,
     MinimizeResult,
@@ -49,7 +49,6 @@ from .sampler import (
     ChainState,
     CycleStats,
     long_cycle_fraction_scan,
-    propose_move,
     run_chain,
 )
 from .thermo import (

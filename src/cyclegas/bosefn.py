@@ -1,21 +1,18 @@
 """Bose functions g_s(alpha) = sum_{k>=1} k^-s e^(-alpha k) with certified errors.
 
-Every evaluation returns the value together with a rigorous truncation bound.
-For alpha > 0 the series is summed directly with a geometric/integral tail
-bound; for alpha = 0 the series is the Riemann zeta function and is
-accelerated by Euler-Maclaurin summation (direct summation is hopeless near
-s = 1).  The Euler-Maclaurin form also provides the analytic continuation of
-zeta below 1, which the small-alpha expansion needs for its zeta(s - k) terms.
-
-Error bounds certify series truncation; double-precision rounding is outside
-their scope, except where the small-alpha expansion cancels two terms that
-grow like 1/|s - m| near an integer m (see _expansion_sum).
+The order s is a positive multiple of 1/2: a k-cycle in d dimensions weighs
+(4 pi beta k)^(-d/2), so only g_{d/2} and g_{(d+2)/2} are ever needed.  Every
+evaluation returns the value together with a rigorous truncation bound.  For
+alpha > 0 the series is summed directly with a geometric/integral tail bound;
+for alpha = 0 it is the Riemann zeta function, accelerated by Euler-Maclaurin
+summation (direct summation is hopeless near s = 1), whose form also gives the
+analytic continuation below 1 that the small-alpha expansion needs for its
+zeta(s - k) terms.  Error bounds certify series truncation, not rounding.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -97,23 +94,19 @@ def _zeta_em(s: float, tol: float) -> BoseEval:
     return BoseEval(value=value, error_bound=remainder, terms_used=n - 1 + m)
 
 
+def _check_order(s: float) -> None:
+    """Refuse any order that is not a positive multiple of 1/2."""
+    if not (s > 0 and 2 * s % 1 == 0):  # inf and nan leave a nan remainder
+        raise ValidationError(f"order s must be a positive multiple of 1/2, got {s}")
+
+
 def zeta(s: float, tol: float) -> BoseEval:
     """Riemann zeta for s > 1, Euler-Maclaurin accelerated, certified."""
+    _check_order(s)
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
     if s <= 1.0:
         raise DivergenceError(f"zeta diverges for s <= 1, got s={s}")
-    if s <= 1.0 + 1e-9:
-        raise ValidationError("s must exceed 1 + 1e-9 for a certified evaluation")
-    return _zeta_em(s, tol)
-
-
-def zeta_continued(s: float, tol: float = 1e-13) -> BoseEval:
-    """Analytic continuation of zeta to s < 1 (s != 1), certified."""
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
-    if s >= 1.0:
-        return zeta(s, tol)
     return _zeta_em(s, tol)
 
 
@@ -145,10 +138,6 @@ def _bose_direct(s: float, alpha: float, tol: float) -> BoseEval:
     return BoseEval(value=value, error_bound=_tail_bound(s, alpha, k), terms_used=k)
 
 
-# rounding budget, in units of machine epsilon times the magnitude, for the
-# pair of expansion terms that cancel near an integer s (each is a handful
-# of correctly rounded operations, so this is generous)
-_CANCEL_ULPS = 64.0 * sys.float_info.epsilon
 _LOG2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
 _LOG_ZETA2 = math.log(math.pi**2 / 6.0)
@@ -179,22 +168,15 @@ def _expansion_sum(
     sum_{k=0}^{k_top} zeta(s-k) (-alpha)^k / k! (the k = s-1 term folded
     into the -log(alpha) branch for integer s), and the summed certified
     error of the zeta values, each evaluated to inner_tol.
-
-    For a non-integer s within 1/4 of an integer m >= 1, Gamma(1-s)
-    alpha^(s-1) and the zeta(s-m+1) term both grow like 1/|s-m| and cancel,
-    so their rounding (a budget of _CANCEL_ULPS of their magnitudes) is
-    added to the error; integer and half-integer s are unaffected.
     """
     s_int = round(s)
-    is_integer = abs(s - s_int) < 1e-12 and s_int >= 1
-    near_pole = not is_integer and s_int >= 1 and abs(s - s_int) < 0.25
+    is_integer = s == s_int
     if is_integer:
         prefactor = (-alpha) ** (s_int - 1) / math.factorial(s_int - 1)
         harmonic = sum(1.0 / m for m in range(1, s_int))
         total = prefactor * (-math.log(alpha) + harmonic)
     else:
         total = math.gamma(1.0 - s) * alpha ** (s - 1.0)
-    lead = total
     inner_err = 0.0
     coeff = 1.0  # (-alpha)^k / k!, built incrementally
     for k in range(0, k_top + 1):
@@ -205,8 +187,6 @@ def _expansion_sum(
         z = _zeta_em(s - k, inner_tol)
         total += z.value * coeff
         inner_err += z.error_bound * abs(coeff)
-        if near_pole and k == s_int - 1:
-            inner_err += _CANCEL_ULPS * (abs(lead) + abs(z.value * coeff))
     return total, inner_err
 
 
@@ -216,8 +196,7 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
     The terms zeta(s-k) (-alpha)^k / k! eventually decay geometrically with
     ratio alpha/(2 pi); the tail after the last explicit term is bounded via
     the functional-equation estimate in _expansion_term_bound.  Raises
-    PrecisionError when the bound exceeds tol, which only the cancellation
-    near an integer s can cause.
+    PrecisionError when the summed bound exceeds tol.
     """
     if alpha > 0.5:
         raise ValidationError("expansion path requires alpha <= 0.5")
@@ -237,14 +216,10 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
 
     inner_tol = max(tol / (8.0 * (k_top + 1)), 1e-15)
     total, inner_err = _expansion_sum(s, alpha, k_top, inner_tol)
-    if tail + inner_err > tol:
-        raise PrecisionError(
-            f"expansion of g_{s}({alpha}) cancels to {tail + inner_err:.3g} > {tol} "
-            "this close to an integer s"
-        )
-    return BoseEval(
-        value=total, error_bound=tail + inner_err, terms_used=k_top + 1
-    )
+    bound = tail + inner_err
+    if bound > tol:
+        raise PrecisionError(f"expansion of g_{s}({alpha}) certifies only {bound:.3g} > {tol}")
+    return BoseEval(value=total, error_bound=bound, terms_used=k_top + 1)
 
 
 # "auto" sums directly up to this many terms when alpha <= 0.5.  Median of
@@ -262,18 +237,16 @@ _DIRECT_TERMS_MAX = 1 << 13
 def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval:
     """g_s(alpha) = sum_{k>=1} k^-s e^(-alpha k), with certified truncation.
 
-    alpha = 0 requires s > 1 (the value is zeta(s), evaluated by
-    Euler-Maclaurin); alpha > 0 converges for every s > 0.  `method` picks
-    the evaluation route: "direct" term-by-term summation, "expansion" the
-    certified small-alpha expansion (alpha <= 0.5), or "auto" by measured
-    cost: direct summation when alpha > 0.5 or when it certifies within
-    _DIRECT_TERMS_MAX terms, the expansion otherwise (its alpha-independent
-    zeta coefficients are cached, so repeated calls cost microseconds), and
-    direct summation again when the expansion cannot certify tol (s very
-    close to an integer).
+    s is a positive multiple of 1/2.  alpha = 0 requires s > 1 (the value is
+    zeta(s), evaluated by Euler-Maclaurin); alpha > 0 converges for every
+    such s.  `method` picks the evaluation route: "direct" term-by-term
+    summation, "expansion" the certified small-alpha expansion
+    (alpha <= 0.5), or "auto" by measured cost: direct summation when
+    alpha > 0.5 or when it certifies within _DIRECT_TERMS_MAX terms, the
+    expansion otherwise (its alpha-independent zeta coefficients are cached,
+    so repeated calls cost microseconds).
     """
-    if s <= 0:
-        raise ValidationError(f"series order s must be positive, got {s}")
+    _check_order(s)
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     if not _MIN_TOL <= tol < math.inf:
@@ -296,7 +269,4 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
         k *= 2
     if k <= _DIRECT_TERMS_MAX or alpha > 0.5:
         return _bose_direct(s, alpha, tol)
-    try:
-        return _bose_expansion(s, alpha, tol)
-    except PrecisionError:
-        return _bose_direct(s, alpha, tol)
+    return _bose_expansion(s, alpha, tol)

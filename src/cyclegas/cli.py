@@ -74,8 +74,9 @@ def _add_system_args(p: argparse.ArgumentParser, with_n: bool = False) -> None:
         p.add_argument("--n", type=int, required=True, help="particle number")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10, help="certified tolerance")
+def _add_output_args(p: argparse.ArgumentParser, with_tol: bool = True) -> None:
+    if with_tol:
+        p.add_argument("--tol", type=float, default=1e-10, help="certified tolerance")
     p.add_argument(
         "--format",
         choices=["json", "csv"],
@@ -136,7 +137,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-report", type=int, default=None)
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
-    _add_output_args(p)
+    _add_output_args(p, with_tol=False)
 
     p = sub.add_parser("scan-long-cycles", help="long-cycle mass across sizes")
     _add_system_args(p)
@@ -144,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--thin", type=int, default=10)
     p.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
-    _add_output_args(p)
+    _add_output_args(p, with_tol=False)
 
     return parser
 

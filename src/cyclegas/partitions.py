@@ -123,13 +123,18 @@ class ShapeMeasure:
 
 
 def iter_parts(n: int) -> Iterator[list[int]]:
-    """Yield each partition of n as a descending parts list, descending-lex.
+    """Iterate each partition of n as a descending parts list, descending-lex.
 
-    The yielded list is reused between iterations; copy it if you keep it.
+    n is checked at the call.  The yielded list is reused between
+    iterations; copy it if you keep it.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     check_cap("enumeration", n)
+    return _parts(n)
+
+
+def _parts(n: int) -> Iterator[list[int]]:
     parts = [n]
     while True:
         yield parts
@@ -150,11 +155,15 @@ def iter_parts(n: int) -> Iterator[list[int]]:
 
 
 def iter_occupation_runs(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Yield each partition of n as a list of (length, count) runs.
+    """Iterate each partition of n as a list of (length, count) runs.
 
     Runs are ordered by decreasing length; the list is rebuilt per item.
     """
-    for parts in iter_parts(n):
+    return _runs(iter_parts(n))
+
+
+def _runs(parts_iter: Iterator[list[int]]) -> Iterator[list[tuple[int, int]]]:
+    for parts in parts_iter:
         runs: list[tuple[int, int]] = []
         cur = parts[0]
         cnt = 0
@@ -171,8 +180,7 @@ def iter_occupation_runs(n: int) -> Iterator[list[tuple[int, int]]]:
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Stream every partition of n exactly once, descending-lex by parts."""
-    for runs in iter_occupation_runs(n):
-        yield Partition(n, tuple(reversed(runs)))
+    return (Partition(n, tuple(reversed(runs))) for runs in iter_occupation_runs(n))
 
 
 def partition_count(n: int) -> int:

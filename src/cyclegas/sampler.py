@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -131,15 +129,6 @@ def merge_move_terms(
     return dlw, log_rev - log_fwd
 
 
-@dataclass(frozen=True)
-class ProposedMove:
-    kind: str  # "split" | "merge"
-    candidate: Optional[Partition]  # None when no legal move of this kind exists
-    log_hastings_ratio: float
-    delta_log_weight: float
-    detail: tuple
-
-
 class ChainState:
     """Mutable split/merge chain state over partitions of params.n.
 
@@ -187,10 +176,6 @@ class ChainState:
     def occupation_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.occ.items()))
 
-    @property
-    def num_cycles(self) -> int:
-        return len(self.cycles)
-
     def _apply(self, removed, added) -> None:
         """Take cycles of the lengths in `removed` out, then put `added` in.
 
@@ -234,16 +219,12 @@ class ChainState:
             pos_by_len.setdefault(length, set()).add(len(cycles))
             cycles.append(length)
 
-    def _advance(self, count: int, dry: bool = False):
+    def _advance(self, count: int) -> bool:
         """The move kernel: `count` Metropolis-Hastings steps.
 
-        Returns whether the last move landed.  With dry=True it makes one
-        step's draws (the acceptance uniform included) but applies nothing
-        and counts nothing, and returns (kind, detail, delta log weight,
-        log Hastings ratio), detail None on an auto-reject.
-
-        Uniform picks inline Random.randrange's getrandbits rejection loop,
-        so the stream is the one randrange would consume.
+        Returns whether the last move landed.  Uniform picks inline
+        Random.randrange's getrandbits rejection loop, so the stream is the
+        one randrange would consume.
         """
         rng = self.rng
         random = rng.random
@@ -268,8 +249,6 @@ class ChainState:
                 k2 = len(split_keys)
                 if k2 == 0:
                     split_auto += 1
-                    if dry:
-                        return "split", None, 0.0, 0.0
                     continue
                 nbits = k2.bit_length()
                 i = getrandbits(nbits)
@@ -284,10 +263,7 @@ class ChainState:
                 j = 1 + i
                 dlw, lratio = split_terms(occ, c, L, len(cycles), k2, k, j)
                 total = dlw + lratio
-                accept = total >= 0.0 or random() < exp(total)
-                if dry:
-                    return "split", (k, j), dlw, lratio
-                if not accept:
+                if not (total >= 0.0 or random() < exp(total)):
                     continue
                 removed, added = (k,), (j, k - j)
                 split_accepted += 1
@@ -296,8 +272,6 @@ class ChainState:
                 m = len(cycles)
                 if m < 2:
                     merge_auto += 1
-                    if dry:
-                        return "merge", None, 0.0, 0.0
                     continue
                 nbits = m.bit_length()
                 i1 = getrandbits(nbits)
@@ -316,10 +290,7 @@ class ChainState:
                     a, b = b, a
                 dlw, lratio = merge_terms(occ, c, L, m, len(split_keys), a, b)
                 total = dlw + lratio
-                accept = total >= 0.0 or random() < exp(total)
-                if dry:
-                    return "merge", (a, b), dlw, lratio
-                if not accept:
+                if not (total >= 0.0 or random() < exp(total)):
                     continue
                 removed, added = (a, b), (a + b,)
                 merge_accepted += 1
@@ -358,32 +329,6 @@ class ChainState:
             raise ValidationError(
                 f"cached log weight drifted: {self.log_weight} vs {w}"
             )
-
-
-def propose_move(state: ChainState) -> ProposedMove:
-    """Draw one candidate move without applying it.
-
-    Consumes the chain's randomness exactly like a step would, acceptance
-    uniform included; the candidate is None when the drawn move kind has no
-    legal move (auto-reject).
-    """
-    kind, detail, dlw, lratio = state._advance(1, dry=True)
-    if detail is None:
-        return ProposedMove(kind, None, 0.0, 0.0, ())
-    occ = Counter(state.occ)  # from_counts drops the zeros
-    if kind == "split":
-        k, j = detail
-        occ[k] -= 1
-        occ[j] += 1
-        occ[k - j] += 1
-    else:
-        a, b = detail
-        occ[a] -= 1
-        occ[b] -= 1
-        occ[a + b] += 1
-    return ProposedMove(
-        kind, Partition.from_counts(state.n, occ), lratio, dlw, detail
-    )
 
 
 class CycleStats(NamedTuple):

@@ -32,9 +32,9 @@ def at(n: int) -> SystemParams:
 
 # every call that sizes its work by n, with the route whose cap guards it
 GUARDED = [
-    ("enumeration", lambda n: next(iter_parts(n))),
-    ("enumeration", lambda n: next(iter_occupation_runs(n))),
-    ("enumeration", lambda n: next(enumerate_partitions(n))),
+    ("enumeration", iter_parts),
+    ("enumeration", iter_occupation_runs),
+    ("enumeration", enumerate_partitions),
     ("enumeration", partition_count),
     ("enumeration", lambda n: conjugacy_class_size(Partition(n, ((n, 1),)))),
     ("exact", lambda n: exact_log_Z(at(n))),

@@ -244,6 +244,23 @@ class TestExitCodes:
         assert out == ""
         assert "invalid" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "20", "--steps", "100"],
+            ["scan-long-cycles", "--n-list", "20", "--steps", "100"],
+        ],
+    )
+    def test_chain_commands_take_no_tol(self, capsys, argv):
+        # chains certify nothing, so --tol is a usage error, not a config key
+        code, out, _ = run_cli(
+            capsys,
+            argv[:1] + ["--d", "3", "--beta", "1", "--rho", "1"] + argv[1:]
+            + ["--tol", "nan"],
+        )
+        assert code == 1
+        assert out == ""
+
     def test_bad_n_list(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -15,6 +15,7 @@ from cyclegas.partitions import (
     conjugacy_class_size,
     enumerate_partitions,
     iter_occupation_runs,
+    iter_parts,
     log_conjugacy_class_size,
     occupations_from_shape,
     partition_count,
@@ -95,6 +96,11 @@ class TestEnumeration:
         cap = CAPS["enumeration"].limit
         with pytest.raises(CapError, match=str(cap)):
             list(enumerate_partitions(cap + 1))
+
+    def test_bad_n_is_refused_at_the_call(self):
+        # not at the first next(): the iterator is never built
+        with pytest.raises(ValidationError):
+            iter_parts(0)
 
 
 class TestPartitionCount:

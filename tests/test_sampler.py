@@ -15,7 +15,6 @@ from cyclegas.sampler import (
     default_threshold,
     long_cycle_fraction_scan,
     merge_move_terms,
-    propose_move,
     run_chain,
     split_move_terms,
 )
@@ -144,11 +143,10 @@ class TestMoveAlgebra:
         st = ChainState(p, seed=1, start="singletons")
         # force the state {r_2: 1}
         st._apply((1, 1), (2,))
-        move = None
-        while move is None or move.kind != "split":
-            move = propose_move(st)
-        assert move.candidate == Partition(2, ((1, 2),))
-        assert move.detail == (2, 1)
+        while not st.step():  # merges auto-reject: one cycle only
+            pass
+        assert st.current == Partition(2, ((1, 2),))
+        assert st.acceptance_counts["split"]["accepted"] == 1
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_exhaustive_reversibility(self, n):
@@ -254,32 +252,6 @@ class TestKernel:
             assert batched._advance(count) == landed
             # occ, cycles, log_weight (bitwise), counters and RNG state
             assert chain_snapshot(batched) == chain_snapshot(single)
-
-    @pytest.mark.parametrize("n, start", [(12, "shape"), (5, "singletons"), (1, "shape")])
-    def test_propose_move_consumes_rng_like_step(self, n, start):
-        p = SystemParams(3, 0.5, 1.0, n=n)
-        st = ChainState(p, seed=5, start=start)
-        kinds = Counter()
-        for _ in range(1_500):
-            twin = copy.deepcopy(st)
-            before = chain_snapshot(twin)
-            move = propose_move(twin)
-            # nothing applied, nothing counted
-            assert chain_snapshot(twin)[:-1] == before[:-1]
-            weight = st.log_weight
-            landed = st.step()
-            assert twin.rng.getstate() == st.rng.getstate()
-            kinds[move.kind, move.candidate is None, landed] += 1
-            if landed:
-                assert move.candidate == st.current
-                assert st.log_weight == weight + move.delta_log_weight
-            else:
-                assert chain_snapshot(st)[:5] == before[:5]
-        if n > 1:
-            assert kinds["split", False, True] and kinds["merge", False, True]
-            assert kinds["split", False, False] or kinds["merge", False, False]
-        else:
-            assert set(kinds) == {("split", True, False), ("merge", True, False)}
 
 
 class TestExactness:
