@@ -217,6 +217,19 @@ class TestBoseG:
                     assert g.error_bound <= tol
         assert summed and max(summed) <= bosefn._DIRECT_TERMS_MAX
 
+    @pytest.mark.parametrize("alpha", [1e-3, 2e-4])
+    @pytest.mark.parametrize("s", HALF_INTEGER_ORDERS)
+    def test_auto_meets_tol_at_small_alpha(self, s, alpha):
+        # the expansion (integer orders through its -log(alpha) branch) and
+        # "auto" each certify tol and agree with direct summation
+        tol = 1e-12
+        direct = bose_g(s, alpha, tol, method="direct")
+        for g in (bose_g(s, alpha, tol, method="expansion"), bose_g(s, alpha, tol)):
+            assert g.error_bound <= tol
+            assert abs(g.value - direct.value) <= (
+                g.error_bound + direct.error_bound + 1e-15 * direct.value
+            )
+
     @pytest.mark.parametrize("s", [1 - 1e-8, 1 + 1e-8, 2 - 1e-7, 2 + 1e-7, 0.3, 1.25, 2.75])
     def test_orders_off_the_half_integers_are_rejected(self, s):
         # a cycle weighs k^(-d/2): no caller needs any other order, and next

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from cyclegas.errors import CapError, ValidationError
-from cyclegas.exactz import mu_N_expected_shape, weighted_ensemble
+from cyclegas.exactz import log_weight, mu_N_expected_shape, weighted_ensemble
 from cyclegas.partitions import Partition, enumerate_partitions
 from cyclegas.sampler import (
     ChainState,
@@ -205,8 +205,6 @@ class TestMoveAlgebra:
     def test_cached_log_weight_stays_honest(self):
         p = SystemParams(3, 1.0, 0.6, n=50)
         st = ChainState(p, seed=4)
-        from cyclegas.exactz import log_weight
-
         for _ in range(10):
             for _ in range(5_000):
                 st.step()
@@ -253,6 +251,30 @@ class TestKernel:
             # occ, cycles, log_weight (bitwise), counters and RNG state
             assert chain_snapshot(batched) == chain_snapshot(single)
 
+
+    @pytest.mark.parametrize("n, start", [(12, "shape"), (5, "singletons"), (1, "shape")])
+    def test_rejected_step_changes_only_rng_and_counters(self, n, start):
+        p = SystemParams(3, 0.5, 1.0, n=n)
+        st = ChainState(p, seed=5, start=start)
+        landings = Counter()
+        for _ in range(1_500):
+            before = chain_snapshot(st)
+            landed = st.step()
+            after = chain_snapshot(st)
+            landings[landed] += 1
+            assert after[5] == before[5] + 1
+            if landed:
+                assert dict(after[0]) != dict(before[0])
+                assert st.log_weight == pytest.approx(
+                    log_weight(st.current, p), abs=1e-10
+                )
+            else:
+                # occ, cycles, split keys, positions and log weight (bitwise)
+                assert after[:5] == before[:5]
+        if n > 1:
+            assert landings[True] and landings[False]
+        else:
+            assert landings == {False: 1_500}
 
 class TestExactness:
     @pytest.mark.parametrize("n", [4, 6, 8])
