@@ -27,7 +27,6 @@ from .errors import (
 from .exactz import (
     WeightedEnsemble,
     brute_force_log_Z,
-    confinement_correction_bound,
     confinement_log_Z_bracket,
     convergence_scan,
     exact_log_Z,

@@ -159,37 +159,6 @@ def _expansion_term_bound(s: float, alpha: float, k: int) -> float:
     )
 
 
-def _expansion_sum(
-    s: float, alpha: float, k_top: int, inner_tol: float
-) -> tuple[float, float]:
-    """Explicit part of the small-alpha expansion of g_s(alpha), with its error.
-
-    Returns (total, inner_err): the singular leading term plus
-    sum_{k=0}^{k_top} zeta(s-k) (-alpha)^k / k! (the k = s-1 term folded
-    into the -log(alpha) branch for integer s), and the summed certified
-    error of the zeta values, each evaluated to inner_tol.
-    """
-    s_int = round(s)
-    is_integer = s == s_int
-    if is_integer:
-        prefactor = (-alpha) ** (s_int - 1) / math.factorial(s_int - 1)
-        harmonic = sum(1.0 / m for m in range(1, s_int))
-        total = prefactor * (-math.log(alpha) + harmonic)
-    else:
-        total = math.gamma(1.0 - s) * alpha ** (s - 1.0)
-    inner_err = 0.0
-    coeff = 1.0  # (-alpha)^k / k!, built incrementally
-    for k in range(0, k_top + 1):
-        if k > 0:
-            coeff *= -alpha / k
-        if is_integer and k == s_int - 1:
-            continue
-        z = _zeta_em(s - k, inner_tol)
-        total += z.value * coeff
-        inner_err += z.error_bound * abs(coeff)
-    return total, inner_err
-
-
 def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
     """Convergent expansion of g_s about alpha = 0, certified for alpha <= 0.5.
 
@@ -214,8 +183,27 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
                 f"expansion of g_{s}({alpha}) did not certify to {tol}"
             )
 
+    # the singular leading term plus sum_{k<=k_top} zeta(s-k) (-alpha)^k / k!,
+    # whose k = s-1 term the -log(alpha) branch holds for integer s
     inner_tol = max(tol / (8.0 * (k_top + 1)), 1e-15)
-    total, inner_err = _expansion_sum(s, alpha, k_top, inner_tol)
+    s_int = round(s)
+    is_integer = s == s_int
+    if is_integer:
+        prefactor = (-alpha) ** (s_int - 1) / math.factorial(s_int - 1)
+        harmonic = sum(1.0 / m for m in range(1, s_int))
+        total = prefactor * (-math.log(alpha) + harmonic)
+    else:
+        total = math.gamma(1.0 - s) * alpha ** (s - 1.0)
+    inner_err = 0.0
+    coeff = 1.0  # (-alpha)^k / k!, built incrementally
+    for k in range(0, k_top + 1):
+        if k > 0:
+            coeff *= -alpha / k
+        if is_integer and k == s_int - 1:
+            continue
+        z = _zeta_em(s - k, inner_tol)
+        total += z.value * coeff
+        inner_err += z.error_bound * abs(coeff)
     bound = tail + inner_err
     if bound > tol:
         raise PrecisionError(f"expansion of g_{s}({alpha}) certifies only {bound:.3g} > {tol}")
@@ -254,11 +242,7 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
     if method not in ("auto", "direct", "expansion"):
         raise ValidationError(f"unknown method {method!r}")
     if alpha == 0.0:
-        if s <= 1.0:
-            raise DivergenceError(
-                f"g_s(0) diverges for s <= 1, got s={s}; need alpha > 0"
-            )
-        return _zeta_em(s, tol)
+        return zeta(s, tol)
 
     if method == "direct":
         return _bose_direct(s, alpha, tol)

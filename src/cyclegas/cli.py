@@ -98,17 +98,14 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("phase", help="regime, alpha, critical constants")
-    _add_system_args(p)
-    _add_output_args(p)
-
-    p = sub.add_parser("alpha", help="solve the density equation for alpha")
-    _add_system_args(p)
-    _add_output_args(p)
-
-    p = sub.add_parser("free-energy", help="specific free energy and chi")
-    _add_system_args(p)
-    _add_output_args(p)
+    for name, text in [
+        ("phase", "regime, alpha, critical constants"),
+        ("alpha", "solve the density equation for alpha"),
+        ("free-energy", "specific free energy and chi"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        _add_system_args(p)
+        _add_output_args(p)
 
     p = sub.add_parser("minimize", help="minimise the truncated shape functional")
     _add_system_args(p)
@@ -225,36 +222,24 @@ def _run_converge(args) -> list[dict]:
     return [row._asdict() for row in rows]
 
 
-def _resolved_seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
-
-
 def _run_sample(args) -> dict:
     params = thermo.SystemParams(args.d, args.beta, args.rho, n=args.n)
     stats = sampler.run_chain(
         params,
         steps=args.steps,
         burn_in=args.burn_in,
-        seed=_resolved_seed(args),
+        seed=args.seed,
         thin=args.thin,
         k_report=args.k_report,
         threshold=args.threshold,
     )
-    return {
-        "n": stats.n,
-        "k_report": stats.k_report,
-        "threshold": stats.threshold,
-        "n_samples": stats.n_samples,
-        "seed": stats.seed,
-        "long_cycle_fraction": stats.long_cycle_fraction,
-        "fraction_stderr": stats.fraction_stderr,
-        "tail_mass_mean": stats.tail_mass_mean,
-        "acceptance": stats.acceptance,
-        "shape": [
-            {"k": k + 1, "mean_qhat": m, "stderr": s}
-            for k, (m, s) in enumerate(zip(stats.mean_qhat, stats.qhat_stderr))
-        ],
-    }
+    record = stats._asdict()
+    means, stderrs = record.pop("mean_qhat"), record.pop("qhat_stderr")
+    record["shape"] = [
+        {"k": k, "mean_qhat": m, "stderr": s}
+        for k, (m, s) in enumerate(zip(means, stderrs), start=1)
+    ]
+    return record
 
 
 def _run_scan_long_cycles(args) -> list[dict]:
@@ -263,7 +248,7 @@ def _run_scan_long_cycles(args) -> list[dict]:
         params,
         _parse_n_list(args.n_list),
         steps=args.steps,
-        seed=_resolved_seed(args),
+        seed=args.seed,
         thin=args.thin,
     )
     return [row._asdict() for row in rows]
@@ -282,25 +267,7 @@ _HANDLERS = {
 
 
 def _config_dict(args) -> dict:
-    cfg = {}
-    for key, val in sorted(vars(args).items()):
-        if key in ("command",):
-            continue
-        cfg[key] = _finite(val) if isinstance(val, float) else val
-    if "seed" in cfg and cfg["seed"] is None:
-        cfg["seed"] = _default_seed()
-    return cfg
-
-
-def _csv_rows(command: str, data) -> tuple[list[str], list[dict]]:
-    cols = _CSV_COLUMNS[command]
-    if command == "sample":
-        rows = data["shape"]
-    elif isinstance(data, list):
-        rows = data
-    else:
-        rows = [data]
-    return cols, rows
+    return {key: _finite(val) for key, val in sorted(vars(args).items()) if key != "command"}
 
 
 def _render(command: str, args, data) -> str:
@@ -310,7 +277,10 @@ def _render(command: str, args, data) -> str:
     buf = io.StringIO()
     for key, val in sorted(envelope["config"].items()):
         buf.write(f"# {key}={val}\n")
-    cols, rows = _csv_rows(command, data)
+    cols = _CSV_COLUMNS[command]
+    rows = data["shape"] if command == "sample" else data
+    if isinstance(rows, dict):
+        rows = [rows]
     writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore")
     writer.writeheader()
     for row in rows:
@@ -329,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("cyclegas: error: a command is required\n")
         return 1
     try:
+        if vars(args).get("seed", 0) is None:
+            args.seed = _default_seed()
         data = _HANDLERS[args.command](args)
         text = _render(args.command, args, data)
     except ValidationError as exc:

@@ -22,12 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
+from .exactz import _logsumexp
 from .thermo import (
     REGIME_CONDENSED,
     SystemParams,
     _bracketed_root,
+    qhat_star,
     solve_alpha,
-    thermal_factor,
 )
 
 _MASS_ATOL = 1e-7
@@ -74,9 +75,7 @@ def qhat_star_array(params: SystemParams, K: int) -> np.ndarray:
     """Reference increments Qhat*(k) = c / k^(1+d/2) for k = 1..K."""
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
-    c = 1.0 / (params.rho * thermal_factor(params.d, params.beta))
-    ks = np.arange(1, K + 1, dtype=np.float64)
-    return c * ks ** (-(1.0 + params.d / 2.0))
+    return qhat_star(params, np.arange(1, K + 1, dtype=np.float64))
 
 
 def functional_S(shape: TruncatedShape, params: SystemParams) -> float:
@@ -125,9 +124,7 @@ def entropy_decomposition(
 
 def _log_constraint_mass(lam: float, log_base: np.ndarray, ks: np.ndarray) -> float:
     """log sum_k k Qhat*(k) e^(-lambda k), overflow-safe."""
-    x = log_base - lam * ks
-    m = float(np.max(x))
-    return m + math.log(float(np.sum(np.exp(x - m))))
+    return _logsumexp(log_base - lam * ks)
 
 
 @dataclass(frozen=True)
@@ -193,6 +190,18 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
     )
 
 
+def _condensed_bump(n: int, params: SystemParams, tol: float) -> tuple[float, float]:
+    """chi and the bump eps = (rho - rho_c)/(n rho) of the condensed Q_n."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    sol = solve_alpha(params, tol)
+    if sol.regime != REGIME_CONDENSED:
+        raise ValidationError(
+            f"minimizing sequences exist only in the condensed regime, not {sol.regime}"
+        )
+    return sol.chi, (params.rho - sol.rho_c) / (n * params.rho)
+
+
 def minimizing_sequence(
     n: int, params: SystemParams, K: int | None = None
 ) -> TruncatedShape:
@@ -202,19 +211,13 @@ def minimizing_sequence(
     Qhat*.  Its full-series constraint mass is exactly 1; the truncation at K
     is flagged relaxed.  Only defined in the condensed regime.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    sol = solve_alpha(params)
-    if sol.regime != REGIME_CONDENSED:
-        raise ValidationError(
-            f"minimizing sequences exist only in the condensed regime, not {sol.regime}"
-        )
+    _, eps = _condensed_bump(n, params, 1e-10)
     if K is None:
         K = max(2 * n, 1000)
     if K < n:
         raise ValidationError(f"truncation K={K} must cover the bump at n={n}")
-    qh = qhat_star_array(params, K).copy()
-    qh[n - 1] += (params.rho - sol.rho_c) / (n * params.rho)
+    qh = qhat_star_array(params, K)
+    qh[n - 1] += eps
     return TruncatedShape(qh, relaxed=True)
 
 
@@ -227,14 +230,6 @@ def minimizing_sequence_s_closed_form(
     infimum.  S(Q_n) decreases to S(Q*) as n grows, exhibiting that the
     infimum is approached but never attained.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    sol = solve_alpha(params, tol)
-    if sol.regime != REGIME_CONDENSED:
-        raise ValidationError(
-            f"minimizing sequences exist only in the condensed regime, not {sol.regime}"
-        )
-    c = 1.0 / (params.rho * thermal_factor(params.d, params.beta))
-    qstar_n = c * float(n) ** (-(1.0 + params.d / 2.0))
-    eps = (params.rho - sol.rho_c) / (n * params.rho)
-    return sol.chi - eps + (qstar_n + eps) * math.log1p(eps / qstar_n)
+    chi, eps = _condensed_bump(n, params, tol)
+    qstar_n = qhat_star(params, float(n))
+    return chi - eps + (qstar_n + eps) * math.log1p(eps / qstar_n)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError, check_cap
 from .partitions import Partition, enumerate_partitions
-from .thermo import SystemParams, chi
+from .thermo import SystemParams, chi, thermal_factor
 
 
 def _require_n(params: SystemParams) -> int:
@@ -34,14 +34,13 @@ def _require_n(params: SystemParams) -> int:
 
 
 def _cycle_log_constants(params: SystemParams, n: int) -> list[float]:
-    """c[k] = log|V| - log k - (d/2) log(4 pi beta k), for k = 0..n (c[0] unused)."""
-    log_v = math.log(params.volume)
-    d_half = params.d / 2.0
-    four_pi_beta = 4.0 * math.pi * params.beta
-    c = [0.0] * (n + 1)
-    for k in range(1, n + 1):
-        c[k] = log_v - math.log(k) - d_half * math.log(four_pi_beta * k)
-    return c
+    """c[k] = log(n Qhat*(k)) = log(|V| / (4 pi beta)^(d/2)) - (1 + d/2) log k.
+
+    For k = 0..n (c[0] unused); in log space, as n Qhat*(k) underflows at large d.
+    """
+    log_w = math.log(params.volume) - math.log(thermal_factor(params.d, params.beta))
+    e = 1.0 + params.d / 2.0
+    return [0.0] + [log_w - e * math.log(k) for k in range(1, n + 1)]
 
 
 def _occupation_log_weight(
@@ -55,10 +54,7 @@ def _occupation_log_weight(
 
 
 def log_weight(lam: Partition, params: SystemParams) -> float:
-    """Natural-log ensemble weight of one partition.
-
-    sum_k [ r_k log|V| - log(r_k!) - r_k log k - (d/2) r_k log(4 pi beta k) ].
-    """
+    """Natural-log ensemble weight of one partition: sum_k r_k log theta_k - log(r_k!)."""
     n = _require_n(params)
     if lam.n != n:
         raise ValidationError(f"partition of {lam.n} does not match params.n={n}")
@@ -75,7 +71,9 @@ def brute_force_log_Z(params: SystemParams) -> float:
     """Oracle: the permutation-sum normalisation, iterating all n! elements.
 
     Each permutation contributes the product over its cycles of
-    |V| (4 pi beta k)^(-d/2); the total is divided by n!.
+    |V| (4 pi beta k)^(-d/2); the total is divided by n!.  The cycle weight
+    is written out here, not taken from _cycle_log_constants, so that the
+    oracle stays independent of the recursion it checks.
     """
     n = _require_n(params)
     check_cap("permutations", n)
@@ -119,51 +117,38 @@ def _log_Z_table(c: list[float], n: int) -> np.ndarray:
     return log_z
 
 
-def exact_log_Z(params: SystemParams, confinement: str = "free") -> float:
+def exact_log_Z(params: SystemParams) -> float:
     """log of the partition-sum normalisation, by the cycle-index recursion.
 
     Exact up to rounding: the recursion sums the same weights as the
-    partition enumeration, in O(n^2) log-space operations.
-    confinement="lower" multiplies every cycle weight by the bracketing
-    factor (1 - e^(-d n / 4 beta)); "free" is the free-space heat-kernel
-    mass.
+    partition enumeration, in O(n^2) log-space operations, with the
+    free-space heat-kernel mass per cycle.
     """
     n = _require_n(params)
     check_cap("exact", n)
-    if confinement not in ("free", "lower"):
-        raise ValidationError(f"unknown confinement mode {confinement!r}")
-    c = _cycle_log_constants(params, n)
-    if confinement == "lower":
-        shift = math.log1p(-math.exp(-params.d * n / (4.0 * params.beta)))
-        c = [ck + shift for ck in c]
-    return float(_log_Z_table(c, n)[n])
-
-
-def confinement_correction_bound(k: int, params: SystemParams) -> tuple[float, float]:
-    """Bracketing factors for the mass of one k-cycle under confinement.
-
-    (4 pi beta k)^(-d/2) (1 - e^(-d n/4 beta)) <= mass <= (4 pi beta k)^(-d/2).
-    """
-    n = _require_n(params)
-    if k < 1:
-        raise ValidationError(f"cycle length k must be >= 1, got {k}")
-    upper = (4.0 * math.pi * params.beta * k) ** (-params.d / 2.0)
-    lower = upper * (1.0 - math.exp(-params.d * n / (4.0 * params.beta)))
-    return lower, upper
+    return float(_log_Z_table(_cycle_log_constants(params, n), n)[n])
 
 
 def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
     """Free-space log Z with its worst-case confinement shift.
 
-    The lower evaluation multiplies every cycle by the bracketing factor; the
-    shift can never exceed n |log(1 - e^(-d n/4 beta))| because a partition
-    has at most n cycles.
+    Under confinement the mass of one k-cycle lies in
+    [(4 pi beta k)^(-d/2) (1 - e^(-d n/4 beta)), (4 pi beta k)^(-d/2)].
+    log_z takes the upper end, log_z_lower the lower one (each c[k] shifted by
+    log(1 - e^(-d n/4 beta))); they differ by at most max_shift = n |shift|,
+    because a partition has at most n cycles.
     """
     n = _require_n(params)
-    upper = exact_log_Z(params, confinement="free")
-    lower = exact_log_Z(params, confinement="lower")
-    max_shift = n * abs(math.log1p(-math.exp(-params.d * n / (4.0 * params.beta))))
-    return {"log_z": upper, "log_z_lower": lower, "max_shift": max_shift}
+    check_cap("exact", n)
+    c = _cycle_log_constants(params, n)
+    x = params.d * n / (4.0 * params.beta)
+    # log(1 - e^-x) accurate at both ends (Maechler 2012): e^-x rounds to 1 as x -> 0
+    shift = math.log1p(-math.exp(-x)) if x > math.log(2.0) else math.log(-math.expm1(-x))
+    return {
+        "log_z": float(_log_Z_table(c, n)[n]),
+        "log_z_lower": float(_log_Z_table([ck + shift for ck in c], n)[n]),
+        "max_shift": n * abs(shift),
+    }
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ValidationError, check_cap
-from .exactz import _cycle_log_constants, _occupation_log_weight
+from .exactz import _cycle_log_constants, _occupation_log_weight, _require_n
 from .partitions import Partition
 from .thermo import SystemParams, optimal_shape
 
@@ -139,13 +139,11 @@ class ChainState:
     """
 
     def __init__(self, params: SystemParams, seed: int = 0, start: str = "shape"):
-        if params.n is None:
-            raise ValidationError("chain needs params.n set")
-        check_cap("chain", params.n)
+        self.n = _require_n(params)
+        check_cap("chain", self.n)
         if start not in ("shape", "singletons"):
             raise ValidationError(f"unknown start state {start!r}")
         self.params = params
-        self.n = params.n
         self.rng_seed = seed
         self.rng = random.Random(seed)
         self._c = _cycle_log_constants(params, self.n)
@@ -367,9 +365,7 @@ def run_chain(
     Deterministic given the seed.  burn_in defaults to steps // 10; samples
     are recorded every `thin` steps after burn-in.
     """
-    if params.n is None:
-        raise ValidationError("run_chain needs params.n set")
-    n = params.n
+    n = _require_n(params)
     if burn_in is None:
         burn_in = steps // 10
     if not 0 <= burn_in <= steps:

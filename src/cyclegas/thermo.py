@@ -12,6 +12,7 @@ generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), not Laplacian/2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -74,8 +75,29 @@ class ThermoSolution:
 
 
 def thermal_factor(d: int, beta: float) -> float:
-    """(4 pi beta)^(d/2), the per-cycle heat-kernel normalisation."""
-    return (4.0 * math.pi * beta) ** (d / 2.0)
+    """(4 pi beta)^(d/2): a k-cycle weighs (4 pi beta k)^(-d/2) / k.
+
+    The one home of that convention; ValidationError outside the floats.
+    """
+    try:
+        factor = (4.0 * math.pi * beta) ** (d / 2.0)
+    except OverflowError:
+        factor = INFINITE
+    if not 0.0 < factor < INFINITE:
+        raise ValidationError(f"(4 pi beta)^(d/2) leaves the float range at d={d}, beta={beta}")
+    return factor
+
+
+def qhat_star(params: SystemParams, k):
+    """Qhat*(k) = 1/(rho (4 pi beta)^(d/2) k^(1+d/2)), k a float or float array.
+
+    n Qhat*(k) is theta_k, the weight of a k-cycle.
+    """
+    scale = params.rho * thermal_factor(params.d, params.beta)
+    if not sys.float_info.min <= scale < INFINITE:  # so that 1/scale is finite
+        raise ValidationError(f"rho (4 pi beta)^(d/2) = {scale} leaves the float range")
+    c = 1.0 / scale
+    return c * k ** (-(1.0 + params.d / 2.0))
 
 
 def critical_density(d: int, beta: float, tol: float = 1e-13) -> float:
@@ -174,14 +196,13 @@ def _bracketed_root(
     raise PrecisionError(f"root not certified to {tol_abs:.3g}: last step {x!r} in [{lo!r}, {hi!r}]")
 
 
-def _solve_root(d: int, beta: float, rho: float, tol: float, rho_c: float) -> float:
+def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> float:
     """The unique alpha > 0 with g_{d/2}(alpha) = rho (4 pi beta)^(d/2).
 
     For d <= 2, g_{d/2}(0) = rho_c (4 pi beta)^(d/2) is infinite; steps are
     taken in the coordinate in which the leading small-alpha term of g_{d/2}
     is linear, and follow that term while alpha <= 1, where it dominates.
     """
-    factor = thermal_factor(d, beta)
     target = rho * factor
     s = d / 2.0
     inner = max(tol * target / 8.0, 1e-14)
@@ -215,6 +236,9 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
     if not _MIN_TOL <= tol < 1.0:
         raise ValidationError(f"tol must be in [{_MIN_TOL}, 1), got {tol}")
     d, beta, rho = params.d, params.beta, params.rho
+    factor = thermal_factor(d, beta)
+    if factor * beta == 0.0:  # f divides by it
+        raise ValidationError(f"(4 pi beta)^(d/2) beta underflows at d={d}, beta={beta}")
     rho_c = critical_density(d, beta, min(tol, 1e-13))
     beta_c = critical_beta(d, rho, min(tol, 1e-13))
 
@@ -224,9 +248,8 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
         regime, alpha = REGIME_CONDENSED, 0.0
     else:
         regime = REGIME_NORMAL
-        alpha = _solve_root(d, beta, rho, tol, rho_c)
+        alpha = _solve_root(d, rho, factor, tol, rho_c)
 
-    factor = thermal_factor(d, beta)
     s_energy = (d + 2.0) / 2.0
     if regime == REGIME_NORMAL:
         g = bose_g(s_energy, alpha, max(tol * 1e-2, 1e-14))
@@ -259,12 +282,10 @@ def optimal_shape(
     unboundedly long cycles).
     """
     sol = solve_alpha(params, tol)
-    c = 1.0 / (params.rho * thermal_factor(params.d, params.beta))
-    e = 1.0 + params.d / 2.0
     alpha = sol.alpha
 
     def qhat(k: int) -> float:
-        return c * float(k) ** (-e) * math.exp(-alpha * float(k))
+        return qhat_star(params, float(k)) * math.exp(-alpha * float(k))
 
     return sol, qhat
 

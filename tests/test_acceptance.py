@@ -203,6 +203,7 @@ def test_criterion_09_sampler_exactness():
                 key = st.occupation_key()
                 counts[key] += 1
                 batches[min((i - burn) // batch_size, nb - 1)][key] += 1
+            st.audit()
             total = sum(counts.values())
             for key, prob in exact.items():
                 freq = counts.get(key, 0) / total

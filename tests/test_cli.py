@@ -261,6 +261,33 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, "--d", "3", "--beta", beta, "--rho", "1", *extra]
+            for beta in ("1e-300", "1e300")
+            for command, extra in [
+                ("phase", []),
+                ("minimize", ["--K", "100"]),
+                ("exact-z", ["--n", "8"]),
+                ("sample", ["--n", "20", "--steps", "100"]),
+                ("converge", ["--n-list", "10"]),
+                ("scan-long-cycles", ["--n-list", "20", "--steps", "100"]),
+            ]
+        ]
+        + [
+            ["alpha", "--d", "700", "--beta", "1", "--rho", "1"],
+            ["free-energy", "--d", "1", "--beta", "1e-300", "--rho", "1"],
+            ["minimize", "--d", "3", "--beta", "1e-200", "--rho", "1e-300", "--K", "100"],
+        ],
+    )
+    def test_extreme_beta_or_d(self, capsys, argv):
+        # (4 pi beta)^(d/2), or that times beta or rho, leaves the float range
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, err
+        assert out == ""
+        assert "invalid" in err
+
     def test_bad_n_list(self, capsys):
         code, _, _ = run_cli(
             capsys,

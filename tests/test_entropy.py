@@ -20,7 +20,14 @@ from cyclegas.entropy import (
     qhat_star_array,
 )
 from cyclegas.errors import ValidationError
-from cyclegas.thermo import SystemParams, chi, critical_density, solve_alpha, zeta
+from cyclegas.thermo import (
+    SystemParams,
+    chi,
+    critical_density,
+    qhat_star,
+    solve_alpha,
+    zeta,
+)
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
 log_constraint_mass = entropy._log_constraint_mass
@@ -83,6 +90,15 @@ class TestTruncatedShape:
     def test_zero_vector_relaxed(self):
         shape = TruncatedShape(np.zeros(5), relaxed=True)
         assert shape.constraint_mass == 0.0
+
+
+class TestReferenceShape:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_array_is_the_scalar_definition(self, d):
+        params = SystemParams(d, 0.37, 1.9)
+        ks = np.arange(1, 5001.0)
+        got = qhat_star_array(params, 5000)
+        assert got.tobytes() == qhat_star(params, ks).tobytes()
 
 
 class TestFunctionalS:

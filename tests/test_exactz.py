@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from cyclegas.errors import CapError, ValidationError
 from cyclegas.exactz import (
     ScanRow,
+    _cycle_log_constants,
     brute_force_log_Z,
-    confinement_correction_bound,
     confinement_log_Z_bracket,
     convergence_scan,
     exact_log_Z,
@@ -21,7 +21,13 @@ from cyclegas.exactz import (
     weighted_ensemble,
 )
 from cyclegas.partitions import Partition, enumerate_partitions
-from cyclegas.thermo import SystemParams, critical_density, solve_alpha, thermal_factor
+from cyclegas.thermo import (
+    SystemParams,
+    critical_density,
+    qhat_star,
+    solve_alpha,
+    thermal_factor,
+)
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
 
@@ -90,6 +96,16 @@ system_points = st.tuples(
 
 
 class TestLogWeight:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_cycle_constants_are_the_reference_shape(self, d):
+        # theta_k = n Qhat*(k): the ensemble and S(Q) share one cycle weight
+        n = 2000
+        p = SystemParams(d, 0.3, 1.7, n=n)
+        c = _cycle_log_constants(p, n)
+        for k in range(1, n + 1):
+            want = math.log(n * qhat_star(p, float(k)))
+            assert c[k] == pytest.approx(want, rel=1e-13, abs=1e-13), k
+
     def test_single_particle(self):
         p = SystemParams(2, 0.7, 0.5, n=1)
         lam = Partition(1, ((1, 1),))
@@ -193,19 +209,25 @@ class TestExactLogZ:
 
 class TestConfinement:
     def test_displayed_bound_instance(self):
-        p = SystemParams(3, 1.0, 1.0, n=10)
-        lower, upper = confinement_correction_bound(4, p)
-        assert lower / upper == pytest.approx(1.0 - math.exp(-7.5), rel=1e-14)
-        assert upper == pytest.approx((16.0 * math.pi) ** -1.5, rel=1e-14)
+        # each cycle's confinement factor is 1 - e^(-d n/4 beta) = 1 - e^(-7.5)
+        res = confinement_log_Z_bracket(SystemParams(3, 1.0, 1.0, n=10))
+        assert res["max_shift"] == 10 * abs(math.log1p(-math.exp(-7.5)))
 
     def test_ratio_tends_to_one(self):
-        ratios = []
-        for n in (5, 20, 80):
-            p = SystemParams(3, 1.0, 1.0, n=n)
-            lower, upper = confinement_correction_bound(1, p)
-            ratios.append(lower / upper)
-        assert ratios[0] < ratios[1] <= ratios[2]
-        assert ratios[2] >= 1.0 - 1e-20
+        # max_shift / n = |log(1 - e^(-d n/4 beta))|, the per-cycle log
+        # factor; n = 70 is the largest size the exact cap admits
+        per_cycle = [
+            confinement_log_Z_bracket(SystemParams(3, 1.0, 1.0, n=n))["max_shift"] / n
+            for n in (5, 20, 70)
+        ]
+        assert per_cycle[0] > per_cycle[1] > per_cycle[2]
+        assert per_cycle[2] <= 1e-20
+
+    def test_tiny_confinement_exponent(self):
+        # d n/4 beta = 2e-300: e^(-x) rounds to 1, while 1 - e^(-x) is x
+        res = confinement_log_Z_bracket(SystemParams(1, 1e300, 1.0, n=8))
+        assert res["max_shift"] == pytest.approx(-8 * math.log(2e-300), rel=1e-14)
+        assert 0.0 < res["log_z"] - res["log_z_lower"] <= res["max_shift"]
 
     def test_bracket_honesty(self):
         p = SystemParams(3, 0.25, 1.0, n=12)
@@ -214,14 +236,15 @@ class TestConfinement:
         assert res["log_z"] - res["log_z_lower"] <= res["max_shift"] * (1.0 + 1e-12)
 
     def test_lower_matches_enumeration(self):
-        # the lower mode multiplies every cycle by (1 - e^(-d n/4 beta)), so
+        # the lower end multiplies every cycle by (1 - e^(-d n/4 beta)), so
         # a partition with m cycles gains m log(1 - e^(-d n/4 beta)), about
         # -0.25 per cycle here, over several cycles per partition
         p = SystemParams(1, 2.0, 1.0, n=12)
         shift = math.log1p(-math.exp(-1 * 12 / (4.0 * 2.0)))
         want = enumeration_log_Z(p, shift)
+        lower = confinement_log_Z_bracket(p)["log_z_lower"]
         assert want < exact_log_Z(p) - 1.0
-        assert abs(exact_log_Z(p, confinement="lower") - want) <= 1e-12 * abs(want)
+        assert abs(lower - want) <= 1e-12 * abs(want)
 
 
 class TestEnsembleDistribution:
