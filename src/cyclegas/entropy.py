@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_cap
 from .exactz import _logsumexp
 from .thermo import (
     REGIME_CONDENSED,
@@ -75,6 +75,7 @@ def qhat_star_array(params: SystemParams, K: int) -> np.ndarray:
     """Reference increments Qhat*(k) = c / k^(1+d/2) for k = 1..K."""
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
+    check_cap("shape", K)
     return qhat_star(params, np.arange(1, K + 1, dtype=np.float64))
 
 
@@ -85,10 +86,12 @@ def functional_S(shape: TruncatedShape, params: SystemParams) -> float:
     exact up to float rounding; no tolerance applies.
     """
     qh = shape.qhat
-    qs = qhat_star_array(params, shape.K)
+    terms = qhat_star_array(params, shape.K)  # overwritten in place
     pos = qh > 0
-    terms = np.zeros_like(qh)
-    terms[pos] = qh[pos] * (np.log(qh[pos] / qs[pos]) - 1.0)
+    np.divide(qh, terms, out=terms, where=pos)
+    np.log(terms, out=terms, where=pos)
+    np.subtract(terms, 1.0, out=terms, where=pos)
+    np.multiply(qh, terms, out=terms)  # 0 where qh is 0
     return float(np.sum(terms))
 
 
@@ -115,9 +118,12 @@ def entropy_decomposition(
         raise ValidationError("decomposition needs total increment mass q > 0")
     q_star = float(np.sum(qs))
     p = qh / q
-    p_star = qs / q_star
+    terms = np.divide(qs, q_star, out=qs)  # P*, then overwritten in place
     pos = p > 0
-    h = float(np.sum(p[pos] * np.log(p[pos] / p_star[pos])))
+    np.divide(p, terms, out=terms, where=pos)
+    np.log(terms, out=terms, where=pos)
+    np.multiply(p, terms, out=terms)  # 0 where p is 0
+    h = float(np.sum(terms))
     reconstructed = q * h + q * math.log(q / q_star) - q
     return EntropyDecomposition(q, q_star, h, reconstructed)
 

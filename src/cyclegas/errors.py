@@ -32,14 +32,15 @@ class Cap(NamedTuple):
 
     limit: int
     cost: str
+    size: str = "n"  # the name of the size in the refusal message
 
 
-# Every resource cap of the package, by route.  Size routes refuse n > limit
-# through check_cap (CapError); the two term caps bound a certified series
-# and raise PrecisionError in bosefn instead.
+# Every resource cap of the package, by route.  Size routes refuse a size
+# above limit through check_cap (CapError); the two term caps bound a
+# certified series and raise PrecisionError in bosefn instead.
 CAPS = {
-    # iter_parts, iter_occupation_runs, enumerate_partitions,
-    # partition_count, conjugacy_class_size
+    # iter_parts, enumerate_partitions, partition_count,
+    # conjugacy_class_size
     "enumeration": Cap(120, "p(120) = 1,844,349,560 partitions"),
     # exact_log_Z (so convergence_scan, confinement_log_Z_bracket): the
     # range of its enumeration oracle
@@ -50,6 +51,8 @@ CAPS = {
     "permutations": Cap(9, "9! = 362,880 permutations"),
     # ChainState
     "chain": Cap(100_000, "O(n) chain state"),
+    # entropy.qhat_star_array (so minimize_S, minimizing_sequence)
+    "shape": Cap(10**7, "80 MB per float64 K-vector", "K"),
     # bosefn._bose_direct
     "bose_terms": Cap(10**8, "terms summed"),
     # bosefn._zeta_em
@@ -61,4 +64,4 @@ def check_cap(route: str, n: int) -> None:
     """Raise CapError when size n exceeds the cap of `route` in CAPS."""
     cap = CAPS[route]
     if n > cap.limit:
-        raise CapError(f"n={n} exceeds the {route} cap of {cap.limit} ({cap.cost})")
+        raise CapError(f"{cap.size}={n} exceeds the {route} cap of {cap.limit} ({cap.cost})")

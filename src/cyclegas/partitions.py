@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator
 
 from .errors import ValidationError, check_cap
@@ -44,9 +45,6 @@ class Partition:
             raise ValidationError(
                 f"occupations sum to {total}, expected n={self.n}"
             )
-        # at most m distinct lengths with 1+2+...+m <= n
-        if len(self.occupations) > math.ceil(math.sqrt(2 * self.n)):
-            raise ValidationError("too many distinct cycle lengths for partition of n")
 
     @classmethod
     def from_counts(cls, n: int, counts: dict[int, int]) -> "Partition":
@@ -154,33 +152,12 @@ def _parts(n: int) -> Iterator[list[int]]:
             rest -= c
 
 
-def iter_occupation_runs(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Iterate each partition of n as a list of (length, count) runs.
-
-    Runs are ordered by decreasing length; the list is rebuilt per item.
-    """
-    return _runs(iter_parts(n))
-
-
-def _runs(parts_iter: Iterator[list[int]]) -> Iterator[list[tuple[int, int]]]:
-    for parts in parts_iter:
-        runs: list[tuple[int, int]] = []
-        cur = parts[0]
-        cnt = 0
-        for p in parts:
-            if p == cur:
-                cnt += 1
-            else:
-                runs.append((cur, cnt))
-                cur = p
-                cnt = 1
-        runs.append((cur, cnt))
-        yield runs
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Stream every partition of n exactly once, descending-lex by parts."""
-    return (Partition(n, tuple(reversed(runs))) for runs in iter_occupation_runs(n))
+    return (
+        Partition(n, tuple((k, len(list(run))) for k, run in groupby(reversed(parts))))
+        for parts in iter_parts(n)
+    )
 
 
 def partition_count(n: int) -> int:

@@ -144,7 +144,6 @@ class ChainState:
         if start not in ("shape", "singletons"):
             raise ValidationError(f"unknown start state {start!r}")
         self.params = params
-        self.rng_seed = seed
         self.rng = random.Random(seed)
         self._c = _cycle_log_constants(params, self.n)
         # L[r] = log r for r <= n + 2; L[0] is never read by a legal move
@@ -369,15 +368,15 @@ def run_chain(
     if burn_in is None:
         burn_in = steps // 10
     if not 0 <= burn_in <= steps:
-        raise ValidationError(f"need 0 <= burn_in <= steps, got {burn_in} > {steps}")
+        raise ValidationError(f"burn_in must be in [0, steps={steps}], got {burn_in}")
     if thin < 1:
         raise ValidationError(f"thin must be >= 1, got {thin}")
     if k_report is None:
         k_report = min(n, 30)
     if threshold is None:
         threshold = default_threshold(n)
-    if k_report < 0:
-        raise ValidationError(f"k_report must be >= 0, got {k_report}")
+    if not 0 <= k_report <= n:  # r_k = 0 for k > n
+        raise ValidationError(f"k_report must be in [0, n={n}], got {k_report}")
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
 
@@ -388,14 +387,9 @@ def run_chain(
     nb = min(_BATCHES, n_samples)
     batch_size = n_samples // nb
 
-    # index k holds r_k/n sums for k = 1..k_report, index 0 the long-cycle
-    # mass; absent lengths would add 0.0, which is exact, so Python float
-    # sums equal the per-component numpy sums of full sample rows
-    cols = k_report + 1
-    grand_sums = [0.0] * cols
-    batch = [0.0] * cols  # the open batch, stored when it is full
-    batch_sums = np.zeros((nb, cols), dtype=np.float64)
-    tail_sum = 0.0
+    # tallies[b][k] sums r_k over batch b's samples (k = 1..k_report) and
+    # tallies[b][0] the long-cycle mass; tallies[nb] takes the leftover samples
+    tallies = [[0] * (k_report + 1) for _ in range(nb + 1)]
     occ = state.occ
 
     def advance(count: int) -> None:
@@ -412,38 +406,30 @@ def run_chain(
     # samples are taken after steps burn_in + 1, burn_in + 1 + thin, ...
     for sample_idx in range(n_samples):
         advance(thin if sample_idx else burn_in + 1)
-        short_mass = 0
-        long_mass = 0
+        tally = tallies[min(sample_idx // batch_size, nb)]
         for k, r in occ.items():
             if k <= k_report:
-                x = r / n
-                grand_sums[k] += x
-                batch[k] += x
-                short_mass += k * r
+                tally[k] += r
             if k > threshold:
-                long_mass += k * r
-        x = long_mass / n
-        grand_sums[0] += x
-        batch[0] += x
-        tail_sum += (n - short_mass) / n
-        if (sample_idx + 1) % batch_size == 0 and sample_idx < nb * batch_size:
-            # stored as k = 1..k_report, then the long-cycle mass
-            batch_sums[sample_idx // batch_size] = batch[1:] + batch[:1]
-            batch = [0.0] * cols
+                tally[0] += k * r
     advance(steps - burn_in - 1 - (n_samples - 1) * thin)
 
-    means = np.array(grand_sums[1:] + grand_sums[:1]) / n_samples
-    batch_means = batch_sums / batch_size
+    sums = [sum(column) for column in zip(*tallies)]
+    total = n * n_samples
+    short_mass = sum(k * r_sum for k, r_sum in enumerate(sums[1:], start=1))
+    # int / int is correctly rounded, so each mean is rounded once
+    means = [s / total for s in sums]
+    batch_means = np.array(tallies[:nb], dtype=np.float64) / (n * batch_size)
     stderr = np.std(batch_means, axis=0, ddof=1) / math.sqrt(nb)
     return CycleStats(
         n=n,
         k_report=k_report,
         threshold=threshold,
-        mean_qhat=tuple(means[:-1]),
-        qhat_stderr=tuple(stderr[:-1]),
-        long_cycle_fraction=float(means[-1]),
-        fraction_stderr=float(stderr[-1]),
-        tail_mass_mean=tail_sum / n_samples,
+        mean_qhat=tuple(means[1:]),
+        qhat_stderr=tuple(stderr[1:]),
+        long_cycle_fraction=means[0],
+        fraction_stderr=float(stderr[0]),
+        tail_mass_mean=(total - short_mass) / total,
         n_samples=n_samples,
         acceptance=state.acceptance_counts,
         seed=seed,
@@ -471,9 +457,8 @@ def long_cycle_fraction_scan(
     """
     rows = []
     for i, n in enumerate(n_list):
-        stats = run_chain(
-            params_base.with_n(int(n)), steps=steps, seed=seed + i, thin=thin
-        )
+        params = params_base.with_n(int(n))
+        stats = run_chain(params, steps=steps, seed=seed + i, thin=thin, k_report=0)
         rows.append(
             LongCycleRow(n=int(n), fraction=stats.long_cycle_fraction, stderr=stats.fraction_stderr)
         )

@@ -100,7 +100,7 @@ def qhat_star(params: SystemParams, k):
     return c * k ** (-(1.0 + params.d / 2.0))
 
 
-def critical_density(d: int, beta: float, tol: float = 1e-13) -> float:
+def critical_density(d: int, beta: float) -> float:
     """zeta(d/2) (4 pi beta)^(-d/2) for d >= 3; infinite for d = 1, 2."""
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d}")
@@ -108,10 +108,10 @@ def critical_density(d: int, beta: float, tol: float = 1e-13) -> float:
         raise ValidationError(f"beta must be positive, got {beta}")
     if d <= 2:
         return INFINITE
-    return zeta(d / 2.0, tol).value / thermal_factor(d, beta)
+    return zeta(d / 2.0, _MIN_TOL).value / thermal_factor(d, beta)
 
 
-def critical_beta(d: int, rho: float, tol: float = 1e-13) -> float:
+def critical_beta(d: int, rho: float) -> float:
     """Time horizon above which condensation sets in at density rho (d >= 3).
 
     Defined by rho = rho_c(beta_c), i.e. (1/4pi) (zeta(d/2)/rho)^(2/d);
@@ -123,7 +123,7 @@ def critical_beta(d: int, rho: float, tol: float = 1e-13) -> float:
         raise ValidationError(f"rho must be positive, got {rho}")
     if d <= 2:
         return INFINITE
-    z = zeta(d / 2.0, tol).value
+    z = zeta(d / 2.0, _MIN_TOL).value
     return (z / rho) ** (2.0 / d) / (4.0 * math.pi)
 
 
@@ -204,6 +204,8 @@ def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> 
     is linear, and follow that term while alpha <= 1, where it dominates.
     """
     target = rho * factor
+    if target == INFINITE:
+        raise ValidationError(f"rho (4 pi beta)^(d/2) overflows at d={d}, rho={rho}")
     s = d / 2.0
     inner = max(tol * target / 8.0, 1e-14)
 
@@ -239,8 +241,8 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
     factor = thermal_factor(d, beta)
     if factor * beta == 0.0:  # f divides by it
         raise ValidationError(f"(4 pi beta)^(d/2) beta underflows at d={d}, beta={beta}")
-    rho_c = critical_density(d, beta, min(tol, 1e-13))
-    beta_c = critical_beta(d, rho, min(tol, 1e-13))
+    rho_c = critical_density(d, beta)
+    beta_c = critical_beta(d, rho)
 
     if d >= 3 and abs(rho - rho_c) <= tol * rho:
         regime, alpha = REGIME_CRITICAL, 0.0
@@ -256,7 +258,7 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
         f = -g.value / (factor * beta) - rho * alpha / beta
         fraction = 0.0
     else:
-        z = zeta(s_energy, min(tol, 1e-13))
+        z = zeta(s_energy, _MIN_TOL)
         f = -z.value / (factor * beta)
         fraction = max(0.0, 1.0 - rho_c / rho)
     chi_val = beta * f / rho

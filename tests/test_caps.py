@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cyclegas import bosefn
+from cyclegas.entropy import qhat_star_array
 from cyclegas.errors import CAPS, CapError, PrecisionError
 from cyclegas.exactz import (
     brute_force_log_Z,
@@ -18,7 +19,6 @@ from cyclegas.partitions import (
     Partition,
     conjugacy_class_size,
     enumerate_partitions,
-    iter_occupation_runs,
     iter_parts,
     partition_count,
 )
@@ -30,10 +30,10 @@ def at(n: int) -> SystemParams:
     return SystemParams(3, 1.0, 1.0, n=n)
 
 
-# every call that sizes its work by n, with the route whose cap guards it
+# every call that sizes its work by n (K for a shape), with the route whose
+# cap guards it
 GUARDED = [
     ("enumeration", iter_parts),
-    ("enumeration", iter_occupation_runs),
     ("enumeration", enumerate_partitions),
     ("enumeration", partition_count),
     ("enumeration", lambda n: conjugacy_class_size(Partition(n, ((n, 1),)))),
@@ -45,6 +45,7 @@ GUARDED = [
     ("permutations", lambda n: brute_force_log_Z(at(n))),
     ("chain", lambda n: ChainState(at(n))),
     ("chain", lambda n: run_chain(at(n), steps=100)),
+    ("shape", lambda K: qhat_star_array(SystemParams(3, 1.0, 1.0), K)),
 ]
 
 
@@ -56,7 +57,7 @@ def test_route_runs_at_its_cap_and_refuses_one_more(route, call):
     call(cap.limit)
     with pytest.raises(CapError) as err:
         call(cap.limit + 1)
-    want = f"n={cap.limit + 1} exceeds the {route} cap of {cap.limit} ({cap.cost})"
+    want = f"{cap.size}={cap.limit + 1} exceeds the {route} cap of {cap.limit} ({cap.cost})"
     assert str(err.value) == want
 
 
@@ -70,6 +71,8 @@ def test_stated_costs_hold():
         assert f"p({cap.limit}) = {partition_count(cap.limit):,}" in cap.cost
     cap = CAPS["permutations"]
     assert f"{cap.limit}! = {math.factorial(cap.limit):,}" in cap.cost
+    cap = CAPS["shape"]
+    assert cap.cost == f"{8 * cap.limit // 10**6} MB per float64 {cap.size}-vector"
 
 
 def test_term_caps_bound_the_certified_series(monkeypatch):

@@ -288,6 +288,36 @@ class TestExitCodes:
         assert out == ""
         assert "invalid" in err
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["minimize", "--d", "1", "--beta", "1", "--rho", "0.5", "--K", "1000000000000"],
+             3, "K=1000000000000 exceeds the shape cap of 10000000"),
+            (["sample", "--d", "1", "--beta", "1", "--rho", "1", "--n", "20",
+              "--steps", "1000", "--k-report", "1000000000000"],
+             2, "k_report must be in [0, n=20], got 1000000000000"),
+            (["sample", "--d", "1", "--beta", "1", "--rho", "1", "--n", "20",
+              "--steps", "1000", "--k-report", "21"],
+             2, "k_report must be in [0, n=20], got 21"),
+            (["sample", "--d", "1", "--beta", "1", "--rho", "1", "--n", "20",
+              "--steps", "100", "--burn-in", "-1"],
+             2, "burn_in must be in [0, steps=100], got -1"),
+            (["phase", "--d", "1", "--beta", "1e300", "--rho", "1e300"],
+             2, "rho (4 pi beta)^(d/2) overflows at d=1, rho=1e+300"),
+        ],
+        ids=["K-cap", "k-report-huge", "k-report-above-n", "burn-in", "target-overflow"],
+    )
+    def test_edge_sizes_exit_with_a_message_naming_the_input(self, capsys, argv, code, message):
+        got, out, err = run_cli(capsys, argv)
+        assert got == code, err
+        assert out == ""
+        assert message in err
+
+    def test_condensed_point_with_overflowing_target_is_valid(self, capsys):
+        # rho (4 pi beta)^(d/2) overflows, but no root is solved when condensed
+        doc = run_json(capsys, ["phase", "--d", "3", "--beta", "1", "--rho", "1e307"])
+        assert doc["data"]["regime"] == "condensed"
+
     def test_bad_n_list(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -14,7 +14,6 @@ from cyclegas.partitions import (
     ShapeMeasure,
     conjugacy_class_size,
     enumerate_partitions,
-    iter_occupation_runs,
     iter_parts,
     log_conjugacy_class_size,
     occupations_from_shape,
@@ -229,8 +228,8 @@ class TestProperties:
     def test_distinct_lengths_bound(self):
         for n in (10, 30, 60):
             bound = math.ceil(math.sqrt(2 * n))
-            for runs in iter_occupation_runs(n):
-                assert len(runs) <= bound
+            for parts in iter_parts(n):
+                assert len(set(parts)) <= bound
 
     def test_image_cardinality_binomial_bound(self):
         # p(n) never exceeds the choose-and-sort bound for the image of the

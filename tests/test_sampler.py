@@ -3,6 +3,7 @@
 import copy
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -135,6 +136,28 @@ def chain_snapshot(st: ChainState) -> tuple:
         copy.deepcopy(st.acceptance_counts),
         st.rng.getstate(),
     )
+
+
+def replayed_sums(p, steps, seed, burn_in, thin, k_report, threshold):
+    """Integer sums over run_chain's sample points, replayed on the kernel.
+
+    Returns (n_samples, sums of r_k for k = 1..k_report, long-cycle mass
+    sum_{k>threshold} k r_k, tail mass sum_{k>k_report} k r_k).
+    """
+    st = ChainState(p, seed=seed)
+    n_samples = (steps - burn_in + thin - 1) // thin
+    r_sums = [0] * k_report
+    long_sum = tail_sum = 0
+    for i in range(n_samples):
+        st._advance(thin if i else burn_in + 1)
+        for k, r in st.occ.items():
+            if k <= k_report:
+                r_sums[k - 1] += r
+            else:
+                tail_sum += k * r
+            if k > threshold:
+                long_sum += k * r
+    return n_samples, r_sums, long_sum, tail_sum
 
 
 class TestMoveAlgebra:
@@ -323,6 +346,26 @@ class TestRunChain:
         short = sum((k) * stats.mean_qhat[k - 1] for k in range(1, 21))
         assert short + stats.tail_mass_mean == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "p, knobs",
+        [
+            (SystemParams(1, 1.0, 1.0, n=60),
+             {"k_report": 20, "threshold": 10, "burn_in": 500, "thin": 7}),
+            (SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=300),
+             {"k_report": 30, "threshold": 44, "burn_in": 3000, "thin": 10}),
+        ],
+        ids=["n60-d1", "n300-condensed"],
+    )
+    def test_means_are_exact_ratios_of_counts(self, p, knobs):
+        # each float field is the integer sum over n * n_samples, rounded once
+        stats = run_chain(p, steps=30_000, seed=7, **knobs)
+        n_samples, r_sums, long_sum, tail_sum = replayed_sums(p, 30_000, 7, **knobs)
+        denom = p.n * n_samples
+        assert stats.n_samples == n_samples
+        assert stats.mean_qhat == tuple(float(Fraction(s, denom)) for s in r_sums)
+        assert stats.long_cycle_fraction == float(Fraction(long_sum, denom))
+        assert stats.tail_mass_mean == float(Fraction(tail_sum, denom))
+
     def test_stderr_shrinks_with_more_steps(self):
         # fast-mixing local observable so batch means are effectively
         # independent; the slow condensate mode would not scale cleanly
@@ -350,7 +393,7 @@ class TestRunChain:
             run_chain(p, steps=100, burn_in=200, seed=0)
         with pytest.raises(ValidationError):
             run_chain(SystemParams(3, 1.0, 1.0), steps=100)
-        for bad in ({"k_report": -1}, {"k_report": -3}, {"threshold": -1}):
+        for bad in ({"k_report": -1}, {"k_report": -3}, {"k_report": 51}, {"threshold": -1}):
             with pytest.raises(ValidationError):
                 run_chain(p, steps=100, seed=0, **bad)
         with pytest.raises(CapError):
