@@ -119,16 +119,18 @@ def _tail_bound(s: float, alpha: float, k: int) -> float:
     return geom
 
 
-def _bose_direct(s: float, alpha: float, tol: float) -> BoseEval:
-    """Direct summation with geometric/integral tail certification."""
+def _certified_terms(s: float, alpha: float, tol: float, cap: int) -> int:
+    """The first k = 16 * 2^j whose tail bound meets tol, or 0 once k > cap."""
     k = 16
     while _tail_bound(s, alpha, k) > tol:
         k *= 2
-        if k > CAPS["bose_terms"].limit:
-            raise PrecisionError(
-                f"cannot certify g_{s}({alpha}) to {tol} within "
-                f"{CAPS['bose_terms'].limit} terms"
-            )
+        if k > cap:
+            return 0
+    return k
+
+
+def _bose_direct(s: float, alpha: float, k: int) -> BoseEval:
+    """The first k terms summed directly; the tail bound certifies the rest."""
     chunk_sums = []
     for lo in range(1, k + 1, _CHUNK):
         hi = min(lo + _CHUNK, k + 1)
@@ -210,8 +212,8 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
     return BoseEval(value=total, error_bound=bound, terms_used=k_top + 1)
 
 
-# "auto" sums directly up to this many terms when alpha <= 0.5.  Median of
-# 30 calls on a 2-vCPU x86-64 host (one core, tol 2.6e-11), s = 1 / s = 1.5:
+# "auto" sums directly up to this many terms.  Median of 30 calls on a 2-vCPU
+# x86-64 host (one core, tol 2.6e-11), s = 1 / s = 1.5:
 #   direct terms    4,096   8,192  16,384  32,768  262,144  524,288
 #   direct ms       0.045   0.067   0.120   0.750    4.5      8.5     (s = 1)
 #                   0.069   0.098   0.175   0.860    5.3     10.2     (s = 1.5)
@@ -229,10 +231,10 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
     zeta(s), evaluated by Euler-Maclaurin); alpha > 0 converges for every
     such s.  `method` picks the evaluation route: "direct" term-by-term
     summation, "expansion" the certified small-alpha expansion
-    (alpha <= 0.5), or "auto" by measured cost: direct summation when
-    alpha > 0.5 or when it certifies within _DIRECT_TERMS_MAX terms, the
-    expansion otherwise (its alpha-independent zeta coefficients are cached,
-    so repeated calls cost microseconds).
+    (alpha <= 0.5), or "auto" by measured cost: direct summation when it
+    certifies within _DIRECT_TERMS_MAX terms (always, by 128 terms, when
+    alpha > 0.5), the expansion otherwise (its alpha-independent zeta
+    coefficients are cached, so repeated calls cost microseconds).
     """
     _check_order(s)
     if alpha < 0:
@@ -244,13 +246,13 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
     if alpha == 0.0:
         return zeta(s, tol)
 
-    if method == "direct":
-        return _bose_direct(s, alpha, tol)
     if method == "expansion":
         return _bose_expansion(s, alpha, tol)
-    k = 16
-    while k <= _DIRECT_TERMS_MAX and _tail_bound(s, alpha, k) > tol:
-        k *= 2
-    if k <= _DIRECT_TERMS_MAX or alpha > 0.5:
-        return _bose_direct(s, alpha, tol)
-    return _bose_expansion(s, alpha, tol)
+    if method == "direct":
+        cap = CAPS["bose_terms"].limit
+        k = _certified_terms(s, alpha, tol, cap)
+        if not k:
+            raise PrecisionError(f"cannot certify g_{s}({alpha}) to {tol} within {cap} terms")
+        return _bose_direct(s, alpha, k)
+    k = _certified_terms(s, alpha, tol, _DIRECT_TERMS_MAX)
+    return _bose_direct(s, alpha, k) if k else _bose_expansion(s, alpha, tol)

@@ -60,13 +60,6 @@ class Partition:
             total += p
         return cls(total, tuple(sorted(counts.items())))
 
-    def count(self, k: int) -> int:
-        """Occupation number r_k (0 when k is unoccupied)."""
-        for kk, r in self.occupations:
-            if kk == k:
-                return r
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.occupations)
 

@@ -134,21 +134,17 @@ class ChainState:
 
     Keeps the occupation map, a flat list of cycle lengths for O(1) uniform
     cycle picks, and the distinct lengths >= 2 for O(1) uniform split picks.
-    The cached log weight tracks every accepted move; audit() recomputes it
-    from scratch.
+    The chain starts from the rounded limiting shape.  The cached log weight
+    tracks every accepted move; audit() recomputes it from scratch.
     """
 
-    def __init__(self, params: SystemParams, seed: int = 0, start: str = "shape"):
+    def __init__(self, params: SystemParams, seed: int = 0):
         self.n = _require_n(params)
         check_cap("chain", self.n)
-        if start not in ("shape", "singletons"):
-            raise ValidationError(f"unknown start state {start!r}")
-        self.params = params
         self.rng = random.Random(seed)
         self._c = _cycle_log_constants(params, self.n)
         # L[r] = log r for r <= n + 2; L[0] is never read by a legal move
         self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
-        self.step_count = 0
         self.acceptance_counts = {
             "split": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
             "merge": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
@@ -158,11 +154,7 @@ class ChainState:
         self.pos_by_len: dict[int, set[int]] = {}
         self.split_keys: list[int] = []
         self.key_pos: dict[int, int] = {}
-        if start == "singletons":
-            counts: dict[int, int] = {1: self.n}
-        else:
-            counts = _shape_occupations(params)
-        for length, r in counts.items():
+        for length, r in _shape_occupations(params).items():
             self._apply((), [length] * r)
         self.log_weight = _occupation_log_weight(self.occ.items(), self._c)
 
@@ -295,7 +287,6 @@ class ChainState:
             log_weight += dlw
             landed = True
         self.log_weight = log_weight
-        self.step_count += count
         counts = self.acceptance_counts
         if split_proposed:
             tally = counts["split"]
@@ -357,12 +348,12 @@ def run_chain(
     thin: int = 10,
     k_report: Optional[int] = None,
     threshold: Optional[int] = None,
-    audit_every: int = 0,
 ) -> CycleStats:
     """Run one chain and estimate cycle statistics with batch-means errors.
 
     Deterministic given the seed.  burn_in defaults to steps // 10; samples
-    are recorded every `thin` steps after burn-in.
+    are recorded every `thin` steps after burn-in.  The chain audits its
+    cached weight and mass after its last step (ValidationError on drift).
     """
     n = _require_n(params)
     if burn_in is None:
@@ -391,28 +382,17 @@ def run_chain(
     # tallies[b][0] the long-cycle mass; tallies[nb] takes the leftover samples
     tallies = [[0] * (k_report + 1) for _ in range(nb + 1)]
     occ = state.occ
-
-    def advance(count: int) -> None:
-        if not audit_every:
-            state._advance(count)
-            return
-        while count:
-            chunk = min(count, audit_every - state.step_count % audit_every)
-            state._advance(chunk)
-            count -= chunk
-            if state.step_count % audit_every == 0:
-                state.audit()
-
     # samples are taken after steps burn_in + 1, burn_in + 1 + thin, ...
     for sample_idx in range(n_samples):
-        advance(thin if sample_idx else burn_in + 1)
+        state._advance(thin if sample_idx else burn_in + 1)
         tally = tallies[min(sample_idx // batch_size, nb)]
         for k, r in occ.items():
             if k <= k_report:
                 tally[k] += r
             if k > threshold:
                 tally[0] += k * r
-    advance(steps - burn_in - 1 - (n_samples - 1) * thin)
+    state._advance(steps - burn_in - 1 - (n_samples - 1) * thin)
+    state.audit()
 
     sums = [sum(column) for column in zip(*tallies)]
     total = n * n_samples
@@ -420,7 +400,7 @@ def run_chain(
     # int / int is correctly rounded, so each mean is rounded once
     means = [s / total for s in sums]
     batch_means = np.array(tallies[:nb], dtype=np.float64) / (n * batch_size)
-    stderr = np.std(batch_means, axis=0, ddof=1) / math.sqrt(nb)
+    stderr = (np.std(batch_means, axis=0, ddof=1) / math.sqrt(nb)).tolist()
     return CycleStats(
         n=n,
         k_report=k_report,
@@ -428,7 +408,7 @@ def run_chain(
         mean_qhat=tuple(means[1:]),
         qhat_stderr=tuple(stderr[1:]),
         long_cycle_fraction=means[0],
-        fraction_stderr=float(stderr[0]),
+        fraction_stderr=stderr[0],
         tail_mass_mean=(total - short_mass) / total,
         n_samples=n_samples,
         acceptance=state.acceptance_counts,

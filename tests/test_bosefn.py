@@ -204,8 +204,8 @@ class TestBoseG:
         summed = []
         direct = bosefn._bose_direct
 
-        def counting_direct(s, alpha, tol):
-            result = direct(s, alpha, tol)
+        def counting_direct(s, alpha, k):
+            result = direct(s, alpha, k)
             summed.append(result.terms_used)
             return result
 
@@ -216,6 +216,33 @@ class TestBoseG:
                     g = bose_g(s, float(alpha), tol)
                     assert g.error_bound <= tol
         assert summed and max(summed) <= bosefn._DIRECT_TERMS_MAX
+
+    def test_auto_counts_its_direct_terms_once(self, monkeypatch):
+        # one doubling from 16 terms picks the route and the terms summed:
+        # a sum of 16 * 2^j terms costs j + 1 tail bounds, plus its certificate
+        bounds, summed = [], []
+        tail_bound, direct = bosefn._tail_bound, bosefn._bose_direct
+
+        def counting_tail_bound(s, alpha, k):
+            bounds.append(k)
+            return tail_bound(s, alpha, k)
+
+        def counting_direct(s, alpha, k):
+            summed.append(k)
+            return direct(s, alpha, k)
+
+        monkeypatch.setattr(bosefn, "_tail_bound", counting_tail_bound)
+        monkeypatch.setattr(bosefn, "_bose_direct", counting_direct)
+        routed = 0
+        for s in HALF_INTEGER_ORDERS:
+            for alpha in np.geomspace(1e-3, 10.0, 30):
+                bounds.clear()
+                summed.clear()
+                g = bose_g(s, float(alpha), 1e-12)
+                if summed:
+                    routed += 1
+                    assert len(bounds) <= math.log2(g.terms_used / 16) + 2
+        assert routed > 100
 
     @pytest.mark.parametrize("alpha", [1e-3, 2e-4])
     @pytest.mark.parametrize("s", HALF_INTEGER_ORDERS)

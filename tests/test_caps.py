@@ -1,11 +1,12 @@
 """The resource-cap table: each route's boundary, the stated costs, the term caps."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from cyclegas import bosefn
-from cyclegas.entropy import qhat_star_array
+from cyclegas.entropy import minimize_S, qhat_star_array
 from cyclegas.errors import CAPS, CapError, PrecisionError
 from cyclegas.exactz import (
     brute_force_log_Z,
@@ -23,7 +24,9 @@ from cyclegas.partitions import (
     partition_count,
 )
 from cyclegas.sampler import ChainState, run_chain
-from cyclegas.thermo import SystemParams
+from cyclegas.thermo import SystemParams, critical_density
+
+BETA_UNIT = 1.0 / (4.0 * math.pi)
 
 
 def at(n: int) -> SystemParams:
@@ -72,7 +75,24 @@ def test_stated_costs_hold():
     cap = CAPS["permutations"]
     assert f"{cap.limit}! = {math.factorial(cap.limit):,}" in cap.cost
     cap = CAPS["shape"]
-    assert cap.cost == f"{8 * cap.limit // 10**6} MB per float64 {cap.size}-vector"
+    assert cap.cost == f"{6 * 8 * cap.limit // 10**6} MB: six float64 K-vectors in minimize_S"
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0], ids=["normal", "condensed"])
+def test_minimize_S_peaks_within_the_shape_cost(ratio):
+    # the stated megabytes at the cap, scaled to K = 10^6; a few KB of
+    # Python scalars ride on top of the float64 vectors
+    cap, K = CAPS["shape"], 10**6
+    stated = int(cap.cost.split(" MB")[0]) * 10**6 * K // cap.limit
+    params = SystemParams(3, BETA_UNIT, ratio * critical_density(3, BETA_UNIT))
+    minimize_S(params, K)
+    tracemalloc.start()
+    try:
+        minimize_S(params, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stated <= peak <= stated + 64 * 1024
 
 
 def test_term_caps_bound_the_certified_series(monkeypatch):
