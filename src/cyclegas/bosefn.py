@@ -119,25 +119,25 @@ def _tail_bound(s: float, alpha: float, k: int) -> float:
     return geom
 
 
-def _certified_terms(s: float, alpha: float, tol: float, cap: int) -> int:
-    """The first k = 16 * 2^j whose tail bound meets tol, or 0 once k > cap."""
+def _certified_terms(s: float, alpha: float, tol: float, cap: int) -> tuple[int, float]:
+    """The first k = 16 * 2^j whose tail bound meets tol, and that bound; k = 0 past cap."""
     k = 16
-    while _tail_bound(s, alpha, k) > tol:
+    while (tail := _tail_bound(s, alpha, k)) > tol:
         k *= 2
         if k > cap:
-            return 0
-    return k
+            return 0, tail
+    return k, tail
 
 
-def _bose_direct(s: float, alpha: float, k: int) -> BoseEval:
-    """The first k terms summed directly; the tail bound certifies the rest."""
+def _bose_direct(s: float, alpha: float, k: int, tail: float) -> BoseEval:
+    """The first k terms summed directly; tail bounds the rest."""
     chunk_sums = []
     for lo in range(1, k + 1, _CHUNK):
         hi = min(lo + _CHUNK, k + 1)
         js = np.arange(lo, hi, dtype=np.float64)
         chunk_sums.append(float(np.sum(js ** (-s) * np.exp(-alpha * js))))
     value = math.fsum(chunk_sums)
-    return BoseEval(value=value, error_bound=_tail_bound(s, alpha, k), terms_used=k)
+    return BoseEval(value=value, error_bound=tail, terms_used=k)
 
 
 _LOG2 = math.log(2.0)
@@ -250,9 +250,9 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
         return _bose_expansion(s, alpha, tol)
     if method == "direct":
         cap = CAPS["bose_terms"].limit
-        k = _certified_terms(s, alpha, tol, cap)
+        k, tail = _certified_terms(s, alpha, tol, cap)
         if not k:
             raise PrecisionError(f"cannot certify g_{s}({alpha}) to {tol} within {cap} terms")
-        return _bose_direct(s, alpha, k)
-    k = _certified_terms(s, alpha, tol, _DIRECT_TERMS_MAX)
-    return _bose_direct(s, alpha, k) if k else _bose_expansion(s, alpha, tol)
+        return _bose_direct(s, alpha, k, tail)
+    k, tail = _certified_terms(s, alpha, tol, _DIRECT_TERMS_MAX)
+    return _bose_direct(s, alpha, k, tail) if k else _bose_expansion(s, alpha, tol)

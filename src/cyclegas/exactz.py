@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError, check_cap
 from .partitions import Partition, enumerate_partitions
-from .thermo import SystemParams, chi, thermal_factor
+from .thermo import SystemParams, _log1mexp, chi, thermal_factor
 
 
 def _require_n(params: SystemParams) -> int:
@@ -142,8 +142,7 @@ def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
     check_cap("exact", n)
     c = _cycle_log_constants(params, n)
     x = params.d * n / (4.0 * params.beta)
-    # log(1 - e^-x) accurate at both ends (Maechler 2012): e^-x rounds to 1 as x -> 0
-    shift = math.log1p(-math.exp(-x)) if x > math.log(2.0) else math.log(-math.expm1(-x))
+    shift = _log1mexp(x)
     return {
         "log_z": float(_log_Z_table(c, n)[n]),
         "log_z_lower": float(_log_Z_table([ck + shift for ck in c], n)[n]),

@@ -127,6 +127,11 @@ def critical_beta(d: int, rho: float) -> float:
     return (z / rho) ** (2.0 / d) / (4.0 * math.pi)
 
 
+def _log1mexp(x: float) -> float:
+    """log(1 - e^-x) for x > 0, accurate as e^-x nears 0 or 1 (Maechler 2012)."""
+    return math.log1p(-math.exp(-x)) if x > math.log(2.0) else math.log(-math.expm1(-x))
+
+
 def _bracketed_root(
     f: Callable[[float], tuple[float, float]],
     a: float,
@@ -134,26 +139,20 @@ def _bracketed_root(
     b: float,
     tol_abs: float,
     u: tuple[Callable[[float], float], Callable[[float], float]] = (float, float),
-    lead: tuple[float, float] = (0.0, -INFINITE),
 ) -> tuple[float, float]:
     """The x where a decreasing f crosses zero, and f(x).
 
-    f(x) returns (value, error_bound); f has the sign of f_a (which may be
-    infinite) at a, where it is not evaluated.  The far end starts at b and
-    doubles its distance from a until f certifiably changes sign there.  The
-    bracket [lo, hi] is then narrowed by regula falsi with the Illinois
-    modification (Dowell & Jarratt, BIT 11, 168 (1971)), which halves the
-    value kept at an end retained twice in a row, in the coordinate u[0]
-    (inverse u[1], by default the identity) in which f is about linear.
-    While f(lo) is infinite and hi <= lead[1], a step extends the line
-    through hi with slope lead[0] in u, later the secant through the last
-    two values at hi; other steps while f(lo) is infinite, and steps that
-    leave the open bracket, bisect.  Returns the first step with |f(x)| +
-    error_bound <= tol_abs; PrecisionError after 400 evaluations or at float
-    resolution.
+    f(x) returns (value, error_bound); f has the sign of f_a at a, where it is
+    not evaluated.  The far end starts at b and doubles its distance from a
+    until f certifiably changes sign there.  The bracket [lo, hi] is then
+    narrowed by regula falsi with the Illinois modification (Dowell & Jarratt,
+    BIT 11, 168 (1971)), which halves the value kept at an end retained twice
+    in a row, in the coordinate u[0] (inverse u[1], by default the identity) in
+    which f is about linear; steps that leave the open bracket bisect.  Returns
+    the first evaluation with |f(x)| + error_bound <= tol_abs; PrecisionError
+    after 400 evaluations or at float resolution.
     """
     to_u, from_u = u
-    slope, lead_max = lead
     lo = hi = a  # until the sign change is found
     f_lo = f_hi = f_a
     kept = None  # the end the last step left in place
@@ -162,21 +161,17 @@ def _bracketed_root(
         if lo == hi:
             x = b
         else:
-            step = mid
-            if math.isfinite(f_lo):
-                u_lo, u_hi = to_u(lo), to_u(hi)
-                step = from_u(u_lo + f_lo * (u_hi - u_lo) / (f_lo - f_hi))
-            elif hi <= lead_max:
-                step = from_u(to_u(hi) - f_hi / slope)
+            u_lo, u_hi = to_u(lo), to_u(hi)
+            step = from_u(u_lo + f_lo * (u_hi - u_lo) / (f_lo - f_hi))
             x = step if lo < step < hi else mid
         f_x, error = f(x)
+        if abs(f_x) + error <= tol_abs:
+            return x, f_x
         if lo == hi:
             if (f_x if b > a else -f_x) + error < 0.0:
                 lo, hi, f_lo, f_hi = (a, b, f_a, f_x) if b > a else (b, a, f_x, f_a)
             else:
                 b = a + 2.0 * (b - a)
-        elif abs(f_x) + error <= tol_abs:
-            return x, f_x
         elif mid == lo or mid == hi:
             break  # bracket at floating-point resolution
         elif f_x > 0.0:
@@ -185,10 +180,6 @@ def _bracketed_root(
                 f_hi *= 0.5
             kept = "hi"
         else:
-            if math.isinf(f_lo):
-                du = to_u(x) - to_u(hi)
-                if du > 0.0 and f_x > f_hi:
-                    slope = (f_x - f_hi) / du
             hi, f_hi = x, f_x
             if kept == "lo":
                 f_lo *= 0.5
@@ -199,31 +190,35 @@ def _bracketed_root(
 def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> float:
     """The unique alpha > 0 with g_{d/2}(alpha) = rho (4 pi beta)^(d/2).
 
-    For d <= 2, g_{d/2}(0) = rho_c (4 pi beta)^(d/2) is infinite; steps are
-    taken in the coordinate in which the leading small-alpha term of g_{d/2}
-    is linear, and follow that term while alpha <= 1, where it dominates.
+    d = 2 inverts g_1 in closed form, d = 1 brackets the root between analytic
+    bounds on g_(1/2), and d >= 3 searches up from g_{d/2}(0) = zeta(d/2).
     """
     target = rho * factor
     if target == INFINITE:
         raise ValidationError(f"rho (4 pi beta)^(d/2) overflows at d={d}, rho={rho}")
-    s = d / 2.0
+    if target == 0.0:
+        raise PrecisionError(f"rho (4 pi beta)^(d/2) underflows to 0 at d={d}, rho={rho}")
+    if d == 2:  # g_1(alpha) = -log(1 - e^-alpha), checked at the float alpha
+        alpha = -_log1mexp(target)
+        if not (alpha > 0.0 and abs(_log1mexp(alpha) + target) <= tol * target):
+            raise PrecisionError(f"alpha is not certified to {tol} in floats at d=2, rho={rho}")
+        return alpha
     inner = max(tol * target / 8.0, 1e-14)
 
     def excess(alpha: float) -> tuple[float, float]:
-        g = bose_g(s, alpha, inner)
+        g = bose_g(d / 2.0, alpha, inner)
         return g.value - target, g.error_bound
 
-    coordinate = {}
-    if d == 2:  # g_1(alpha) = -log(alpha) + O(alpha)
-        coordinate = {"u": (lambda a: -math.log(a), lambda v: math.exp(-v)),
-                      "lead": (1.0, 1.0)}
-    elif d == 1:  # g_(1/2)(alpha) = Gamma(1/2) alpha^(-1/2) + O(1)
-        coordinate = {"u": (lambda a: a**-0.5, lambda v: v**-2.0),
-                      "lead": (math.gamma(0.5), 1.0)}
-    alpha, _ = _bracketed_root(
-        excess, 0.0, rho_c * factor - target, 1.0, tol * target, **coordinate
-    )
-    return alpha
+    if d >= 3:
+        return _bracketed_root(excess, 0.0, rho_c * factor - target, 1.0, tol * target)[0]
+    # sqrt(pi/alpha) - 2 < g_(1/2)(alpha) < sqrt(pi/alpha) by integral comparison and
+    # e^-alpha < g_(1/2)(alpha) < 1/(e^alpha - 1) term by term; dividing twice cannot overflow
+    a = max(math.pi / (target + 2.0) / (target + 2.0), -math.log(target))
+    b = min(math.pi / target / target, math.log1p(1.0 / target))
+    if a == 0.0:
+        raise PrecisionError(f"alpha underflows at d=1, rho={rho}")
+    u = (lambda x: x**-0.5, lambda v: v**-2.0)  # in which g_(1/2) is about linear
+    return _bracketed_root(excess, a, excess(a)[0], b, tol * target, u)[0]
 
 
 def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSolution:

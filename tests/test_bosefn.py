@@ -204,8 +204,8 @@ class TestBoseG:
         summed = []
         direct = bosefn._bose_direct
 
-        def counting_direct(s, alpha, k):
-            result = direct(s, alpha, k)
+        def counting_direct(s, alpha, k, tail):
+            result = direct(s, alpha, k, tail)
             summed.append(result.terms_used)
             return result
 
@@ -218,8 +218,8 @@ class TestBoseG:
         assert summed and max(summed) <= bosefn._DIRECT_TERMS_MAX
 
     def test_auto_counts_its_direct_terms_once(self, monkeypatch):
-        # one doubling from 16 terms picks the route and the terms summed:
-        # a sum of 16 * 2^j terms costs j + 1 tail bounds, plus its certificate
+        # one doubling from 16 terms picks the route, the terms summed and
+        # their certificate: a sum of 16 * 2^j terms costs j + 1 tail bounds
         bounds, summed = [], []
         tail_bound, direct = bosefn._tail_bound, bosefn._bose_direct
 
@@ -227,9 +227,9 @@ class TestBoseG:
             bounds.append(k)
             return tail_bound(s, alpha, k)
 
-        def counting_direct(s, alpha, k):
+        def counting_direct(s, alpha, k, tail):
             summed.append(k)
-            return direct(s, alpha, k)
+            return direct(s, alpha, k, tail)
 
         monkeypatch.setattr(bosefn, "_tail_bound", counting_tail_bound)
         monkeypatch.setattr(bosefn, "_bose_direct", counting_direct)
@@ -241,7 +241,7 @@ class TestBoseG:
                 g = bose_g(s, float(alpha), 1e-12)
                 if summed:
                     routed += 1
-                    assert len(bounds) <= math.log2(g.terms_used / 16) + 2
+                    assert len(bounds) <= math.log2(g.terms_used / 16) + 1
         assert routed > 100
 
     @pytest.mark.parametrize("alpha", [1e-3, 2e-4])

@@ -304,8 +304,13 @@ class TestExitCodes:
              2, "burn_in must be in [0, steps=100], got -1"),
             (["phase", "--d", "1", "--beta", "1e300", "--rho", "1e300"],
              2, "rho (4 pi beta)^(d/2) overflows at d=1, rho=1e+300"),
+            (["alpha", "--d", "2", "--beta", "1", "--rho", "59.3"],
+             3, "alpha is not certified to 1e-10 in floats at d=2, rho=59.3"),
+            (["alpha", "--d", "1", "--beta", "0.001", "--rho", "5e-324"],
+             3, "rho (4 pi beta)^(d/2) underflows to 0 at d=1, rho=5e-324"),
         ],
-        ids=["K-cap", "k-report-huge", "k-report-above-n", "burn-in", "target-overflow"],
+        ids=["K-cap", "k-report-huge", "k-report-above-n", "burn-in", "target-overflow",
+             "alpha-underflow", "target-underflow"],
     )
     def test_edge_sizes_exit_with_a_message_naming_the_input(self, capsys, argv, code, message):
         got, out, err = run_cli(capsys, argv)

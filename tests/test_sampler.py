@@ -363,6 +363,19 @@ class TestRunChain:
         p = SystemParams(3, BETA_UNIT, rho_c / 2.0, n=2000)
         run_chain(p, steps=100_000, seed=2003)
 
+    def test_audit_bound_is_relative(self):
+        # at n = 2000 |log weight| is ~1,900: an absolute drift of 2e-10 is
+        # 1e-13 relative and passes, a drift of 2e-10 relative does not
+        rho_c = critical_density(3, BETA_UNIT)
+        state = ChainState(SystemParams(3, BETA_UNIT, rho_c / 2.0, n=2000), seed=1)
+        w = state.log_weight
+        assert abs(w) > 1000.0
+        state.log_weight = w + 2e-10
+        state.audit()
+        state.log_weight = w + 2e-10 * abs(w)
+        with pytest.raises(ValidationError, match="cached log weight drifted"):
+            state.audit()
+
     def test_every_run_audits_its_cached_weight(self, monkeypatch):
         advance = ChainState._advance
 

@@ -1,5 +1,6 @@
 """Tests for the phase-structure solver."""
 
+import functools
 import math
 import random
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cyclegas import thermo
 from cyclegas.bosefn import bose_g, zeta
-from cyclegas.errors import ValidationError
+from cyclegas.errors import PrecisionError, ValidationError
 from cyclegas.thermo import (
     INFINITE,
     SystemParams,
@@ -25,6 +26,26 @@ from cyclegas.thermo import (
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)  # makes (4 pi beta)^(d/2) = 1
 ZETA_3_HALVES = 2.6123753486854883
+
+
+def _mp_bose(s, alpha):
+    """g_s(alpha) in mpmath for s = 1/2 or 1, at 30 digits for any float alpha > 0."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        if s == 1.0:
+            return -(mpmath.log(-mpmath.expm1(-a)) if a < 1 else mpmath.log1p(-mpmath.exp(-a)))
+        if a >= 1:
+            return mpmath.polylog(0.5, mpmath.exp(-a))
+        # about 0: Gamma(1/2) alpha^(-1/2) + sum_k zeta(1/2 - k) (-alpha)^k / k!
+        return mpmath.sqrt(mpmath.pi / a) + mpmath.fsum(
+            c * (-a) ** k for k, c in enumerate(_expansion_coefficients())
+        )
+
+
+@functools.lru_cache(maxsize=1)
+def _expansion_coefficients():
+    with mpmath.workdps(30):
+        return [mpmath.zeta(0.5 - k) / mpmath.factorial(k) for k in range(40)]
 
 
 class TestCriticalConstants:
@@ -183,11 +204,52 @@ class TestSolveAlpha:
             sol = solve_alpha(SystemParams(d, beta, target / thermal_factor(d, beta)))
             assert sol.regime == "normal"
             assert len(calls) <= before, (target, len(calls))
-            if d == 2 and target >= 11.5:
-                assert len(calls) < before, (target, len(calls))
+            if d == 2:
+                # the root in closed form; the one call is the g_2 energy term
+                assert [c[0] for c in calls] == [2.0], (target, calls)
             if target >= 5:
-                # the leading-term step lands next to these small-alpha roots
+                # the analytic bracket is narrow around these small-alpha roots
                 assert len(calls) <= 8, (target, len(calls))
+
+    def test_d1_bracket_holds_the_root(self, monkeypatch):
+        # sqrt(pi/alpha) - 2 < g_(1/2)(alpha) < sqrt(pi/alpha) and
+        # e^-alpha < g_(1/2)(alpha) < 1/(e^alpha - 1) put the root in [a, b];
+        # f(a) and f(b) are certified of opposite signs where the bounds
+        # survive rounding (below 10^-14.75 a and b are one float)
+        brackets = []
+        bracketed_root = thermo._bracketed_root
+
+        def recording(f, a, f_a, b, tol_abs, u):
+            brackets.append((f, a, b))
+            return bracketed_root(f, a, f_a, b, tol_abs, u)
+
+        monkeypatch.setattr(thermo, "_bracketed_root", recording)
+        for k in range(-56, 61):
+            brackets.clear()
+            solve_alpha(SystemParams(1, 1.0, 10.0 ** (k / 4) / thermal_factor(1, 1.0)))
+            [(f, a, b)] = brackets
+            f_a, err_a = f(a)
+            f_b, err_b = f(b)
+            assert a < b and f_a - err_a > 0.0 and f_b + err_b < 0.0, k
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-4])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_low_dimension_roots_certify_or_refuse(self, d, tol):
+        # across the normal floats, and at t = 745 where e^-t is subnormal:
+        # an alpha within (tol + 1e-13) t of mpmath, or PrecisionError
+        factor = thermal_factor(d, 1.0)
+        certified = 0
+        for t in [10.0 ** (k / 2) for k in range(-614, 617)] + [745.0]:
+            rho = t / factor
+            try:
+                alpha = solve_alpha(SystemParams(d, 1.0, rho), tol).alpha
+            except PrecisionError:
+                continue
+            target = mpmath.mpf(rho * factor)
+            g = _mp_bose(d / 2.0, alpha)
+            assert abs(g - target) <= (tol + 1e-13) * target, (t, alpha)
+            certified += 1
+        assert certified > 600
 
     def test_alpha_decreasing_in_rho(self):
         rho_c = critical_density(3, BETA_UNIT)
