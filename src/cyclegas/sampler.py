@@ -8,6 +8,11 @@ them by their concatenation), each attempted with probability 1/2.  The two
 kinds are mutually reverse, and the Hastings ratio accounts exactly for
 occupation multiplicities and the offset choice.
 
+One kernel, ChainState._advance, makes every move, with the Hastings terms
+written out inline.  run_chain drives a whole chain through one call of it,
+and the kernel records each sample in its move loop at O(1) cost: the
+long-cycle mass is a running integer, and the sums of r_k are kept lazily,
+so the batch tallies are exact integers and no sample walks the occupations.
 Chains are single-stream and deterministic given the seed; estimator errors
 use batch means.
 """
@@ -56,77 +61,20 @@ def _shape_occupations(params: SystemParams) -> dict[int, int]:
     return counts
 
 
-def split_move_terms(
-    occ: dict[int, int],
-    c: list[float],
-    L: list[float],
-    m: int,
-    k2: int,
-    k: int,
-    j: int,
-) -> tuple[float, float]:
-    """(delta log weight, log Hastings ratio) for splitting a k-cycle at j.
+class _Sampling(NamedTuple):
+    """Where run_chain samples the kernel, and the batch rows it fills.
 
-    occ/m/k2 describe the state before the move; the move must be legal
-    (occ[k] >= 1, k >= 2, 1 <= j <= k-1).  L[r] = log r, so a ratio of
-    factorials r!/(r-1)! is L[r] and log C(m, 2) is L[m] + L[m-1] - log 2.
+    tallies[b] = [long-cycle mass, r_1, ..., r_k_report] summed over batch
+    b's samples; the last row takes the samples left over after the batches.
     """
-    j2 = k - j
-    dlw = -c[k] + L[occ[k]]
-    rj = occ.get(j, 0)
-    log_fwd = -L[k2] - L[k - 1]
-    if j == j2:
-        dlw += 2.0 * c[j] - (L[rj + 2] + L[rj + 1])
-        log_pairs = L[rj + 2] + L[rj + 1] - _LOG2
-    else:
-        rj2 = occ.get(j2, 0)
-        dlw += c[j] - L[rj + 1]
-        dlw += c[j2] - L[rj2 + 1]
-        log_pairs = L[rj + 1] + L[rj2 + 1]
-        log_fwd += _LOG2
-    log_rev = log_pairs - (L[m + 1] + L[m] - _LOG2)
-    return dlw, log_rev - log_fwd
 
-
-def merge_move_terms(
-    occ: dict[int, int],
-    c: list[float],
-    L: list[float],
-    m: int,
-    k2: int,
-    a: int,
-    b: int,
-) -> tuple[float, float]:
-    """(delta log weight, log Hastings ratio) for merging an a- and a b-cycle.
-
-    occ/m/k2 describe the state before the move; requires two distinct
-    cycles of lengths a and b (occ[a] >= 2 when a == b).  L[r] = log r.
-    """
-    s = a + b
-    rs = occ.get(s, 0)
-    ra = occ[a]
-    k2_new = k2
-    if a == b:
-        dlw = -2.0 * c[a] + L[ra] + L[ra - 1]
-        log_pairs = L[ra] + L[ra - 1] - _LOG2
-        log_rev = 0.0
-        if a >= 2 and ra == 2:
-            k2_new -= 1
-    else:
-        rb = occ[b]
-        dlw = (-c[a] + L[ra]) + (-c[b] + L[rb])
-        log_pairs = L[ra] + L[rb]
-        log_rev = _LOG2
-        if a >= 2 and ra == 1:
-            k2_new -= 1
-        if b >= 2 and rb == 1:
-            k2_new -= 1
-    dlw += c[s] - L[rs + 1]
-    if rs == 0:
-        k2_new += 1
-    log_fwd = log_pairs - (L[m] + L[m - 1] - _LOG2)
-    log_rev -= L[k2_new] + L[s - 1]
-    return dlw, log_rev - log_fwd
+    first: int  # steps before the first sample
+    thin: int
+    n_samples: int
+    batch_size: int
+    k_report: int
+    threshold: int
+    tallies: list[list[int]]
 
 
 class ChainState:
@@ -144,7 +92,8 @@ class ChainState:
         self.rng = random.Random(seed)
         self._c = _cycle_log_constants(params, self.n)
         # L[r] = log r for r <= n + 2; L[0] is never read by a legal move
-        self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
+        L = self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
+        self._pairs = [L[r + 1] + L[r] - _LOG2 for r in range(self.n + 1)]
         self.acceptance_counts = {
             "split": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
             "merge": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
@@ -208,12 +157,25 @@ class ChainState:
             pos_by_len.setdefault(length, set()).add(len(cycles))
             cycles.append(length)
 
-    def _advance(self, count: int) -> bool:
+    def _advance(self, count: int, sampling: Optional[_Sampling] = None) -> bool:
         """The move kernel: `count` Metropolis-Hastings steps.
 
         Returns whether the last move landed.  Uniform picks inline
         Random.randrange's getrandbits rejection loop, so the stream is the
-        one randrange would consume.
+        one randrange would consume.  The Hastings terms are written out
+        here; with L[r] = log r, a ratio of factorials r!/(r-1)! is L[r] and
+        log C(r + 1, 2) is pairs[r] = L[r + 1] + L[r] - log 2.
+
+        With `sampling`, the kernel also records run_chain's samples into
+        sampling.tallies without leaving its loop: after the first segment
+        of sampling.first steps and after each later one of sampling.thin
+        steps, until n_samples are taken; the steps left over run
+        unrecorded.  The long-cycle mass is a running integer added to the
+        batch row at each sample.  The sum of r_k over samples is kept
+        lazily: a move that changes r_k by delta when t samples have been
+        taken adds -delta * t; a batch row closing at T samples reads that
+        sum plus r_k * T, and the next batch's sum starts at -r_k * T.
+        Without `sampling` none of this is set up.
         """
         rng = self.rng
         random = rng.random
@@ -225,67 +187,158 @@ class ChainState:
         split_keys = self.split_keys
         c = self._c
         L = self._L
-        split_terms = split_move_terms
-        merge_terms = merge_move_terms
+        pairs = self._pairs
+        log2 = _LOG2
         log_weight = self.log_weight
         split_proposed = split_accepted = split_auto = 0
         merge_proposed = merge_accepted = merge_auto = 0
         landed = False
-        for _ in range(count):
-            landed = False
-            if random() < 0.5:
-                split_proposed += 1
-                k2 = len(split_keys)
-                if k2 == 0:
-                    split_auto += 1
-                    continue
-                nbits = k2.bit_length()
-                i = getrandbits(nbits)
-                while i >= k2:
+        t = n_samples = 0
+        if sampling is None:
+            seg = count
+            k_report, threshold = 0, self.n  # no length is tallied
+        else:
+            seg, thin, n_samples, batch_size, k_report, threshold, tallies = sampling
+            left = count
+            lazy = [0] * (k_report + 1)  # lazy[k] + r_k * t sums r_k over the batch
+            long_mass = sum(k * r for k, r in occ.items() if k > threshold)
+            long_sum = batch = 0
+            close_at = batch_size
+            nb = len(tallies) - 1
+        while True:
+            for _ in range(seg):
+                landed = False
+                if random() < 0.5:
+                    split_proposed += 1
+                    k2 = len(split_keys)
+                    if k2 == 0:
+                        split_auto += 1
+                        continue
+                    nbits = k2.bit_length()
                     i = getrandbits(nbits)
-                k = split_keys[i]
-                km1 = k - 1
-                nbits = km1.bit_length()
-                i = getrandbits(nbits)
-                while i >= km1:
+                    while i >= k2:
+                        i = getrandbits(nbits)
+                    k = split_keys[i]
+                    km1 = k - 1
+                    nbits = km1.bit_length()
                     i = getrandbits(nbits)
-                j = 1 + i
-                dlw, lratio = split_terms(occ, c, L, len(cycles), k2, k, j)
-                total = dlw + lratio
-                if not (total >= 0.0 or random() < exp(total)):
-                    continue
-                removed, added = (k,), (j, k - j)
-                split_accepted += 1
-            else:
-                merge_proposed += 1
-                m = len(cycles)
-                if m < 2:
-                    merge_auto += 1
-                    continue
-                nbits = m.bit_length()
-                i1 = getrandbits(nbits)
-                while i1 >= m:
+                    while i >= km1:
+                        i = getrandbits(nbits)
+                    j = 1 + i
+                    j2 = k - j
+                    dlw = -c[k] + L[occ[k]]
+                    rj = occ.get(j, 0)
+                    log_fwd = -L[k2] - L[km1]
+                    if j == j2:
+                        dlw += 2.0 * c[j] - (L[rj + 2] + L[rj + 1])
+                        log_pairs = pairs[rj + 1]
+                    else:
+                        rj2 = occ.get(j2, 0)
+                        dlw += c[j] - L[rj + 1]
+                        dlw += c[j2] - L[rj2 + 1]
+                        log_pairs = L[rj + 1] + L[rj2 + 1]
+                        log_fwd += log2
+                    total = dlw + ((log_pairs - pairs[len(cycles)]) - log_fwd)
+                    if not (total >= 0.0 or random() < exp(total)):
+                        continue
+                    split_accepted += 1
+                    if j <= k_report:
+                        lazy[j] -= t
+                    if j2 <= k_report:
+                        lazy[j2] -= t
+                        if k <= k_report:
+                            lazy[k] += t
+                    if k > threshold:
+                        long_mass -= k
+                        if j > threshold:
+                            long_mass += j
+                        if j2 > threshold:
+                            long_mass += j2
+                    apply((k,), (j, j2))
+                else:
+                    merge_proposed += 1
+                    m = len(cycles)
+                    if m < 2:
+                        merge_auto += 1
+                        continue
+                    nbits = m.bit_length()
                     i1 = getrandbits(nbits)
-                mm1 = m - 1
-                nbits = mm1.bit_length()
-                i2 = getrandbits(nbits)
-                while i2 >= mm1:
+                    while i1 >= m:
+                        i1 = getrandbits(nbits)
+                    mm1 = m - 1
+                    nbits = mm1.bit_length()
                     i2 = getrandbits(nbits)
-                if i2 >= i1:
-                    i2 += 1
-                a = cycles[i1]
-                b = cycles[i2]
-                if a > b:
-                    a, b = b, a
-                dlw, lratio = merge_terms(occ, c, L, m, len(split_keys), a, b)
-                total = dlw + lratio
-                if not (total >= 0.0 or random() < exp(total)):
-                    continue
-                removed, added = (a, b), (a + b,)
-                merge_accepted += 1
-            apply(removed, added)
-            log_weight += dlw
-            landed = True
+                    while i2 >= mm1:
+                        i2 = getrandbits(nbits)
+                    if i2 >= i1:
+                        i2 += 1
+                    a = cycles[i1]
+                    b = cycles[i2]
+                    if a > b:
+                        a, b = b, a
+                    s = a + b
+                    rs = occ.get(s, 0)
+                    ra = occ[a]
+                    k2_new = len(split_keys)
+                    if a == b:
+                        dlw = -2.0 * c[a] + L[ra] + L[ra - 1]
+                        log_pairs = pairs[ra - 1]
+                        log_rev = 0.0
+                        if a >= 2 and ra == 2:
+                            k2_new -= 1
+                    else:
+                        rb = occ[b]
+                        dlw = (-c[a] + L[ra]) + (-c[b] + L[rb])
+                        log_pairs = L[ra] + L[rb]
+                        log_rev = log2
+                        if a >= 2 and ra == 1:
+                            k2_new -= 1
+                        if b >= 2 and rb == 1:
+                            k2_new -= 1
+                    dlw += c[s] - L[rs + 1]
+                    if rs == 0:
+                        k2_new += 1
+                    log_fwd = log_pairs - pairs[mm1]
+                    log_rev -= L[k2_new] + L[s - 1]
+                    total = dlw + (log_rev - log_fwd)
+                    if not (total >= 0.0 or random() < exp(total)):
+                        continue
+                    merge_accepted += 1
+                    if a <= k_report:
+                        lazy[a] += t
+                        if b <= k_report:
+                            lazy[b] += t
+                            if s <= k_report:
+                                lazy[s] -= t
+                    if s > threshold:
+                        long_mass += s
+                        if a > threshold:
+                            long_mass -= a
+                        if b > threshold:
+                            long_mass -= b
+                    apply((a, b), (s,))
+                log_weight += dlw
+                landed = True
+            if t == n_samples:
+                break
+            t += 1  # the sample after this segment
+            long_sum += long_mass
+            if t == close_at:
+                row = tallies[batch]
+                row[0] = long_sum
+                long_sum = 0
+                for k in range(1, k_report + 1):
+                    r_t = occ.get(k, 0) * t
+                    row[k] = lazy[k] + r_t
+                    lazy[k] = -r_t
+                batch += 1
+                close_at = t + batch_size if batch < nb else n_samples
+            left -= seg
+            if t < n_samples:
+                seg = thin
+            else:  # the last segment records nothing
+                seg = left
+                k_report, threshold = 0, self.n
         self.log_weight = log_weight
         counts = self.acceptance_counts
         if split_proposed:
@@ -378,20 +431,10 @@ def run_chain(
     nb = min(_BATCHES, n_samples)
     batch_size = n_samples // nb
 
-    # tallies[b][k] sums r_k over batch b's samples (k = 1..k_report) and
-    # tallies[b][0] the long-cycle mass; tallies[nb] takes the leftover samples
     tallies = [[0] * (k_report + 1) for _ in range(nb + 1)]
-    occ = state.occ
     # samples are taken after steps burn_in + 1, burn_in + 1 + thin, ...
-    for sample_idx in range(n_samples):
-        state._advance(thin if sample_idx else burn_in + 1)
-        tally = tallies[min(sample_idx // batch_size, nb)]
-        for k, r in occ.items():
-            if k <= k_report:
-                tally[k] += r
-            if k > threshold:
-                tally[0] += k * r
-    state._advance(steps - burn_in - 1 - (n_samples - 1) * thin)
+    sampling = _Sampling(burn_in + 1, thin, n_samples, batch_size, k_report, threshold, tallies)
+    state._advance(steps, sampling)
     state.audit()
 
     sums = [sum(column) for column in zip(*tallies)]

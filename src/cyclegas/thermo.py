@@ -88,16 +88,30 @@ def thermal_factor(d: int, beta: float) -> float:
     return factor
 
 
+def _density_scale(d: int, rho: float, factor: float) -> float:
+    """rho (4 pi beta)^(d/2) from factor = thermal_factor(d, beta).
+
+    ValidationError unless it is a normal float: 1/scale is then finite, and
+    a subnormal value keeps too few significant bits to certify a root.
+    """
+    scale = rho * factor
+    if scale == INFINITE:
+        raise ValidationError(f"rho (4 pi beta)^(d/2) overflows at d={d}, rho={rho}")
+    if scale < sys.float_info.min:
+        raise ValidationError(
+            f"rho (4 pi beta)^(d/2) = {scale!r} is below the normal floats at d={d}, rho={rho}"
+        )
+    return scale
+
+
 def qhat_star(params: SystemParams, k):
     """Qhat*(k) = 1/(rho (4 pi beta)^(d/2) k^(1+d/2)), k a float or float array.
 
     n Qhat*(k) is theta_k, the weight of a k-cycle.
     """
-    scale = params.rho * thermal_factor(params.d, params.beta)
-    if not sys.float_info.min <= scale < INFINITE:  # so that 1/scale is finite
-        raise ValidationError(f"rho (4 pi beta)^(d/2) = {scale} leaves the float range")
-    c = 1.0 / scale
-    return c * k ** (-(1.0 + params.d / 2.0))
+    d = params.d
+    c = 1.0 / _density_scale(d, params.rho, thermal_factor(d, params.beta))
+    return c * k ** (-(1.0 + d / 2.0))
 
 
 def critical_density(d: int, beta: float) -> float:
@@ -193,11 +207,7 @@ def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> 
     d = 2 inverts g_1 in closed form, d = 1 brackets the root between analytic
     bounds on g_(1/2), and d >= 3 searches up from g_{d/2}(0) = zeta(d/2).
     """
-    target = rho * factor
-    if target == INFINITE:
-        raise ValidationError(f"rho (4 pi beta)^(d/2) overflows at d={d}, rho={rho}")
-    if target == 0.0:
-        raise PrecisionError(f"rho (4 pi beta)^(d/2) underflows to 0 at d={d}, rho={rho}")
+    target = _density_scale(d, rho, factor)
     if d == 2:  # g_1(alpha) = -log(1 - e^-alpha), checked at the float alpha
         alpha = -_log1mexp(target)
         if not (alpha > 0.0 and abs(_log1mexp(alpha) + target) <= tol * target):

@@ -307,10 +307,13 @@ class TestExitCodes:
             (["alpha", "--d", "2", "--beta", "1", "--rho", "59.3"],
              3, "alpha is not certified to 1e-10 in floats at d=2, rho=59.3"),
             (["alpha", "--d", "1", "--beta", "0.001", "--rho", "5e-324"],
-             3, "rho (4 pi beta)^(d/2) underflows to 0 at d=1, rho=5e-324"),
+             2, "rho (4 pi beta)^(d/2) = 0.0 is below the normal floats at d=1, rho=5e-324"),
+            # subnormal: about 15 significant bits, too few to certify alpha
+            (["alpha", "--d", "2", "--beta", "1", "--rho", "1e-320"],
+             2, "rho (4 pi beta)^(d/2) = 1.2566e-319 is below the normal floats at d=2, rho=1e-320"),
         ],
         ids=["K-cap", "k-report-huge", "k-report-above-n", "burn-in", "target-overflow",
-             "alpha-underflow", "target-underflow"],
+             "alpha-underflow", "target-underflow", "target-subnormal"],
     )
     def test_edge_sizes_exit_with_a_message_naming_the_input(self, capsys, argv, code, message):
         got, out, err = run_cli(capsys, argv)

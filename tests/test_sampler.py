@@ -1,10 +1,13 @@
 """Tests for the split/merge chain: reversibility, exactness, condensation."""
 
 import copy
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cyclegas.errors import CapError, ValidationError
@@ -12,16 +15,16 @@ from cyclegas.exactz import log_weight, mu_N_expected_shape
 from cyclegas.partitions import Partition, enumerate_partitions
 from cyclegas.sampler import (
     ChainState,
+    CycleStats,
     _cycle_log_constants,
     default_threshold,
     long_cycle_fraction_scan,
-    merge_move_terms,
     run_chain,
-    split_move_terms,
 )
 from cyclegas.thermo import SystemParams, critical_density
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
+LOG2 = math.log(2.0)
 
 
 def occ_stats(occ: dict[int, int]) -> tuple[int, int]:
@@ -29,8 +32,84 @@ def occ_stats(occ: dict[int, int]) -> tuple[int, int]:
 
 
 def log_table(n: int) -> list[float]:
-    """L[r] = log r for r <= n + 2, the table ChainState passes the move terms."""
+    """L[r] = log r for r <= n + 2, the table ChainState keeps as _L."""
     return [-math.inf] + [math.log(r) for r in range(1, n + 3)]
+
+
+def split_move_terms(
+    occ: dict[int, int],
+    c: list[float],
+    L: list[float],
+    m: int,
+    k2: int,
+    k: int,
+    j: int,
+) -> tuple[float, float]:
+    """(delta log weight, log Hastings ratio) for splitting a k-cycle at j.
+
+    The kernel's split terms written as a function: reference_step checks
+    the kernel against it bit for bit.  occ/m/k2 describe the state before
+    the move; the move must be legal (occ[k] >= 1, k >= 2, 1 <= j <= k-1).
+    L[r] = log r, so a ratio of factorials r!/(r-1)! is L[r] and log C(m, 2)
+    is L[m] + L[m-1] - log 2.
+    """
+    j2 = k - j
+    dlw = -c[k] + L[occ[k]]
+    rj = occ.get(j, 0)
+    log_fwd = -L[k2] - L[k - 1]
+    if j == j2:
+        dlw += 2.0 * c[j] - (L[rj + 2] + L[rj + 1])
+        log_pairs = L[rj + 2] + L[rj + 1] - LOG2
+    else:
+        rj2 = occ.get(j2, 0)
+        dlw += c[j] - L[rj + 1]
+        dlw += c[j2] - L[rj2 + 1]
+        log_pairs = L[rj + 1] + L[rj2 + 1]
+        log_fwd += LOG2
+    log_rev = log_pairs - (L[m + 1] + L[m] - LOG2)
+    return dlw, log_rev - log_fwd
+
+
+def merge_move_terms(
+    occ: dict[int, int],
+    c: list[float],
+    L: list[float],
+    m: int,
+    k2: int,
+    a: int,
+    b: int,
+) -> tuple[float, float]:
+    """(delta log weight, log Hastings ratio) for merging an a- and a b-cycle.
+
+    The kernel's merge terms written as a function (see split_move_terms).
+    occ/m/k2 describe the state before the move; requires two distinct
+    cycles of lengths a and b (occ[a] >= 2 when a == b).  L[r] = log r.
+    """
+    s = a + b
+    rs = occ.get(s, 0)
+    ra = occ[a]
+    k2_new = k2
+    if a == b:
+        dlw = -2.0 * c[a] + L[ra] + L[ra - 1]
+        log_pairs = L[ra] + L[ra - 1] - LOG2
+        log_rev = 0.0
+        if a >= 2 and ra == 2:
+            k2_new -= 1
+    else:
+        rb = occ[b]
+        dlw = (-c[a] + L[ra]) + (-c[b] + L[rb])
+        log_pairs = L[ra] + L[rb]
+        log_rev = LOG2
+        if a >= 2 and ra == 1:
+            k2_new -= 1
+        if b >= 2 and rb == 1:
+            k2_new -= 1
+    dlw += c[s] - L[rs + 1]
+    if rs == 0:
+        k2_new += 1
+    log_fwd = log_pairs - (L[m] + L[m - 1] - LOG2)
+    log_rev -= L[k2_new] + L[s - 1]
+    return dlw, log_rev - log_fwd
 
 
 def lgamma_split_terms(occ, c, lg, m, k2, k, j):
@@ -145,23 +224,30 @@ def proposed(snapshot: tuple) -> int:
 def replayed_sums(p, steps, seed, burn_in, thin, k_report, threshold):
     """Integer sums over run_chain's sample points, replayed on the kernel.
 
-    Returns (n_samples, sums of r_k for k = 1..k_report, long-cycle mass
-    sum_{k>threshold} k r_k, tail mass sum_{k>k_report} k r_k).
+    Steps a bare kernel from sample point to sample point and walks the
+    occupations at each.  Returns (n_samples, sums of r_k for k = 1..k_report,
+    long-cycle mass sum_{k>threshold} k r_k, tail mass sum_{k>k_report} k r_k,
+    per-batch rows [long-cycle mass, r_1, ..., r_k_report] with the leftover
+    samples' row last).
     """
     st = ChainState(p, seed=seed)
     n_samples = (steps - burn_in + thin - 1) // thin
-    r_sums = [0] * k_report
-    long_sum = tail_sum = 0
+    nb = min(50, n_samples)
+    batch_size = n_samples // nb
+    rows = [[0] * (k_report + 1) for _ in range(nb + 1)]
+    tail_sum = 0
     for i in range(n_samples):
         st._advance(thin if i else burn_in + 1)
+        row = rows[min(i // batch_size, nb)]
         for k, r in st.occ.items():
             if k <= k_report:
-                r_sums[k - 1] += r
+                row[k] += r
             else:
                 tail_sum += k * r
             if k > threshold:
-                long_sum += k * r
-    return n_samples, r_sums, long_sum, tail_sum
+                row[0] += k * r
+    sums = [sum(column) for column in zip(*rows)]
+    return n_samples, sums[1:], sums[0], tail_sum, rows
 
 
 class TestMoveAlgebra:
@@ -334,18 +420,60 @@ class TestRunChain:
              {"k_report": 20, "threshold": 10, "burn_in": 500, "thin": 7}),
             (SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=300),
              {"k_report": 30, "threshold": 44, "burn_in": 3000, "thin": 10}),
+            # lengths 4..8 count in both tallies
+            (SystemParams(3, 0.25, 1.0, n=8),
+             {"k_report": 8, "threshold": 3, "burn_in": 1000, "thin": 10}),
+            (SystemParams(1, 1.0, 1.0, n=60),
+             {"k_report": 0, "threshold": 10, "burn_in": 500, "thin": 7}),
+            (SystemParams(2, 0.5, 1.0, n=40),
+             {"k_report": 10, "threshold": 5, "burn_in": 100, "thin": 1}),
+            (SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=100),
+             {"k_report": 30, "threshold": 21, "burn_in": 0, "thin": 10}),
+            # one 1-cycle, every move auto-rejected; threshold 0 makes it long
+            (SystemParams(3, 1.0, 1.0, n=1),
+             {"k_report": 1, "threshold": 0, "burn_in": 10, "thin": 3}),
+            # 75 samples: 50 batches of 1 and a leftover row of 25
+            (SystemParams(2, 0.5, 1.0, n=40),
+             {"k_report": 10, "threshold": 5, "burn_in": 0, "thin": 401}),
         ],
-        ids=["n60-d1", "n300-condensed"],
+        ids=["n60-d1", "n300-condensed", "k-report-above-threshold", "k-report-0",
+             "thin-1", "burn-in-0", "n1", "leftover-samples"],
     )
     def test_means_are_exact_ratios_of_counts(self, p, knobs):
-        # each float field is the integer sum over n * n_samples, rounded once
+        # each float field is the integer sum over n * n_samples, rounded once,
+        # and the batch-means errors come from the same per-batch integers
         stats = run_chain(p, steps=30_000, seed=7, **knobs)
-        n_samples, r_sums, long_sum, tail_sum = replayed_sums(p, 30_000, 7, **knobs)
+        n_samples, r_sums, long_sum, tail_sum, rows = replayed_sums(p, 30_000, 7, **knobs)
         denom = p.n * n_samples
         assert stats.n_samples == n_samples
         assert stats.mean_qhat == tuple(float(Fraction(s, denom)) for s in r_sums)
         assert stats.long_cycle_fraction == float(Fraction(long_sum, denom))
         assert stats.tail_mass_mean == float(Fraction(tail_sum, denom))
+        nb = len(rows) - 1
+        batch_means = np.array(rows[:nb], dtype=np.float64) / (p.n * (n_samples // nb))
+        stderr = (np.std(batch_means, axis=0, ddof=1) / math.sqrt(nb)).tolist()
+        assert stats.fraction_stderr == stderr[0]
+        assert stats.qhat_stderr == tuple(stderr[1:])
+
+    @pytest.mark.parametrize(
+        "case, p, kwargs",
+        [
+            ("n2000-condensed",
+             SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=2000),
+             {"steps": 20_000, "seed": 2003}),
+            ("n8", SystemParams(3, 0.25, 1.0, n=8), {"steps": 10_000, "seed": 8}),
+            ("n60-d1", SystemParams(1, 1.0, 1.0, n=60),
+             {"steps": 30_000, "seed": 3, "k_report": 20, "threshold": 10,
+              "burn_in": 500, "thin": 7}),
+        ],
+        ids=["n2000-condensed", "n8", "n60-d1"],
+    )
+    def test_run_chain_matches_pinned_output(self, case, p, kwargs):
+        # every field, floats bit for bit, as run_chain gave it when samples
+        # were still taken by walking the occupations between kernel calls
+        golden = json.loads(Path(__file__).with_name("run_chain_golden.json").read_text())
+        want = {k: tuple(v) if isinstance(v, list) else v for k, v in golden[case].items()}
+        assert run_chain(p, **kwargs) == CycleStats(**want)
 
     def test_stderr_shrinks_with_more_steps(self):
         # fast-mixing local observable so batch means are effectively
@@ -377,10 +505,11 @@ class TestRunChain:
             state.audit()
 
     def test_every_run_audits_its_cached_weight(self, monkeypatch):
+        # run_chain drives its whole chain through one kernel call
         advance = ChainState._advance
 
-        def drifting_advance(self, count):
-            landed = advance(self, count)
+        def drifting_advance(self, count, sampling=None):
+            landed = advance(self, count, sampling)
             self.log_weight += 1e-6
             return landed
 

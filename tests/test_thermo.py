@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -20,6 +21,7 @@ from cyclegas.thermo import (
     critical_density,
     free_energy,
     optimal_shape,
+    qhat_star,
     solve_alpha,
     thermal_factor,
 )
@@ -250,6 +252,20 @@ class TestSolveAlpha:
             assert abs(g - target) <= (tol + 1e-13) * target, (t, alpha)
             certified += 1
         assert certified > 600
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_subnormal_target_is_outside_the_domain(self, d):
+        # a subnormal rho (4 pi beta)^(d/2) (here 0 to 1.3e-319) keeps at most
+        # 15 significant bits: the root solver refuses it as qhat_star does
+        for rho in (1e-320, 5e-324):
+            params = SystemParams(d, 1.0, rho)
+            for call in (lambda: solve_alpha(params), lambda: qhat_star(params, 1.0)):
+                with pytest.raises(ValidationError, match="below the normal floats"):
+                    call()
+        # twice the smallest normal float still certifies
+        factor = thermal_factor(d, 1.0)
+        sol = solve_alpha(SystemParams(d, 1.0, 2.0 * sys.float_info.min / factor))
+        assert 700.0 < sol.alpha < 710.0
 
     def test_alpha_decreasing_in_rho(self):
         rho_c = critical_density(3, BETA_UNIT)
