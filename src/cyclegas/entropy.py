@@ -26,6 +26,7 @@ from .exactz import _logsumexp
 from .thermo import (
     REGIME_CONDENSED,
     SystemParams,
+    _MIN_TOL,
     _bracketed_root,
     qhat_star,
     solve_alpha,
@@ -149,16 +150,17 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
 
     Stationarity gives Qhat(k) = Qhat*(k) e^(-lambda k); lambda solves the
     scalar constraint sum_k k Qhat(k) = 1 to |residual| <= min(tol, 1e-7)
-    with thermo._bracketed_root, the root solver of the density equation
-    (lambda < 0 is allowed: the truncated problem is always feasible).  In
-    the normal regime lambda approaches the root of the density equation as
-    K grows; in the condensed regime lambda approaches 0 from below and mass
-    concentrates at k = K.
+    with thermo._bracketed_root, the root solver of the density equation,
+    between 0 and a far end that an elementary bound proves (lambda < 0 is
+    allowed: the truncated problem is always feasible).  tol lies in
+    [1e-13, 1), the domain of solve_alpha.  In the normal regime lambda
+    approaches the root of the density equation as K grows; in the condensed
+    regime lambda approaches 0 from below and mass concentrates at k = K.
     """
     if K < 100:
         raise ValidationError(f"K must be >= 100, got {K}")
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tol must be in (0, 1), got {tol}")
+    if not _MIN_TOL <= tol < 1.0:
+        raise ValidationError(f"tol must be in [{_MIN_TOL}, 1), got {tol}")
     qs = qhat_star_array(params, K)
     ks = np.arange(1, K + 1, dtype=np.float64)
     log_base = np.log(ks * qs)
@@ -169,20 +171,21 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
     def residual(lam: float) -> tuple[float, float]:
         return math.expm1(_log_constraint_mass(lam, log_base, ks)), 0.0
 
-    # the mass falls as lambda rises: search above 0 when it exceeds 1 there
+    # the mass falls as lambda rises: the root is above 0 when r0 > 0
     r0 = residual(0.0)[0]
     if r0 > 0.0:
-        lam, res = _bracketed_root(residual, 0.0, r0, 1.0, tol)
+        # mass = Qhat*(1) sum_k k^(-d/2) e^(-lambda k) < Qhat*(1)/(e^lambda - 1) = 1 at b
+        lam, res = _bracketed_root(residual, 0.0, r0, math.log1p(float(qs[0])), tol)
     else:
-        # below 0 the mass grows about linearly in the boundary term K Qhat(K)
-        # = e^(log_base[-1] - lambda K); a step that rounds to a boundary term
-        # v <= 0 maps outside the bracket, which makes it a bisection
+        # the boundary term K Qhat(K) = e^(log_base[-1] - lambda K) alone is 1 at
+        # b = log_base[-1] / K; the mass grows about linearly in it, and a step
+        # that rounds to a term v <= 0 maps outside the bracket, so it bisects
         log_top = float(log_base[-1])
         boundary = (
             lambda lam: math.exp(log_top - lam * K),
             lambda v: (log_top - math.log(v)) / K if v > 0.0 else math.inf,
         )
-        lam, res = _bracketed_root(residual, 0.0, r0, -1.0 / K, tol, boundary)
+        lam, res = _bracketed_root(residual, 0.0, r0, log_top / K, tol, boundary)
 
     qh = qs * np.exp(-lam * ks)
     shape = TruncatedShape(qh, relaxed=False)

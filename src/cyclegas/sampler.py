@@ -389,8 +389,9 @@ class CycleStats(NamedTuple):
 
 
 def default_threshold(n: int) -> int:
-    """Long-cycle cutoff separating O(1) cycles from extensive ones."""
-    return int(n ** (2.0 / 3.0))
+    """floor(n^(2/3)), the cutoff separating O(1) cycles from extensive ones."""
+    t = round(n ** (2.0 / 3.0))  # n ** (2/3) rounds just under the integer at perfect cubes
+    return t - 1 if t**3 > n * n else t
 
 
 def run_chain(

@@ -154,41 +154,36 @@ def _bracketed_root(
     tol_abs: float,
     u: tuple[Callable[[float], float], Callable[[float], float]] = (float, float),
 ) -> tuple[float, float]:
-    """The x where a decreasing f crosses zero, and f(x).
+    """The x between a and b where a decreasing f crosses zero, and f(x).
 
     f(x) returns (value, error_bound); f has the sign of f_a at a, where it is
-    not evaluated.  The far end starts at b and doubles its distance from a
-    until f certifiably changes sign there.  The bracket [lo, hi] is then
-    narrowed by regula falsi with the Illinois modification (Dowell & Jarratt,
-    BIT 11, 168 (1971)), which halves the value kept at an end retained twice
-    in a row, in the coordinate u[0] (inverse u[1], by default the identity) in
-    which f is about linear; steps that leave the open bracket bisect.  Returns
-    the first evaluation with |f(x)| + error_bound <= tol_abs; PrecisionError
-    after 400 evaluations or at float resolution.
+    not evaluated, and the caller proves that f has the other sign at b.  The
+    bracket is narrowed by regula falsi with the Illinois modification (Dowell
+    & Jarratt, BIT 11, 168 (1971)), which halves the value kept at an end
+    retained twice in a row, in the coordinate u[0] (inverse u[1], by default
+    the identity) in which f is about linear; steps that leave the open
+    bracket bisect.  Returns the first evaluation, b's included, with
+    |f(x)| + error_bound <= tol_abs; PrecisionError after 400 evaluations or
+    at float resolution.
     """
     to_u, from_u = u
-    lo = hi = a  # until the sign change is found
-    f_lo = f_hi = f_a
+    f_b, error = f(b)
+    if abs(f_b) + error <= tol_abs:
+        return b, f_b
+    lo, hi, f_lo, f_hi = (a, b, f_a, f_b) if a < b else (b, a, f_b, f_a)
     kept = None  # the end the last step left in place
-    for _ in range(400):
+    x = b
+    for _ in range(399):
         mid = 0.5 * (lo + hi)
-        if lo == hi:
-            x = b
-        else:
-            u_lo, u_hi = to_u(lo), to_u(hi)
-            step = from_u(u_lo + f_lo * (u_hi - u_lo) / (f_lo - f_hi))
-            x = step if lo < step < hi else mid
+        if mid == lo or mid == hi:
+            break  # bracket at floating-point resolution
+        u_lo, u_hi = to_u(lo), to_u(hi)
+        step = from_u(u_lo + f_lo * (u_hi - u_lo) / (f_lo - f_hi))
+        x = step if lo < step < hi else mid
         f_x, error = f(x)
         if abs(f_x) + error <= tol_abs:
             return x, f_x
-        if lo == hi:
-            if (f_x if b > a else -f_x) + error < 0.0:
-                lo, hi, f_lo, f_hi = (a, b, f_a, f_x) if b > a else (b, a, f_x, f_a)
-            else:
-                b = a + 2.0 * (b - a)
-        elif mid == lo or mid == hi:
-            break  # bracket at floating-point resolution
-        elif f_x > 0.0:
+        if f_x > 0.0:
             lo, f_lo = x, f_x
             if kept == "hi":
                 f_hi *= 0.5
@@ -204,8 +199,9 @@ def _bracketed_root(
 def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> float:
     """The unique alpha > 0 with g_{d/2}(alpha) = rho (4 pi beta)^(d/2).
 
-    d = 2 inverts g_1 in closed form, d = 1 brackets the root between analytic
-    bounds on g_(1/2), and d >= 3 searches up from g_{d/2}(0) = zeta(d/2).
+    d = 2 inverts g_1 in closed form; d = 1 and d >= 3 narrow a bracket whose
+    ends analytic bounds on g_{d/2} prove: [0, log1p(1/target)] at d >= 3,
+    where g_{d/2}(0) = zeta(d/2) lies above the target.
     """
     target = _density_scale(d, rho, factor)
     if d == 2:  # g_1(alpha) = -log(1 - e^-alpha), checked at the float alpha
@@ -219,12 +215,14 @@ def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> 
         g = bose_g(d / 2.0, alpha, inner)
         return g.value - target, g.error_bound
 
+    # g_s(alpha) < sum_k e^(-alpha k) = 1/(e^alpha - 1) term by term, so g_s < target at b
+    b = math.log1p(1.0 / target)
     if d >= 3:
-        return _bracketed_root(excess, 0.0, rho_c * factor - target, 1.0, tol * target)[0]
+        return _bracketed_root(excess, 0.0, rho_c * factor - target, b, tol * target)[0]
     # sqrt(pi/alpha) - 2 < g_(1/2)(alpha) < sqrt(pi/alpha) by integral comparison and
-    # e^-alpha < g_(1/2)(alpha) < 1/(e^alpha - 1) term by term; dividing twice cannot overflow
+    # e^-alpha < g_(1/2)(alpha) term by term; dividing twice cannot overflow
     a = max(math.pi / (target + 2.0) / (target + 2.0), -math.log(target))
-    b = min(math.pi / target / target, math.log1p(1.0 / target))
+    b = min(math.pi / target / target, b)
     if a == 0.0:
         raise PrecisionError(f"alpha underflows at d=1, rho={rho}")
     u = (lambda x: x**-0.5, lambda v: v**-2.0)  # in which g_(1/2) is about linear
@@ -257,24 +255,16 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
         regime = REGIME_NORMAL
         alpha = _solve_root(d, rho, factor, tol, rho_c)
 
-    s_energy = (d + 2.0) / 2.0
-    if regime == REGIME_NORMAL:
-        g = bose_g(s_energy, alpha, max(tol * 1e-2, 1e-14))
-        f = -g.value / (factor * beta) - rho * alpha / beta
-        fraction = 0.0
-    else:
-        z = zeta(s_energy, _MIN_TOL)
-        f = -z.value / (factor * beta)
-        fraction = max(0.0, 1.0 - rho_c / rho)
-    chi_val = beta * f / rho
+    g = bose_g((d + 2.0) / 2.0, alpha, max(tol * 1e-2, 1e-14))  # zeta at alpha = 0
+    f = -g.value / (factor * beta) - rho * alpha / beta
     return ThermoSolution(
         regime=regime,
         alpha=alpha,
         rho_c=rho_c,
         beta_c=beta_c,
-        condensate_fraction=fraction,
+        condensate_fraction=max(0.0, 1.0 - rho_c / rho),
         free_energy=f,
-        chi=chi_val,
+        chi=beta * f / rho,
     )
 
 

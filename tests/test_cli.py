@@ -234,7 +234,7 @@ class TestExitCodes:
         assert out == ""
         assert "invalid" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "1e300"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e300", "1e-20"])
     @pytest.mark.parametrize("command", ["phase", "alpha", "free-energy", "minimize"])
     def test_meaningless_tol(self, capsys, command, tol):
         code, out, err = run_cli(

@@ -231,7 +231,7 @@ class TestMinimizeS:
     def test_constraint_and_K_validation(self):
         with pytest.raises(ValidationError):
             minimize_S(normal_params(), K=99)
-        for tol in (0.0, 1.0, 1e300, math.inf, math.nan):
+        for tol in (0.0, 1e-20, 1e-14, 1.0, 1e300, math.inf, math.nan):
             with pytest.raises(ValidationError):
                 minimize_S(normal_params(), K=500, tol=tol)
 
@@ -262,6 +262,16 @@ class TestMinimizeS:
         res = minimize_S(params, K=K, tol=tol)
         assert abs(res.constraint_residual) <= tol
         assert len(calls) <= 24, calls
+        # the proven bracket: the mass Qhat*(1) sum_k k^(-d/2) e^(-lam k) is
+        # below Qhat*(1)/(e^lam - 1) = 1 at lam = log1p(Qhat*(1)), and the
+        # boundary term alone, K Qhat*(K) e^(-lam K), is 1 at lam = log(K Qhat*(K))/K
+        qs = qhat_star_array(params, K)
+        ks = np.arange(1, K + 1, dtype=np.float64)
+        if float(np.sum(ks * qs)) > 1.0:
+            lo, hi = 0.0, math.log1p(float(qs[0]))
+        else:
+            lo, hi = math.log(K * float(qs[-1])) / K, 0.0
+        assert all(lo <= lam <= hi for lam in calls), (lo, hi, calls)
 
     @given(
         d=st.integers(1, 3),

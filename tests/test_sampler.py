@@ -536,8 +536,11 @@ class TestRunChain:
             ChainState(SystemParams(3, 1.0, 1.0, n=200_000))
 
     def test_default_threshold_scaling(self):
-        assert default_threshold(1000) == 99
-        assert default_threshold(8000) == 399 or default_threshold(8000) == 400
+        # floor(n^(2/3)) exactly, perfect cubes included
+        assert [default_threshold(n) for n in (8, 27, 64, 1000, 8000)] == [4, 9, 16, 100, 400]
+        for n in range(1, 10**5 + 1):
+            t = default_threshold(n)
+            assert t**3 <= n * n < (t + 1) ** 3, n
 
 
 class TestCondensationSignal:

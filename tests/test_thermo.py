@@ -213,26 +213,68 @@ class TestSolveAlpha:
                 # the analytic bracket is narrow around these small-alpha roots
                 assert len(calls) <= 8, (target, len(calls))
 
-    def test_d1_bracket_holds_the_root(self, monkeypatch):
-        # sqrt(pi/alpha) - 2 < g_(1/2)(alpha) < sqrt(pi/alpha) and
-        # e^-alpha < g_(1/2)(alpha) < 1/(e^alpha - 1) put the root in [a, b];
-        # f(a) and f(b) are certified of opposite signs where the bounds
-        # survive rounding (below 10^-14.75 a and b are one float)
+    @staticmethod
+    def _bracket_ladder(d):
+        """Densities from 1e-300 up: to 10^15 / (4 pi)^(d/2) at d = 1, to 0.999 rho_c else."""
+        if d == 1:
+            return [10.0 ** (k / 4) / thermal_factor(1, 1.0) for k in range(-56, 61)]
+        rho_c = critical_density(d, 1.0)
+        return [10.0 ** (k / 4) for k in range(-1200, 0) if 10.0 ** (k / 4) < 0.999 * rho_c] + [
+            0.999 * rho_c
+        ]
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 5])
+    def test_bracket_holds_the_root(self, monkeypatch, d):
+        # d = 1: sqrt(pi/alpha) - 2 < g_(1/2)(alpha) < sqrt(pi/alpha) and
+        # e^-alpha < g_(1/2)(alpha) put the root in [a, b]; every d: g_s(alpha)
+        # < 1/(e^alpha - 1) puts it below b = log1p(1/t), and d >= 3 starts at
+        # g_{d/2}(0) = zeta(d/2) > t.  f(a) and f(b) are certified of opposite
+        # signs where the bounds survive rounding; where t - g_{d/2}(b), of
+        # order t^2, is below the float resolution of t (d >= 3, t below about
+        # 1e-15; d = 1 is stopped at 10^-14), b is the certified root instead
         brackets = []
         bracketed_root = thermo._bracketed_root
 
-        def recording(f, a, f_a, b, tol_abs, u):
-            brackets.append((f, a, b))
-            return bracketed_root(f, a, f_a, b, tol_abs, u)
+        def recording(f, a, f_a, b, tol_abs, u=(float, float)):
+            root = bracketed_root(f, a, f_a, b, tol_abs, u)
+            brackets.append((f, a, b, tol_abs, root[0]))
+            return root
 
         monkeypatch.setattr(thermo, "_bracketed_root", recording)
-        for k in range(-56, 61):
+        for rho in self._bracket_ladder(d):
             brackets.clear()
-            solve_alpha(SystemParams(1, 1.0, 10.0 ** (k / 4) / thermal_factor(1, 1.0)))
-            [(f, a, b)] = brackets
+            solve_alpha(SystemParams(d, 1.0, rho))
+            [(f, a, b, tol_abs, alpha)] = brackets
             f_a, err_a = f(a)
             f_b, err_b = f(b)
-            assert a < b and f_a - err_a > 0.0 and f_b + err_b < 0.0, k
+            assert a < b and f_a - err_a > 0.0, rho
+            assert f_b + err_b < 0.0 or (d >= 3 and alpha == b and abs(f_b) + err_b <= tol_abs), rho
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-4])
+    @pytest.mark.parametrize("d", [1, 3, 4, 5])
+    def test_root_evaluations_stay_in_the_bracket(self, monkeypatch, d, tol):
+        # every g_s(alpha) that solve_alpha evaluates, the energy term's
+        # included, lies in the proven bracket; searching out from alpha = 1
+        # left it at d >= 3 whenever t > 0.58, where log1p(1/t) < 1
+        calls, brackets = [], []
+        bracketed_root = thermo._bracketed_root
+
+        def recording(f, a, f_a, b, tol_abs, u=(float, float)):
+            brackets.append((a, b))
+            return bracketed_root(f, a, f_a, b, tol_abs, u)
+
+        def recording_bose_g(s, alpha, *args, **kwargs):
+            calls.append(alpha)
+            return bose_g(s, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(thermo, "_bracketed_root", recording)
+        monkeypatch.setattr(thermo, "bose_g", recording_bose_g)
+        for rho in self._bracket_ladder(d)[::8]:
+            calls.clear()
+            brackets.clear()
+            solve_alpha(SystemParams(d, 1.0, rho), tol)
+            [(a, b)] = brackets
+            assert calls and all(a <= alpha <= b for alpha in calls), (rho, a, b, calls)
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-4])
     @pytest.mark.parametrize("d", [1, 2])
