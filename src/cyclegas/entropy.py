@@ -11,13 +11,18 @@ solver as the density equation (thermo._bracketed_root).
 In the condensed regime the truncated dual root sits below zero and the
 constraint mass piles up at k = K; that boundary mass is the finite-K shadow
 of the escaping minimising sequences and is reported, never suppressed.
+
+Outside minimize_S every K-long step runs over blocks of k (_blocks): each
+element is the whole-vector formula in the same operation order, so Qhat* is
+bit-identical to it, each sum is the math.fsum of the blocks' np.sums, and
+no K-sized temporary is made beyond the shape itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,6 +38,20 @@ from .thermo import (
 )
 
 _MASS_ATOL = 1e-7
+_BLOCK = 1 << 14  # lengths k per block, 128 KB of float64: the fastest of 2^13..2^15 timed
+
+
+def _blocks(K: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, ks) for the blocks of k = 1..K, ks = k[lo:hi] = lo+1..hi.
+
+    ks is a view into one buffer that the next step overwrites.
+    """
+    ks = np.arange(1.0, min(K, _BLOCK) + 1.0)
+    for lo in range(0, K, _BLOCK):
+        if lo:
+            ks += _BLOCK  # whole numbers below 2^53: exact
+        hi = min(lo + _BLOCK, K)
+        yield lo, hi, ks[: hi - lo]
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +72,7 @@ class TruncatedShape:
         object.__setattr__(self, "qhat", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("qhat must be a nonempty 1-d sequence")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        if not (arr.min() >= 0.0 and arr.max() < math.inf):  # NaN fails both
             raise ValidationError("qhat entries must be finite and >= 0")
         mass = self.constraint_mass
         if mass > 1.0 + _MASS_ATOL:
@@ -69,7 +88,8 @@ class TruncatedShape:
 
     @property
     def constraint_mass(self) -> float:
-        return float(np.arange(1, self.qhat.size + 1, dtype=np.float64) @ self.qhat)
+        qh = self.qhat
+        return math.fsum(float(ks @ qh[lo:hi]) for lo, hi, ks in _blocks(qh.size))
 
 
 def qhat_star_array(params: SystemParams, K: int) -> np.ndarray:
@@ -77,7 +97,24 @@ def qhat_star_array(params: SystemParams, K: int) -> np.ndarray:
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     check_cap("shape", K)
-    return qhat_star(params, np.arange(1, K + 1, dtype=np.float64))
+    out = np.empty(K)
+    for lo, hi, ks in _blocks(K):
+        out[lo:hi] = qhat_star(params, ks)
+    return out
+
+
+def _xlogx_sum(x: np.ndarray, ref: np.ndarray, minus_one: bool) -> float:
+    """np.sum of x log(x/ref), less x when minus_one; 0 where x is 0.
+
+    Overwrites ref.  A call per block frees the block's temporaries.
+    """
+    pos = x > 0
+    np.divide(x, ref, out=ref, where=pos)
+    np.log(ref, out=ref, where=pos)
+    if minus_one:
+        np.subtract(ref, 1.0, out=ref, where=pos)
+    np.multiply(x, ref, out=ref)  # 0 where x is 0: ref is finite there
+    return float(np.sum(ref))
 
 
 def functional_S(shape: TruncatedShape, params: SystemParams) -> float:
@@ -86,14 +123,11 @@ def functional_S(shape: TruncatedShape, params: SystemParams) -> float:
     Zero increments contribute zero (x log x -> 0).  The sum is finite and
     exact up to float rounding; no tolerance applies.
     """
+    check_cap("shape", shape.K)
     qh = shape.qhat
-    terms = qhat_star_array(params, shape.K)  # overwritten in place
-    pos = qh > 0
-    np.divide(qh, terms, out=terms, where=pos)
-    np.log(terms, out=terms, where=pos)
-    np.subtract(terms, 1.0, out=terms, where=pos)
-    np.multiply(qh, terms, out=terms)  # 0 where qh is 0
-    return float(np.sum(terms))
+    return math.fsum(
+        _xlogx_sum(qh[lo:hi], qhat_star(params, ks), True) for lo, hi, ks in _blocks(shape.K)
+    )
 
 
 class EntropyDecomposition(NamedTuple):
@@ -110,21 +144,22 @@ def entropy_decomposition(
 
     P = Qhat/q and P* = Qhat*/q* are the normalised increment profiles;
     H is their relative entropy.  reconstructed_S must agree with
-    functional_S to float precision.
+    functional_S to float precision.  One pass over the blocks sums q and
+    q*, a second sums H.
     """
+    check_cap("shape", shape.K)
     qh = shape.qhat
-    qs = qhat_star_array(params, shape.K)
-    q = float(np.sum(qh))
+    parts = [(np.sum(qh[lo:hi]), np.sum(qhat_star(params, ks))) for lo, hi, ks in _blocks(shape.K)]
+    q, q_star = (math.fsum(column) for column in zip(*parts))
     if q <= 0.0:
         raise ValidationError("decomposition needs total increment mass q > 0")
-    q_star = float(np.sum(qs))
-    p = qh / q
-    terms = np.divide(qs, q_star, out=qs)  # P*, then overwritten in place
-    pos = p > 0
-    np.divide(p, terms, out=terms, where=pos)
-    np.log(terms, out=terms, where=pos)
-    np.multiply(p, terms, out=terms)  # 0 where p is 0
-    h = float(np.sum(terms))
+
+    def h_block(lo: int, hi: int, ks: np.ndarray) -> float:
+        p_star = qhat_star(params, ks)
+        p_star /= q_star
+        return _xlogx_sum(qh[lo:hi] / q, p_star, False)
+
+    h = math.fsum(h_block(*block) for block in _blocks(shape.K))
     reconstructed = q * h + q * math.log(q / q_star) - q
     return EntropyDecomposition(q, q_star, h, reconstructed)
 

@@ -51,7 +51,8 @@ CAPS = {
     "permutations": Cap(9, "9! = 362,880 permutations"),
     # ChainState
     "chain": Cap(100_000, "O(n) chain state"),
-    # entropy.qhat_star_array (so minimize_S, minimizing_sequence); cost: minimize_S's peak
+    # entropy.qhat_star_array (so minimize_S, minimizing_sequence), functional_S and
+    # entropy_decomposition; cost: minimize_S's peak
     "shape": Cap(10**7, "480 MB: six float64 K-vectors in minimize_S", "K"),
     # bosefn.bose_g(method="direct")
     "bose_terms": Cap(10**8, "terms summed"),

@@ -3,11 +3,18 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cyclegas import bosefn
-from cyclegas.entropy import minimize_S, qhat_star_array
-from cyclegas.errors import CAPS, CapError, PrecisionError
+from cyclegas.entropy import (
+    TruncatedShape,
+    entropy_decomposition,
+    functional_S,
+    minimize_S,
+    qhat_star_array,
+)
+from cyclegas.errors import CAPS, CapError, PrecisionError, ValidationError
 from cyclegas.exactz import (
     brute_force_log_Z,
     confinement_log_Z_bracket,
@@ -93,6 +100,22 @@ def test_minimize_S_peaks_within_the_shape_cost(ratio):
     finally:
         tracemalloc.stop()
     assert stated <= peak <= stated + 64 * 1024
+
+
+@pytest.mark.parametrize("call", [functional_S, entropy_decomposition])
+def test_shape_functionals_keep_the_shape_cap_and_scale_check(monkeypatch, call):
+    # they take a built shape, so a shape one past a lowered cap stands in
+    # for one past the real cap
+    monkeypatch.setitem(CAPS, "shape", CAPS["shape"]._replace(limit=100))
+    params = SystemParams(3, 1.0, 1.0)
+    call(TruncatedShape(qhat_star_array(params, 100), relaxed=True), params)
+    shape = TruncatedShape(np.full(101, 1e-5), relaxed=True)
+    with pytest.raises(CapError) as err:
+        call(shape, params)
+    assert str(err.value) == f"K=101 exceeds the shape cap of 100 ({CAPS['shape'].cost})"
+    monkeypatch.undo()
+    with pytest.raises(ValidationError, match="below the normal floats"):
+        call(shape, SystemParams(2, 1.0, 1e-320))
 
 
 def test_term_caps_bound_the_certified_series(monkeypatch):

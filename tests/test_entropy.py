@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ from cyclegas.thermo import (
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
 log_constraint_mass = entropy._log_constraint_mass
+B = entropy._BLOCK
+BLOCK_EDGE_K = [1, B - 1, B, B + 1, 3 * B + 7]
+U = 2.0**-53
 
 
 def bisection_oracle(params: SystemParams, K: int, tol: float) -> float:
@@ -92,12 +96,27 @@ class TestTruncatedShape:
         assert shape.constraint_mass == 0.0
 
 
+class TestTruncatedShapeRefusals:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_bad_entry_in_the_last_block_is_refused(self, bad):
+        qh = np.zeros(3 * B + 7)
+        qh[-1] = bad
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            TruncatedShape(qh, relaxed=True)
+
+    def test_negative_zero_is_accepted(self):
+        qh = np.zeros(3 * B + 7)
+        qh[-1] = -0.0
+        assert TruncatedShape(qh, relaxed=True).constraint_mass == 0.0
+
+
 class TestReferenceShape:
+    @pytest.mark.parametrize("K", [5000] + BLOCK_EDGE_K)
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_array_is_the_scalar_definition(self, d):
+    def test_array_is_the_scalar_definition(self, d, K):
         params = SystemParams(d, 0.37, 1.9)
-        ks = np.arange(1, 5001.0)
-        got = qhat_star_array(params, 5000)
+        ks = np.arange(1, K + 1, dtype=float)
+        got = qhat_star_array(params, K)
         assert got.tobytes() == qhat_star(params, ks).tobytes()
 
 
@@ -400,3 +419,86 @@ class TestMinimizingSequence:
         params = condensed_params()
         with pytest.raises(ValidationError):
             minimizing_sequence(5000, params, K=1000)
+
+
+def blocked_sum_bound(x: np.ndarray) -> float:
+    """Bound on |fsum of per-block np.sums (or dots) - fsum of the whole vector|.
+
+    A block's sum or dot product of n <= B terms has error at most
+    gamma_B sum|x|, gamma_n = n u / (1 - n u), in any order (Higham,
+    Accuracy and Stability of Numerical Algorithms, chs. 3-4); the fsum of
+    the block sums and the reference fsum round once each, and a dot
+    product's terms are rounded once in the reference.
+    """
+    gamma = B * U / (1.0 - B * U)
+    return (gamma + 4.0 * U) * math.fsum(np.abs(x))
+
+
+def whole_vector_terms(x: np.ndarray, ref: np.ndarray, minus_one: bool) -> np.ndarray:
+    """x (log(x/ref) - 1), or x log(x/ref), with the ops of entropy; 0 where x is 0."""
+    pos = x > 0
+    t = np.log(x[pos] / ref[pos])
+    if minus_one:
+        t = t - 1.0
+    out = np.zeros_like(x)
+    out[pos] = x[pos] * t
+    return out
+
+
+def block_edge_shape(params: SystemParams, K: int) -> np.ndarray:
+    """Qhat* scaled to mass 1/2, zeroed over [B - 5, 2B + 5): the zeros cross
+    block edges and, at K = 3B + 7, fill the whole second block."""
+    qh = qhat_star_array(params, K)
+    qh[max(B - 5, 1) : 2 * B + 5] = 0.0
+    return qh * (0.5 / math.fsum(np.arange(1, K + 1) * qh))
+
+
+class TestBlockEdges:
+    @pytest.mark.parametrize("K", BLOCK_EDGE_K)
+    def test_sums_match_whole_vector_fsum(self, K):
+        params = condensed_params()
+        qh = block_edge_shape(params, K)
+        qs = qhat_star(params, np.arange(1, K + 1, dtype=float))
+        shape = TruncatedShape(qh, relaxed=True)
+
+        products = np.arange(1, K + 1) * qh
+        assert abs(shape.constraint_mass - math.fsum(products)) <= blocked_sum_bound(products)
+
+        terms = whole_vector_terms(qh, qs, True)
+        got = functional_S(shape, params)
+        assert math.isfinite(got)
+        assert abs(got - math.fsum(terms)) <= blocked_sum_bound(terms)
+
+        dec = entropy_decomposition(shape, params)
+        assert abs(dec.q - math.fsum(qh)) <= blocked_sum_bound(qh)
+        assert abs(dec.q_star - math.fsum(qs)) <= blocked_sum_bound(qs)
+        # with the call's q and q*, H's elements are the whole-vector ones
+        terms = whole_vector_terms(qh / dec.q, qs / dec.q_star, False)
+        assert math.isfinite(dec.relative_entropy)
+        assert abs(dec.relative_entropy - math.fsum(terms)) <= blocked_sum_bound(terms)
+        q, h = dec.q, dec.relative_entropy
+        assert dec.reconstructed_S == q * h + q * math.log(q / dec.q_star) - q
+
+
+class TestBlockedMemory:
+    """Working memory beyond the shape is a few blocks, independent of K."""
+
+    @staticmethod
+    def peak(call) -> int:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("K", [10**6, 2 * 10**6])
+    def test_peaks(self, K):
+        params = condensed_params()
+        vector, mb = 8 * K, 2**20
+        shape = minimizing_sequence(1000, params, K)
+        assert self.peak(lambda: functional_S(shape, params)) < mb
+        assert self.peak(lambda: entropy_decomposition(shape, params)) < mb
+        assert self.peak(lambda: qhat_star_array(params, K)) <= vector + mb
+        assert self.peak(lambda: minimizing_sequence(1000, params, K)) <= 2 * vector + mb
