@@ -310,8 +310,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"cyclegas {args.command}: {exc}\n")
         return 3
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            sys.stderr.write(f"cyclegas {args.command}: cannot write {args.output}: {reason}\n")
+            return 2
         sys.stderr.write(f"cyclegas {args.command}: wrote {args.output}\n")
     else:
         sys.stdout.write(text)

@@ -189,7 +189,7 @@ def mu_N_expected_shape(params: SystemParams) -> np.ndarray:
     ks = np.arange(1, n + 1)
     eq = np.exp(np.asarray(c[1:]) + log_z[n - ks] - log_z[n]) / n
     mass = float(ks @ eq)
-    if abs(mass - 1.0) > 1e-10:
+    if not abs(mass - 1.0) <= 1e-10:  # NaN fails too
         raise ValidationError(f"sum_k k E[Qhat(k)] = {mass}, expected 1")
     return eq
 

@@ -9,10 +9,11 @@ kinds are mutually reverse, and the Hastings ratio accounts exactly for
 occupation multiplicities and the offset choice.
 
 One kernel, ChainState._advance, makes every move, with the Hastings terms
-written out inline.  run_chain drives a whole chain through one call of it,
-and the kernel records each sample in its move loop at O(1) cost: the
-long-cycle mass is a running integer, and the sums of r_k are kept lazily,
-so the batch tallies are exact integers and no sample walks the occupations.
+written out inline.  run_chain drives a chain through three calls of it
+(burn-in, the sampled stretch, the rest), and in the sampled stretch the
+kernel records each sample in its move loop at O(1) cost: the long-cycle
+mass is a running integer, and the sums of r_k are kept lazily, so the batch
+tallies are exact integers and no sample walks the occupations.
 Chains are single-stream and deterministic given the seed; estimator errors
 use batch means.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -62,15 +64,13 @@ def _shape_occupations(params: SystemParams) -> dict[int, int]:
 
 
 class _Sampling(NamedTuple):
-    """Where run_chain samples the kernel, and the batch rows it fills.
+    """How often run_chain samples the kernel, and the batch rows it fills.
 
     tallies[b] = [long-cycle mass, r_1, ..., r_k_report] summed over batch
     b's samples; the last row takes the samples left over after the batches.
     """
 
-    first: int  # steps before the first sample
     thin: int
-    n_samples: int
     batch_size: int
     k_report: int
     threshold: int
@@ -94,13 +94,14 @@ class ChainState:
         # L[r] = log r for r <= n + 2; L[0] is never read by a legal move
         L = self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
         self._pairs = [L[r + 1] + L[r] - _LOG2 for r in range(self.n + 1)]
+        self._zeros = [0] * (self.n + 1)  # the tally tables of unsampled moves
         self.acceptance_counts = {
             "split": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
             "merge": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
         }
         self.occ: dict[int, int] = {}
         self.cycles: list[int] = []
-        self.pos_by_len: dict[int, set[int]] = {}
+        self.pos_by_len: defaultdict[int, set[int]] = defaultdict(set)
         self.split_keys: list[int] = []
         self.key_pos: dict[int, int] = {}
         for length, r in _shape_occupations(params).items():
@@ -154,7 +155,7 @@ class ChainState:
             if r == 1 and length >= 2:
                 key_pos[length] = len(split_keys)
                 split_keys.append(length)
-            pos_by_len.setdefault(length, set()).add(len(cycles))
+            pos_by_len[length].add(len(cycles))
             cycles.append(length)
 
     def _advance(self, count: int, sampling: Optional[_Sampling] = None) -> bool:
@@ -166,16 +167,18 @@ class ChainState:
         here; with L[r] = log r, a ratio of factorials r!/(r-1)! is L[r] and
         log C(r + 1, 2) is pairs[r] = L[r + 1] + L[r] - log 2.
 
-        With `sampling`, the kernel also records run_chain's samples into
-        sampling.tallies without leaving its loop: after the first segment
-        of sampling.first steps and after each later one of sampling.thin
-        steps, until n_samples are taken; the steps left over run
-        unrecorded.  The long-cycle mass is a running integer added to the
-        batch row at each sample.  The sum of r_k over samples is kept
-        lazily: a move that changes r_k by delta when t samples have been
-        taken adds -delta * t; a batch row closing at T samples reads that
-        sum plus r_k * T, and the next batch's sum starts at -r_k * T.
-        Without `sampling` none of this is set up.
+        With `sampling`, the kernel also records count // thin + 1 samples
+        into sampling.tallies without leaving its loop: one before the first
+        move and one after every thin-th (count is a multiple of thin).  Each
+        accepted move updates two per-length tables with no test of k_report
+        or the threshold.  The long-cycle mass is a running integer, changed
+        by big[added] - big[removed] (big[x] = x past the threshold, else 0)
+        and added to the batch row at each sample.  The sum of r_k over
+        samples is kept lazily: a move that changes r_k by delta when t
+        samples have been taken adds -delta * t to lazy[k]; a batch row
+        closing at T samples reads that sum plus r_k * T, and the next
+        batch's sum starts at -r_k * T.  Without `sampling`, t = 0 and both
+        tables are the state's all-zero one, so nothing is set up.
         """
         rng = self.rng
         random = rng.random
@@ -193,16 +196,16 @@ class ChainState:
         split_proposed = split_accepted = split_auto = 0
         merge_proposed = merge_accepted = merge_auto = 0
         landed = False
-        t = n_samples = 0
-        if sampling is None:
-            seg = count
-            k_report, threshold = 0, self.n  # no length is tallied
-        else:
-            seg, thin, n_samples, batch_size, k_report, threshold, tallies = sampling
-            left = count
-            lazy = [0] * (k_report + 1)  # lazy[k] + r_k * t sums r_k over the batch
-            long_mass = sum(k * r for k, r in occ.items() if k > threshold)
-            long_sum = batch = 0
+        t = n_samples = long_mass = 0
+        lazy = big = self._zeros
+        seg = count
+        if sampling is not None:
+            thin, batch_size, k_report, threshold, tallies = sampling
+            n_samples = count // thin + 1
+            lazy = [0] * (self.n + 1)  # lazy[k] + r_k * t sums r_k over the batch
+            big = [x if x > threshold else 0 for x in range(self.n + 1)]
+            long_mass = sum(big[k] * r for k, r in occ.items())
+            long_sum = batch = seg = 0  # the first sample precedes every move
             close_at = batch_size
             nb = len(tallies) - 1
         while True:
@@ -242,18 +245,10 @@ class ChainState:
                     if not (total >= 0.0 or random() < exp(total)):
                         continue
                     split_accepted += 1
-                    if j <= k_report:
-                        lazy[j] -= t
-                    if j2 <= k_report:
-                        lazy[j2] -= t
-                        if k <= k_report:
-                            lazy[k] += t
-                    if k > threshold:
-                        long_mass -= k
-                        if j > threshold:
-                            long_mass += j
-                        if j2 > threshold:
-                            long_mass += j2
+                    lazy[k] += t
+                    lazy[j] -= t
+                    lazy[j2] -= t
+                    long_mass += big[j] + big[j2] - big[k]
                     apply((k,), (j, j2))
                 else:
                     merge_proposed += 1
@@ -304,18 +299,10 @@ class ChainState:
                     if not (total >= 0.0 or random() < exp(total)):
                         continue
                     merge_accepted += 1
-                    if a <= k_report:
-                        lazy[a] += t
-                        if b <= k_report:
-                            lazy[b] += t
-                            if s <= k_report:
-                                lazy[s] -= t
-                    if s > threshold:
-                        long_mass += s
-                        if a > threshold:
-                            long_mass -= a
-                        if b > threshold:
-                            long_mass -= b
+                    lazy[a] += t
+                    lazy[b] += t
+                    lazy[s] -= t
+                    long_mass += big[s] - big[a] - big[b]
                     apply((a, b), (s,))
                 log_weight += dlw
                 landed = True
@@ -333,12 +320,7 @@ class ChainState:
                     lazy[k] = -r_t
                 batch += 1
                 close_at = t + batch_size if batch < nb else n_samples
-            left -= seg
-            if t < n_samples:
-                seg = thin
-            else:  # the last segment records nothing
-                seg = left
-                k_report, threshold = 0, self.n
+            seg = thin if t < n_samples else 0
         self.log_weight = log_weight
         counts = self.acceptance_counts
         if split_proposed:
@@ -434,8 +416,10 @@ def run_chain(
 
     tallies = [[0] * (k_report + 1) for _ in range(nb + 1)]
     # samples are taken after steps burn_in + 1, burn_in + 1 + thin, ...
-    sampling = _Sampling(burn_in + 1, thin, n_samples, batch_size, k_report, threshold, tallies)
-    state._advance(steps, sampling)
+    sampled = (n_samples - 1) * thin
+    state._advance(burn_in + 1)
+    state._advance(sampled, _Sampling(thin, batch_size, k_report, threshold, tallies))
+    state._advance(steps - burn_in - 1 - sampled)  # fewer than thin steps
     state.audit()
 
     sums = [sum(column) for column in zip(*tallies)]

@@ -55,7 +55,10 @@ class SystemParams:
     def volume(self) -> float:
         if self.n is None:
             raise ValidationError("volume requires the particle number n to be set")
-        return self.n / self.rho
+        volume = self.n / self.rho
+        if not math.isfinite(volume):
+            raise ValidationError(f"volume n / rho overflows at n={self.n}, rho={self.rho}")
+        return volume
 
     def with_n(self, n: int) -> "SystemParams":
         return replace(self, n=n)
@@ -242,8 +245,12 @@ def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSoluti
         raise ValidationError(f"tol must be in [{_MIN_TOL}, 1), got {tol}")
     d, beta, rho = params.d, params.beta, params.rho
     factor = thermal_factor(d, beta)
-    if factor * beta == 0.0:  # f divides by it
-        raise ValidationError(f"(4 pi beta)^(d/2) beta underflows at d={d}, beta={beta}")
+    # |f| times it is at most zeta(3/2), so a normal divisor keeps f finite
+    if factor * beta < sys.float_info.min:
+        raise ValidationError(
+            f"(4 pi beta)^(d/2) beta = {factor * beta!r} is below the normal floats"
+            f" at d={d}, beta={beta}"
+        )
     rho_c = critical_density(d, beta)
     beta_c = critical_beta(d, rho)
 

@@ -185,6 +185,17 @@ class TestOutputs:
         doc = json.loads(target.read_text())
         jsonschema.validate(doc, SCHEMA)
 
+    def test_output_into_a_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(
+            capsys,
+            ["alpha", "--d", "3", "--beta", "1", "--rho", "1", "--output", str(target)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"cyclegas alpha: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
     def test_every_command_validates_against_schema(self, capsys):
         # exercised individually above; this sweeps the quick ones in one go
         quick = [
@@ -311,9 +322,12 @@ class TestExitCodes:
             # subnormal: about 15 significant bits, too few to certify alpha
             (["alpha", "--d", "2", "--beta", "1", "--rho", "1e-320"],
              2, "rho (4 pi beta)^(d/2) = 1.2566e-319 is below the normal floats at d=2, rho=1e-320"),
+            # f divides by a subnormal and overflows to -inf, which is not JSON
+            (["free-energy", "--d", "3", "--beta", "1e-124", "--rho", "1e185"],
+             2, "(4 pi beta)^(d/2) beta = 4.454662397465363e-309 is below the normal floats"),
         ],
         ids=["K-cap", "k-report-huge", "k-report-above-n", "burn-in", "target-overflow",
-             "alpha-underflow", "target-underflow", "target-subnormal"],
+             "alpha-underflow", "target-underflow", "target-subnormal", "f-divisor-subnormal"],
     )
     def test_edge_sizes_exit_with_a_message_naming_the_input(self, capsys, argv, code, message):
         got, out, err = run_cli(capsys, argv)

@@ -206,6 +206,14 @@ class TestExactLogZ:
         with pytest.raises(CapError):
             exact_log_Z(SystemParams(3, 1.0, 1.0, n=71))
 
+    @pytest.mark.parametrize(
+        "engine", [exact_log_Z, confinement_log_Z_bracket, mu_N_expected_shape]
+    )
+    def test_overflowing_volume_is_refused_not_nan(self, engine):
+        # n / rho = 8e320 overflows to inf, which made log Z and the shape NaN
+        with pytest.raises(ValidationError, match="volume n / rho overflows"):
+            engine(SystemParams(3, 1.0, 1e-320, n=8))
+
 
 class TestConfinement:
     def test_displayed_bound_instance(self):

@@ -435,9 +435,13 @@ class TestRunChain:
             # 75 samples: 50 batches of 1 and a leftover row of 25
             (SystemParams(2, 0.5, 1.0, n=40),
              {"k_report": 10, "threshold": 5, "burn_in": 0, "thin": 401}),
+            # every length counts in both tallies, and the chain reaches a 40-cycle,
+            # so the tables are written and read at every index 1..n
+            (SystemParams(1, 1.0, 5.0, n=40),
+             {"k_report": 40, "threshold": 0, "burn_in": 100, "thin": 3}),
         ],
         ids=["n60-d1", "n300-condensed", "k-report-above-threshold", "k-report-0",
-             "thin-1", "burn-in-0", "n1", "leftover-samples"],
+             "thin-1", "burn-in-0", "n1", "leftover-samples", "every-length-tallied"],
     )
     def test_means_are_exact_ratios_of_counts(self, p, knobs):
         # each float field is the integer sum over n * n_samples, rounded once,
@@ -505,7 +509,7 @@ class TestRunChain:
             state.audit()
 
     def test_every_run_audits_its_cached_weight(self, monkeypatch):
-        # run_chain drives its whole chain through one kernel call
+        # run_chain drives its chain through three kernel calls; each drifts
         advance = ChainState._advance
 
         def drifting_advance(self, count, sampling=None):
