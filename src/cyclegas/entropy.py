@@ -204,7 +204,10 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
     tol = min(tol, _MASS_ATOL)
 
     def residual(lam: float) -> tuple[float, float]:
-        return math.expm1(_log_constraint_mass(lam, log_base, ks)), 0.0
+        try:
+            return math.expm1(_log_constraint_mass(lam, log_base, ks)), 0.0
+        except OverflowError:  # the mass is past the floats: bisect from this end
+            return math.inf, 0.0
 
     # the mass falls as lambda rises: the root is above 0 when r0 > 0
     r0 = residual(0.0)[0]

@@ -49,7 +49,7 @@ CAPS = {
     "ensemble": Cap(40, "p(40) = 37,338 partitions in memory"),
     # brute_force_log_Z
     "permutations": Cap(9, "9! = 362,880 permutations"),
-    # ChainState
+    # ChainState, exactz.log_weight
     "chain": Cap(100_000, "O(n) chain state"),
     # entropy.qhat_star_array (so minimize_S, minimizing_sequence), functional_S and
     # entropy_decomposition; cost: minimize_S's peak

@@ -33,11 +33,15 @@ def _require_n(params: SystemParams) -> int:
     return params.n
 
 
-def _cycle_log_constants(params: SystemParams, n: int) -> list[float]:
+def _cycle_log_constants(params: SystemParams, route: str) -> list[float]:
     """c[k] = log(n Qhat*(k)) = log(|V| / (4 pi beta)^(d/2)) - (1 + d/2) log k.
 
     For k = 0..n (c[0] unused); in log space, as n Qhat*(k) underflows at large d.
+    The one gate into the exact engine: n = params.n must be set and within
+    the cap of `route` before the table is built.
     """
+    n = _require_n(params)
+    check_cap(route, n)
     log_w = math.log(params.volume) - math.log(thermal_factor(params.d, params.beta))
     e = 1.0 + params.d / 2.0
     return [0.0] + [log_w - e * math.log(k) for k in range(1, n + 1)]
@@ -58,7 +62,7 @@ def log_weight(lam: Partition, params: SystemParams) -> float:
     n = _require_n(params)
     if lam.n != n:
         raise ValidationError(f"partition of {lam.n} does not match params.n={n}")
-    return _occupation_log_weight(lam.occupations, _cycle_log_constants(params, n))
+    return _occupation_log_weight(lam.occupations, _cycle_log_constants(params, "chain"))
 
 
 def _logsumexp(values: Sequence[float]) -> float:
@@ -124,9 +128,8 @@ def exact_log_Z(params: SystemParams) -> float:
     partition enumeration, in O(n^2) log-space operations, with the
     free-space heat-kernel mass per cycle.
     """
-    n = _require_n(params)
-    check_cap("exact", n)
-    return float(_log_Z_table(_cycle_log_constants(params, n), n)[n])
+    c = _cycle_log_constants(params, "exact")
+    return float(_log_Z_table(c, params.n)[params.n])
 
 
 def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
@@ -138,9 +141,8 @@ def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
     log(1 - e^(-d n/4 beta))); they differ by at most max_shift = n |shift|,
     because a partition has at most n cycles.
     """
-    n = _require_n(params)
-    check_cap("exact", n)
-    c = _cycle_log_constants(params, n)
+    c = _cycle_log_constants(params, "exact")
+    n = params.n
     x = params.d * n / (4.0 * params.beta)
     shift = _log1mexp(x)
     return {
@@ -164,12 +166,10 @@ class WeightedEnsemble:
 
 def weighted_ensemble(params: SystemParams) -> WeightedEnsemble:
     """Materialise the distribution over P_n (small n only)."""
-    n = _require_n(params)
-    check_cap("ensemble", n)
-    c = _cycle_log_constants(params, n)
+    c = _cycle_log_constants(params, "ensemble")
     table = {
         lam: _occupation_log_weight(lam.occupations, c)
-        for lam in enumerate_partitions(n)
+        for lam in enumerate_partitions(params.n)
     }
     log_z = _logsumexp(list(table.values()))
     return WeightedEnsemble(params=params, log_weights=table, log_Z=log_z)
@@ -182,9 +182,8 @@ def mu_N_expected_shape(params: SystemParams) -> np.ndarray:
     cycle-index recursion table.  sum_k k E[Qhat(k)] = 1 is the recursion at
     m = n and is checked to 1e-10.
     """
-    n = _require_n(params)
-    check_cap("ensemble", n)
-    c = _cycle_log_constants(params, n)
+    c = _cycle_log_constants(params, "ensemble")
+    n = params.n
     log_z = _log_Z_table(c, n)
     ks = np.arange(1, n + 1)
     eq = np.exp(np.asarray(c[1:]) + log_z[n - ks] - log_z[n]) / n

@@ -12,8 +12,10 @@ One kernel, ChainState._advance, makes every move, with the Hastings terms
 written out inline.  run_chain drives a chain through three calls of it
 (burn-in, the sampled stretch, the rest), and in the sampled stretch the
 kernel records each sample in its move loop at O(1) cost: the long-cycle
-mass is a running integer, and the sums of r_k are kept lazily, so the batch
-tallies are exact integers and no sample walks the occupations.
+mass is a running integer, and the sums of r_k are kept lazily.  At each
+batch end the kernel appends the running sums, exact integers, and
+run_chain differences them into per-batch tallies; no sample walks the
+occupations.
 Chains are single-stream and deterministic given the seed; estimator errors
 use batch means.
 """
@@ -27,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_cap
+from .errors import ValidationError
 from .exactz import _cycle_log_constants, _occupation_log_weight, _require_n
 from .partitions import Partition
 from .thermo import SystemParams, optimal_shape
@@ -63,18 +65,27 @@ def _shape_occupations(params: SystemParams) -> dict[int, int]:
     return counts
 
 
-class _Sampling(NamedTuple):
-    """How often run_chain samples the kernel, and the batch rows it fills.
+def _running_sums(lazy: list[int], occ: dict[int, int], t: int, k_report: int) -> list[int]:
+    """lazy[k] + r_k * t for k = 0..k_report: the sums over t samples (see _advance).
 
-    tallies[b] = [long-cycle mass, r_1, ..., r_k_report] summed over batch
-    b's samples; the last row takes the samples left over after the batches.
+    Not a comprehension inside _advance: before Python 3.12 that would make
+    lazy, occ and t closure cells there, which slows every move.
+    """
+    return [lazy[k] + occ.get(k, 0) * t for k in range(k_report + 1)]
+
+
+class _Sampling(NamedTuple):
+    """How often run_chain samples the kernel, and where it reads the sums.
+
+    At each sample count t in stops the kernel appends to sums the row
+    [long-cycle mass, r_1, ..., r_k_report], each summed over samples 1..t.
     """
 
     thin: int
-    batch_size: int
     k_report: int
     threshold: int
-    tallies: list[list[int]]
+    stops: set[int]
+    sums: list[list[int]]
 
 
 class ChainState:
@@ -87,10 +98,9 @@ class ChainState:
     """
 
     def __init__(self, params: SystemParams, seed: int = 0):
-        self.n = _require_n(params)
-        check_cap("chain", self.n)
+        self._c = _cycle_log_constants(params, "chain")
+        self.n = params.n
         self.rng = random.Random(seed)
-        self._c = _cycle_log_constants(params, self.n)
         # L[r] = log r for r <= n + 2; L[0] is never read by a legal move
         L = self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
         self._pairs = [L[r + 1] + L[r] - _LOG2 for r in range(self.n + 1)]
@@ -158,27 +168,25 @@ class ChainState:
             pos_by_len[length].add(len(cycles))
             cycles.append(length)
 
-    def _advance(self, count: int, sampling: Optional[_Sampling] = None) -> bool:
-        """The move kernel: `count` Metropolis-Hastings steps.
+    def _advance(self, count: int, sampling: Optional[_Sampling] = None) -> int:
+        """The move kernel: `count` Metropolis-Hastings steps; returns how many landed.
 
-        Returns whether the last move landed.  Uniform picks inline
-        Random.randrange's getrandbits rejection loop, so the stream is the
-        one randrange would consume.  The Hastings terms are written out
-        here; with L[r] = log r, a ratio of factorials r!/(r-1)! is L[r] and
-        log C(r + 1, 2) is pairs[r] = L[r + 1] + L[r] - log 2.
+        Uniform picks inline Random.randrange's getrandbits rejection loop, so
+        the stream is the one randrange would consume.  The Hastings terms are
+        written out here; with L[r] = log r, a ratio of factorials r!/(r-1)!
+        is L[r] and log C(r + 1, 2) is pairs[r] = L[r + 1] + L[r] - log 2.
 
-        With `sampling`, the kernel also records count // thin + 1 samples
-        into sampling.tallies without leaving its loop: one before the first
-        move and one after every thin-th (count is a multiple of thin).  Each
-        accepted move updates two per-length tables with no test of k_report
-        or the threshold.  The long-cycle mass is a running integer, changed
-        by big[added] - big[removed] (big[x] = x past the threshold, else 0)
-        and added to the batch row at each sample.  The sum of r_k over
-        samples is kept lazily: a move that changes r_k by delta when t
-        samples have been taken adds -delta * t to lazy[k]; a batch row
-        closing at T samples reads that sum plus r_k * T, and the next
-        batch's sum starts at -r_k * T.  Without `sampling`, t = 0 and both
-        tables are the state's all-zero one, so nothing is set up.
+        With `sampling`, the kernel also takes count // thin + 1 samples
+        without leaving its loop: one before the first move and one after
+        every thin-th (count is a multiple of thin).  Each accepted move
+        updates two per-length tables with no test of k_report or the
+        threshold: the long-cycle mass, a running integer, changes by
+        big[added] - big[removed] (big[x] = x past the threshold, else 0), and
+        a change of r_k by delta after t samples adds -delta * t to lazy[k],
+        so lazy[k] + r_k * t sums r_k over the t samples; lazy[0] (r_0 = 0)
+        sums the long-cycle mass.  At each t in sampling.stops the kernel
+        appends those sums to sampling.sums.  Without `sampling`, t = 0 and
+        both tables are the state's all-zero one: nothing is set up.
         """
         rng = self.rng
         random = rng.random
@@ -194,23 +202,19 @@ class ChainState:
         log2 = _LOG2
         log_weight = self.log_weight
         split_proposed = split_accepted = split_auto = 0
-        merge_proposed = merge_accepted = merge_auto = 0
-        landed = False
+        merge_accepted = merge_auto = 0
         t = n_samples = long_mass = 0
         lazy = big = self._zeros
         seg = count
         if sampling is not None:
-            thin, batch_size, k_report, threshold, tallies = sampling
+            thin, k_report, threshold, stops, sums = sampling
             n_samples = count // thin + 1
-            lazy = [0] * (self.n + 1)  # lazy[k] + r_k * t sums r_k over the batch
+            lazy = [0] * (self.n + 1)  # lazy[k] + r_k * t sums r_k over t samples
             big = [x if x > threshold else 0 for x in range(self.n + 1)]
-            long_mass = sum(big[k] * r for k, r in occ.items())
-            long_sum = batch = seg = 0  # the first sample precedes every move
-            close_at = batch_size
-            nb = len(tallies) - 1
+            long_mass = sum(k * r for k, r in occ.items() if k > threshold)
+            seg = 0  # the first sample precedes every move
         while True:
             for _ in range(seg):
-                landed = False
                 if random() < 0.5:
                     split_proposed += 1
                     k2 = len(split_keys)
@@ -251,7 +255,6 @@ class ChainState:
                     long_mass += big[j] + big[j2] - big[k]
                     apply((k,), (j, j2))
                 else:
-                    merge_proposed += 1
                     m = len(cycles)
                     if m < 2:
                         merge_auto += 1
@@ -305,39 +308,27 @@ class ChainState:
                     long_mass += big[s] - big[a] - big[b]
                     apply((a, b), (s,))
                 log_weight += dlw
-                landed = True
             if t == n_samples:
                 break
             t += 1  # the sample after this segment
-            long_sum += long_mass
-            if t == close_at:
-                row = tallies[batch]
-                row[0] = long_sum
-                long_sum = 0
-                for k in range(1, k_report + 1):
-                    r_t = occ.get(k, 0) * t
-                    row[k] = lazy[k] + r_t
-                    lazy[k] = -r_t
-                batch += 1
-                close_at = t + batch_size if batch < nb else n_samples
+            lazy[0] += long_mass
+            if t in stops:
+                sums.append(_running_sums(lazy, occ, t, k_report))
             seg = thin if t < n_samples else 0
         self.log_weight = log_weight
-        counts = self.acceptance_counts
-        if split_proposed:
-            tally = counts["split"]
-            tally["proposed"] += split_proposed
-            tally["accepted"] += split_accepted
-            tally["auto_rejected"] += split_auto
-        if merge_proposed:
-            tally = counts["merge"]
-            tally["proposed"] += merge_proposed
-            tally["accepted"] += merge_accepted
-            tally["auto_rejected"] += merge_auto
-        return landed
+        tally = self.acceptance_counts["split"]
+        tally["proposed"] += split_proposed
+        tally["accepted"] += split_accepted
+        tally["auto_rejected"] += split_auto
+        tally = self.acceptance_counts["merge"]
+        tally["proposed"] += count - split_proposed
+        tally["accepted"] += merge_accepted
+        tally["auto_rejected"] += merge_auto
+        return split_accepted + merge_accepted
 
     def step(self) -> bool:
         """One Metropolis-Hastings step; returns True when the move lands."""
-        return self._advance(1)
+        return self._advance(1) == 1
 
     def audit(self) -> None:
         """Recompute invariants; raises on any drift."""
@@ -414,20 +405,22 @@ def run_chain(
     nb = min(_BATCHES, n_samples)
     batch_size = n_samples // nb
 
-    tallies = [[0] * (k_report + 1) for _ in range(nb + 1)]
+    stops = {b * batch_size for b in range(1, nb + 1)} | {n_samples}  # batch ends, last sample
+    ends = [[0] * (k_report + 1)]  # a zero row, then the kernel's sums at each stop
     # samples are taken after steps burn_in + 1, burn_in + 1 + thin, ...
     sampled = (n_samples - 1) * thin
     state._advance(burn_in + 1)
-    state._advance(sampled, _Sampling(thin, batch_size, k_report, threshold, tallies))
+    state._advance(sampled, _Sampling(thin, k_report, threshold, stops, ends))
     state._advance(steps - burn_in - 1 - sampled)  # fewer than thin steps
     state.audit()
 
-    sums = [sum(column) for column in zip(*tallies)]
+    sums = ends[-1]
+    tallies = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(ends, ends[1 : nb + 1])]
     total = n * n_samples
     short_mass = sum(k * r_sum for k, r_sum in enumerate(sums[1:], start=1))
     # int / int is correctly rounded, so each mean is rounded once
     means = [s / total for s in sums]
-    batch_means = np.array(tallies[:nb], dtype=np.float64) / (n * batch_size)
+    batch_means = np.array(tallies, dtype=np.float64) / (n * batch_size)
     stderr = (np.std(batch_means, axis=0, ddof=1) / math.sqrt(nb)).tolist()
     return CycleStats(
         n=n,

@@ -118,30 +118,37 @@ def qhat_star(params: SystemParams, k):
 
 
 def critical_density(d: int, beta: float) -> float:
-    """zeta(d/2) (4 pi beta)^(-d/2) for d >= 3; infinite for d = 1, 2."""
+    """zeta(d/2) (4 pi beta)^(-d/2) for d >= 3; infinite (no transition) for d = 1, 2.
+
+    ValidationError where the quotient overflows.
+    """
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d}")
     if beta <= 0:
         raise ValidationError(f"beta must be positive, got {beta}")
     if d <= 2:
         return INFINITE
-    return zeta(d / 2.0, _MIN_TOL).value / thermal_factor(d, beta)
+    rho_c = zeta(d / 2.0, _MIN_TOL).value / thermal_factor(d, beta)
+    if rho_c == INFINITE:
+        raise ValidationError(f"rho_c overflows at d={d}, beta={beta}")
+    return rho_c
 
 
 def critical_beta(d: int, rho: float) -> float:
     """Time horizon above which condensation sets in at density rho (d >= 3).
 
     Defined by rho = rho_c(beta_c), i.e. (1/4pi) (zeta(d/2)/rho)^(2/d);
-    infinite for d = 1, 2 where no condensation occurs.
+    infinite for d = 1, 2 where no condensation occurs.  The powers precede
+    the quotient, so beta_c is finite (< 1e216) for every positive float rho.
     """
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d}")
-    if rho <= 0:
-        raise ValidationError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < INFINITE:  # NaN fails too
+        raise ValidationError(f"rho must be positive and finite, got {rho}")
     if d <= 2:
         return INFINITE
-    z = zeta(d / 2.0, _MIN_TOL).value
-    return (z / rho) ** (2.0 / d) / (4.0 * math.pi)
+    e = 2.0 / d
+    return zeta(d / 2.0, _MIN_TOL).value ** e / rho**e / (4.0 * math.pi)
 
 
 def _log1mexp(x: float) -> float:

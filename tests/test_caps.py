@@ -20,6 +20,7 @@ from cyclegas.exactz import (
     confinement_log_Z_bracket,
     convergence_scan,
     exact_log_Z,
+    log_weight,
     mu_N_expected_shape,
     weighted_ensemble,
 )
@@ -56,6 +57,7 @@ GUARDED = [
     ("chain", lambda n: ChainState(at(n))),
     ("chain", lambda n: run_chain(at(n), steps=100)),
     ("shape", lambda K: qhat_star_array(SystemParams(3, 1.0, 1.0), K)),
+    ("chain", lambda n: log_weight(Partition(n, ((n, 1),)), at(n))),
 ]
 
 

@@ -33,6 +33,7 @@ def run_json(capsys, argv: list[str]) -> dict:
 
 
 BETA_UNIT_STR = str(1.0 / (4.0 * math.pi))
+ZETA_3_HALVES = 2.612375348685488343348567567924071
 
 
 class TestCommands:
@@ -339,6 +340,22 @@ class TestExitCodes:
         # rho (4 pi beta)^(d/2) overflows, but no root is solved when condensed
         doc = run_json(capsys, ["phase", "--d", "3", "--beta", "1", "--rho", "1e307"])
         assert doc["data"]["regime"] == "condensed"
+
+    def test_phase_reports_a_finite_beta_c_below_the_smallest_normal_rho(self, capsys):
+        # zeta(3/2) / rho overflows here, but beta_c = 7.006e205 is finite
+        doc = run_json(capsys, ["phase", "--d", "3", "--beta", "1e6", "--rho", "1e-310"])
+        want = math.exp((2.0 / 3.0) * (math.log(ZETA_3_HALVES) - math.log(1e-310))) / (4.0 * math.pi)
+        assert doc["data"]["beta_c"] == pytest.approx(want, rel=1e-12)
+
+    def test_minimize_with_the_dual_mass_past_the_floats(self, capsys):
+        # expm1 of the log constraint mass overflows at lambda = 0
+        doc = run_json(
+            capsys,
+            ["minimize", "--d", "1", "--beta", "1", "--rho", "1e-306", "--K", "1000000"],
+        )
+        assert abs(doc["data"]["constraint_residual"]) <= 1e-10
+        assert doc["data"]["lam"] == pytest.approx(703.3255263326934, rel=1e-12)
+        assert doc["data"]["s_value"] == pytest.approx(doc["data"]["chi"], rel=1e-13)
 
     def test_bad_n_list(self, capsys):
         code, _, _ = run_cli(

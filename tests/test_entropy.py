@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,19 @@ class TestMinimizeS:
         # mass (within tol of 1) in magnitude, so each root is within about
         # tol of the exact one
         assert abs(res.lam - bisection_oracle(params, K, tol)) <= 3 * tol
+
+    def test_dual_mass_past_the_floats(self):
+        # at lambda = 0 the log constraint mass is above log(max float), where
+        # expm1 overflows; the residual reads +inf there and the root is bisected
+        params = SystemParams(1, 1.0, 1e-306)
+        K = 10**6
+        ks = np.arange(1, K + 1, dtype=np.float64)
+        log_base = np.log(ks * qhat_star_array(params, K))
+        assert log_constraint_mass(0.0, log_base, ks) > math.log(sys.float_info.max)
+        res = minimize_S(params, K=K)
+        assert abs(res.constraint_residual) <= 1e-10
+        assert res.lam == pytest.approx(703.3255263326934, rel=1e-12)
+        assert res.s_value == pytest.approx(chi(params), rel=1e-13)
 
     def test_stationarity_residual(self):
         params = normal_params()

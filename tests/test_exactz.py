@@ -101,7 +101,7 @@ class TestLogWeight:
         # theta_k = n Qhat*(k): the ensemble and S(Q) share one cycle weight
         n = 2000
         p = SystemParams(d, 0.3, 1.7, n=n)
-        c = _cycle_log_constants(p, n)
+        c = _cycle_log_constants(p, "chain")
         for k in range(1, n + 1):
             want = math.log(n * qhat_star(p, float(k)))
             assert c[k] == pytest.approx(want, rel=1e-13, abs=1e-13), k

@@ -265,7 +265,7 @@ class TestMoveAlgebra:
     def test_exhaustive_reversibility(self, n):
         # every split has the inverse merge with opposite log terms
         p = SystemParams(3, 0.5, 1.0, n=n)
-        c = _cycle_log_constants(p, n)
+        c = _cycle_log_constants(p, "chain")
         lg = log_table(n)
         for lam in enumerate_partitions(n):
             occ = lam.as_dict()
@@ -291,7 +291,7 @@ class TestMoveAlgebra:
         # move of every partition with n <= 10 gets the same terms
         for n in range(2, 11):
             p = SystemParams(d, 0.5, 1.0, n=n)
-            c = _cycle_log_constants(p, n)
+            c = _cycle_log_constants(p, "chain")
             L = log_table(n)
             lg = [math.lgamma(r + 1) for r in range(n + 2)]
             for lam in enumerate_partitions(n):
@@ -357,7 +357,7 @@ class TestKernel:
         single = ChainState(p, seed=21)
         batched = ChainState(p, seed=21)
         for count in (1, 7, 5_000, 20_000):
-            landed = [single.step() for _ in range(count)][-1]
+            landed = sum(single.step() for _ in range(count))
             assert batched._advance(count) == landed
             # occ, cycles, log_weight (bitwise), counters and RNG state
             assert chain_snapshot(batched) == chain_snapshot(single)
@@ -435,13 +435,17 @@ class TestRunChain:
             # 75 samples: 50 batches of 1 and a leftover row of 25
             (SystemParams(2, 0.5, 1.0, n=40),
              {"k_report": 10, "threshold": 5, "burn_in": 0, "thin": 401}),
+            # 30 samples, fewer than the 50 batches: 30 batches of 1
+            (SystemParams(2, 0.5, 1.0, n=40),
+             {"k_report": 10, "threshold": 5, "burn_in": 0, "thin": 1000}),
             # every length counts in both tallies, and the chain reaches a 40-cycle,
             # so the tables are written and read at every index 1..n
             (SystemParams(1, 1.0, 5.0, n=40),
              {"k_report": 40, "threshold": 0, "burn_in": 100, "thin": 3}),
         ],
         ids=["n60-d1", "n300-condensed", "k-report-above-threshold", "k-report-0",
-             "thin-1", "burn-in-0", "n1", "leftover-samples", "every-length-tallied"],
+             "thin-1", "burn-in-0", "n1", "leftover-samples", "fewer-samples-than-batches",
+             "every-length-tallied"],
     )
     def test_means_are_exact_ratios_of_counts(self, p, knobs):
         # each float field is the integer sum over n * n_samples, rounded once,

@@ -81,6 +81,23 @@ class TestCriticalConstants:
         with pytest.raises(ValidationError):
             critical_beta(3, -1.0)
 
+    @pytest.mark.parametrize("rho", [1e-310, 5e-324, 1.4e-308, 1e308])
+    def test_beta_c_is_finite_for_every_positive_float_rho(self, rho):
+        # zeta(3/2) / rho overflows below rho ~ 1.45e-308; beta_c does not
+        z = zeta(1.5, 1e-13).value
+        want = math.exp((2.0 / 3.0) * (math.log(z) - math.log(rho))) / (4.0 * math.pi)
+        assert critical_beta(3, rho) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_beta_c_refuses_non_finite_rho(self, rho):
+        with pytest.raises(ValidationError, match="rho must be positive and finite"):
+            critical_beta(3, rho)
+
+    def test_rho_c_refuses_an_overflowing_quotient(self):
+        # zeta(3/2) / (4 pi beta)^(3/2) leaves the floats; infinite means d <= 2
+        with pytest.raises(ValidationError, match="rho_c overflows at d=3, beta=1e-207"):
+            critical_density(3, 1e-207)
+
 
 class TestSolveAlpha:
     def test_forward_inverse_consistency(self):
