@@ -9,13 +9,18 @@ kinds are mutually reverse, and the Hastings ratio accounts exactly for
 occupation multiplicities and the offset choice.
 
 One kernel, ChainState._advance, makes every move, with the Hastings terms
-written out inline.  run_chain drives a chain through three calls of it
-(burn-in, the sampled stretch, the rest), and in the sampled stretch the
-kernel records each sample in its move loop at O(1) cost: the long-cycle
-mass is a running integer, and the sums of r_k are kept lazily.  At each
-batch end the kernel appends the running sums, exact integers, and
-run_chain differences them into per-batch tallies; no sample walks the
-occupations.
+and the slot policy written out inline: each accepted move updates the
+occupations, the cycle list, the split keys and the per-length slot sets in
+place, specialised to the move (a split removes k and adds j and k - j, a
+merge removes a and b and adds a + b).  The tests keep that policy as a
+plain function and check the kernel against it step by step.
+
+run_chain drives a chain through three calls of the kernel (burn-in, the
+sampled stretch, the rest), and in the sampled stretch the kernel records
+each sample in its move loop at O(1) cost: the long-cycle mass is a running
+integer, and the sums of r_k are kept lazily.  At each batch end the kernel
+appends the running sums, exact integers, and run_chain differences them
+into per-batch tallies; no sample walks the occupations.
 Chains are single-stream and deterministic given the seed; estimator errors
 use batch means.
 """
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -92,9 +97,13 @@ class ChainState:
     """Mutable split/merge chain state over partitions of params.n.
 
     Keeps the occupation map, a flat list of cycle lengths for O(1) uniform
-    cycle picks, and the distinct lengths >= 2 for O(1) uniform split picks.
-    The chain starts from the rounded limiting shape.  The cached log weight
-    tracks every accepted move; audit() recomputes it from scratch.
+    cycle picks (with pos_by_len, each length's slots in it), and the
+    distinct lengths >= 2 for O(1) uniform split picks (with key_pos, each
+    key's index).  Only the kernel, _advance, changes them after the start,
+    which lays out the rounded limiting shape length by length.  The tables
+    _L, _pairs and _bits (bit lengths for the uniform picks) are built once
+    per state.  The cached log weight tracks every accepted move; audit()
+    recomputes it and checks the index from scratch.
     """
 
     def __init__(self, params: SystemParams, seed: int = 0):
@@ -104,6 +113,7 @@ class ChainState:
         # L[r] = log r for r <= n + 2; L[0] is never read by a legal move
         L = self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
         self._pairs = [L[r + 1] + L[r] - _LOG2 for r in range(self.n + 1)]
+        self._bits = [x.bit_length() for x in range(self.n + 1)]  # getrandbits widths
         self._zeros = [0] * (self.n + 1)  # the tally tables of unsampled moves
         self.acceptance_counts = {
             "split": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
@@ -115,7 +125,12 @@ class ChainState:
         self.split_keys: list[int] = []
         self.key_pos: dict[int, int] = {}
         for length, r in _shape_occupations(params).items():
-            self._apply((), [length] * r)
+            self.occ[length] = r
+            if length >= 2:
+                self.key_pos[length] = len(self.split_keys)
+                self.split_keys.append(length)
+            self.pos_by_len[length].update(range(len(self.cycles), len(self.cycles) + r))
+            self.cycles += [length] * r
         self.log_weight = _occupation_log_weight(self.occ.items(), self._c)
 
     @property
@@ -125,56 +140,24 @@ class ChainState:
     def occupation_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.occ.items()))
 
-    def _apply(self, removed, added) -> None:
-        """Take cycles of the lengths in `removed` out, then put `added` in.
-
-        Keeps occ, the cycle list (a removed cycle's slot is refilled by the
-        last one) and the distinct lengths >= 2 in step; which slot a length
-        gives up follows its position set's pop order, so the same calls in
-        the same order give the same chain.
-        """
-        occ = self.occ
-        cycles = self.cycles
-        pos_by_len = self.pos_by_len
-        split_keys = self.split_keys
-        key_pos = self.key_pos
-        for length in removed:
-            r = occ[length] - 1
-            if r == 0:
-                del occ[length]
-                if length >= 2:
-                    i = key_pos.pop(length)
-                    last = split_keys.pop()
-                    if last != length:
-                        split_keys[i] = last
-                        key_pos[last] = i
-            else:
-                occ[length] = r
-            pos = pos_by_len[length].pop()
-            last_idx = len(cycles) - 1
-            if pos != last_idx:
-                moved = cycles[last_idx]
-                cycles[pos] = moved
-                mset = pos_by_len[moved]
-                mset.discard(last_idx)
-                mset.add(pos)
-            cycles.pop()
-        for length in added:
-            r = occ.get(length, 0) + 1
-            occ[length] = r
-            if r == 1 and length >= 2:
-                key_pos[length] = len(split_keys)
-                split_keys.append(length)
-            pos_by_len[length].add(len(cycles))
-            cycles.append(length)
-
     def _advance(self, count: int, sampling: Optional[_Sampling] = None) -> int:
         """The move kernel: `count` Metropolis-Hastings steps; returns how many landed.
 
         Uniform picks inline Random.randrange's getrandbits rejection loop, so
-        the stream is the one randrange would consume.  The Hastings terms are
-        written out here; with L[r] = log r, a ratio of factorials r!/(r-1)!
-        is L[r] and log C(r + 1, 2) is pairs[r] = L[r + 1] + L[r] - log 2.
+        the stream is the one randrange would consume, with bits[x] =
+        x.bit_length() read from a table.  The Hastings terms are written out
+        here; with L[r] = log r, a ratio of factorials r!/(r-1)! is L[r] and
+        log C(r + 1, 2) is pairs[r] = L[r + 1] + L[r] - log 2.
+
+        The slot policy is written out here too, once per move kind: a
+        removed cycle's slot is refilled by the last one, an emptied length's
+        split key by the last key, and an added cycle goes at the end.  The
+        updates reuse the counts the Hastings terms read (rk, rj, rj2, ra, rb,
+        rs); when j == j2 (a == b), rj2 (rb) is the count after the first
+        addition (removal).  The set, list and dict operations run in a fixed
+        order (k, then j and j2; a, then b, then s), since the pop order of a
+        length's slot set decides which slot it gives up: the same moves give
+        the same chain, bit for bit.
 
         With `sampling`, the kernel also takes count // thin + 1 samples
         without leaving its loop: one before the first move and one after
@@ -192,13 +175,15 @@ class ChainState:
         random = rng.random
         getrandbits = rng.getrandbits
         exp = math.exp
-        apply = self._apply
         occ = self.occ
         cycles = self.cycles
+        pos_by_len = self.pos_by_len
         split_keys = self.split_keys
+        key_pos = self.key_pos
         c = self._c
         L = self._L
         pairs = self._pairs
+        bits = self._bits
         log2 = _LOG2
         log_weight = self.log_weight
         split_proposed = split_accepted = split_auto = 0
@@ -221,31 +206,34 @@ class ChainState:
                     if k2 == 0:
                         split_auto += 1
                         continue
-                    nbits = k2.bit_length()
+                    nbits = bits[k2]
                     i = getrandbits(nbits)
                     while i >= k2:
                         i = getrandbits(nbits)
                     k = split_keys[i]
                     km1 = k - 1
-                    nbits = km1.bit_length()
+                    nbits = bits[km1]
                     i = getrandbits(nbits)
                     while i >= km1:
                         i = getrandbits(nbits)
                     j = 1 + i
                     j2 = k - j
-                    dlw = -c[k] + L[occ[k]]
+                    rk = occ[k]
+                    dlw = -c[k] + L[rk]
                     rj = occ.get(j, 0)
                     log_fwd = -L[k2] - L[km1]
                     if j == j2:
-                        dlw += 2.0 * c[j] - (L[rj + 2] + L[rj + 1])
-                        log_pairs = pairs[rj + 1]
+                        rj2 = rj + 1  # j2-cycles once the j-cycle is in
+                        dlw += 2.0 * c[j] - (L[rj + 2] + L[rj2])
+                        log_pairs = pairs[rj2]
                     else:
                         rj2 = occ.get(j2, 0)
                         dlw += c[j] - L[rj + 1]
                         dlw += c[j2] - L[rj2 + 1]
                         log_pairs = L[rj + 1] + L[rj2 + 1]
                         log_fwd += log2
-                    total = dlw + ((log_pairs - pairs[len(cycles)]) - log_fwd)
+                    m = len(cycles)
+                    total = dlw + ((log_pairs - pairs[m]) - log_fwd)
                     if not (total >= 0.0 or random() < exp(total)):
                         continue
                     split_accepted += 1
@@ -253,18 +241,49 @@ class ChainState:
                     lazy[j] -= t
                     lazy[j2] -= t
                     long_mass += big[j] + big[j2] - big[k]
-                    apply((k,), (j, j2))
+                    # the k-cycle out (k >= 2 is a split key)
+                    if rk == 1:
+                        del occ[k]
+                        i = key_pos.pop(k)
+                        last = split_keys.pop()
+                        if last != k:
+                            split_keys[i] = last
+                            key_pos[last] = i
+                    else:
+                        occ[k] = rk - 1
+                    pos = pos_by_len[k].pop()
+                    m -= 1  # the last slot
+                    if pos != m:
+                        moved = cycles[m]
+                        cycles[pos] = moved
+                        mset = pos_by_len[moved]
+                        mset.discard(m)
+                        mset.add(pos)
+                    cycles.pop()
+                    # the j-cycle in, then the j2-cycle
+                    occ[j] = rj + 1
+                    if rj == 0 and j >= 2:
+                        key_pos[j] = len(split_keys)
+                        split_keys.append(j)
+                    pos_by_len[j].add(m)
+                    cycles.append(j)
+                    occ[j2] = rj2 + 1
+                    if rj2 == 0 and j2 >= 2:
+                        key_pos[j2] = len(split_keys)
+                        split_keys.append(j2)
+                    pos_by_len[j2].add(m + 1)
+                    cycles.append(j2)
                 else:
                     m = len(cycles)
                     if m < 2:
                         merge_auto += 1
                         continue
-                    nbits = m.bit_length()
+                    nbits = bits[m]
                     i1 = getrandbits(nbits)
                     while i1 >= m:
                         i1 = getrandbits(nbits)
                     mm1 = m - 1
-                    nbits = mm1.bit_length()
+                    nbits = bits[mm1]
                     i2 = getrandbits(nbits)
                     while i2 >= mm1:
                         i2 = getrandbits(nbits)
@@ -279,8 +298,9 @@ class ChainState:
                     ra = occ[a]
                     k2_new = len(split_keys)
                     if a == b:
-                        dlw = -2.0 * c[a] + L[ra] + L[ra - 1]
-                        log_pairs = pairs[ra - 1]
+                        rb = ra - 1  # b-cycles left once the a-cycle is out
+                        dlw = -2.0 * c[a] + L[ra] + L[rb]
+                        log_pairs = pairs[rb]
                         log_rev = 0.0
                         if a >= 2 and ra == 2:
                             k2_new -= 1
@@ -306,7 +326,50 @@ class ChainState:
                     lazy[b] += t
                     lazy[s] -= t
                     long_mass += big[s] - big[a] - big[b]
-                    apply((a, b), (s,))
+                    # the a-cycle out, then the b-cycle, then the s-cycle in
+                    if ra == 1:
+                        del occ[a]
+                        if a >= 2:
+                            i = key_pos.pop(a)
+                            last = split_keys.pop()
+                            if last != a:
+                                split_keys[i] = last
+                                key_pos[last] = i
+                    else:
+                        occ[a] = ra - 1
+                    pos = pos_by_len[a].pop()
+                    if pos != mm1:
+                        moved = cycles[mm1]
+                        cycles[pos] = moved
+                        mset = pos_by_len[moved]
+                        mset.discard(mm1)
+                        mset.add(pos)
+                    cycles.pop()
+                    if rb == 1:
+                        del occ[b]
+                        if b >= 2:
+                            i = key_pos.pop(b)
+                            last = split_keys.pop()
+                            if last != b:
+                                split_keys[i] = last
+                                key_pos[last] = i
+                    else:
+                        occ[b] = rb - 1
+                    pos = pos_by_len[b].pop()
+                    m -= 2  # the last slot, then the s-cycle's
+                    if pos != m:
+                        moved = cycles[m]
+                        cycles[pos] = moved
+                        mset = pos_by_len[moved]
+                        mset.discard(m)
+                        mset.add(pos)
+                    cycles.pop()
+                    occ[s] = rs + 1
+                    if rs == 0:  # s >= 2
+                        key_pos[s] = len(split_keys)
+                        split_keys.append(s)
+                    pos_by_len[s].add(m)
+                    cycles.append(s)
                 log_weight += dlw
             if t == n_samples:
                 break
@@ -331,13 +394,29 @@ class ChainState:
         return self._advance(1) == 1
 
     def audit(self) -> None:
-        """Recompute invariants; raises on any drift."""
-        total = sum(k * r for k, r in self.occ.items())
+        """Recompute invariants; raises on any drift.
+
+        Besides the mass and the cached weight, checks the index the kernel
+        keeps by hand: occ counts the cycle list (no zero counts), split_keys
+        holds the occupied lengths >= 2 once each, key_pos is its inverse,
+        and each non-empty pos_by_len[x] holds the slots of the x-cycles.
+        """
+        occ = self.occ
+        total = sum(k * r for k, r in occ.items())
         if total != self.n:
             raise ValidationError(f"occupation mass {total} != n={self.n}")
-        if len(self.cycles) != sum(self.occ.values()):
+        if dict(Counter(self.cycles)) != occ:
             raise ValidationError("cycle list out of sync with occupations")
-        w = _occupation_log_weight(self.occ.items(), self._c)
+        if sorted(self.split_keys) != sorted(k for k in occ if k >= 2):
+            raise ValidationError("split keys are not the occupied lengths >= 2")
+        if self.key_pos != {k: i for i, k in enumerate(self.split_keys)}:
+            raise ValidationError("key positions are not the split keys' inverse")
+        slots = defaultdict(set)
+        for i, x in enumerate(self.cycles):
+            slots[x].add(i)
+        if {x: s for x, s in self.pos_by_len.items() if s} != slots:
+            raise ValidationError("slot sets out of sync with the cycle list")
+        w = _occupation_log_weight(occ.items(), self._c)
         # relative: every accepted move adds its rounding to the cached sum
         if abs(w - self.log_weight) > 1e-10 * max(1.0, abs(w)):
             raise ValidationError(

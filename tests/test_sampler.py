@@ -169,6 +169,51 @@ def legal_moves(occ):
     return splits, merges
 
 
+def apply_move(st: ChainState, removed, added) -> None:
+    """Take cycles of the lengths in `removed` out of st, then put `added` in.
+
+    The slot policy as a function, the reference the kernel's written-out
+    updates are checked against (reference_step).  Keeps occ, the cycle list
+    (a removed cycle's slot is refilled by the last one) and the distinct
+    lengths >= 2 in step; which slot a length gives up follows its position
+    set's pop order, so the same calls in the same order give the same chain.
+    """
+    occ = st.occ
+    cycles = st.cycles
+    pos_by_len = st.pos_by_len
+    split_keys = st.split_keys
+    key_pos = st.key_pos
+    for length in removed:
+        r = occ[length] - 1
+        if r == 0:
+            del occ[length]
+            if length >= 2:
+                i = key_pos.pop(length)
+                last = split_keys.pop()
+                if last != length:
+                    split_keys[i] = last
+                    key_pos[last] = i
+        else:
+            occ[length] = r
+        pos = pos_by_len[length].pop()
+        last_idx = len(cycles) - 1
+        if pos != last_idx:
+            moved = cycles[last_idx]
+            cycles[pos] = moved
+            mset = pos_by_len[moved]
+            mset.discard(last_idx)
+            mset.add(pos)
+        cycles.pop()
+    for length in added:
+        r = occ.get(length, 0) + 1
+        occ[length] = r
+        if r == 1 and length >= 2:
+            key_pos[length] = len(split_keys)
+            split_keys.append(length)
+        pos_by_len[length].add(len(cycles))
+        cycles.append(length)
+
+
 def reference_step(st: ChainState) -> tuple[str, str]:
     """One step written with Random.randrange: (move kind, outcome)."""
     rng = st.rng
@@ -197,7 +242,7 @@ def reference_step(st: ChainState) -> tuple[str, str]:
         removed, added = (a, b), (a + b,)
     total = dlw + lratio
     if total >= 0.0 or rng.random() < math.exp(total):
-        st._apply(removed, added)
+        apply_move(st, removed, added)
         st.log_weight += dlw
         return kind, "accepted"
     return kind, "rejected"
@@ -255,7 +300,7 @@ class TestMoveAlgebra:
         p = SystemParams(3, 1.0, 1.0, n=2)
         st = ChainState(p, seed=1)
         # force the state {r_2: 1}
-        st._apply(tuple(st.cycles), (2,))
+        apply_move(st, tuple(st.cycles), (2,))
         while not st.step():  # merges auto-reject: one cycle only
             pass
         assert st.current == Partition(2, ((1, 2),))
@@ -327,12 +372,19 @@ class TestMoveAlgebra:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("n", [12, 200, 40, 1])
-    def test_kernel_matches_randrange_reference(self, n):
+    @pytest.mark.parametrize(
+        "p, seed",
+        [(SystemParams(3, 0.5, 1.0, n=n), n) for n in (12, 200, 40, 1)]
+        # the benchmark's condensed point: splits of the giant cycle, and
+        # lengths that empty and swap their split key with the last one
+        + [(SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=2000), 2000)],
+        ids=["12", "200", "40", "1", "n2000-condensed"],
+    )
+    def test_kernel_matches_randrange_reference(self, p, seed):
         # the kernel's inlined getrandbits picks reproduce Random.randrange,
-        # and its counters tally the reference's outcomes
-        p = SystemParams(3, 0.5, 1.0, n=n)
-        st = ChainState(p, seed=n)
+        # its slot updates reproduce apply_move's, and its counters tally
+        # the reference's outcomes
+        st = ChainState(p, seed=seed)
         ref = copy.deepcopy(st)
         tally = {kind: Counter() for kind in ("split", "merge")}
         for i in range(20_000):
@@ -511,6 +563,44 @@ class TestRunChain:
         state.log_weight = w + 2e-10 * abs(w)
         with pytest.raises(ValidationError, match="cached log weight drifted"):
             state.audit()
+
+    AUDIT_MESSAGES = {
+        "zero-count": "cycle list out of sync",
+        "split-key-missing": "split keys are not",
+        "split-key-unoccupied": "split keys are not",
+        "key-positions-swapped": "key positions are not",
+        "slot-in-wrong-set": "slot sets out of sync",
+        "slot-in-empty-set": "slot sets out of sync",
+    }
+
+    @pytest.mark.parametrize("corruption", list(AUDIT_MESSAGES))
+    def test_audit_checks_the_hand_kept_index(self, corruption):
+        # each corruption keeps the mass, the cycle count and the weight
+        st = ChainState(SystemParams(1, 1.0, 5.0, n=40), seed=3)
+        st._advance(2_000)
+        st.audit()
+        occupied = [k for k in st.occ if k >= 2]
+        empty = next(x for x in range(2, 41) if x not in st.occ)
+        assert len(occupied) >= 2
+        if corruption == "zero-count":
+            st.occ[empty] = 0
+        elif corruption == "split-key-missing":
+            del st.key_pos[st.split_keys.pop()]
+        elif corruption == "split-key-unoccupied":
+            st.key_pos[empty] = len(st.split_keys)
+            st.split_keys.append(empty)
+        elif corruption == "key-positions-swapped":
+            x, y = st.split_keys[:2]
+            st.key_pos[x], st.key_pos[y] = st.key_pos[y], st.key_pos[x]
+        elif corruption == "slot-in-wrong-set":
+            x, y = occupied[:2]
+            i = st.cycles.index(x)
+            st.pos_by_len[x].discard(i)
+            st.pos_by_len[y].add(i)
+        else:
+            st.pos_by_len[empty].add(0)
+        with pytest.raises(ValidationError, match=self.AUDIT_MESSAGES[corruption]):
+            st.audit()
 
     def test_every_run_audits_its_cached_weight(self, monkeypatch):
         # run_chain drives its chain through three kernel calls; each drifts
