@@ -15,7 +15,10 @@ of the escaping minimising sequences and is reported, never suppressed.
 Outside minimize_S every K-long step runs over blocks of k (_blocks): each
 element is the whole-vector formula in the same operation order, so Qhat* is
 bit-identical to it, each sum is the math.fsum of the blocks' np.sums, and
-no K-sized temporary is made beyond the shape itself.
+no K-sized temporary is made beyond the shape itself.  Each maker builds its
+vector once and hands it to TruncatedShape read-only, uncopied; minimize_S
+evaluates its dual in place in one work buffer, so it peaks at four
+K-vectors (CAPS["shape"]).
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ValidationError, check_cap
-from .exactz import _logsumexp
 from .thermo import (
     REGIME_CONDENSED,
     SystemParams,
@@ -67,8 +69,13 @@ class TruncatedShape:
     relaxed: bool = False
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.qhat, dtype=np.float64).copy()
-        arr.setflags(write=False)
+        # adopt a read-only array that owns its data (the makers below hand
+        # over their fresh vector this way); copy anything a caller could
+        # still write through
+        arr = np.asarray(self.qhat, dtype=np.float64)
+        if arr.flags.writeable or arr.base is not None:
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "qhat", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("qhat must be a nonempty 1-d sequence")
@@ -106,14 +113,17 @@ def qhat_star_array(params: SystemParams, K: int) -> np.ndarray:
 def _xlogx_sum(x: np.ndarray, ref: np.ndarray, minus_one: bool) -> float:
     """np.sum of x log(x/ref), less x when minus_one; 0 where x is 0.
 
-    Overwrites ref.  A call per block frees the block's temporaries.
+    Overwrites ref with the terms.  A call per block frees the block's
+    temporaries.  The ops run unmasked (masked ufuncs cost about 1.8 times
+    as much): where x is 0 they give 0 * -inf = nan, zeroed afterwards.
     """
-    pos = x > 0
-    np.divide(x, ref, out=ref, where=pos)
-    np.log(ref, out=ref, where=pos)
-    if minus_one:
-        np.subtract(ref, 1.0, out=ref, where=pos)
-    np.multiply(x, ref, out=ref)  # 0 where x is 0: ref is finite there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(x, ref, out=ref)
+        np.log(ref, out=ref)
+        if minus_one:
+            np.subtract(ref, 1.0, out=ref)
+        np.multiply(x, ref, out=ref)
+    ref[x == 0] = 0.0
     return float(np.sum(ref))
 
 
@@ -164,9 +174,20 @@ def entropy_decomposition(
     return EntropyDecomposition(q, q_star, h, reconstructed)
 
 
-def _log_constraint_mass(lam: float, log_base: np.ndarray, ks: np.ndarray) -> float:
-    """log sum_k k Qhat*(k) e^(-lambda k), overflow-safe."""
-    return _logsumexp(log_base - lam * ks)
+def _log_constraint_mass(
+    lam: float, log_base: np.ndarray, ks: np.ndarray, buf: np.ndarray
+) -> float:
+    """log sum_k k Qhat*(k) e^(-lambda k), overflow-safe; overwrites buf.
+
+    exactz._logsumexp(log_base - lam * ks) bit for bit, in buf alone:
+    ks * (-lam) + log_base rounds as log_base - lam * ks does.
+    """
+    np.multiply(ks, -lam, out=buf)
+    buf += log_base
+    m = float(np.max(buf))
+    buf -= m
+    np.exp(buf, out=buf)
+    return m + math.log(float(np.sum(buf)))
 
 
 @dataclass(frozen=True)
@@ -196,16 +217,19 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
         raise ValidationError(f"K must be >= 100, got {K}")
     if not _MIN_TOL <= tol < 1.0:
         raise ValidationError(f"tol must be in [{_MIN_TOL}, 1), got {tol}")
+    # four K-vectors: qs, ks, log_base and the dual's work buffer
     qs = qhat_star_array(params, K)
     ks = np.arange(1, K + 1, dtype=np.float64)
-    log_base = np.log(ks * qs)
+    log_base = ks * qs
+    np.log(log_base, out=log_base)
+    buf = np.empty(K)
 
     # a shape that is not relaxed must hold its mass to _MASS_ATOL
     tol = min(tol, _MASS_ATOL)
 
     def residual(lam: float) -> tuple[float, float]:
         try:
-            return math.expm1(_log_constraint_mass(lam, log_base, ks)), 0.0
+            return math.expm1(_log_constraint_mass(lam, log_base, ks, buf)), 0.0
         except OverflowError:  # the mass is past the floats: bisect from this end
             return math.inf, 0.0
 
@@ -225,11 +249,20 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
         )
         lam, res = _bracketed_root(residual, 0.0, r0, log_top / K, tol, boundary)
 
-    qh = qs * np.exp(-lam * ks)
-    shape = TruncatedShape(qh, relaxed=False)
-    s_value = float(np.sum(qh * (-lam * ks - 1.0)))
+    # qh = qs * exp(-lam ks) in qs, S = sum qh (-lam ks - 1) in buf, with
+    # the roundings of those whole-vector expressions
+    np.multiply(ks, -lam, out=buf)
+    np.exp(buf, out=buf)
+    qh = np.multiply(qs, buf, out=qs)
+    np.multiply(ks, -lam, out=buf)
+    buf -= 1.0
+    buf *= qh
+    s_value = float(np.sum(buf))
+    # free the work vectors before the shape's checks add their block buffer
+    del ks, log_base, buf
+    qh.setflags(write=False)
     return MinimizeResult(
-        shape=shape,
+        shape=TruncatedShape(qh, relaxed=False),
         lam=lam,
         s_value=s_value,
         boundary_mass=float(K * qh[-1]),
@@ -265,6 +298,7 @@ def minimizing_sequence(
         raise ValidationError(f"truncation K={K} must cover the bump at n={n}")
     qh = qhat_star_array(params, K)
     qh[n - 1] += eps
+    qh.setflags(write=False)
     return TruncatedShape(qh, relaxed=True)
 
 

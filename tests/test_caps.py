@@ -84,7 +84,7 @@ def test_stated_costs_hold():
     cap = CAPS["permutations"]
     assert f"{cap.limit}! = {math.factorial(cap.limit):,}" in cap.cost
     cap = CAPS["shape"]
-    assert cap.cost == f"{6 * 8 * cap.limit // 10**6} MB: six float64 K-vectors in minimize_S"
+    assert cap.cost == f"{4 * 8 * cap.limit // 10**6} MB: four float64 K-vectors in minimize_S"
 
 
 @pytest.mark.parametrize("ratio", [0.5, 2.0], ids=["normal", "condensed"])

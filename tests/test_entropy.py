@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cyclegas.entropy import (
     qhat_star_array,
 )
 from cyclegas.errors import ValidationError
+from cyclegas.exactz import _logsumexp
 from cyclegas.thermo import (
     SystemParams,
     chi,
@@ -42,9 +44,10 @@ def bisection_oracle(params: SystemParams, K: int, tol: float) -> float:
     """The dual root by a two-sided bracket search and plain bisection."""
     ks = np.arange(1, K + 1, dtype=np.float64)
     log_base = np.log(ks * qhat_star_array(params, K))
+    buf = np.empty(K)
 
     def log_mass(lam):
-        return log_constraint_mass(lam, log_base, ks)
+        return log_constraint_mass(lam, log_base, ks, buf)
 
     if log_mass(0.0) > 0.0:
         lo, hi = 0.0, 1.0
@@ -95,6 +98,31 @@ class TestTruncatedShape:
     def test_zero_vector_relaxed(self):
         shape = TruncatedShape(np.zeros(5), relaxed=True)
         assert shape.constraint_mass == 0.0
+
+    def test_a_callers_writeable_array_is_copied(self):
+        qh = np.zeros(10)
+        qh[0] = 1.0
+        shape = TruncatedShape(qh)
+        qh[0] = 0.5
+        assert shape.qhat[0] == 1.0
+        assert not shape.qhat.flags.writeable
+        # a read-only view still shares a writeable base
+        view = qh[:]
+        view.setflags(write=False)
+        shape = TruncatedShape(view, relaxed=True)
+        qh[0] = 0.25
+        assert shape.qhat[0] == 0.5
+        assert not shape.qhat.flags.writeable
+
+    def test_the_makers_shapes_are_read_only(self):
+        for shape in (
+            minimize_S(normal_params(), K=1000).shape,
+            minimize_S(condensed_params(), K=1000).shape,
+            minimizing_sequence(10, condensed_params(), K=1000),
+        ):
+            assert not shape.qhat.flags.writeable
+            with pytest.raises(ValueError):
+                shape.qhat[0] = 0.0
 
 
 class TestTruncatedShapeRefusals:
@@ -274,9 +302,12 @@ class TestMinimizeS:
     def test_dual_evaluation_ceiling(self, monkeypatch, params, tol, K):
         calls = []
 
-        def counting(*args):
-            calls.append(args[0])
-            return log_constraint_mass(*args)
+        def counting(lam, log_base, ks, buf):
+            calls.append(lam)
+            got = log_constraint_mass(lam, log_base, ks, buf)
+            # the in-place dual is the whole-vector log-sum-exp bit for bit
+            assert got == _logsumexp(log_base - lam * ks)
+            return got
 
         monkeypatch.setattr(entropy, "_log_constraint_mass", counting)
         res = minimize_S(params, K=K, tol=tol)
@@ -287,6 +318,9 @@ class TestMinimizeS:
         # boundary term alone, K Qhat*(K) e^(-lam K), is 1 at lam = log(K Qhat*(K))/K
         qs = qhat_star_array(params, K)
         ks = np.arange(1, K + 1, dtype=np.float64)
+        qh = qs * np.exp(-res.lam * ks)
+        assert res.shape.qhat.tobytes() == qh.tobytes()
+        assert res.s_value == float(np.sum(qh * (-res.lam * ks - 1.0)))
         if float(np.sum(ks * qs)) > 1.0:
             lo, hi = 0.0, math.log1p(float(qs[0]))
         else:
@@ -318,7 +352,7 @@ class TestMinimizeS:
         K = 10**6
         ks = np.arange(1, K + 1, dtype=np.float64)
         log_base = np.log(ks * qhat_star_array(params, K))
-        assert log_constraint_mass(0.0, log_base, ks) > math.log(sys.float_info.max)
+        assert log_constraint_mass(0.0, log_base, ks, np.empty(K)) > math.log(sys.float_info.max)
         res = minimize_S(params, K=K)
         assert abs(res.constraint_residual) <= 1e-10
         assert res.lam == pytest.approx(703.3255263326934, rel=1e-12)
@@ -467,6 +501,30 @@ def block_edge_shape(params: SystemParams, K: int) -> np.ndarray:
     return qh * (0.5 / math.fsum(np.arange(1, K + 1) * qh))
 
 
+class TestUnmaskedTerms:
+    @pytest.mark.parametrize("minus_one", [True, False])
+    def test_terms_are_the_whole_vector_terms(self, minus_one):
+        params = SystemParams(3, BETA_UNIT, 0.01 * critical_density(3, BETA_UNIT))
+        K = 3 * B + 7
+        qs = qhat_star_array(params, K)
+        assert qs[0] > 2.0  # so 5e-324 / Qhat*(1) rounds to 0
+        x = block_edge_shape(params, K)
+        x[0] = 5e-324
+        x[2] = -0.0
+        assert x[0] / qs[0] == 0.0
+        assert np.sum(x == 0) > B  # +0.0 over a whole block
+        with np.errstate(divide="ignore"):  # log(0) in the oracle
+            want = whole_vector_terms(x, qs, minus_one)
+        for lo, hi in ((0, B), (B, 2 * B), (2 * B, K)):
+            ref = qs[lo:hi].copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                total = entropy._xlogx_sum(x[lo:hi], ref, minus_one)
+            # ref holds the terms: +0.0 where x is +-0.0, -inf at the subnormal
+            assert ref.tobytes() == want[lo:hi].tobytes()
+            assert total == float(np.sum(want[lo:hi]))
+
+
 class TestBlockEdges:
     @pytest.mark.parametrize("K", BLOCK_EDGE_K)
     def test_sums_match_whole_vector_fsum(self, K):
@@ -515,4 +573,4 @@ class TestBlockedMemory:
         assert self.peak(lambda: functional_S(shape, params)) < mb
         assert self.peak(lambda: entropy_decomposition(shape, params)) < mb
         assert self.peak(lambda: qhat_star_array(params, K)) <= vector + mb
-        assert self.peak(lambda: minimizing_sequence(1000, params, K)) <= 2 * vector + mb
+        assert self.peak(lambda: minimizing_sequence(1000, params, K)) <= vector + mb
