@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -110,12 +110,18 @@ def qhat_star_array(params: SystemParams, K: int) -> np.ndarray:
     return out
 
 
-def _xlogx_sum(x: np.ndarray, ref: np.ndarray, minus_one: bool) -> float:
+def _xlogx_sum(
+    x: np.ndarray, ref: np.ndarray, minus_one: bool, remake: Callable[[], np.ndarray]
+) -> float:
     """np.sum of x log(x/ref), less x when minus_one; 0 where x is 0.
 
     Overwrites ref with the terms.  A call per block frees the block's
     temporaries.  The ops run unmasked (masked ufuncs cost about 1.8 times
     as much): where x is 0 they give 0 * -inf = nan, zeroed afterwards.
+    Where x > 0 is so small that x/ref underflows to 0 (a subnormal x over
+    ref > 1), the term is -inf; only a block whose sum is not finite forms
+    its non-finite terms again as x (log x - log ref) from remake(), a fresh
+    copy of ref.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(x, ref, out=ref)
@@ -124,6 +130,16 @@ def _xlogx_sum(x: np.ndarray, ref: np.ndarray, minus_one: bool) -> float:
             np.subtract(ref, 1.0, out=ref)
         np.multiply(x, ref, out=ref)
     ref[x == 0] = 0.0
+    total = float(np.sum(ref))
+    if math.isfinite(total):
+        return total
+    bad = ~np.isfinite(ref)
+    xb = x[bad]
+    with np.errstate(divide="ignore"):
+        t = np.log(xb) - np.log(remake()[bad])
+    if minus_one:
+        t -= 1.0
+    ref[bad] = xb * t
     return float(np.sum(ref))
 
 
@@ -136,7 +152,8 @@ def functional_S(shape: TruncatedShape, params: SystemParams) -> float:
     check_cap("shape", shape.K)
     qh = shape.qhat
     return math.fsum(
-        _xlogx_sum(qh[lo:hi], qhat_star(params, ks), True) for lo, hi, ks in _blocks(shape.K)
+        _xlogx_sum(qh[lo:hi], qhat_star(params, ks), True, lambda: qhat_star(params, ks))
+        for lo, hi, ks in _blocks(shape.K)
     )
 
 
@@ -165,9 +182,12 @@ def entropy_decomposition(
         raise ValidationError("decomposition needs total increment mass q > 0")
 
     def h_block(lo: int, hi: int, ks: np.ndarray) -> float:
-        p_star = qhat_star(params, ks)
-        p_star /= q_star
-        return _xlogx_sum(qh[lo:hi] / q, p_star, False)
+        def p_star() -> np.ndarray:
+            ref = qhat_star(params, ks)
+            ref /= q_star
+            return ref
+
+        return _xlogx_sum(qh[lo:hi] / q, p_star(), False, p_star)
 
     h = math.fsum(h_block(*block) for block in _blocks(shape.K))
     reconstructed = q * h + q * math.log(q / q_star) - q

@@ -1,19 +1,21 @@
 """Split/merge Metropolis-Hastings over partitions of n.
 
 Targets the exact finite-n ensemble weights for n far beyond enumeration
-range.  A move is SPLIT (choose an occupied length k >= 2 uniformly, then an
-offset j uniform in 1..k-1, replacing one k-cycle by a j- and a (k-j)-cycle)
-or MERGE (choose an unordered pair of distinct cycles uniformly, replacing
-them by their concatenation), each attempted with probability 1/2.  The two
-kinds are mutually reverse, and the Hastings ratio accounts exactly for
-occupation multiplicities and the offset choice.
+range.  A move is SPLIT (choose a uniform slot of the cycle list; a 1-cycle
+there auto-rejects, a k-cycle is replaced by a j- and a (k-j)-cycle, j
+uniform in 1..k-1) or MERGE (choose two distinct uniform slots, replacing
+their cycles by the concatenation), each attempted with probability 1/2.
+The two kinds are mutually reverse, and since both pick slots, every
+occupation multiplicity cancels from the Hastings ratio (Hastings 1970):
+what is left is theta_j theta_{k-j} / theta_k * (k - 1)/(m + 1) for a split
+among m cycles, and its inverse for a merge.
 
-One kernel, ChainState._advance, makes every move, with the Hastings terms
-and the slot policy written out inline: each accepted move updates the
-occupations, the cycle list, the split keys and the per-length slot sets in
-place, specialised to the move (a split removes k and adds j and k - j, a
-merge removes a and b and adds a + b).  The tests keep that policy as a
-plain function and check the kernel against it step by step.
+One kernel, ChainState._advance, makes every move.  An accepted split writes
+one new cycle into the picked slot and appends the other; an accepted merge
+writes the sum into one slot and swap-removes the other.  The occupations
+and the cached log weight change on accepted moves only; no other index is
+kept.  The tests keep the move as a plain randrange function and check the
+kernel against it step by step.
 
 run_chain drives a chain through three calls of the kernel (burn-in, the
 sampled stretch, the rest), and in the sampled stretch the kernel records
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -37,33 +39,33 @@ import numpy as np
 from .errors import ValidationError
 from .exactz import _cycle_log_constants, _occupation_log_weight, _require_n
 from .partitions import Partition
-from .thermo import SystemParams, optimal_shape
+from .thermo import SystemParams, solve_alpha
 
 _BATCHES = 50
-_LOG2 = math.log(2.0)
 
 
-def _shape_occupations(params: SystemParams) -> dict[int, int]:
-    """Deterministic near-equilibrium start: round the limiting shape.
+def _shape_occupations(params: SystemParams, c: list[float]) -> dict[int, int]:
+    """Deterministic near-equilibrium start: round the limiting shape's mass.
 
-    r_k = floor(n Qhat(k)) for small k; whatever mass is left over becomes a
-    single long cycle (in the condensed regime that seed cycle carries the
-    excess density, which cuts the equilibration transient enormously).
+    The shape puts n Qhat(k) = exp(c[k] - alpha k) cycles on length k.  Going
+    up the lengths, r_k is the shape's mass on lengths <= k not yet laid
+    out, in k-cycles rounded to nearest (never past n), so a length with
+    n Qhat(k) < 1 still gets a cycle once the carried mass reaches k/2.
+    Whatever mass is left over becomes a single long cycle (in the condensed
+    regime that seed cycle carries the excess density, which cuts the
+    equilibration transient enormously).
     """
     n = params.n
-    _, qhat = optimal_shape(params)
+    alpha = solve_alpha(params).alpha
     counts: dict[int, int] = {}
+    target = 0.0
     used = 0
     for k in range(1, n + 1):
-        r = int(n * qhat(k))
-        if r < 1:
-            break
-        if used + k * r > n:
-            r = (n - used) // k
-            if r < 1:
-                break
-        counts[k] = r
-        used += k * r
+        target += k * math.exp(c[k] - alpha * k)
+        r = min(int((target - used) / k + 0.5), (n - used) // k)
+        if r >= 1:
+            counts[k] = r
+            used += k * r
     rest = n - used
     if rest >= 1:
         counts[rest] = counts.get(rest, 0) + 1
@@ -96,14 +98,13 @@ class _Sampling(NamedTuple):
 class ChainState:
     """Mutable split/merge chain state over partitions of params.n.
 
-    Keeps the occupation map, a flat list of cycle lengths for O(1) uniform
-    cycle picks (with pos_by_len, each length's slots in it), and the
-    distinct lengths >= 2 for O(1) uniform split picks (with key_pos, each
-    key's index).  Only the kernel, _advance, changes them after the start,
-    which lays out the rounded limiting shape length by length.  The tables
-    _L, _pairs and _bits (bit lengths for the uniform picks) are built once
-    per state.  The cached log weight tracks every accepted move; audit()
-    recomputes it and checks the index from scratch.
+    Keeps the occupation map occ (one live dict, no zero counts) and the
+    cycle list, one slot per cycle, which the uniform slot picks read.  Only
+    the kernel, _advance, changes them after the start, which lays out the
+    rounded limiting shape length by length.  The tables _L and _bits (bit
+    lengths for the uniform picks) are built once per state.  The cached log
+    weight tracks every accepted move; audit() recomputes it, the mass and
+    the cycle list's counts from scratch.
     """
 
     def __init__(self, params: SystemParams, seed: int = 0):
@@ -111,25 +112,16 @@ class ChainState:
         self.n = params.n
         self.rng = random.Random(seed)
         # L[r] = log r for r <= n + 2; L[0] is never read by a legal move
-        L = self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
-        self._pairs = [L[r + 1] + L[r] - _LOG2 for r in range(self.n + 1)]
+        self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
         self._bits = [x.bit_length() for x in range(self.n + 1)]  # getrandbits widths
         self._zeros = [0] * (self.n + 1)  # the tally tables of unsampled moves
         self.acceptance_counts = {
             "split": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
             "merge": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
         }
-        self.occ: dict[int, int] = {}
+        self.occ = _shape_occupations(params, self._c)
         self.cycles: list[int] = []
-        self.pos_by_len: defaultdict[int, set[int]] = defaultdict(set)
-        self.split_keys: list[int] = []
-        self.key_pos: dict[int, int] = {}
-        for length, r in _shape_occupations(params).items():
-            self.occ[length] = r
-            if length >= 2:
-                self.key_pos[length] = len(self.split_keys)
-                self.split_keys.append(length)
-            self.pos_by_len[length].update(range(len(self.cycles), len(self.cycles) + r))
+        for length, r in self.occ.items():
             self.cycles += [length] * r
         self.log_weight = _occupation_log_weight(self.occ.items(), self._c)
 
@@ -143,48 +135,40 @@ class ChainState:
     def _advance(self, count: int, sampling: Optional[_Sampling] = None) -> int:
         """The move kernel: `count` Metropolis-Hastings steps; returns how many landed.
 
-        Uniform picks inline Random.randrange's getrandbits rejection loop, so
-        the stream is the one randrange would consume, with bits[x] =
-        x.bit_length() read from a table.  The Hastings terms are written out
-        here; with L[r] = log r, a ratio of factorials r!/(r-1)! is L[r] and
-        log C(r + 1, 2) is pairs[r] = L[r + 1] + L[r] - log 2.
-
-        The slot policy is written out here too, once per move kind: a
-        removed cycle's slot is refilled by the last one, an emptied length's
-        split key by the last key, and an added cycle goes at the end.  The
-        updates reuse the counts the Hastings terms read (rk, rj, rj2, ra, rb,
-        rs); when j == j2 (a == b), rj2 (rb) is the count after the first
-        addition (removal).  The set, list and dict operations run in a fixed
-        order (k, then j and j2; a, then b, then s), since the pop order of a
-        length's slot set decides which slot it gives up: the same moves give
-        the same chain, bit for bit.
+        With m cycles, c[k] = log theta_k and L[r] = log r, splitting the
+        k-cycle in slot i at j has log ratio c[j] + c[k-j] - c[k] + L[k-1] -
+        L[m+1] (1-cycles auto-reject), and merging the cycles in slots i1 !=
+        i2 into s = a + b has c[s] - c[a] - c[b] + L[m] - L[s-1].  Uniform
+        picks inline Random.randrange's getrandbits rejection loop, so the
+        stream is the one randrange would consume; bits[x] = x.bit_length().
+        Accepted moves only touch the state: a split writes j into slot i and
+        appends k - j, a merge writes s into slot i1 and swap-removes slot
+        i2; occ loses k (a, then b) and gains j, then k - j (s), and the
+        cached weight adds dc plus L[r] for each count a removal passes and
+        minus L[r] for each an addition reaches.
 
         With `sampling`, the kernel also takes count // thin + 1 samples
         without leaving its loop: one before the first move and one after
         every thin-th (count is a multiple of thin).  Each accepted move
-        updates two per-length tables with no test of k_report or the
+        updates two per-length tables without testing k_report or the
         threshold: the long-cycle mass, a running integer, changes by
-        big[added] - big[removed] (big[x] = x past the threshold, else 0), and
-        a change of r_k by delta after t samples adds -delta * t to lazy[k],
-        so lazy[k] + r_k * t sums r_k over the t samples; lazy[0] (r_0 = 0)
+        big[added] - big[removed] (big[x] = x past the threshold, else 0),
+        and a change of r_k by delta after t samples adds -delta * t to
+        lazy[k], so lazy[k] + r_k * t sums r_k over the t samples; lazy[0]
         sums the long-cycle mass.  At each t in sampling.stops the kernel
         appends those sums to sampling.sums.  Without `sampling`, t = 0 and
-        both tables are the state's all-zero one: nothing is set up.
+        both tables are the state's all-zero one.
         """
         rng = self.rng
         random = rng.random
         getrandbits = rng.getrandbits
         exp = math.exp
         occ = self.occ
+        get = occ.get
         cycles = self.cycles
-        pos_by_len = self.pos_by_len
-        split_keys = self.split_keys
-        key_pos = self.key_pos
         c = self._c
         L = self._L
-        pairs = self._pairs
         bits = self._bits
-        log2 = _LOG2
         log_weight = self.log_weight
         split_proposed = split_accepted = split_auto = 0
         merge_accepted = merge_auto = 0
@@ -200,85 +184,47 @@ class ChainState:
             seg = 0  # the first sample precedes every move
         while True:
             for _ in range(seg):
+                m = len(cycles)
+                nbits = bits[m]
                 if random() < 0.5:
                     split_proposed += 1
-                    k2 = len(split_keys)
-                    if k2 == 0:
+                    i = getrandbits(nbits)
+                    while i >= m:
+                        i = getrandbits(nbits)
+                    k = cycles[i]
+                    if k == 1:
                         split_auto += 1
                         continue
-                    nbits = bits[k2]
-                    i = getrandbits(nbits)
-                    while i >= k2:
-                        i = getrandbits(nbits)
-                    k = split_keys[i]
                     km1 = k - 1
                     nbits = bits[km1]
-                    i = getrandbits(nbits)
-                    while i >= km1:
-                        i = getrandbits(nbits)
-                    j = 1 + i
+                    j = getrandbits(nbits)
+                    while j >= km1:
+                        j = getrandbits(nbits)
+                    j += 1
                     j2 = k - j
-                    rk = occ[k]
-                    dlw = -c[k] + L[rk]
-                    rj = occ.get(j, 0)
-                    log_fwd = -L[k2] - L[km1]
-                    if j == j2:
-                        rj2 = rj + 1  # j2-cycles once the j-cycle is in
-                        dlw += 2.0 * c[j] - (L[rj + 2] + L[rj2])
-                        log_pairs = pairs[rj2]
-                    else:
-                        rj2 = occ.get(j2, 0)
-                        dlw += c[j] - L[rj + 1]
-                        dlw += c[j2] - L[rj2 + 1]
-                        log_pairs = L[rj + 1] + L[rj2 + 1]
-                        log_fwd += log2
-                    m = len(cycles)
-                    total = dlw + ((log_pairs - pairs[m]) - log_fwd)
+                    dc = c[j] + c[j2] - c[k]
+                    total = dc + L[km1] - L[m + 1]
                     if not (total >= 0.0 or random() < exp(total)):
                         continue
                     split_accepted += 1
+                    cycles[i] = j
+                    cycles.append(j2)
+                    rk = occ[k]
+                    if rk == 1:
+                        del occ[k]
+                    else:
+                        occ[k] = rk - 1
+                    rj = occ[j] = get(j, 0) + 1
+                    rj2 = occ[j2] = get(j2, 0) + 1
+                    log_weight += dc + L[rk] - L[rj] - L[rj2]
                     lazy[k] += t
                     lazy[j] -= t
                     lazy[j2] -= t
                     long_mass += big[j] + big[j2] - big[k]
-                    # the k-cycle out (k >= 2 is a split key)
-                    if rk == 1:
-                        del occ[k]
-                        i = key_pos.pop(k)
-                        last = split_keys.pop()
-                        if last != k:
-                            split_keys[i] = last
-                            key_pos[last] = i
-                    else:
-                        occ[k] = rk - 1
-                    pos = pos_by_len[k].pop()
-                    m -= 1  # the last slot
-                    if pos != m:
-                        moved = cycles[m]
-                        cycles[pos] = moved
-                        mset = pos_by_len[moved]
-                        mset.discard(m)
-                        mset.add(pos)
-                    cycles.pop()
-                    # the j-cycle in, then the j2-cycle
-                    occ[j] = rj + 1
-                    if rj == 0 and j >= 2:
-                        key_pos[j] = len(split_keys)
-                        split_keys.append(j)
-                    pos_by_len[j].add(m)
-                    cycles.append(j)
-                    occ[j2] = rj2 + 1
-                    if rj2 == 0 and j2 >= 2:
-                        key_pos[j2] = len(split_keys)
-                        split_keys.append(j2)
-                    pos_by_len[j2].add(m + 1)
-                    cycles.append(j2)
                 else:
-                    m = len(cycles)
                     if m < 2:
                         merge_auto += 1
                         continue
-                    nbits = bits[m]
                     i1 = getrandbits(nbits)
                     while i1 >= m:
                         i1 = getrandbits(nbits)
@@ -291,86 +237,32 @@ class ChainState:
                         i2 += 1
                     a = cycles[i1]
                     b = cycles[i2]
-                    if a > b:
-                        a, b = b, a
                     s = a + b
-                    rs = occ.get(s, 0)
-                    ra = occ[a]
-                    k2_new = len(split_keys)
-                    if a == b:
-                        rb = ra - 1  # b-cycles left once the a-cycle is out
-                        dlw = -2.0 * c[a] + L[ra] + L[rb]
-                        log_pairs = pairs[rb]
-                        log_rev = 0.0
-                        if a >= 2 and ra == 2:
-                            k2_new -= 1
-                    else:
-                        rb = occ[b]
-                        dlw = (-c[a] + L[ra]) + (-c[b] + L[rb])
-                        log_pairs = L[ra] + L[rb]
-                        log_rev = log2
-                        if a >= 2 and ra == 1:
-                            k2_new -= 1
-                        if b >= 2 and rb == 1:
-                            k2_new -= 1
-                    dlw += c[s] - L[rs + 1]
-                    if rs == 0:
-                        k2_new += 1
-                    log_fwd = log_pairs - pairs[mm1]
-                    log_rev -= L[k2_new] + L[s - 1]
-                    total = dlw + (log_rev - log_fwd)
+                    dc = c[s] - c[a] - c[b]
+                    total = dc + L[m] - L[s - 1]
                     if not (total >= 0.0 or random() < exp(total)):
                         continue
                     merge_accepted += 1
+                    cycles[i1] = s
+                    last = cycles.pop()
+                    if i2 < mm1:
+                        cycles[i2] = last
+                    ra = occ[a]
+                    if ra == 1:
+                        del occ[a]
+                    else:
+                        occ[a] = ra - 1
+                    rb = occ[b]
+                    if rb == 1:
+                        del occ[b]
+                    else:
+                        occ[b] = rb - 1
+                    rs = occ[s] = get(s, 0) + 1
+                    log_weight += dc + L[ra] + L[rb] - L[rs]
                     lazy[a] += t
                     lazy[b] += t
                     lazy[s] -= t
                     long_mass += big[s] - big[a] - big[b]
-                    # the a-cycle out, then the b-cycle, then the s-cycle in
-                    if ra == 1:
-                        del occ[a]
-                        if a >= 2:
-                            i = key_pos.pop(a)
-                            last = split_keys.pop()
-                            if last != a:
-                                split_keys[i] = last
-                                key_pos[last] = i
-                    else:
-                        occ[a] = ra - 1
-                    pos = pos_by_len[a].pop()
-                    if pos != mm1:
-                        moved = cycles[mm1]
-                        cycles[pos] = moved
-                        mset = pos_by_len[moved]
-                        mset.discard(mm1)
-                        mset.add(pos)
-                    cycles.pop()
-                    if rb == 1:
-                        del occ[b]
-                        if b >= 2:
-                            i = key_pos.pop(b)
-                            last = split_keys.pop()
-                            if last != b:
-                                split_keys[i] = last
-                                key_pos[last] = i
-                    else:
-                        occ[b] = rb - 1
-                    pos = pos_by_len[b].pop()
-                    m -= 2  # the last slot, then the s-cycle's
-                    if pos != m:
-                        moved = cycles[m]
-                        cycles[pos] = moved
-                        mset = pos_by_len[moved]
-                        mset.discard(m)
-                        mset.add(pos)
-                    cycles.pop()
-                    occ[s] = rs + 1
-                    if rs == 0:  # s >= 2
-                        key_pos[s] = len(split_keys)
-                        split_keys.append(s)
-                    pos_by_len[s].add(m)
-                    cycles.append(s)
-                log_weight += dlw
             if t == n_samples:
                 break
             t += 1  # the sample after this segment
@@ -396,10 +288,8 @@ class ChainState:
     def audit(self) -> None:
         """Recompute invariants; raises on any drift.
 
-        Besides the mass and the cached weight, checks the index the kernel
-        keeps by hand: occ counts the cycle list (no zero counts), split_keys
-        holds the occupied lengths >= 2 once each, key_pos is its inverse,
-        and each non-empty pos_by_len[x] holds the slots of the x-cycles.
+        Checks the mass, that occ counts the cycle list exactly (so it holds
+        no zero count), and the cached weight against a fresh sum.
         """
         occ = self.occ
         total = sum(k * r for k, r in occ.items())
@@ -407,15 +297,6 @@ class ChainState:
             raise ValidationError(f"occupation mass {total} != n={self.n}")
         if dict(Counter(self.cycles)) != occ:
             raise ValidationError("cycle list out of sync with occupations")
-        if sorted(self.split_keys) != sorted(k for k in occ if k >= 2):
-            raise ValidationError("split keys are not the occupied lengths >= 2")
-        if self.key_pos != {k: i for i, k in enumerate(self.split_keys)}:
-            raise ValidationError("key positions are not the split keys' inverse")
-        slots = defaultdict(set)
-        for i, x in enumerate(self.cycles):
-            slots[x].add(i)
-        if {x: s for x, s in self.pos_by_len.items() if s} != slots:
-            raise ValidationError("slot sets out of sync with the cycle list")
         w = _occupation_log_weight(occ.items(), self._c)
         # relative: every accepted move adds its rounding to the cached sum
         if abs(w - self.log_weight) > 1e-10 * max(1.0, abs(w)):

@@ -515,14 +515,34 @@ class TestUnmaskedTerms:
         assert np.sum(x == 0) > B  # +0.0 over a whole block
         with np.errstate(divide="ignore"):  # log(0) in the oracle
             want = whole_vector_terms(x, qs, minus_one)
+        assert want[0] == -math.inf  # the oracle's ratio underflows too
+        # the true term, about -4e-321: a multiple of the least subnormal,
+        # so an ulp of log cannot move it
+        want[0] = x[0] * (math.log(x[0]) - math.log(qs[0]) - minus_one)
+        assert -5e-321 < want[0] < -3e-321
         for lo, hi in ((0, B), (B, 2 * B), (2 * B, K)):
             ref = qs[lo:hi].copy()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                total = entropy._xlogx_sum(x[lo:hi], ref, minus_one)
-            # ref holds the terms: +0.0 where x is +-0.0, -inf at the subnormal
+                total = entropy._xlogx_sum(x[lo:hi], ref, minus_one, lambda: qs[lo:hi].copy())
+            # ref holds the terms: +0.0 where x is +-0.0, the true term at the
+            # subnormal
             assert ref.tobytes() == want[lo:hi].tobytes()
             assert total == float(np.sum(want[lo:hi]))
+
+    def test_subnormal_entry_keeps_S_finite(self):
+        # x / Qhat*(1) underflows to 0 at x = 5e-324, which once made S -inf
+        params = SystemParams(3, BETA_UNIT, 0.01)
+        qh = qhat_star_array(params, 1000)
+        qh *= 0.5 / math.fsum(np.arange(1, 1001) * qh)
+        qh[0] = 5e-324
+        shape = TruncatedShape(qh, relaxed=True)
+        s_value = functional_S(shape, params)
+        assert math.isfinite(s_value)
+        qh[0] = 0.0  # the true term, about -4e-321, is below S's rounding
+        assert s_value == functional_S(TruncatedShape(qh, relaxed=True), params)
+        rebuilt = entropy_decomposition(shape, params).reconstructed_S
+        assert s_value == pytest.approx(rebuilt, rel=1e-12)
 
 
 class TestBlockEdges:

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from cyclegas.errors import CapError, ValidationError
-from cyclegas.exactz import log_weight, mu_N_expected_shape
+from cyclegas.exactz import (
+    _log_Z_table,
+    _occupation_log_weight,
+    log_weight,
+    mu_N_expected_shape,
+    weighted_ensemble,
+)
 from cyclegas.partitions import Partition, enumerate_partitions
 from cyclegas.sampler import (
     ChainState,
@@ -21,14 +27,9 @@ from cyclegas.sampler import (
     long_cycle_fraction_scan,
     run_chain,
 )
-from cyclegas.thermo import SystemParams, critical_density
+from cyclegas.thermo import SystemParams, critical_density, optimal_shape
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
-LOG2 = math.log(2.0)
-
-
-def occ_stats(occ: dict[int, int]) -> tuple[int, int]:
-    return sum(occ.values()), sum(1 for k in occ if k >= 2)
 
 
 def log_table(n: int) -> list[float]:
@@ -36,124 +37,90 @@ def log_table(n: int) -> list[float]:
     return [-math.inf] + [math.log(r) for r in range(1, n + 3)]
 
 
-def split_move_terms(
-    occ: dict[int, int],
-    c: list[float],
-    L: list[float],
-    m: int,
-    k2: int,
-    k: int,
-    j: int,
-) -> tuple[float, float]:
-    """(delta log weight, log Hastings ratio) for splitting a k-cycle at j.
+def split_terms(c: list[float], L: list[float], m: int, k: int, j: int) -> tuple[float, float]:
+    """(c-sum change, log Hastings ratio) for splitting a k-cycle at j among m cycles.
 
-    The kernel's split terms written as a function: reference_step checks
-    the kernel against it bit for bit.  occ/m/k2 describe the state before
-    the move; the move must be legal (occ[k] >= 1, k >= 2, 1 <= j <= k-1).
-    L[r] = log r, so a ratio of factorials r!/(r-1)! is L[r] and log C(m, 2)
-    is L[m] + L[m-1] - log 2.
+    The kernel's closed form: a uniform slot pick makes every occupancy
+    factor cancel, leaving theta_j theta_{k-j} / theta_k * (k - 1)/(m + 1),
+    with c[k] = log theta_k and L[r] = log r.
     """
-    j2 = k - j
-    dlw = -c[k] + L[occ[k]]
-    rj = occ.get(j, 0)
-    log_fwd = -L[k2] - L[k - 1]
-    if j == j2:
-        dlw += 2.0 * c[j] - (L[rj + 2] + L[rj + 1])
-        log_pairs = L[rj + 2] + L[rj + 1] - LOG2
-    else:
-        rj2 = occ.get(j2, 0)
-        dlw += c[j] - L[rj + 1]
-        dlw += c[j2] - L[rj2 + 1]
-        log_pairs = L[rj + 1] + L[rj2 + 1]
-        log_fwd += LOG2
-    log_rev = log_pairs - (L[m + 1] + L[m] - LOG2)
-    return dlw, log_rev - log_fwd
+    dc = c[j] + c[k - j] - c[k]
+    return dc, dc + L[k - 1] - L[m + 1]
 
 
-def merge_move_terms(
-    occ: dict[int, int],
-    c: list[float],
-    L: list[float],
-    m: int,
-    k2: int,
-    a: int,
-    b: int,
-) -> tuple[float, float]:
-    """(delta log weight, log Hastings ratio) for merging an a- and a b-cycle.
+def merge_terms(c: list[float], L: list[float], m: int, a: int, b: int) -> tuple[float, float]:
+    """(c-sum change, log Hastings ratio) for merging an a- and a b-cycle among m.
 
-    The kernel's merge terms written as a function (see split_move_terms).
-    occ/m/k2 describe the state before the move; requires two distinct
-    cycles of lengths a and b (occ[a] >= 2 when a == b).  L[r] = log r.
+    The inverse of split_terms: theta_s / (theta_a theta_b) * m/(s - 1).
     """
     s = a + b
-    rs = occ.get(s, 0)
-    ra = occ[a]
-    k2_new = k2
-    if a == b:
-        dlw = -2.0 * c[a] + L[ra] + L[ra - 1]
-        log_pairs = L[ra] + L[ra - 1] - LOG2
-        log_rev = 0.0
-        if a >= 2 and ra == 2:
-            k2_new -= 1
+    dc = c[s] - c[a] - c[b]
+    return dc, dc + L[m] - L[s - 1]
+
+
+def move_counts(occ: dict[int, int], removed, added) -> tuple[list[int], list[int]]:
+    """Take the lengths in `removed` out of occ in place, then put `added` in.
+
+    Returns each removed length's count before its removal and each added
+    length's count after its addition: the weight changes by the move's
+    c-sum plus L[r] for the first and minus L[r] for the second.
+    """
+    outs, ins = [], []
+    for x in removed:
+        r = occ[x]
+        outs.append(r)
+        if r == 1:
+            del occ[x]
+        else:
+            occ[x] = r - 1
+    for x in added:
+        r = occ[x] = occ.get(x, 0) + 1
+        ins.append(r)
+    return outs, ins
+
+
+def reference_step(st: ChainState) -> tuple[str, str]:
+    """One slot-proposal step written with Random.randrange: (move kind, outcome)."""
+    rng = st.rng
+    cycles = st.cycles
+    m = len(cycles)
+    if rng.random() < 0.5:
+        kind = "split"
+        i = rng.randrange(m)
+        k = cycles[i]
+        if k == 1:
+            return kind, "auto_rejected"
+        j = 1 + rng.randrange(k - 1)
+        dc, lratio = split_terms(st._c, st._L, m, k, j)
+        removed, added = (k,), (j, k - j)
     else:
-        rb = occ[b]
-        dlw = (-c[a] + L[ra]) + (-c[b] + L[rb])
-        log_pairs = L[ra] + L[rb]
-        log_rev = LOG2
-        if a >= 2 and ra == 1:
-            k2_new -= 1
-        if b >= 2 and rb == 1:
-            k2_new -= 1
-    dlw += c[s] - L[rs + 1]
-    if rs == 0:
-        k2_new += 1
-    log_fwd = log_pairs - (L[m] + L[m - 1] - LOG2)
-    log_rev -= L[k2_new] + L[s - 1]
-    return dlw, log_rev - log_fwd
-
-
-def lgamma_split_terms(occ, c, lg, m, k2, k, j):
-    """The split terms on lg[r] = log r!, the form the L-table terms replaced."""
-    j2 = k - j
-    rk = occ[k]
-    dlw = -c[k] + lg[rk] - lg[rk - 1]
-    rj = occ.get(j, 0)
-    if j == j2:
-        dlw += 2.0 * c[j] - (lg[rj + 2] - lg[rj])
-        npairs = (rj + 2) * (rj + 1) // 2
-        log_fwd = -math.log(k2) - math.log(k - 1)
+        kind = "merge"
+        if m < 2:
+            return kind, "auto_rejected"
+        i1 = rng.randrange(m)
+        i2 = rng.randrange(m - 1)
+        if i2 >= i1:
+            i2 += 1
+        a, b = cycles[i1], cycles[i2]
+        dc, lratio = merge_terms(st._c, st._L, m, a, b)
+        removed, added = (a, b), (a + b,)
+    if not (lratio >= 0.0 or rng.random() < math.exp(lratio)):
+        return kind, "rejected"
+    if kind == "split":
+        cycles[i] = j
+        cycles.append(k - j)
     else:
-        rj2 = occ.get(j2, 0)
-        dlw += c[j] - (lg[rj + 1] - lg[rj])
-        dlw += c[j2] - (lg[rj2 + 1] - lg[rj2])
-        npairs = (rj + 1) * (rj2 + 1)
-        log_fwd = -math.log(k2) - math.log(k - 1) + math.log(2.0)
-    log_rev = math.log(npairs) - math.log((m + 1) * m / 2.0)
-    return dlw, log_rev - log_fwd
-
-
-def lgamma_merge_terms(occ, c, lg, m, k2, a, b):
-    """The merge terms on lg[r] = log r!, the form the L-table terms replaced."""
-    s = a + b
-    rs = occ.get(s, 0)
-    ra = occ[a]
-    k2_new = k2
-    if a == b:
-        dlw = -2.0 * c[a] + lg[ra] - lg[ra - 2]
-        npairs = ra * (ra - 1) // 2
-        log_rev_choice = 0.0
-        k2_new -= a >= 2 and ra == 2
-    else:
-        rb = occ[b]
-        dlw = (-c[a] + lg[ra] - lg[ra - 1]) + (-c[b] + lg[rb] - lg[rb - 1])
-        npairs = ra * rb
-        log_rev_choice = math.log(2.0)
-        k2_new -= (a >= 2 and ra == 1) + (b >= 2 and rb == 1)
-    dlw += c[s] - (lg[rs + 1] - lg[rs])
-    log_fwd = math.log(npairs) - math.log(m * (m - 1) / 2.0)
-    k2_new += rs == 0
-    log_rev = -math.log(k2_new) - math.log(s - 1) + log_rev_choice
-    return dlw, log_rev - log_fwd
+        cycles[i1] = a + b
+        cycles[i2] = cycles[-1]  # the last slot's cycle fills slot i2
+        del cycles[-1]
+    outs, ins = move_counts(st.occ, removed, added)
+    dlw = dc
+    for r in outs:
+        dlw += st._L[r]
+    for r in ins:
+        dlw -= st._L[r]
+    st.log_weight += dlw
+    return kind, "accepted"
 
 
 def legal_moves(occ):
@@ -169,83 +136,20 @@ def legal_moves(occ):
     return splits, merges
 
 
-def apply_move(st: ChainState, removed, added) -> None:
-    """Take cycles of the lengths in `removed` out of st, then put `added` in.
+def proposal_log_prob(occ: dict[int, int], removed, added) -> float:
+    """log of a move's proposal probability from occ, by multiplicities.
 
-    The slot policy as a function, the reference the kernel's written-out
-    updates are checked against (reference_step).  Keeps occ, the cycle list
-    (a removed cycle's slot is refilled by the last one) and the distinct
-    lengths >= 2 in step; which slot a length gives up follows its position
-    set's pop order, so the same calls in the same order give the same chain.
+    Leaves out the 1/2 of the move kind.  A split of k picks one of occ[k]
+    slots of m, then j or k - j; a merge picks one of the ordered slot pairs
+    holding an a- and a b-cycle.
     """
-    occ = st.occ
-    cycles = st.cycles
-    pos_by_len = st.pos_by_len
-    split_keys = st.split_keys
-    key_pos = st.key_pos
-    for length in removed:
-        r = occ[length] - 1
-        if r == 0:
-            del occ[length]
-            if length >= 2:
-                i = key_pos.pop(length)
-                last = split_keys.pop()
-                if last != length:
-                    split_keys[i] = last
-                    key_pos[last] = i
-        else:
-            occ[length] = r
-        pos = pos_by_len[length].pop()
-        last_idx = len(cycles) - 1
-        if pos != last_idx:
-            moved = cycles[last_idx]
-            cycles[pos] = moved
-            mset = pos_by_len[moved]
-            mset.discard(last_idx)
-            mset.add(pos)
-        cycles.pop()
-    for length in added:
-        r = occ.get(length, 0) + 1
-        occ[length] = r
-        if r == 1 and length >= 2:
-            key_pos[length] = len(split_keys)
-            split_keys.append(length)
-        pos_by_len[length].add(len(cycles))
-        cycles.append(length)
-
-
-def reference_step(st: ChainState) -> tuple[str, str]:
-    """One step written with Random.randrange: (move kind, outcome)."""
-    rng = st.rng
-    if rng.random() < 0.5:
-        kind = "split"
-        k2 = len(st.split_keys)
-        if k2 == 0:
-            return kind, "auto_rejected"
-        k = st.split_keys[rng.randrange(k2)]
-        j = 1 + rng.randrange(k - 1)
-        dlw, lratio = split_move_terms(st.occ, st._c, st._L, len(st.cycles), k2, k, j)
-        removed, added = (k,), (j, k - j)
-    else:
-        kind = "merge"
-        m = len(st.cycles)
-        if m < 2:
-            return kind, "auto_rejected"
-        i1 = rng.randrange(m)
-        i2 = rng.randrange(m - 1)
-        if i2 >= i1:
-            i2 += 1
-        a, b = sorted((st.cycles[i1], st.cycles[i2]))
-        dlw, lratio = merge_move_terms(
-            st.occ, st._c, st._L, m, len(st.split_keys), a, b
-        )
-        removed, added = (a, b), (a + b,)
-    total = dlw + lratio
-    if total >= 0.0 or rng.random() < math.exp(total):
-        apply_move(st, removed, added)
-        st.log_weight += dlw
-        return kind, "accepted"
-    return kind, "rejected"
+    m = sum(occ.values())
+    if len(removed) == 1:
+        (k,), (j, j2) = removed, added
+        return math.log(occ[k] / m * (1 if j == j2 else 2) / (k - 1))
+    a, b = removed
+    pairs = occ[a] * (occ[a] - 1) if a == b else 2 * occ[a] * occ[b]
+    return math.log(pairs / (m * (m - 1)))
 
 
 def chain_snapshot(st: ChainState) -> tuple:
@@ -253,17 +157,33 @@ def chain_snapshot(st: ChainState) -> tuple:
     return (
         list(st.occ.items()),
         list(st.cycles),
-        list(st.split_keys),
-        {k: sorted(v) for k, v in st.pos_by_len.items()},
         st.log_weight,
         copy.deepcopy(st.acceptance_counts),
         st.rng.getstate(),
     )
 
 
+def one_step_moves(occ: dict[int, int], c: list[float], L: list[float]):
+    """Every slot proposal from occ: (probability, log ratio, removed, added).
+
+    A split picks one of the m slots (1/2 * 1/m), auto-rejects a 1-cycle
+    and otherwise picks j in 1..k-1; a merge picks an ordered pair of
+    distinct slots (1/2 * 1/(m (m - 1))).
+    """
+    cycles = [k for k, r in occ.items() for _ in range(r)]
+    m = len(cycles)
+    for k in cycles:
+        for j in range(1, k):
+            yield 0.5 / m / (k - 1), split_terms(c, L, m, k, j)[1], (k,), (j, k - j)
+    for i1, a in enumerate(cycles):
+        for i2, b in enumerate(cycles):
+            if i1 != i2:
+                yield 0.5 / (m * (m - 1)), merge_terms(c, L, m, a, b)[1], (a, b), (a + b,)
+
+
 def proposed(snapshot: tuple) -> int:
     """Moves proposed so far, read from a chain_snapshot's counters."""
-    return sum(tally["proposed"] for tally in snapshot[5].values())
+    return sum(tally["proposed"] for tally in snapshot[3].values())
 
 
 def replayed_sums(p, steps, seed, burn_in, thin, k_report, threshold):
@@ -299,58 +219,68 @@ class TestMoveAlgebra:
     def test_unique_split_on_a_two_cycle(self):
         p = SystemParams(3, 1.0, 1.0, n=2)
         st = ChainState(p, seed=1)
-        # force the state {r_2: 1}
-        apply_move(st, tuple(st.cycles), (2,))
+        # force the state {r_2: 1} in the same occ dict
+        st.occ.clear()
+        st.occ[2] = 1
+        st.cycles[:] = [2]
+        st.log_weight = _occupation_log_weight(st.occ.items(), st._c)
+        st.audit()
         while not st.step():  # merges auto-reject: one cycle only
             pass
         assert st.current == Partition(2, ((1, 2),))
         assert st.acceptance_counts["split"]["accepted"] == 1
+        st.audit()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_exhaustive_reversibility(self, n):
-        # every split has the inverse merge with opposite log terms
+        # every split has the inverse merge with opposite log terms, and the
+        # merge passes the counts the split passed, reversed
         p = SystemParams(3, 0.5, 1.0, n=n)
         c = _cycle_log_constants(p, "chain")
-        lg = log_table(n)
+        L = log_table(n)
         for lam in enumerate_partitions(n):
             occ = lam.as_dict()
-            m, k2 = occ_stats(occ)
+            m = sum(occ.values())
             for k in [k for k in occ if k >= 2]:
                 for j in range(1, k):
-                    dlw_s, lr_s = split_move_terms(occ, c, lg, m, k2, k, j)
-                    nxt = dict(occ)
-                    nxt[k] -= 1
-                    if nxt[k] == 0:
-                        del nxt[k]
-                    nxt[j] = nxt.get(j, 0) + 1
-                    nxt[k - j] = nxt.get(k - j, 0) + 1
-                    m2, k22 = occ_stats(nxt)
-                    a, b = min(j, k - j), max(j, k - j)
-                    dlw_m, lr_m = merge_move_terms(nxt, c, lg, m2, k22, a, b)
-                    assert abs(dlw_s + dlw_m) < 1e-12
+                    dc_s, lr_s = split_terms(c, L, m, k, j)
+                    dc_m, lr_m = merge_terms(c, L, m + 1, j, k - j)
+                    assert abs(dc_s + dc_m) < 1e-12
                     assert abs(lr_s + lr_m) < 1e-12
+                    nxt = dict(occ)
+                    outs_s, ins_s = move_counts(nxt, (k,), (j, k - j))
+                    back = dict(nxt)
+                    outs_m, ins_m = move_counts(back, (j, k - j), (k,))
+                    assert back == occ
+                    assert sorted(outs_s) == sorted(ins_m)
+                    assert sorted(ins_s) == sorted(outs_m)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_log_table_terms_match_lgamma_formulas(self, d):
-        # L[r] = log r replaces differences of lg[r] = log r!; every legal
-        # move of every partition with n <= 10 gets the same terms
+        # the weight change from L[r] = log r equals the difference of the
+        # lg[r] = log r! weights, and the closed-form ratio equals the full
+        # Hastings ratio with the proposal counted by multiplicities, for
+        # every legal move of every partition with n <= 10
         for n in range(2, 11):
             p = SystemParams(d, 0.5, 1.0, n=n)
             c = _cycle_log_constants(p, "chain")
             L = log_table(n)
-            lg = [math.lgamma(r + 1) for r in range(n + 2)]
             for lam in enumerate_partitions(n):
                 occ = lam.as_dict()
-                m, k2 = occ_stats(occ)
+                m = sum(occ.values())
+                lw = _occupation_log_weight(occ.items(), c)
                 splits, merges = legal_moves(occ)
-                for k, j in splits:
-                    got = split_move_terms(occ, c, L, m, k2, k, j)
-                    want = lgamma_split_terms(occ, c, lg, m, k2, k, j)
-                    assert got == pytest.approx(want, rel=0, abs=1e-12), (occ, k, j)
-                for a, b in merges:
-                    got = merge_move_terms(occ, c, L, m, k2, a, b)
-                    want = lgamma_merge_terms(occ, c, lg, m, k2, a, b)
-                    assert got == pytest.approx(want, rel=0, abs=1e-12), (occ, a, b)
+                moves = [((k,), (j, k - j), split_terms(c, L, m, k, j)) for k, j in splits]
+                moves += [((a, b), (a + b,), merge_terms(c, L, m, a, b)) for a, b in merges]
+                for removed, added, (dc, lratio) in moves:
+                    nxt = dict(occ)
+                    outs, ins = move_counts(nxt, removed, added)
+                    dlw = dc + sum(L[r] for r in outs) - sum(L[r] for r in ins)
+                    want = _occupation_log_weight(nxt.items(), c) - lw
+                    assert dlw == pytest.approx(want, rel=0, abs=1e-12), (occ, removed)
+                    want += proposal_log_prob(nxt, added, removed)
+                    want -= proposal_log_prob(occ, removed, added)
+                    assert lratio == pytest.approx(want, rel=0, abs=1e-12), (occ, removed)
 
     def test_mass_preserved_on_every_accepted_move(self):
         p = SystemParams(2, 0.5, 2.0, n=30)
@@ -375,15 +305,15 @@ class TestKernel:
     @pytest.mark.parametrize(
         "p, seed",
         [(SystemParams(3, 0.5, 1.0, n=n), n) for n in (12, 200, 40, 1)]
-        # the benchmark's condensed point: splits of the giant cycle, and
-        # lengths that empty and swap their split key with the last one
+        # the benchmark's condensed point: splits of the giant cycle among
+        # many 1-cycle auto-rejects, and lengths that empty and refill
         + [(SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=2000), 2000)],
         ids=["12", "200", "40", "1", "n2000-condensed"],
     )
     def test_kernel_matches_randrange_reference(self, p, seed):
         # the kernel's inlined getrandbits picks reproduce Random.randrange,
-        # its slot updates reproduce apply_move's, and its counters tally
-        # the reference's outcomes
+        # its slot and count updates and its cached weight reproduce the
+        # reference's bit for bit, and its counters tally its outcomes
         st = ChainState(p, seed=seed)
         ref = copy.deepcopy(st)
         tally = {kind: Counter() for kind in ("split", "merge")}
@@ -393,9 +323,10 @@ class TestKernel:
             tally[kind][outcome] += 1
             assert landed == (outcome == "accepted")
             if i % 997 == 0:
-                assert chain_snapshot(st)[:5] == chain_snapshot(ref)[:5]
+                assert chain_snapshot(st)[:3] == chain_snapshot(ref)[:3]
                 assert st.rng.getstate() == ref.rng.getstate()
-        assert chain_snapshot(st)[:5] == chain_snapshot(ref)[:5]
+        assert chain_snapshot(st)[:3] == chain_snapshot(ref)[:3]
+        assert st.rng.getstate() == ref.rng.getstate()
         for kind, outcomes in tally.items():
             assert st.acceptance_counts[kind] == {
                 "proposed": sum(outcomes.values()),
@@ -414,6 +345,44 @@ class TestKernel:
             # occ, cycles, log_weight (bitwise), counters and RNG state
             assert chain_snapshot(batched) == chain_snapshot(single)
 
+    def test_occ_is_one_live_dict_without_zero_counts(self):
+        # readers may bind st.occ once and read it after every step
+        st = ChainState(SystemParams(1, 1.0, 5.0, n=40), seed=3)
+        occ = st.occ
+        lengths = set()
+        for count in [1] * 2_000 + [1_000] * 20:
+            if count == 1:
+                st.step()
+            else:
+                st._advance(count)
+            assert st.occ is occ
+            assert 0 not in occ.values()
+            assert occ == Counter(st.cycles)
+            lengths.update(occ)
+        assert len(lengths) > 20  # lengths came and went
+
+    def test_start_lays_out_the_shapes_mass(self):
+        # up to every length below the long seed cycle, the start's mass is
+        # within k/2 of the limiting shape's, so at the benchmark's condensed
+        # point it begins within half the benchmark's 0.1 band of the exact
+        # long-cycle fraction (0.518) rather than carrying the whole tail
+        p = SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=2000)
+        occ = ChainState(p).occ
+        seed_cycle = max(occ)
+        assert occ[seed_cycle] == 1
+        _, qhat = optimal_shape(p)
+        laid, target = 0, 0.0
+        for k in range(1, seed_cycle):
+            target += k * p.n * qhat(k)
+            laid += k * occ.get(k, 0)
+            assert abs(laid - target) <= k / 2.0 + 1e-9, k
+        c = _cycle_log_constants(p, "chain")
+        log_z = _log_Z_table(c, p.n)
+        th = default_threshold(p.n)
+        ks = range(th + 1, p.n + 1)
+        exact = sum(k * math.exp(c[k] + log_z[p.n - k] - log_z[p.n]) for k in ks) / p.n
+        start = sum(k * r for k, r in occ.items() if k > th) / p.n
+        assert abs(start - exact) < 0.05
 
     @pytest.mark.parametrize("n", [12, 5, 1])
     def test_rejected_step_changes_only_rng_and_counters(self, n):
@@ -432,8 +401,8 @@ class TestKernel:
                     log_weight(st.current, p), abs=1e-10
                 )
             else:
-                # occ, cycles, split keys, positions and log weight (bitwise)
-                assert after[:5] == before[:5]
+                # occ, cycles and log weight (bitwise)
+                assert after[:3] == before[:3]
         if n > 1:
             assert landings[True] and landings[False]
         else:
@@ -448,6 +417,40 @@ class TestExactness:
         for k in range(1, stats.k_report + 1):
             err = max(stats.qhat_stderr[k - 1], 1e-6)
             assert abs(stats.mean_qhat[k - 1] - exact[k - 1]) <= 3.0 * err
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            SystemParams(3, 0.25, 1.0, n=7),
+            SystemParams(1, 1.0, 1.0, n=8),
+            SystemParams(2, 0.5, 2.0, n=9),
+            SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=9),
+        ],
+        ids=["d3-n7", "d1-n8", "d2-n9", "d3-n9-condensed"],
+    )
+    def test_exact_detailed_balance(self, p):
+        # the one-step transition matrix on cycle types, from every slot
+        # proposal and its acceptance, is reversible against the exact law
+        c = _cycle_log_constants(p, "chain")
+        L = log_table(p.n)
+        ens = weighted_ensemble(p)
+        pi = {lam.occupations: ens.probability(lam) for lam in ens.log_weights}
+        P = {}
+        signs = Counter()
+        for lam in ens.log_weights:
+            row = P[lam.occupations] = Counter()
+            for prob, lratio, removed, added in one_step_moves(lam.as_dict(), c, L):
+                signs[lratio >= 0.0] += 1
+                nxt = lam.as_dict()
+                move_counts(nxt, removed, added)
+                y = Partition.from_counts(p.n, nxt).occupations
+                row[y] += prob * min(1.0, math.exp(lratio))
+            assert sum(row.values()) <= 1.0 + 1e-15
+        assert signs[True] and signs[False]  # some proposals are rejected
+        for x, row in P.items():
+            for y, pxy in row.items():
+                flow, back = pi[x] * pxy, pi[y] * P[y][x]
+                assert abs(flow - back) <= 1e-12 * max(flow, back), (x, y)
 
 
 class TestRunChain:
@@ -529,8 +532,9 @@ class TestRunChain:
         ids=["n2000-condensed", "n8", "n60-d1"],
     )
     def test_run_chain_matches_pinned_output(self, case, p, kwargs):
-        # every field, floats bit for bit, as run_chain gave it when samples
-        # were still taken by walking the occupations between kernel calls
+        # every field, floats bit for bit, as the slot-proposal kernel gave
+        # it; its means equal a replay that walks the occupations between
+        # bare kernel calls (replayed_sums)
         golden = json.loads(Path(__file__).with_name("run_chain_golden.json").read_text())
         want = {k: tuple(v) if isinstance(v, list) else v for k, v in golden[case].items()}
         assert run_chain(p, **kwargs) == CycleStats(**want)
@@ -566,16 +570,15 @@ class TestRunChain:
 
     AUDIT_MESSAGES = {
         "zero-count": "cycle list out of sync",
-        "split-key-missing": "split keys are not",
-        "split-key-unoccupied": "split keys are not",
-        "key-positions-swapped": "key positions are not",
-        "slot-in-wrong-set": "slot sets out of sync",
-        "slot-in-empty-set": "slot sets out of sync",
+        "cycle-entry-swapped": "cycle list out of sync",
+        "cycle-entry-unoccupied": "cycle list out of sync",
+        "mass-mismatch": "occupation mass",
     }
 
     @pytest.mark.parametrize("corruption", list(AUDIT_MESSAGES))
     def test_audit_checks_the_hand_kept_index(self, corruption):
-        # each corruption keeps the mass, the cycle count and the weight
+        # the cycle list is the index the slot picks read; each corruption
+        # but the last keeps the mass and the weight
         st = ChainState(SystemParams(1, 1.0, 5.0, n=40), seed=3)
         st._advance(2_000)
         st.audit()
@@ -584,21 +587,14 @@ class TestRunChain:
         assert len(occupied) >= 2
         if corruption == "zero-count":
             st.occ[empty] = 0
-        elif corruption == "split-key-missing":
-            del st.key_pos[st.split_keys.pop()]
-        elif corruption == "split-key-unoccupied":
-            st.key_pos[empty] = len(st.split_keys)
-            st.split_keys.append(empty)
-        elif corruption == "key-positions-swapped":
-            x, y = st.split_keys[:2]
-            st.key_pos[x], st.key_pos[y] = st.key_pos[y], st.key_pos[x]
-        elif corruption == "slot-in-wrong-set":
+        elif corruption == "cycle-entry-swapped":
             x, y = occupied[:2]
-            i = st.cycles.index(x)
-            st.pos_by_len[x].discard(i)
-            st.pos_by_len[y].add(i)
+            st.cycles[st.cycles.index(x)] = y
+        elif corruption == "cycle-entry-unoccupied":
+            st.cycles[0] = empty
         else:
-            st.pos_by_len[empty].add(0)
+            st.occ[1] = st.occ.get(1, 0) + 1
+            st.cycles.append(1)
         with pytest.raises(ValidationError, match=self.AUDIT_MESSAGES[corruption]):
             st.audit()
 
