@@ -1,20 +1,30 @@
 """Split/merge Metropolis-Hastings over partitions of n.
 
 Targets the exact finite-n ensemble weights for n far beyond enumeration
-range.  A move is SPLIT (choose a uniform slot of the cycle list; a 1-cycle
-there auto-rejects, a k-cycle is replaced by a j- and a (k-j)-cycle, j
-uniform in 1..k-1) or MERGE (choose two distinct uniform slots, replacing
-their cycles by the concatenation), each attempted with probability 1/2.
+range.  Almost every step is a slot proposal: SPLIT (choose a uniform slot
+of the cycle list; a 1-cycle there auto-rejects, a k-cycle is replaced by a
+j- and a (k-j)-cycle, j uniform in 1..k-1) or MERGE (choose two distinct
+uniform slots, replacing their cycles by the concatenation), equally likely.
 The two kinds are mutually reverse, and since both pick slots, every
 occupation multiplicity cancels from the Hastings ratio (Hastings 1970):
 what is left is theta_j theta_{k-j} / theta_k * (k - 1)/(m + 1) for a split
 among m cycles, and its inverse for a merge.
 
+A slot pick finds a cycle of length k with chance 1/m whatever k is, so in
+the condensed regime it rarely moves the giant cycle.  One step in 256 is
+therefore a point move instead: two uniform points of the n, which split
+their cycle at their distance j when they share one and merge their two
+cycles otherwise; it picks a cycle with chance k/n.  The proposal is
+symmetric on permutations, so its ratio is the permutation weights' alone,
+j theta_j (k-j) theta_{k-j} / (k theta_k) for a split, again free of
+occupation multiplicities.  Each kind of step is reversible on its own, so
+their fixed mixture is too.
+
 One kernel, ChainState._advance, makes every move.  An accepted split writes
 one new cycle into the picked slot and appends the other; an accepted merge
 writes the sum into one slot and swap-removes the other.  The occupations
 and the cached log weight change on accepted moves only; no other index is
-kept.  The tests keep the move as a plain randrange function and check the
+kept.  The tests keep the moves as a plain randrange function and check the
 kernel against it step by step.
 
 run_chain drives a chain through three calls of the kernel (burn-in, the
@@ -31,7 +41,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -39,33 +51,33 @@ import numpy as np
 from .errors import ValidationError
 from .exactz import _cycle_log_constants, _occupation_log_weight, _require_n
 from .partitions import Partition
-from .thermo import SystemParams, solve_alpha
+from .thermo import SystemParams, optimal_shape
 
 _BATCHES = 50
+_POINT_MOVE = 2.0**-8  # the share of steps that are point moves
 
 
-def _shape_occupations(params: SystemParams, c: list[float]) -> dict[int, int]:
-    """Deterministic near-equilibrium start: round the limiting shape's mass.
+def _shape_occupations(params: SystemParams) -> dict[int, int]:
+    """Deterministic near-equilibrium start: round the limiting shape.
 
-    The shape puts n Qhat(k) = exp(c[k] - alpha k) cycles on length k.  Going
-    up the lengths, r_k is the shape's mass on lengths <= k not yet laid
-    out, in k-cycles rounded to nearest (never past n), so a length with
-    n Qhat(k) < 1 still gets a cycle once the carried mass reaches k/2.
-    Whatever mass is left over becomes a single long cycle (in the condensed
-    regime that seed cycle carries the excess density, which cuts the
-    equilibration transient enormously).
+    r_k = floor(n Qhat(k)) for small k; whatever mass is left over becomes a
+    single long cycle (in the condensed regime that seed cycle carries the
+    excess density, which cuts the equilibration transient enormously).
     """
     n = params.n
-    alpha = solve_alpha(params).alpha
+    _, qhat = optimal_shape(params)
     counts: dict[int, int] = {}
-    target = 0.0
     used = 0
     for k in range(1, n + 1):
-        target += k * math.exp(c[k] - alpha * k)
-        r = min(int((target - used) / k + 0.5), (n - used) // k)
-        if r >= 1:
-            counts[k] = r
-            used += k * r
+        r = int(n * qhat(k))
+        if r < 1:
+            break
+        if used + k * r > n:
+            r = (n - used) // k
+            if r < 1:
+                break
+        counts[k] = r
+        used += k * r
     rest = n - used
     if rest >= 1:
         counts[rest] = counts.get(rest, 0) + 1
@@ -99,12 +111,13 @@ class ChainState:
     """Mutable split/merge chain state over partitions of params.n.
 
     Keeps the occupation map occ (one live dict, no zero counts) and the
-    cycle list, one slot per cycle, which the uniform slot picks read.  Only
-    the kernel, _advance, changes them after the start, which lays out the
-    rounded limiting shape length by length.  The tables _L and _bits (bit
-    lengths for the uniform picks) are built once per state.  The cached log
-    weight tracks every accepted move; audit() recomputes it, the mass and
-    the cycle list's counts from scratch.
+    cycle list, one slot per cycle, which the slot picks read and whose
+    running sums place a point move's points.  Only the kernel, _advance,
+    changes them after the start, which rounds the limiting shape down and
+    puts the rest of the mass into one seed cycle.  The tables _L and _bits
+    (bit lengths for the uniform picks) are built once per state.  The
+    cached log weight tracks every accepted move; audit() recomputes it,
+    the mass and the cycle list's counts from scratch.
     """
 
     def __init__(self, params: SystemParams, seed: int = 0):
@@ -119,7 +132,7 @@ class ChainState:
             "split": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
             "merge": {"proposed": 0, "accepted": 0, "auto_rejected": 0},
         }
-        self.occ = _shape_occupations(params, self._c)
+        self.occ = _shape_occupations(params)
         self.cycles: list[int] = []
         for length, r in self.occ.items():
             self.cycles += [length] * r
@@ -135,14 +148,20 @@ class ChainState:
     def _advance(self, count: int, sampling: Optional[_Sampling] = None) -> int:
         """The move kernel: `count` Metropolis-Hastings steps; returns how many landed.
 
-        With m cycles, c[k] = log theta_k and L[r] = log r, splitting the
-        k-cycle in slot i at j has log ratio c[j] + c[k-j] - c[k] + L[k-1] -
-        L[m+1] (1-cycles auto-reject), and merging the cycles in slots i1 !=
-        i2 into s = a + b has c[s] - c[a] - c[b] + L[m] - L[s-1].  Uniform
-        picks inline Random.randrange's getrandbits rejection loop, so the
-        stream is the one randrange would consume; bits[x] = x.bit_length().
+        With m cycles, c[k] = log theta_k and L[r] = log r, a slot split of
+        the k-cycle in slot i at j has log ratio c[j] + c[k-j] - c[k] +
+        L[k-1] - L[m+1] (1-cycles auto-reject), and a slot merge of slots i
+        != i2 into s = a + b has c[s] - c[a] - c[b] + L[m] - L[s-1].  A point
+        move (a share _POINT_MOVE of the steps) draws points u and v from
+        0..n-1 and finds their slots in the cycle list's running sums: in
+        one slot it splits at j = (v - u) mod k, with ratio c[j] + c[k-j] -
+        c[k] + L[j] + L[k-j] - L[k] (u == v auto-rejects), and across two it
+        merges with ratio c[s] - c[a] - c[b] + L[s] - L[a] - L[b]; it counts
+        as the split or merge it proposes.  Slot picks inline
+        Random.randrange's getrandbits rejection loop (bits[x] =
+        x.bit_length()), so the stream is the one randrange would consume.
         Accepted moves only touch the state: a split writes j into slot i and
-        appends k - j, a merge writes s into slot i1 and swap-removes slot
+        appends k - j, a merge writes s into slot i and swap-removes slot
         i2; occ loses k (a, then b) and gains j, then k - j (s), and the
         cached weight adds dc plus L[r] for each count a removal passes and
         minus L[r] for each an addition reaches.
@@ -162,6 +181,7 @@ class ChainState:
         rng = self.rng
         random = rng.random
         getrandbits = rng.getrandbits
+        randrange = rng.randrange
         exp = math.exp
         occ = self.occ
         get = occ.get
@@ -169,6 +189,9 @@ class ChainState:
         c = self._c
         L = self._L
         bits = self._bits
+        n = self.n
+        points_from = 1.0 - _POINT_MOVE
+        split_below = 0.5 * points_from
         log_weight = self.log_weight
         split_proposed = split_accepted = split_auto = 0
         merge_accepted = merge_auto = 0
@@ -185,27 +208,71 @@ class ChainState:
         while True:
             for _ in range(seg):
                 m = len(cycles)
-                nbits = bits[m]
-                if random() < 0.5:
-                    split_proposed += 1
+                r = random()
+                if r < points_from:  # a slot move: slot i first
+                    nbits = bits[m]
                     i = getrandbits(nbits)
                     while i >= m:
                         i = getrandbits(nbits)
-                    k = cycles[i]
-                    if k == 1:
-                        split_auto += 1
-                        continue
-                    km1 = k - 1
-                    nbits = bits[km1]
-                    j = getrandbits(nbits)
-                    while j >= km1:
+                    if r < split_below:
+                        split_proposed += 1
+                        k = cycles[i]
+                        if k == 1:
+                            split_auto += 1
+                            continue
+                        km1 = k - 1
+                        nbits = bits[km1]
                         j = getrandbits(nbits)
-                    j += 1
-                    j2 = k - j
-                    dc = c[j] + c[j2] - c[k]
-                    total = dc + L[km1] - L[m + 1]
-                    if not (total >= 0.0 or random() < exp(total)):
+                        while j >= km1:
+                            j = getrandbits(nbits)
+                        j += 1
+                        j2 = k - j
+                        dc = c[j] + c[j2] - c[k]
+                        total = dc + L[km1] - L[m + 1]
+                    elif m < 2:
+                        merge_auto += 1
                         continue
+                    else:
+                        mm1 = m - 1
+                        nbits = bits[mm1]
+                        i2 = getrandbits(nbits)
+                        while i2 >= mm1:
+                            i2 = getrandbits(nbits)
+                        if i2 >= i:
+                            i2 += 1
+                        k = 0  # a merge
+                        a = cycles[i]
+                        b = cycles[i2]
+                        s = a + b
+                        dc = c[s] - c[a] - c[b]
+                        total = dc + L[m] - L[s - 1]
+                else:  # a point move
+                    u = randrange(n)
+                    v = randrange(n)
+                    ends = list(accumulate(cycles))
+                    i = bisect_right(ends, u)
+                    i2 = bisect_right(ends, v)
+                    if i == i2:
+                        split_proposed += 1
+                        k = cycles[i]
+                        j = (v - u) % k
+                        if j == 0:
+                            split_auto += 1
+                            continue
+                        j2 = k - j
+                        dc = c[j] + c[j2] - c[k]
+                        total = dc + L[j] + L[j2] - L[k]
+                    else:
+                        k = 0  # a merge
+                        mm1 = m - 1
+                        a = cycles[i]
+                        b = cycles[i2]
+                        s = a + b
+                        dc = c[s] - c[a] - c[b]
+                        total = dc + L[s] - L[a] - L[b]
+                if not (total >= 0.0 or random() < exp(total)):
+                    continue
+                if k:
                     split_accepted += 1
                     cycles[i] = j
                     cycles.append(j2)
@@ -222,28 +289,8 @@ class ChainState:
                     lazy[j2] -= t
                     long_mass += big[j] + big[j2] - big[k]
                 else:
-                    if m < 2:
-                        merge_auto += 1
-                        continue
-                    i1 = getrandbits(nbits)
-                    while i1 >= m:
-                        i1 = getrandbits(nbits)
-                    mm1 = m - 1
-                    nbits = bits[mm1]
-                    i2 = getrandbits(nbits)
-                    while i2 >= mm1:
-                        i2 = getrandbits(nbits)
-                    if i2 >= i1:
-                        i2 += 1
-                    a = cycles[i1]
-                    b = cycles[i2]
-                    s = a + b
-                    dc = c[s] - c[a] - c[b]
-                    total = dc + L[m] - L[s - 1]
-                    if not (total >= 0.0 or random() < exp(total)):
-                        continue
                     merge_accepted += 1
-                    cycles[i1] = s
+                    cycles[i] = s
                     last = cycles.pop()
                     if i2 < mm1:
                         cycles[i2] = last
@@ -321,6 +368,18 @@ class CycleStats(NamedTuple):
     seed: int
 
 
+def _batch_stderr(tallies: list[list[int]], per_batch: int) -> list[float]:
+    """Batch-means standard errors, column by column, of per-batch integer tallies.
+
+    A batch mean is its tally over per_batch.  Each column is centred on its
+    first tally before np.std, exactly since the tallies are integers, so a
+    column that never changes reads 0.0 rather than an ulp-sized spread.
+    """
+    dev = np.array(tallies, dtype=np.float64)
+    dev -= dev[0]
+    return (np.std(dev, axis=0, ddof=1) / (per_batch * math.sqrt(len(tallies)))).tolist()
+
+
 def default_threshold(n: int) -> int:
     """floor(n^(2/3)), the cutoff separating O(1) cycles from extensive ones."""
     t = round(n ** (2.0 / 3.0))  # n ** (2/3) rounds just under the integer at perfect cubes
@@ -380,8 +439,7 @@ def run_chain(
     short_mass = sum(k * r_sum for k, r_sum in enumerate(sums[1:], start=1))
     # int / int is correctly rounded, so each mean is rounded once
     means = [s / total for s in sums]
-    batch_means = np.array(tallies, dtype=np.float64) / (n * batch_size)
-    stderr = (np.std(batch_means, axis=0, ddof=1) / math.sqrt(nb)).tolist()
+    stderr = _batch_stderr(tallies, n * batch_size)
     return CycleStats(
         n=n,
         k_report=k_report,
