@@ -7,7 +7,9 @@ alpha > 0 the series is summed directly with a geometric/integral tail bound;
 for alpha = 0 it is the Riemann zeta function, accelerated by Euler-Maclaurin
 summation (direct summation is hopeless near s = 1), whose form also gives the
 analytic continuation below 1 that the small-alpha expansion needs for its
-zeta(s - k) terms.  Error bounds certify series truncation, not rounding.
+zeta(s - k) terms; zeta less the same Euler-Maclaurin tail at K + 1 gives the
+truncated sums sum_{k<=K} k^-s.  Error bounds certify series truncation, not
+rounding.
 """
 
 from __future__ import annotations
@@ -59,39 +61,57 @@ def _rising(s: float, r: int) -> float:
     return out
 
 
+@lru_cache(maxsize=None)
+def _em_coefficients(s: float) -> tuple[int, tuple[float, ...]]:
+    """The Euler-Maclaurin order m for k^-s and B_2j/(2j)! for j = 1..m+1.
+
+    m is large enough that the remainder decays: s + 2m + 1 > 1.
+    """
+    m = max(6, math.ceil((3.0 - s) / 2.0) + 3)
+    return m, tuple(float(_bernoulli(2 * j)) / math.factorial(2 * j) for j in range(1, m + 2))
+
+
+def _em_remainder(s: float, n: int) -> float:
+    """Bound on the remainder of _em_tail at n: its first omitted term (real s)."""
+    m, b_over_fact = _em_coefficients(s)
+    return abs(b_over_fact[m] * _rising(s, 2 * m + 1)) * n ** (-s - 2 * m - 1)
+
+
+def _em_tail(s: float, n: int, head: float = 0.0) -> float:
+    """head + sum_{k>=n} k^-s by Euler-Maclaurin at n, s != 1 (continued below 1).
+
+    The integral, the half end term and m B_{2j} corrections are added to
+    head in that order; _em_remainder(s, n) bounds what is left out.
+    """
+    m, b_over_fact = _em_coefficients(s)
+    value = head + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
+    for j in range(1, m + 1):
+        value += b_over_fact[j - 1] * _rising(s, 2 * j - 1) * n ** (-s - 2 * j + 1)
+    return value
+
+
 @lru_cache(maxsize=1024, typed=True)
 def _zeta_em(s: float, tol: float) -> BoseEval:
     """Riemann zeta by Euler-Maclaurin, valid for real s != 1.
 
-    Below s = 1 this is the analytic continuation; the remainder after the
-    B_{2m} correction is bounded by the first omitted term (real s).
-    Memoised: the expansion's zeta(s - k) coefficients do not depend on
-    alpha, so a root solve pays for them once.  typed=True keeps an int s
-    (whose numpy power takes another path) apart from the equal float.
+    The terms below n are summed directly, the rest is _em_tail(s, n).
+    Below s = 1 this is the analytic continuation.  Memoised: the
+    expansion's zeta(s - k) coefficients do not depend on alpha, so a root
+    solve pays for them once.  typed=True keeps an int s (whose numpy power
+    takes another path) apart from the equal float.
     """
     if abs(s - 1.0) < 1e-12:
         raise DivergenceError("zeta has a pole at s = 1")
-    # enough correction terms that the remainder decays: need s + 2m + 1 > 1
-    m = max(6, math.ceil((3.0 - s) / 2.0) + 3)
-    b_over_fact = [
-        float(_bernoulli(2 * j)) / math.factorial(2 * j) for j in range(1, m + 2)
-    ]
     n = 16
-    while True:
-        remainder = abs(b_over_fact[m] * _rising(s, 2 * m + 1)) * n ** (-s - 2 * m - 1)
-        if remainder <= tol:
-            break
+    while (remainder := _em_remainder(s, n)) > tol:
         n *= 2
         if n > CAPS["zeta_terms"].limit:
             raise PrecisionError(
                 f"cannot certify zeta({s}) to {tol} within the summation cap"
             )
     ks = np.arange(1, n, dtype=np.float64)
-    partial = float(np.sum(ks ** (-s)))
-    value = partial + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
-    for j in range(1, m + 1):
-        value += b_over_fact[j - 1] * _rising(s, 2 * j - 1) * n ** (-s - 2 * j + 1)
-    return BoseEval(value=value, error_bound=remainder, terms_used=n - 1 + m)
+    value = _em_tail(s, n, float(np.sum(ks ** (-s))))
+    return BoseEval(value=value, error_bound=remainder, terms_used=n - 1 + _em_coefficients(s)[0])
 
 
 def _check_order(s: float) -> None:
@@ -108,6 +128,24 @@ def zeta(s: float, tol: float) -> BoseEval:
     if s <= 1.0:
         raise DivergenceError(f"zeta diverges for s <= 1, got s={s}")
     return _zeta_em(s, tol)
+
+
+def _zeta_truncated(s: float, K: int, tol: float) -> BoseEval:
+    """sum_{k<=K} k^-s for s > 1, certified to tol: zeta(s) less _em_tail(s, K+1).
+
+    A K small enough that the tail's remainder bound exceeds tol/2 (K < 16
+    at tol 1e-17 for s >= 2.5) is summed directly, with no truncation.
+    """
+    remainder = _em_remainder(s, K + 1)
+    if remainder > tol / 2.0:
+        ks = np.arange(1, K + 1, dtype=np.float64)
+        return BoseEval(value=float(np.sum(ks ** (-s))), error_bound=0.0, terms_used=K)
+    z = zeta(s, tol / 2.0)
+    return BoseEval(
+        value=z.value - _em_tail(s, K + 1),
+        error_bound=z.error_bound + remainder,
+        terms_used=z.terms_used + _em_coefficients(s)[0],
+    )
 
 
 def _tail_bound(s: float, alpha: float, k: int) -> float:

@@ -19,16 +19,24 @@ no K-sized temporary is made beyond the shape itself.  Each maker builds its
 vector once and hands it to TruncatedShape read-only, uncopied; minimize_S
 evaluates its dual in place in one work buffer, so it peaks at four
 K-vectors (CAPS["shape"]).
+
+A shape made by minimizing_sequence is Qhat* plus one bump, so its S and
+decomposition have closed forms in q*_K = sum_{k<=K} Qhat*(k), which
+bosefn._zeta_truncated certifies: functional_S and entropy_decomposition
+take that route, in O(1), when the shape's parameters match, and the array
+route for every other shape (and as the closed forms' test oracle).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from .bosefn import _zeta_truncated
 from .errors import ValidationError, check_cap
 from .thermo import (
     REGIME_CONDENSED,
@@ -41,6 +49,8 @@ from .thermo import (
 
 _MASS_ATOL = 1e-7
 _BLOCK = 1 << 14  # lengths k per block, 128 KB of float64: the fastest of 2^13..2^15 timed
+_SUM_TOL = 1e-17  # truncation of q*_K / c >= 1: below half an ulp
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 def _blocks(K: int) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -62,11 +72,16 @@ class TruncatedShape:
 
     Elements representing genuine shapes carry constraint mass
     sum_k k Qhat(k) == 1; anything lighter must be flagged `relaxed`
-    (truncations of infinite shapes, diagnostic vectors).
+    (truncations of infinite shapes, diagnostic vectors).  A shape made by
+    minimizing_sequence also holds (d, beta, rho, n, eps) in _sequence,
+    which selects the closed forms; its array is read-only, so the tag
+    cannot go stale.  TruncatedShape(shape.qhat, relaxed=True) is the same
+    vector untagged, adopted without a copy.
     """
 
     qhat: np.ndarray
     relaxed: bool = False
+    _sequence: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # adopt a read-only array that owns its data (the makers below hand
@@ -143,13 +158,55 @@ def _xlogx_sum(
     return float(np.sum(ref))
 
 
+def _bump(params: SystemParams, n: int, eps: float) -> float:
+    """(Qhat*(n) + eps) log1p(eps/Qhat*(n)), the bump's term in S(Q_n).
+
+    Where Qhat*(n) is below the normal floats (huge n) the term is formed
+    from log Qhat*(n) = log c - (1+d/2) log n, math.log taking the int n,
+    as eps (1 + t) (x + log1p(t)) with x = log(eps/Qhat*(n)) and t = e^-x.
+    """
+    log_qn = math.log(qhat_star(params, 1.0)) - (1.0 + params.d / 2.0) * math.log(n)
+    if log_qn > _LOG_TINY:
+        qn = qhat_star(params, float(n))
+        return (qn + eps) * math.log1p(eps / qn)
+    if eps == 0.0:
+        return 0.0
+    x = math.log(eps) - log_qn
+    t = math.exp(-x)
+    return eps * (1.0 + t) * (x + math.log1p(t))
+
+
+def _s_of_sequence(params: SystemParams, n: int, eps: float, q_star: float) -> float:
+    """S of Q_n over a window where Qhat* has mass q_star: -q_star - eps + bump."""
+    return -q_star - eps + _bump(params, n, eps)
+
+
+def _sequence_of(shape: TruncatedShape, params: SystemParams) -> tuple[int, float, float] | None:
+    """(n, eps, q*_K) of a minimizing_sequence shape made at params' (d, beta, rho).
+
+    q*_K = c sum_{k<=K} k^-(1+d/2), certified to c _SUM_TOL.  None for any
+    other shape.
+    """
+    tag = shape._sequence
+    if tag is None or tag[:3] != (params.d, params.beta, params.rho):
+        return None
+    sums = _zeta_truncated(1.0 + params.d / 2.0, shape.K, _SUM_TOL)
+    return tag[3], tag[4], qhat_star(params, 1.0) * sums.value
+
+
 def functional_S(shape: TruncatedShape, params: SystemParams) -> float:
     """Truncated S(Q) = sum_{k<=K} Qhat(k) (log(Qhat(k)/Qhat*(k)) - 1).
 
-    Zero increments contribute zero (x log x -> 0).  The sum is finite and
-    exact up to float rounding; no tolerance applies.
+    Zero increments contribute zero (x log x -> 0).  On the array route the
+    sum is exact up to float rounding.  A minimizing_sequence shape at
+    these parameters takes the closed form -q*_K - eps + (Qhat*(n) + eps)
+    log1p(eps/Qhat*(n)) instead, exact up to rounding and the certified
+    truncation c 1e-17 of q*_K.
     """
     check_cap("shape", shape.K)
+    seq = _sequence_of(shape, params)
+    if seq is not None:
+        return _s_of_sequence(params, *seq)
     qh = shape.qhat
     return math.fsum(
         _xlogx_sum(qh[lo:hi], qhat_star(params, ks), True, lambda: qhat_star(params, ks))
@@ -172,9 +229,17 @@ def entropy_decomposition(
     P = Qhat/q and P* = Qhat*/q* are the normalised increment profiles;
     H is their relative entropy.  reconstructed_S must agree with
     functional_S to float precision.  One pass over the blocks sums q and
-    q*, a second sums H.
+    q*, a second sums H.  A minimizing_sequence shape at these parameters
+    has q = q*_K + eps and H = ((Qhat*(n) + eps)/q) log1p(eps/Qhat*(n)) -
+    log1p(eps/q*_K) in closed form, with functional_S's truncation bound.
     """
     check_cap("shape", shape.K)
+    seq = _sequence_of(shape, params)
+    if seq is not None:
+        n, eps, q_star = seq
+        q = q_star + eps
+        h = _bump(params, n, eps) / q - math.log1p(eps / q_star)
+        return _decomposition(q, q_star, h)
     qh = shape.qhat
     parts = [(np.sum(qh[lo:hi]), np.sum(qhat_star(params, ks))) for lo, hi, ks in _blocks(shape.K)]
     q, q_star = (math.fsum(column) for column in zip(*parts))
@@ -190,8 +255,11 @@ def entropy_decomposition(
         return _xlogx_sum(qh[lo:hi] / q, p_star(), False, p_star)
 
     h = math.fsum(h_block(*block) for block in _blocks(shape.K))
-    reconstructed = q * h + q * math.log(q / q_star) - q
-    return EntropyDecomposition(q, q_star, h, reconstructed)
+    return _decomposition(q, q_star, h)
+
+
+def _decomposition(q: float, q_star: float, h: float) -> EntropyDecomposition:
+    return EntropyDecomposition(q, q_star, h, q * h + q * math.log(q / q_star) - q)
 
 
 def _log_constraint_mass(
@@ -299,7 +367,10 @@ def _condensed_bump(n: int, params: SystemParams, tol: float) -> tuple[float, fl
         raise ValidationError(
             f"minimizing sequences exist only in the condensed regime, not {sol.regime}"
         )
-    return sol.chi, (params.rho - sol.rho_c) / (n * params.rho)
+    try:
+        return sol.chi, (params.rho - sol.rho_c) / (n * params.rho)
+    except OverflowError:  # n past the floats: eps < 1/n is below them
+        return sol.chi, 0.0
 
 
 def minimizing_sequence(
@@ -309,7 +380,8 @@ def minimizing_sequence(
 
     Qhat_n(n) = Qhat*(n) + (rho - rho_c)/(n rho); everywhere else Qhat_n =
     Qhat*.  Its full-series constraint mass is exactly 1; the truncation at K
-    is flagged relaxed.  Only defined in the condensed regime.
+    is flagged relaxed and tagged for the closed forms of functional_S and
+    entropy_decomposition.  Only defined in the condensed regime.
     """
     _, eps = _condensed_bump(n, params, 1e-10)
     if K is None:
@@ -319,7 +391,9 @@ def minimizing_sequence(
     qh = qhat_star_array(params, K)
     qh[n - 1] += eps
     qh.setflags(write=False)
-    return TruncatedShape(qh, relaxed=True)
+    shape = TruncatedShape(qh, relaxed=True)
+    object.__setattr__(shape, "_sequence", (params.d, params.beta, params.rho, n, eps))
+    return shape
 
 
 def minimizing_sequence_s_closed_form(
@@ -327,10 +401,10 @@ def minimizing_sequence_s_closed_form(
 ) -> float:
     """Closed-form S(Q_n): S(Q*) - eps + (Qhat*(n) + eps) log(1 + eps/Qhat*(n)).
 
-    Here eps = (rho - rho_c)/(n rho) and S(Q*) is the condensed-phase entropy
-    infimum.  S(Q_n) decreases to S(Q*) as n grows, exhibiting that the
-    infimum is approached but never attained.
+    Here eps = (rho - rho_c)/(n rho) and S(Q*) = chi = -q*_inf is the
+    condensed-phase entropy infimum: functional_S's closed form at K = inf.
+    S(Q_n) decreases to S(Q*) as n grows, exhibiting that the infimum is
+    approached but never attained; it stays finite for any int n.
     """
     chi, eps = _condensed_bump(n, params, tol)
-    qstar_n = qhat_star(params, float(n))
-    return chi - eps + (qstar_n + eps) * math.log1p(eps / qstar_n)
+    return _s_of_sequence(params, n, eps, -chi)

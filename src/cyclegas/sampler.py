@@ -402,6 +402,8 @@ def run_chain(
     cached weight and mass after its last step (ValidationError on drift).
     """
     n = _require_n(params)
+    if steps < 1:
+        raise ValidationError(f"steps must be >= 1, got {steps}")
     if burn_in is None:
         burn_in = steps // 10
     if not 0 <= burn_in <= steps:

@@ -314,6 +314,8 @@ class TestExitCodes:
             (["sample", "--d", "1", "--beta", "1", "--rho", "1", "--n", "20",
               "--steps", "100", "--burn-in", "-1"],
              2, "burn_in must be in [0, steps=100], got -1"),
+            (["sample", "--d", "3", "--beta", "1", "--rho", "1", "--n", "20", "--steps", "-5"],
+             2, "steps must be >= 1, got -5"),
             (["phase", "--d", "1", "--beta", "1e300", "--rho", "1e300"],
              2, "rho (4 pi beta)^(d/2) overflows at d=1, rho=1e+300"),
             (["alpha", "--d", "2", "--beta", "1", "--rho", "59.3"],
@@ -327,8 +329,9 @@ class TestExitCodes:
             (["free-energy", "--d", "3", "--beta", "1e-124", "--rho", "1e185"],
              2, "(4 pi beta)^(d/2) beta = 4.454662397465363e-309 is below the normal floats"),
         ],
-        ids=["K-cap", "k-report-huge", "k-report-above-n", "burn-in", "target-overflow",
-             "alpha-underflow", "target-underflow", "target-subnormal", "f-divisor-subnormal"],
+        ids=["K-cap", "k-report-huge", "k-report-above-n", "burn-in", "negative-steps",
+             "target-overflow", "alpha-underflow", "target-underflow", "target-subnormal",
+             "f-divisor-subnormal"],
     )
     def test_edge_sizes_exit_with_a_message_naming_the_input(self, capsys, argv, code, message):
         got, out, err = run_cli(capsys, argv)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclegas import entropy
+from cyclegas import bosefn, entropy
 from cyclegas.entropy import (
     TruncatedShape,
     entropy_decomposition,
@@ -76,8 +76,11 @@ def normal_params() -> SystemParams:
 
 
 def condensed_params(mult: float = 2.0) -> SystemParams:
-    rho_c = critical_density(3, BETA_UNIT)
-    return SystemParams(3, BETA_UNIT, mult * rho_c)
+    return condensed_params_d(3, mult)
+
+
+def condensed_params_d(d: int, mult: float = 2.0) -> SystemParams:
+    return SystemParams(d, BETA_UNIT, mult * critical_density(d, BETA_UNIT))
 
 
 class TestTruncatedShape:
@@ -437,7 +440,7 @@ class TestMinimizingSequence:
         params = condensed_params()
         for n in (1, 10, 100):
             shape = minimizing_sequence(n, params, K=2_000_000)
-            got = functional_S(shape, params)
+            got = functional_S(untagged(shape), params)  # the array route
             want = minimizing_sequence_s_closed_form(n, params)
             assert got == pytest.approx(want, abs=5e-10)
 
@@ -468,6 +471,29 @@ class TestMinimizingSequence:
         with pytest.raises(ValidationError):
             minimizing_sequence(5000, params, K=1000)
 
+    @pytest.mark.parametrize("n", [10**130, 10**200, 10**400])
+    def test_huge_n_tends_to_chi(self, n):
+        # Qhat*(n) underflows to 0 at 10^130 and 10^200, and float(n)
+        # overflows at 10^400; S(Q_n) - chi is then below chi's last bit
+        params = condensed_params()
+        chi_c = chi(params, 1e-12)
+        got = minimizing_sequence_s_closed_form(n, params)
+        assert math.isfinite(got)
+        assert got == pytest.approx(chi_c, rel=4 * U)
+        assert minimizing_sequence_s_closed_form(10**6, params) > got
+
+    def test_log_form_of_the_bump_matches_the_direct_one(self, monkeypatch):
+        # every n through the log Qhat*(n) branch that huge n take
+        params = condensed_params()
+        ns = (1, 10, 1000, 10**6, 10**9)
+        direct = [minimizing_sequence_s_closed_form(n, params) for n in ns]
+        monkeypatch.setattr(entropy, "_LOG_TINY", math.inf)
+        for n, want in zip(ns, direct):
+            got = minimizing_sequence_s_closed_form(n, params)
+            # log Qhat*(n) is about 40 in size: its rounding moves the bump
+            # by about 40u relative
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), n
+
 
 def blocked_sum_bound(x: np.ndarray) -> float:
     """Bound on |fsum of per-block np.sums (or dots) - fsum of the whole vector|.
@@ -478,8 +504,13 @@ def blocked_sum_bound(x: np.ndarray) -> float:
     the block sums and the reference fsum round once each, and a dot
     product's terms are rounded once in the reference.
     """
+    return sum_bound(math.fsum(np.abs(x)))
+
+
+def sum_bound(abs_total: float) -> float:
+    """blocked_sum_bound of terms whose absolute values sum to abs_total."""
     gamma = B * U / (1.0 - B * U)
-    return (gamma + 4.0 * U) * math.fsum(np.abs(x))
+    return (gamma + 4.0 * U) * abs_total
 
 
 def whole_vector_terms(x: np.ndarray, ref: np.ndarray, minus_one: bool) -> np.ndarray:
@@ -572,6 +603,104 @@ class TestBlockEdges:
         assert dec.reconstructed_S == q * h + q * math.log(q / dec.q_star) - q
 
 
+def untagged(shape: TruncatedShape) -> TruncatedShape:
+    """The same vector without the minimizing-sequence tag: the array route."""
+    plain = TruncatedShape(shape.qhat, relaxed=True)
+    assert plain.qhat is shape.qhat and plain._sequence is None
+    return plain
+
+
+CLOSED_FORM_CASES = [
+    (d, K, n)
+    for d in (3, 4, 5)
+    for K in BLOCK_EDGE_K + [10**6, 5 * 10**6]
+    for n in sorted({1, 10, 1000, K})
+    if n <= K
+]
+
+
+class TestClosedForms:
+    """minimizing_sequence shapes take closed forms; the array route is their oracle."""
+
+    @staticmethod
+    def rounding(abs_x: float, abs_terms: float) -> float:
+        """Rounding of the whole-vector terms and of an O(1) closed form.
+
+        A term's log argument x/ref has passed through at most six
+        roundings (pow within one ulp, the scale c, the /q and /q* of H, the
+        quotient), moving the log by at most 7u absolutely, and log, -1 and
+        the product add 3u relative; the closed forms round a dozen
+        operations on numbers no larger than sum|x| + sum|terms|.
+        """
+        return 16 * U * (abs_x + abs_terms)
+
+    @pytest.mark.parametrize("d, K, n", CLOSED_FORM_CASES)
+    def test_closed_forms_match_the_array_route(self, d, K, n):
+        params = condensed_params_d(d)
+        shape = minimizing_sequence(n, params, K)
+        plain = untagged(shape)
+        s_closed, dec = functional_S(shape, params), entropy_decomposition(shape, params)
+        s_array, ref = functional_S(plain, params), entropy_decomposition(plain, params)
+
+        # the certified truncation of q*_K = c sum_{k<=K} k^-(1+d/2)
+        sums = bosefn._zeta_truncated(1.0 + d / 2.0, K, entropy._SUM_TOL)
+        em = qhat_star(params, 1.0) * sums.error_bound
+        # sum|x| and sum|terms| of the array route's sums, from the shape:
+        # Qhat* but for Qhat_n(n) = Qhat*(n) + eps, so every other term of S
+        # is -Qhat*(k), and every other log(p/p*) of H is log(q*/q)
+        q, q_star = ref.q, ref.q_star
+        x_n = float(shape.qhat[n - 1])
+        log_r = math.log(x_n / qhat_star(params, float(n)))
+        abs_s = q - x_n + x_n * abs(log_r - 1.0)
+        p_n, log_other = x_n / q, math.log(q_star / q)
+        abs_h = (1.0 - p_n) * abs(log_other) + p_n * abs(log_r + log_other)
+
+        bound = em + sum_bound(abs_s) + self.rounding(q, abs_s)
+        assert abs(s_closed - s_array) <= bound
+        for got, want in ((dec.q, q), (dec.q_star, q_star)):
+            assert abs(got - want) <= em + sum_bound(want) + self.rounding(want, want)
+        # H with each route's own q and q*: their differences dq and dq*
+        # move H by (dq/q + dq*/q*) (1 + |H|)
+        h = dec.relative_entropy
+        shift = abs(dec.q - q) / dec.q + abs(dec.q_star - q_star) / dec.q_star
+        bound_h = sum_bound(abs_h) + self.rounding(1.0, abs_h) + shift * (1.0 + abs(h))
+        assert abs(h - ref.relative_entropy) <= bound_h
+        # q H + q log(q/q*) - q rounds to S's closed form within 16u (q + |S|)
+        assert abs(dec.reconstructed_S - s_closed) <= 16 * U * (dec.q + abs(s_closed))
+
+    def test_params_mismatch_falls_back_to_the_array_route(self, monkeypatch):
+        params = condensed_params()
+        shape = minimizing_sequence(1000, params, K=B + 1)
+        others = [
+            condensed_params(3.0),
+            SystemParams(3, 2 * BETA_UNIT, params.rho),
+            SystemParams(4, BETA_UNIT, params.rho),
+        ]
+        want = [
+            (functional_S(untagged(shape), p), entropy_decomposition(untagged(shape), p))
+            for p in others
+        ]
+
+        def closed_form_called(*args):
+            raise AssertionError("closed form taken")
+
+        monkeypatch.setattr(entropy, "_zeta_truncated", closed_form_called)
+        for p, (s_value, dec) in zip(others, want):
+            assert functional_S(shape, p) == s_value
+            assert entropy_decomposition(shape, p) == dec
+        # a params object that only differs in n keeps the closed form
+        with pytest.raises(AssertionError, match="closed form taken"):
+            functional_S(shape, params.with_n(5))
+
+    def test_only_minimizing_sequence_tags_a_shape(self):
+        params = condensed_params()
+        shape = minimizing_sequence(10, params, K=1000)
+        assert shape._sequence[:4] == (params.d, params.beta, params.rho, 10)
+        assert minimize_S(params, K=1000).shape._sequence is None
+        with pytest.raises(TypeError):
+            TruncatedShape(shape.qhat, relaxed=True, _sequence=shape._sequence)
+
+
 class TestBlockedMemory:
     """Working memory beyond the shape is a few blocks, independent of K."""
 
@@ -590,7 +719,8 @@ class TestBlockedMemory:
         params = condensed_params()
         vector, mb = 8 * K, 2**20
         shape = minimizing_sequence(1000, params, K)
-        assert self.peak(lambda: functional_S(shape, params)) < mb
-        assert self.peak(lambda: entropy_decomposition(shape, params)) < mb
+        for s in (shape, untagged(shape)):  # the closed forms, then the array route
+            assert self.peak(lambda: functional_S(s, params)) < mb
+            assert self.peak(lambda: entropy_decomposition(s, params)) < mb
         assert self.peak(lambda: qhat_star_array(params, K)) <= vector + mb
         assert self.peak(lambda: minimizing_sequence(1000, params, K)) <= vector + mb

@@ -725,6 +725,9 @@ class TestRunChain:
         for bad in ({"k_report": -1}, {"k_report": -3}, {"k_report": 51}, {"threshold": -1}):
             with pytest.raises(ValidationError):
                 run_chain(p, steps=100, seed=0, **bad)
+        for steps in (0, -5):  # named as steps, not as the burn_in it implies
+            with pytest.raises(ValidationError, match=f"steps must be >= 1, got {steps}$"):
+                run_chain(p, steps=steps, seed=0)
         with pytest.raises(CapError):
             ChainState(SystemParams(3, 1.0, 1.0, n=200_000))
 
