@@ -74,9 +74,10 @@ class TruncatedShape:
     sum_k k Qhat(k) == 1; anything lighter must be flagged `relaxed`
     (truncations of infinite shapes, diagnostic vectors).  A shape made by
     minimizing_sequence also holds (d, beta, rho, n, eps) in _sequence,
-    which selects the closed forms; its array is read-only, so the tag
-    cannot go stale.  TruncatedShape(shape.qhat, relaxed=True) is the same
-    vector untagged, adopted without a copy.
+    which selects the closed forms; qhat is a read-only view of a read-only
+    base, whose WRITEABLE flag cannot be set again, so the tag cannot go
+    stale.  TruncatedShape(shape.qhat, relaxed=True) is the same vector
+    untagged, adopted without a copy.
     """
 
     qhat: np.ndarray
@@ -84,13 +85,23 @@ class TruncatedShape:
     _sequence: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # adopt a read-only array that owns its data (the makers below hand
-        # over their fresh vector this way); copy anything a caller could
-        # still write through
+        # hold a read-only view of a read-only base that owns its data:
+        # NumPy refuses to set WRITEABLE on such a view.  A read-only owner
+        # (the makers below hand over their fresh vector this way) or such a
+        # view (another shape's qhat) is adopted without a copy; anything a
+        # caller could still write through is copied
         arr = np.asarray(self.qhat, dtype=np.float64)
-        if arr.flags.writeable or arr.base is not None:
-            arr = arr.copy()
+        base = arr if arr.base is None else arr.base
+        if (
+            arr.flags.writeable
+            or not isinstance(base, np.ndarray)
+            or base.flags.writeable
+            or base.base is not None
+        ):
+            arr = base = arr.copy()
             arr.setflags(write=False)
+        if arr is base:
+            arr = arr.view()
         object.__setattr__(self, "qhat", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("qhat must be a nonempty 1-d sequence")

@@ -7,7 +7,10 @@ sum over all partitions of m obeys the cycle-index recursion
 m Z_m = sum_{k=1}^m k theta_k Z_{m-k}, theta_k = e^{c[k]}, which gives
 log Z and the exact occupation expectations in O(n^2).  Enumeration of the
 partitions (weighted_ensemble) and the sum over all n! permutations
-(brute_force_log_Z) stay on as independent oracles for small n; the
+(brute_force_log_Z) stay on as independent oracles for small n.  The latter
+builds each permutation by insertion, element m going in as a fixed point or
+right after one of the m elements already placed; removing the largest
+element inverts the step, so every permutation is reached exactly once.  The
 free-space heat-kernel mass is used per cycle, with the confinement
 correction exposed as a bracketing diagnostic rather than folded into the
 weights.
@@ -15,7 +18,6 @@ weights.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -71,13 +73,52 @@ def _logsumexp(values: Sequence[float]) -> float:
     return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
+def _insertion_walk(
+    lengths: list[int],
+    w: float,
+    left: int,
+    t1: float,
+    grow: list[float],
+    out: list[float],
+) -> None:
+    """Append to out the log weight of every completion of one permutation.
+
+    That permutation has cycle lengths `lengths` and log weight w, and
+    `left` elements are still to place.  A new fixed point adds t1; each of
+    the L places inside a cycle of length L adds grow[L] = t[L+1] - t[L].
+    Module level with its state in the arguments: a self-calling closure
+    would be a reference cycle holding `out` until the cyclic collector ran.
+    """
+    if left == 1:
+        out.append(w + t1)
+        for L in lengths:
+            out.extend([w + grow[L]] * L)
+        return
+    lengths.append(1)
+    _insertion_walk(lengths, w + t1, left - 1, t1, grow, out)
+    lengths.pop()
+    for i in range(len(lengths)):
+        L = lengths[i]
+        lengths[i] = L + 1
+        x = w + grow[L]
+        for _ in range(L):
+            _insertion_walk(lengths, x, left - 1, t1, grow, out)
+        lengths[i] = L
+
+
 def brute_force_log_Z(params: SystemParams) -> float:
-    """Oracle: the permutation-sum normalisation, iterating all n! elements.
+    """Oracle: the permutation-sum normalisation, one term per permutation.
 
     Each permutation contributes the product over its cycles of
-    |V| (4 pi beta k)^(-d/2); the total is divided by n!.  The cycle weight
-    is written out here, not taken from _cycle_log_constants, so that the
-    oracle stays independent of the recursion it checks.
+    |V| (4 pi beta k)^(-d/2); the total is divided by n!.  The permutations
+    of 0..n-1 are built by insertion: element m joins a permutation of
+    0..m-1 as a new fixed point or right after one of the m elements already
+    placed, inside that element's cycle.  Removing the largest element undoes
+    the step, so the n! insertion sequences give n! distinct permutations,
+    and the depth-first walk sends one log weight per permutation to the
+    log-sum-exp.  The cycle weight is written out here, not taken from
+    _cycle_log_constants, so that the oracle stays independent of the
+    recursion it checks.
     """
     n = _require_n(params)
     check_cap("permutations", n)
@@ -88,21 +129,9 @@ def brute_force_log_Z(params: SystemParams) -> float:
     for k in range(1, n + 1):
         t[k] = log_v - d_half * math.log(four_pi_beta * k)
 
-    per_perm = []
-    for perm in itertools.permutations(range(n)):
-        seen = [False] * n
-        w = 0.0
-        for i in range(n):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            w += t[length]
-        per_perm.append(w)
+    grow = [t[k + 1] - t[k] for k in range(n)]
+    per_perm: list[float] = []
+    _insertion_walk([], 0.0, n, t[1], grow, per_perm)
     return _logsumexp(per_perm) - math.lgamma(n + 1)
 
 

@@ -127,6 +127,23 @@ class TestTruncatedShape:
             with pytest.raises(ValueError):
                 shape.qhat[0] = 0.0
 
+    def test_the_write_flag_cannot_be_set_again(self):
+        # qhat is a read-only view of a read-only base: NumPy refuses the flag
+        seq = minimizing_sequence(10, condensed_params(), K=1000)
+        owned = np.zeros(10)
+        owned[0] = 1.0
+        frozen = owned.copy()
+        frozen.setflags(write=False)
+        for shape in (
+            minimize_S(normal_params(), K=1000).shape,
+            seq,
+            TruncatedShape(seq.qhat, relaxed=True),
+            TruncatedShape(owned),
+            TruncatedShape(frozen),
+        ):
+            with pytest.raises(ValueError):
+                shape.qhat.setflags(write=True)
+
 
 class TestTruncatedShapeRefusals:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])

@@ -1,17 +1,21 @@
 """Tests for the exact finite-n ensemble against its permutation oracle."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclegas import exactz
 from cyclegas.errors import CapError, ValidationError
 from cyclegas.exactz import (
     ScanRow,
     _cycle_log_constants,
+    _logsumexp,
     brute_force_log_Z,
     confinement_log_Z_bracket,
     convergence_scan,
@@ -49,6 +53,32 @@ def cycle_lengths(perm: tuple[int, ...]) -> list[int]:
             j = perm[j]
             length += 1
         out.append(length)
+    return out
+
+
+def oracle_cycle_weights(params: SystemParams) -> list[float]:
+    """t[k] = log(|V| (4 pi beta k)^(-d/2)), k = 1..n, as the oracle writes it."""
+    log_v = math.log(params.volume)
+    d_half = params.d / 2.0
+    four_pi_beta = 4.0 * math.pi * params.beta
+    return [0.0] + [
+        log_v - d_half * math.log(four_pi_beta * k) for k in range(1, params.n + 1)
+    ]
+
+
+def itertools_log_weights(params: SystemParams) -> list[float]:
+    """Reference: one log weight per permutation, each walked for its cycles.
+
+    itertools.permutations builds every element and cycle_lengths walks it,
+    independently of the oracle's insertion order.
+    """
+    t = oracle_cycle_weights(params)
+    out = []
+    for perm in itertools.permutations(range(params.n)):
+        w = 0.0
+        for length in cycle_lengths(perm):
+            w += t[length]
+        out.append(w)
     return out
 
 
@@ -169,6 +199,87 @@ class TestBruteForceOracle:
     def test_cap(self):
         with pytest.raises(CapError):
             brute_force_log_Z(SystemParams(3, 1.0, 1.0, n=10))
+
+    @staticmethod
+    def record_terms(monkeypatch) -> list[list[float]]:
+        sent: list[list[float]] = []
+
+        def recording_logsumexp(values):
+            sent.append(list(values))
+            return _logsumexp(values)
+
+        monkeypatch.setattr(exactz, "_logsumexp", recording_logsumexp)
+        return sent
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_term_per_permutation(self, monkeypatch, n):
+        sent = self.record_terms(monkeypatch)
+        brute_force_log_Z(SystemParams(2, 0.5, 1.0, n=n))
+        assert [len(terms) for terms in sent] == [math.factorial(n)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_itertools_reference(self, monkeypatch, n):
+        # A priori bound, u = 2^-53, T = max_k |t[k]|.  An insertion term adds
+        # n increments onto 0.0: t[1] exactly or t[L+1] - t[L], rounded once
+        # (<= 2uT each), with n - 1 rounded additions whose partial sums are
+        # sums of t over at most n cycles (<= u nT each).  A reference term
+        # has at most n - 1 such additions.  So paired terms differ by at most
+        # (2n + 2(n - 1)n) uT = 2n^2 uT, plus uT for second-order slack.
+        # Sorting keeps that bound termwise, and the log-sum-exp is
+        # 1-Lipschitz in the largest term change.  Each log-sum-exp also
+        # rounds on its own: x - max (<= 2nTu), exp (<= 2u relative), a sum
+        # of N = n! positive terms in any order ((N - 1)u relative), the log
+        # (<= u log N), max + log (<= u (|log Z| + log n!)) and the lgamma
+        # subtraction (<= u |log Z|).
+        u = 2.0**-53
+        n_terms = math.factorial(n)
+        for d in (1, 2, 3):
+            for beta in (0.25, 1.0):
+                for rho in (0.5, 2.0):
+                    p = SystemParams(d, beta, rho, n=n)
+                    t = oracle_cycle_weights(p)
+                    big_t = max(abs(x) for x in t[1:])
+                    per_term = (2 * n * n + 1) * u * big_t
+                    sent = self.record_terms(monkeypatch)
+                    got = brute_force_log_Z(p)
+                    want_terms = itertools_log_weights(p)
+                    assert len(sent) == 1 and len(sent[0]) == n_terms
+                    gap = max(
+                        abs(a - b) for a, b in zip(sorted(sent[0]), sorted(want_terms))
+                    )
+                    assert gap <= per_term, (n, d, beta, rho, gap, per_term)
+                    want = _logsumexp(want_terms) - math.lgamma(n + 1)
+                    lse_rounding = u * (
+                        2 * n * big_t
+                        + 2
+                        + (n_terms - 1)
+                        + math.log(n_terms)
+                        + 2 * abs(want)
+                        + math.lgamma(n + 1)
+                    )
+                    bound = per_term + 2 * lse_rounding
+                    assert abs(got - want) <= bound, (n, d, beta, rho, got - want, bound)
+
+    def test_no_reference_cycle_holds_the_terms(self):
+        # a self-calling closure is a reference cycle that keeps each call's
+        # n!-long term list alive until the cyclic collector runs; with the
+        # collector off, traced memory must come back to where it started
+        p = SystemParams(3, 1.0, 1.0, n=8)
+        brute_force_log_Z(p)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                brute_force_log_Z(p)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        # one n!-long list holds 8 * 8! bytes of pointers alone
+        assert grown < 8 * math.factorial(8) / 10, grown
 
 
 class TestExactLogZ:
