@@ -10,6 +10,12 @@ analytic continuation below 1 that the small-alpha expansion needs for its
 zeta(s - k) terms; zeta less the same Euler-Maclaurin tail at K + 1 gives the
 truncated sums sum_{k<=K} k^-s.  Error bounds certify series truncation, not
 rounding.
+
+The zeta head sum_{k<n} k^-s (n is 16 to a few hundred in practice) is a
+math.fsum of Python floats, exactly rounded.  NumPy enters only at
+_bose_direct, which imports it on first call, so zeta, the expansion and a
+density solve that sums no series directly (any condensed point) run
+without loading it.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import CAPS, DivergenceError, PrecisionError, ValidationError
 
@@ -90,15 +94,14 @@ def _em_tail(s: float, n: int, head: float = 0.0) -> float:
     return value
 
 
-@lru_cache(maxsize=1024, typed=True)
+@lru_cache(maxsize=1024)
 def _zeta_em(s: float, tol: float) -> BoseEval:
     """Riemann zeta by Euler-Maclaurin, valid for real s != 1.
 
     The terms below n are summed directly, the rest is _em_tail(s, n).
     Below s = 1 this is the analytic continuation.  Memoised: the
     expansion's zeta(s - k) coefficients do not depend on alpha, so a root
-    solve pays for them once.  typed=True keeps an int s (whose numpy power
-    takes another path) apart from the equal float.
+    solve pays for them once.
     """
     if abs(s - 1.0) < 1e-12:
         raise DivergenceError("zeta has a pole at s = 1")
@@ -109,8 +112,7 @@ def _zeta_em(s: float, tol: float) -> BoseEval:
             raise PrecisionError(
                 f"cannot certify zeta({s}) to {tol} within the summation cap"
             )
-    ks = np.arange(1, n, dtype=np.float64)
-    value = _em_tail(s, n, float(np.sum(ks ** (-s))))
+    value = _em_tail(s, n, math.fsum(k ** -s for k in range(1, n)))
     return BoseEval(value=value, error_bound=remainder, terms_used=n - 1 + _em_coefficients(s)[0])
 
 
@@ -138,8 +140,8 @@ def _zeta_truncated(s: float, K: int, tol: float) -> BoseEval:
     """
     remainder = _em_remainder(s, K + 1)
     if remainder > tol / 2.0:
-        ks = np.arange(1, K + 1, dtype=np.float64)
-        return BoseEval(value=float(np.sum(ks ** (-s))), error_bound=0.0, terms_used=K)
+        value = math.fsum(k ** -s for k in range(1, K + 1))
+        return BoseEval(value=value, error_bound=0.0, terms_used=K)
     z = zeta(s, tol / 2.0)
     return BoseEval(
         value=z.value - _em_tail(s, K + 1),
@@ -169,6 +171,8 @@ def _certified_terms(s: float, alpha: float, tol: float, cap: int) -> tuple[int,
 
 def _bose_direct(s: float, alpha: float, k: int, tail: float) -> BoseEval:
     """The first k terms summed directly; tail bounds the rest."""
+    import numpy as np
+
     chunk_sums = []
     for lo in range(1, k + 1, _CHUNK):
         hi = min(lo + _CHUNK, k + 1)

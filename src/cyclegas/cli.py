@@ -5,6 +5,11 @@ table) to stdout or --output, with the fully resolved configuration embedded
 for auditability.  Human diagnostics go to stderr only.  Exit codes: 0 ok,
 1 usage, 2 validation error, 3 cap/precision error.
 
+Each handler imports the layers it runs, so a command loads only those, and
+a usage error none.  The scalar commands (phase, alpha, free-energy) load
+thermo and bosefn, and NumPy only when their density solve sums a Bose
+series directly: never at a condensed point or on invalid input.
+
 All physical inputs are dimensionless; beta is the time horizon of a
 diffusion with generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), so
 there is no factor-of-2 freedom in beta.
@@ -21,7 +26,6 @@ import os
 import sys
 from typing import Any
 
-from . import entropy, exactz, sampler, thermo
 from .errors import CapError, PrecisionError, ValidationError
 
 SEED_ENV_VAR = "CYCLEGAS_SEED"
@@ -166,6 +170,8 @@ def _finite(x: float) -> Any:
 
 def _run_solve(args) -> dict:
     """phase, alpha and free-energy: one density solve, projected per command."""
+    from . import thermo
+
     sol = thermo.solve_alpha(
         thermo.SystemParams(args.d, args.beta, args.rho), args.tol
     )
@@ -183,6 +189,8 @@ def _run_solve(args) -> dict:
 
 
 def _run_minimize(args) -> dict:
+    from . import entropy, thermo
+
     params = thermo.SystemParams(args.d, args.beta, args.rho)
     res = entropy.minimize_S(params, K=args.K, tol=args.tol)
     chi_val = thermo.chi(params, args.tol)
@@ -198,6 +206,8 @@ def _run_minimize(args) -> dict:
 
 
 def _run_exact_z(args) -> dict:
+    from . import exactz, thermo
+
     params = thermo.SystemParams(args.d, args.beta, args.rho, n=args.n)
     bracket = exactz.confinement_log_Z_bracket(params)
     log_z = bracket["log_z"]
@@ -217,12 +227,16 @@ def _run_exact_z(args) -> dict:
 
 
 def _run_converge(args) -> list[dict]:
+    from . import exactz, thermo
+
     params = thermo.SystemParams(args.d, args.beta, args.rho)
     rows = exactz.convergence_scan(params, _parse_n_list(args.n_list), args.tol)
     return [row._asdict() for row in rows]
 
 
 def _run_sample(args) -> dict:
+    from . import sampler, thermo
+
     params = thermo.SystemParams(args.d, args.beta, args.rho, n=args.n)
     stats = sampler.run_chain(
         params,
@@ -243,6 +257,8 @@ def _run_sample(args) -> dict:
 
 
 def _run_scan_long_cycles(args) -> list[dict]:
+    from . import sampler, thermo
+
     params = thermo.SystemParams(args.d, args.beta, args.rho)
     rows = sampler.long_cycle_fraction_scan(
         params,

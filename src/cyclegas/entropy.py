@@ -75,9 +75,11 @@ class TruncatedShape:
     (truncations of infinite shapes, diagnostic vectors).  A shape made by
     minimizing_sequence also holds (d, beta, rho, n, eps) in _sequence,
     which selects the closed forms; qhat is a read-only view of a read-only
-    base, whose WRITEABLE flag cannot be set again, so the tag cannot go
-    stale.  TruncatedShape(shape.qhat, relaxed=True) is the same vector
-    untagged, adopted without a copy.
+    base, so a write or setflags(write=True) through shape.qhat is refused.
+    The base itself owns its data and can be made writeable again; writing
+    through qhat.base is unsupported and leaves the tag stale.
+    TruncatedShape(shape.qhat, relaxed=True) is the same vector untagged,
+    adopted without a copy.
     """
 
     qhat: np.ndarray
@@ -86,7 +88,7 @@ class TruncatedShape:
 
     def __post_init__(self) -> None:
         # hold a read-only view of a read-only base that owns its data:
-        # NumPy refuses to set WRITEABLE on such a view.  A read-only owner
+        # NumPy refuses to set WRITEABLE on the view.  A read-only owner
         # (the makers below hand over their fresh vector this way) or such a
         # view (another shape's qhat) is adopted without a copy; anything a
         # caller could still write through is copied

@@ -57,7 +57,7 @@ CAPS = {
     # bosefn.bose_g(method="direct")
     "bose_terms": Cap(10**8, "terms summed"),
     # bosefn._zeta_em
-    "zeta_terms": Cap(10**7, "terms in one unchunked array"),
+    "zeta_terms": Cap(10**7, "terms summed"),
 }
 
 

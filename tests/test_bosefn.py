@@ -84,6 +84,13 @@ class TestZeta:
         b = zeta(2.5, 1e-12)
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound + 1e-15
 
+    @pytest.mark.parametrize("s", [3, 2, 0, -1, -6, -13])
+    def test_int_and_float_orders_agree_bitwise(self, s):
+        # the memo keys s = 3 and s = 3.0 alike, so both must give one value
+        uncached = bosefn._zeta_em.__wrapped__
+        for tol in (1e-15, 1e-12, 1e-8):
+            assert uncached(s, tol) == uncached(float(s), tol)
+
     def test_divergence(self):
         with pytest.raises(DivergenceError):
             zeta(1.0, 1e-10)

@@ -1,0 +1,152 @@
+"""The lazy package namespace and the layers each CLI command loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cyclegas
+
+# every name the package exported when its __init__ imported all six layers
+EXPORTS = {
+    "bosefn": ["BoseEval", "bose_g", "zeta"],
+    "entropy": [
+        "EntropyDecomposition",
+        "MinimizeResult",
+        "TruncatedShape",
+        "entropy_decomposition",
+        "functional_S",
+        "minimize_S",
+        "minimizing_sequence",
+        "minimizing_sequence_s_closed_form",
+        "qhat_star_array",
+    ],
+    "errors": ["CapError", "CycleGasError", "DivergenceError", "PrecisionError", "ValidationError"],
+    "exactz": [
+        "WeightedEnsemble",
+        "brute_force_log_Z",
+        "confinement_log_Z_bracket",
+        "convergence_scan",
+        "exact_log_Z",
+        "log_weight",
+        "mu_N_expected_shape",
+        "weighted_ensemble",
+    ],
+    "partitions": [
+        "Partition",
+        "ShapeMeasure",
+        "conjugacy_class_size",
+        "enumerate_partitions",
+        "log_conjugacy_class_size",
+        "occupations_from_shape",
+        "partition_count",
+        "shape_measure",
+    ],
+    "sampler": ["ChainState", "CycleStats", "long_cycle_fraction_scan", "run_chain"],
+    "thermo": [
+        "SystemParams",
+        "ThermoSolution",
+        "chi",
+        "critical_beta",
+        "critical_density",
+        "free_energy",
+        "optimal_shape",
+        "solve_alpha",
+    ],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+class TestNamespace:
+    def test_all_is_the_export_list(self):
+        assert len(NAMES) == 45
+        assert sorted(cyclegas.__all__) == sorted(NAMES)
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_each_name_is_its_home_object(self, module):
+        home = importlib.import_module(f"cyclegas.{module}")
+        for name in EXPORTS[module]:
+            assert getattr(cyclegas, name) is getattr(home, name)
+            assert name in vars(cyclegas)  # cached: the next lookup is a dict hit
+
+    def test_dir_lists_exports_and_layers(self):
+        assert set(NAMES) | set(EXPORTS) <= set(dir(cyclegas))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cyclegas.no_such_name
+        assert not hasattr(cyclegas, "numpy")
+
+    def test_star_import_binds_every_export(self):
+        namespace: dict = {}
+        exec("from cyclegas import *", namespace)
+        for name in NAMES:
+            assert namespace[name] is getattr(cyclegas, name)
+
+
+def loaded_after(code: str) -> tuple:
+    """Run code in a fresh interpreter; (its value of `result`, the cyclegas and numpy modules)."""
+    src = os.path.dirname(os.path.dirname(cyclegas.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    report = (
+        "print(json.dumps([result, sorted(m for m in sys.modules"
+        " if m == 'numpy' or m.split('.')[0] == 'cyclegas')]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code + "\n" + report],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    result, modules = json.loads(proc.stdout.splitlines()[-1])
+    return result, set(modules)
+
+
+class TestImportFootprint:
+    def test_importing_the_cli_loads_no_layer(self):
+        _, modules = loaded_after("import cyclegas.cli\nresult = None")
+        assert modules == {"cyclegas", "cyclegas.cli", "cyclegas.errors"}
+
+    def test_importing_the_package_loads_no_layer(self):
+        result, modules = loaded_after(
+            "import cyclegas\nbare = sorted(sys.modules)\n"
+            "result = [m for m in bare if m.startswith('cyclegas')], cyclegas.thermo.__name__"
+        )
+        assert result == [["cyclegas"], "cyclegas.thermo"]
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["free-energy", "--d", "3", "--beta", "0.0795775", "--rho", "5.3"], 0),
+            (["phase", "--d", "3", "--beta", "0.0795775", "--rho", "5.3"], 0),
+            (["phase", "--d", "3", "--beta", "-1", "--rho", "1"], 2),
+            (["phase", "--d", "3", "--beta", "1", "--rho", "1", "--no-such-flag"], 1),
+        ],
+    )
+    def test_scalar_and_failing_commands_load_no_numpy(self, argv, code):
+        result, modules = loaded_after(
+            "import io, contextlib\nfrom cyclegas import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    result = cli.main({argv!r})"
+        )
+        assert result == code
+        assert "numpy" not in modules
+        assert not {"cyclegas.entropy", "cyclegas.exactz", "cyclegas.sampler"} & modules
+
+    def test_a_chain_command_loads_its_layers(self):
+        result, modules = loaded_after(
+            "import io, contextlib\nfrom cyclegas import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    result = cli.main(['sample', '--d', '3', '--beta', '1', '--rho', '1',"
+            " '--n', '10', '--steps', '100'])"
+        )
+        assert result == 0
+        assert {"numpy", "cyclegas.sampler", "cyclegas.thermo"} <= modules
+        assert "cyclegas.entropy" not in modules
