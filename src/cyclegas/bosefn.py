@@ -5,9 +5,11 @@ The order s is a positive multiple of 1/2: a k-cycle in d dimensions weighs
 evaluation returns the value together with a rigorous truncation bound.  For
 alpha > 0 the series is summed directly with a geometric/integral tail bound;
 for alpha = 0 it is the Riemann zeta function, accelerated by Euler-Maclaurin
-summation (direct summation is hopeless near s = 1), whose form also gives the
-analytic continuation below 1 that the small-alpha expansion needs for its
-zeta(s - k) terms; zeta less the same Euler-Maclaurin tail at K + 1 gives the
+summation of one fixed order (direct summation is hopeless near s = 1).  The
+small-alpha expansion needs zeta(s - k) at orders down to about -30; those at
+or below 0 come from the functional equation, zeta(s) = 2^s pi^(s-1)
+sin(pi s/2) Gamma(1-s) zeta(1-s), whose factor less the sine also bounds the
+expansion's tail.  zeta less the same Euler-Maclaurin tail at K + 1 gives the
 truncated sums sum_{k<=K} k^-s.  Error bounds certify series truncation, not
 rounding.
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CAPS, DivergenceError, PrecisionError, ValidationError
@@ -46,15 +47,14 @@ class BoseEval:
             raise ValidationError("terms_used must be >= 1")
 
 
-@lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(n):
-        total += math.comb(n + 1, j) * _bernoulli(j)
-    return -total / (n + 1)
+# B_2j / (2j)! for j = 1..7: the corrections of Euler-Maclaurin order
+# _EM_ORDER and the coefficient of its first omitted term.  For s > 0 that
+# term decays like n^(-s-13), so one order serves every s that _zeta_em sums.
+_EM_ORDER = 6
+_B_OVER_FACT = tuple(
+    b / math.factorial(2 * j)
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6), start=1)
+)
 
 
 def _rising(s: float, r: int) -> float:
@@ -65,46 +65,58 @@ def _rising(s: float, r: int) -> float:
     return out
 
 
-@lru_cache(maxsize=None)
-def _em_coefficients(s: float) -> tuple[int, tuple[float, ...]]:
-    """The Euler-Maclaurin order m for k^-s and B_2j/(2j)! for j = 1..m+1.
-
-    m is large enough that the remainder decays: s + 2m + 1 > 1.
-    """
-    m = max(6, math.ceil((3.0 - s) / 2.0) + 3)
-    return m, tuple(float(_bernoulli(2 * j)) / math.factorial(2 * j) for j in range(1, m + 2))
-
-
 def _em_remainder(s: float, n: int) -> float:
-    """Bound on the remainder of _em_tail at n: its first omitted term (real s)."""
-    m, b_over_fact = _em_coefficients(s)
-    return abs(b_over_fact[m] * _rising(s, 2 * m + 1)) * n ** (-s - 2 * m - 1)
+    """Bound on the remainder of _em_tail at n: its first omitted term (real s > 0)."""
+    m = _EM_ORDER
+    return abs(_B_OVER_FACT[m] * _rising(s, 2 * m + 1)) * n ** (-s - 2 * m - 1)
 
 
 def _em_tail(s: float, n: int, head: float = 0.0) -> float:
-    """head + sum_{k>=n} k^-s by Euler-Maclaurin at n, s != 1 (continued below 1).
+    """head + sum_{k>=n} k^-s by Euler-Maclaurin at n, s > 0, s != 1.
 
-    The integral, the half end term and m B_{2j} corrections are added to
-    head in that order; _em_remainder(s, n) bounds what is left out.
+    The integral, the half end term and _EM_ORDER B_{2j} corrections are
+    added to head in that order; _em_remainder(s, n) bounds what is left out.
     """
-    m, b_over_fact = _em_coefficients(s)
     value = head + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
-    for j in range(1, m + 1):
-        value += b_over_fact[j - 1] * _rising(s, 2 * j - 1) * n ** (-s - 2 * j + 1)
+    for j in range(1, _EM_ORDER + 1):
+        value += _B_OVER_FACT[j - 1] * _rising(s, 2 * j - 1) * n ** (-s - 2 * j + 1)
     return value
+
+
+_LOG2 = math.log(2.0)
+_LOG_PI = math.log(math.pi)
+_LOG_ZETA2 = math.log(math.pi**2 / 6.0)
+
+
+def _log_reflection(x: float) -> float:
+    """log |2^x pi^(x-1) Gamma(1-x)| for x < 1, the functional equation's factor.
+
+    zeta(x) = sin(pi x/2) e^_log_reflection(x) zeta(1-x).
+    """
+    return x * _LOG2 + (x - 1.0) * _LOG_PI + math.lgamma(1.0 - x)
 
 
 @lru_cache(maxsize=1024)
 def _zeta_em(s: float, tol: float) -> BoseEval:
-    """Riemann zeta by Euler-Maclaurin, valid for real s != 1.
+    """Riemann zeta for real s != 1, certified to tol.
 
-    The terms below n are summed directly, the rest is _em_tail(s, n).
-    Below s = 1 this is the analytic continuation.  Memoised: the
-    expansion's zeta(s - k) coefficients do not depend on alpha, so a root
-    solve pays for them once.
+    For s > 0 the terms below n are summed directly and the rest is
+    _em_tail(s, n).  For s <= 0, the continuation that the small-alpha
+    expansion sums, it is the functional equation: zeta(0) = -1/2 and the
+    trivial zeros are exact, and elsewhere zeta(1-s) to tol over the factor
+    e^_log_reflection(s) bounds the error by tol.  Memoised: the expansion's
+    zeta(s - k) coefficients do not depend on alpha, so a root solve pays
+    for them once.
     """
     if abs(s - 1.0) < 1e-12:
         raise DivergenceError("zeta has a pole at s = 1")
+    if s <= 0.0:
+        if s % 2.0 == 0.0:
+            return BoseEval(value=-0.5 if s == 0.0 else 0.0, error_bound=0.0, terms_used=1)
+        factor = math.exp(_log_reflection(s))
+        z = _zeta_em(1.0 - s, tol / factor)
+        sine = math.sin(math.pi * (s % 4.0) / 2.0)  # s % 4 is exact: a short argument
+        return BoseEval(sine * factor * z.value, factor * z.error_bound, z.terms_used)
     n = 16
     while (remainder := _em_remainder(s, n)) > tol:
         n *= 2
@@ -113,7 +125,7 @@ def _zeta_em(s: float, tol: float) -> BoseEval:
                 f"cannot certify zeta({s}) to {tol} within the summation cap"
             )
     value = _em_tail(s, n, math.fsum(k ** -s for k in range(1, n)))
-    return BoseEval(value=value, error_bound=remainder, terms_used=n - 1 + _em_coefficients(s)[0])
+    return BoseEval(value=value, error_bound=remainder, terms_used=n - 1 + _EM_ORDER)
 
 
 def _check_order(s: float) -> None:
@@ -146,7 +158,7 @@ def _zeta_truncated(s: float, K: int, tol: float) -> BoseEval:
     return BoseEval(
         value=z.value - _em_tail(s, K + 1),
         error_bound=z.error_bound + remainder,
-        terms_used=z.terms_used + _em_coefficients(s)[0],
+        terms_used=z.terms_used + _EM_ORDER,
     )
 
 
@@ -182,24 +194,14 @@ def _bose_direct(s: float, alpha: float, k: int, tail: float) -> BoseEval:
     return BoseEval(value=value, error_bound=tail, terms_used=k)
 
 
-_LOG2 = math.log(2.0)
-_LOG_PI = math.log(math.pi)
-_LOG_ZETA2 = math.log(math.pi**2 / 6.0)
-
-
 def _expansion_term_bound(s: float, alpha: float, k: int) -> float:
     """Upper bound on |zeta(s-k)| alpha^k / k! for k >= s + 1.
 
-    Uses the functional equation: |zeta(s-k)| <= 2^(s-k) pi^(s-k-1)
-    Gamma(1+k-s) zeta(1+k-s), and zeta(1+k-s) <= zeta(2) once 1+k-s >= 2.
+    The functional equation with |sin| <= 1 and zeta(1+k-s) <= zeta(2):
+    |zeta(s-k)| <= e^_log_reflection(s-k) zeta(2).
     """
     return math.exp(
-        _LOG_ZETA2
-        + (s - k) * _LOG2
-        + (s - k - 1.0) * _LOG_PI
-        + math.lgamma(1.0 + k - s)
-        - math.lgamma(k + 1.0)
-        + k * math.log(alpha)
+        _LOG_ZETA2 + _log_reflection(s - k) - math.lgamma(k + 1.0) + k * math.log(alpha)
     )
 
 

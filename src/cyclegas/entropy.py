@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -138,37 +138,34 @@ def qhat_star_array(params: SystemParams, K: int) -> np.ndarray:
     return out
 
 
-def _xlogx_sum(
-    x: np.ndarray, ref: np.ndarray, minus_one: bool, remake: Callable[[], np.ndarray]
-) -> float:
+def _xlogx_sum(x: np.ndarray, ref: np.ndarray, minus_one: bool) -> float:
     """np.sum of x log(x/ref), less x when minus_one; 0 where x is 0.
 
-    Overwrites ref with the terms.  A call per block frees the block's
-    temporaries.  The ops run unmasked (masked ufuncs cost about 1.8 times
+    The terms are formed in one block-sized temporary, which a call per
+    block frees.  The ops run unmasked (masked ufuncs cost about 1.8 times
     as much): where x is 0 they give 0 * -inf = nan, zeroed afterwards.
     Where x > 0 is so small that x/ref underflows to 0 (a subnormal x over
     ref > 1), the term is -inf; only a block whose sum is not finite forms
-    its non-finite terms again as x (log x - log ref) from remake(), a fresh
-    copy of ref.
+    its non-finite terms again, as x (log x - log ref).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(x, ref, out=ref)
-        np.log(ref, out=ref)
+        terms = np.divide(x, ref)
+        np.log(terms, out=terms)
         if minus_one:
-            np.subtract(ref, 1.0, out=ref)
-        np.multiply(x, ref, out=ref)
-    ref[x == 0] = 0.0
-    total = float(np.sum(ref))
+            np.subtract(terms, 1.0, out=terms)
+        np.multiply(x, terms, out=terms)
+    terms[x == 0] = 0.0
+    total = float(np.sum(terms))
     if math.isfinite(total):
         return total
-    bad = ~np.isfinite(ref)
+    bad = ~np.isfinite(terms)
     xb = x[bad]
     with np.errstate(divide="ignore"):
-        t = np.log(xb) - np.log(remake()[bad])
+        t = np.log(xb) - np.log(ref[bad])
     if minus_one:
         t -= 1.0
-    ref[bad] = xb * t
-    return float(np.sum(ref))
+    terms[bad] = xb * t
+    return float(np.sum(terms))
 
 
 def _bump(params: SystemParams, n: int, eps: float) -> float:
@@ -222,8 +219,7 @@ def functional_S(shape: TruncatedShape, params: SystemParams) -> float:
         return _s_of_sequence(params, *seq)
     qh = shape.qhat
     return math.fsum(
-        _xlogx_sum(qh[lo:hi], qhat_star(params, ks), True, lambda: qhat_star(params, ks))
-        for lo, hi, ks in _blocks(shape.K)
+        _xlogx_sum(qh[lo:hi], qhat_star(params, ks), True) for lo, hi, ks in _blocks(shape.K)
     )
 
 
@@ -258,16 +254,10 @@ def entropy_decomposition(
     q, q_star = (math.fsum(column) for column in zip(*parts))
     if q <= 0.0:
         raise ValidationError("decomposition needs total increment mass q > 0")
-
-    def h_block(lo: int, hi: int, ks: np.ndarray) -> float:
-        def p_star() -> np.ndarray:
-            ref = qhat_star(params, ks)
-            ref /= q_star
-            return ref
-
-        return _xlogx_sum(qh[lo:hi] / q, p_star(), False, p_star)
-
-    h = math.fsum(h_block(*block) for block in _blocks(shape.K))
+    h = math.fsum(
+        _xlogx_sum(qh[lo:hi] / q, qhat_star(params, ks) / q_star, False)
+        for lo, hi, ks in _blocks(shape.K)
+    )
     return _decomposition(q, q_star, h)
 
 

@@ -27,9 +27,9 @@ and the cached log weight change on accepted moves only; no other index is
 kept.  The tests keep the moves as a plain randrange function and check the
 kernel against it step by step.
 
-run_chain drives a chain through three calls of the kernel (burn-in, the
-sampled stretch, the rest), and in the sampled stretch the kernel records
-each sample in its move loop at O(1) cost: the long-cycle mass is a running
+run_chain drives a chain through two calls of the kernel (burn-in, then
+the sampled rest), and in the sampled call the kernel records each sample
+in its move loop at O(1) cost: the long-cycle mass is a running
 integer, and the sums of r_k are kept lazily.  At each batch end the kernel
 appends the running sums, exact integers, and run_chain differences them
 into per-batch tallies; no sample walks the occupations.
@@ -166,9 +166,10 @@ class ChainState:
         cached weight adds dc plus L[r] for each count a removal passes and
         minus L[r] for each an addition reaches.
 
-        With `sampling`, the kernel also takes count // thin + 1 samples
-        without leaving its loop: one before the first move and one after
-        every thin-th (count is a multiple of thin).  Each accepted move
+        With `sampling`, the kernel also takes (count - 1) // thin + 1
+        samples without leaving its loop: one after its first move and one
+        after every thin-th move after that; the fewer than thin moves left
+        over come last, unsampled.  Each accepted move
         updates two per-length tables without testing k_report or the
         threshold: the long-cycle mass, a running integer, changes by
         big[added] - big[removed] (big[x] = x past the threshold, else 0),
@@ -200,11 +201,11 @@ class ChainState:
         seg = count
         if sampling is not None:
             thin, k_report, threshold, stops, sums = sampling
-            n_samples = count // thin + 1
+            n_samples = (count - 1) // thin + 1
             lazy = [0] * (self.n + 1)  # lazy[k] + r_k * t sums r_k over t samples
             big = [x if x > threshold else 0 for x in range(self.n + 1)]
             long_mass = sum(k * r for k, r in occ.items() if k > threshold)
-            seg = 0  # the first sample precedes every move
+            seg = min(count, 1)  # the first sample follows the first move
         while True:
             for _ in range(seg):
                 m = len(cycles)
@@ -316,7 +317,7 @@ class ChainState:
             lazy[0] += long_mass
             if t in stops:
                 sums.append(_running_sums(lazy, occ, t, k_report))
-            seg = thin if t < n_samples else 0
+            seg = thin if t < n_samples else (count - 1) % thin  # the remainder comes last
         self.log_weight = log_weight
         tally = self.acceptance_counts["split"]
         tally["proposed"] += split_proposed
@@ -429,10 +430,8 @@ def run_chain(
     stops = {b * batch_size for b in range(1, nb + 1)} | {n_samples}  # batch ends, last sample
     ends = [[0] * (k_report + 1)]  # a zero row, then the kernel's sums at each stop
     # samples are taken after steps burn_in + 1, burn_in + 1 + thin, ...
-    sampled = (n_samples - 1) * thin
-    state._advance(burn_in + 1)
-    state._advance(sampled, _Sampling(thin, k_report, threshold, stops, ends))
-    state._advance(steps - burn_in - 1 - sampled)  # fewer than thin steps
+    state._advance(burn_in)
+    state._advance(steps - burn_in, _Sampling(thin, k_report, threshold, stops, ends))
     state.audit()
 
     sums = ends[-1]

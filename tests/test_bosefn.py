@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,39 @@ ZETA_3_HALVES = 2.6123753486854883
 ZETA_5_HALVES = 1.3414872572509171
 # the orders k/2, k = 1..8: g_{d/2} and g_{(d+2)/2} for d up to 6
 HALF_INTEGER_ORDERS = tuple(k / 2.0 for k in range(1, 9))
+U = 2.0**-53
+
+
+def reflection_rounding(s: float) -> float:
+    """A-priori relative rounding of _zeta_em(s) for s < 0, not a trivial zero.
+
+    The log factor s log 2 + (s - 1) log pi + lgamma(1 - s) has two products,
+    each within 2 u of its magnitude (the rounded constant, pi's own rounding
+    inside log pi, the product), lgamma within 8 u, and two sums within u/2
+    of the three magnitudes' total M each: at most 10 u M absolute, so 10 u M
+    relative after exp.  exp (u/2), the sine of the reduced argument (under
+    6 u), zeta(1 - s) >= 1 from a fsum head and eight Euler-Maclaurin
+    additions (10 u) and two products (u) add under 20 u.
+    """
+    magnitude = abs(s * math.log(2.0)) + abs((s - 1.0) * math.log(math.pi)) + math.lgamma(1.0 - s)
+    return (10.0 * magnitude + 20.0) * U
+
+
+def expansion_magnitude(s: float, alpha: float, terms: int) -> float:
+    """Sum of the magnitudes of the expansion's terms for g_s(alpha), in mpmath."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        if s == int(s):
+            m = int(s)
+            lead = a ** (m - 1) / mpmath.factorial(m - 1) * (mpmath.harmonic(m - 1) - mpmath.log(a))
+        else:
+            lead = mpmath.gamma(1 - s) * a ** (s - 1)
+        total = abs(lead) + sum(
+            abs(mpmath.zeta(s - k)) * a**k / mpmath.factorial(k)
+            for k in range(terms)
+            if k != s - 1
+        )
+        return float(total)
 
 
 def eta_series_zeta(s: float, n_terms: int) -> float:
@@ -120,6 +154,28 @@ class TestZeta:
             if refl is not None:
                 assert zeta_em(s, 1e-13).value == pytest.approx(refl, abs=1e-12)
 
+    def test_em_table_is_bernoulli_over_factorial(self):
+        for j in range(1, bosefn._EM_ORDER + 2):
+            want = float(mpmath.bernoulli(2 * j)) / math.factorial(2 * j)
+            assert bosefn._B_OVER_FACT[j - 1] == want
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-10])
+    def test_continuation_matches_mpmath(self, tol):
+        # every order at or below 0 that the expansion sums, by the functional
+        # equation: within its bound plus the a-priori rounding
+        zeta_em = bosefn._zeta_em.__wrapped__
+        for j in range(61):
+            s = -j / 2.0
+            z = zeta_em(s, tol)
+            assert z.error_bound <= tol
+            if j % 4 == 0:  # zeta(0) and the trivial zeros are exact
+                assert (z.value, z.error_bound) == (-0.5 if j == 0 else 0.0, 0.0)
+                continue
+            with mpmath.workdps(30):
+                want = mpmath.zeta(s)
+                err = float(abs(z.value - want))
+            assert err <= z.error_bound + reflection_rounding(s) * float(abs(want)), s
+
 
 class TestBoseG:
     def test_monotone_in_alpha_example(self):
@@ -191,6 +247,22 @@ class TestBoseG:
             bose_g(1.5, 0.1, tol)
         with pytest.raises(ValidationError):
             zeta(2.5, tol)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.1, 1e-3, 1e-6])
+    def test_expansion_matches_polylog(self, alpha):
+        # g_s(alpha) = Li_s(e^-alpha).  Rounding scales with the terms'
+        # magnitudes, nearly all of them in the leading term, zeta(s) and
+        # zeta(s - 1): each is within a few u, and so is each addition that
+        # carries them
+        for k in range(1, 13):
+            s = k / 2.0
+            for tol in (1e-8, 1e-12, 1e-14):
+                g = bose_g(s, alpha, tol, method="expansion")
+                with mpmath.workdps(30):
+                    err = float(abs(g.value - mpmath.polylog(s, mpmath.exp(-mpmath.mpf(alpha)))))
+                assert g.error_bound <= tol
+                magnitude = expansion_magnitude(s, alpha, g.terms_used)
+                assert err <= g.error_bound + 8.0 * U * magnitude, (s, tol)
 
     def test_expansion_agrees_with_direct(self):
         def direct_terms(s, alpha):

@@ -551,7 +551,7 @@ def block_edge_shape(params: SystemParams, K: int) -> np.ndarray:
 
 class TestUnmaskedTerms:
     @pytest.mark.parametrize("minus_one", [True, False])
-    def test_terms_are_the_whole_vector_terms(self, minus_one):
+    def test_terms_are_the_whole_vector_terms(self, minus_one, monkeypatch):
         params = SystemParams(3, BETA_UNIT, 0.01 * critical_density(3, BETA_UNIT))
         K = 3 * B + 7
         qs = qhat_star_array(params, K)
@@ -568,15 +568,30 @@ class TestUnmaskedTerms:
         # so an ulp of log cannot move it
         want[0] = x[0] * (math.log(x[0]) - math.log(qs[0]) - minus_one)
         assert -5e-321 < want[0] < -3e-321
+        # the terms are a temporary: read them as the block's last np.sum sees them
+        summed = []
+        np_sum = np.sum
+
+        def recording_sum(a, *args, **kwargs):
+            summed.append(np.array(a))
+            return np_sum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sum", recording_sum)
         for lo, hi in ((0, B), (B, 2 * B), (2 * B, K)):
             ref = qs[lo:hi].copy()
+            x_block = x[lo:hi].copy()
+            summed.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                total = entropy._xlogx_sum(x[lo:hi], ref, minus_one, lambda: qs[lo:hi].copy())
-            # ref holds the terms: +0.0 where x is +-0.0, the true term at the
-            # subnormal
-            assert ref.tobytes() == want[lo:hi].tobytes()
-            assert total == float(np.sum(want[lo:hi]))
+                total = entropy._xlogx_sum(x_block, ref, minus_one)
+            # only the subnormal's block sums its terms a second time
+            assert len(summed) == (2 if lo == 0 else 1)
+            # +0.0 where x is +-0.0, the true term at the subnormal
+            assert summed[-1].tobytes() == want[lo:hi].tobytes()
+            assert total == float(np_sum(want[lo:hi]))
+            # the inputs are left as they were
+            assert ref.tobytes() == qs[lo:hi].tobytes()
+            assert x_block.tobytes() == x[lo:hi].tobytes()
 
     def test_subnormal_entry_keeps_S_finite(self):
         # x / Qhat*(1) underflows to 0 at x = 5e-324, which once made S -inf

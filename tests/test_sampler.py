@@ -24,6 +24,7 @@ from cyclegas.sampler import (
     ChainState,
     CycleStats,
     _batch_stderr,
+    _Sampling,
     _cycle_log_constants,
     default_threshold,
     long_cycle_fraction_scan,
@@ -430,6 +431,28 @@ class TestKernel:
             assert batched._advance(count) == landed
             # occ, cycles, log_weight (bitwise), counters and RNG state
             assert chain_snapshot(batched) == chain_snapshot(single)
+
+    @pytest.mark.parametrize("count", [0, 1, 4, 5, 6, 23])
+    def test_sampled_advance_samples_after_its_first_move_then_every_thin(self, count):
+        # any count: samples follow moves 1, 1 + thin, ..., and the fewer
+        # than thin moves left over come last
+        p = SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=30)
+        thin, k_report, threshold = 5, 4, 3
+        n_samples = -(-count // thin)
+        sums = []
+        sampled = ChainState(p, seed=7)
+        stops = set(range(1, n_samples + 1))
+        sampled._advance(count, _Sampling(thin, k_report, threshold, stops, sums))
+        bare = ChainState(p, seed=7)
+        want, row = [], [0] * (k_report + 1)
+        for t in range(n_samples):
+            bare._advance(thin if t else 1)
+            long_mass = sum(k * r for k, r in bare.occ.items() if k > threshold)
+            row = [row[0] + long_mass] + [row[k] + bare.occ.get(k, 0) for k in range(1, k_report + 1)]
+            want.append(row)
+        bare._advance(count - 1 - (n_samples - 1) * thin if count else 0)
+        assert sums == want
+        assert chain_snapshot(sampled) == chain_snapshot(bare)
 
     def test_occ_is_one_live_dict_without_zero_counts(self):
         # readers may bind st.occ once and read it after every step
