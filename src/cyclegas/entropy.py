@@ -270,7 +270,8 @@ def _log_constraint_mass(
 ) -> float:
     """log sum_k k Qhat*(k) e^(-lambda k), overflow-safe; overwrites buf.
 
-    exactz._logsumexp(log_base - lam * ks) bit for bit, in buf alone:
+    The max-shifted log-sum-exp of log_base - lam * ks, bit for bit as
+    fresh whole-vector NumPy temporaries give it, in buf alone:
     ks * (-lam) + log_base rounds as log_base - lam * ks does.
     """
     np.multiply(ks, -lam, out=buf)

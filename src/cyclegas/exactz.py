@@ -5,7 +5,10 @@ prod_k |V|^r_k / (r_k! k^r_k) * (4 pi beta k)^(-d r_k / 2),
 one volume factor per cycle.  Because the weight factors over cycles, the
 sum over all partitions of m obeys the cycle-index recursion
 m Z_m = sum_{k=1}^m k theta_k Z_{m-k}, theta_k = e^{c[k]}, which gives
-log Z and the exact occupation expectations in O(n^2).  Enumeration of the
+log Z and the exact occupation expectations in O(n^2).  It runs in log
+space over Python floats, each row one max shift and one math.fsum of the
+shifted exps streamed through map: at the n <= 70 of the public routes that
+beats NumPy, whose per-call cost exceeds a row's arithmetic.  Enumeration of the
 partitions (weighted_ensemble) and the sum over all n! permutations
 (brute_force_log_Z) stay on as independent oracles for small n.  The latter
 builds each permutation by insertion, element m going in as a fixed point or
@@ -20,13 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from itertools import repeat
+from operator import add, sub
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError, check_cap
 from .partitions import Partition, enumerate_partitions
 from .thermo import SystemParams, _log1mexp, chi, thermal_factor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _require_n(params: SystemParams) -> int:
@@ -68,9 +74,13 @@ def log_weight(lam: Partition, params: SystemParams) -> float:
 
 
 def _logsumexp(values: Sequence[float]) -> float:
-    arr = np.asarray(values, dtype=np.float64)
-    m = float(np.max(arr))
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    """log sum_i e^(values[i]): one max shift, then one math.fsum of the exps.
+
+    The shifted exps stream from C-level iterators into fsum, so no second
+    list of len(values) floats is made.
+    """
+    top = max(values)
+    return top + math.log(math.fsum(map(math.exp, map(sub, values, repeat(top)))))
 
 
 def _insertion_walk(
@@ -135,18 +145,19 @@ def brute_force_log_Z(params: SystemParams) -> float:
     return _logsumexp(per_perm) - math.lgamma(n + 1)
 
 
-def _log_Z_table(c: list[float], n: int) -> np.ndarray:
+def _log_Z_table(c: list[float], n: int) -> list[float]:
     """log Z_m for m = 0..n from m Z_m = sum_{k=1}^m k e^{c[k]} Z_{m-k}, Z_0 = 1.
 
-    Each step is one max-shifted log-sum-exp, so the table stays finite
-    where Z_m itself over- or underflows.
+    Each row is one max-shifted log-sum-exp over Python floats, so the table
+    stays finite where Z_m itself over- or underflows.  Row m pairs
+    log(k theta_k) with log Z_{m-k} by map over the reversed table, which
+    has exactly m entries then.
     """
-    log_k_theta = np.log(np.arange(1, n + 1, dtype=np.float64)) + np.asarray(
-        c[1 : n + 1], dtype=np.float64
-    )
-    log_z = np.zeros(n + 1, dtype=np.float64)
+    log_k_theta = [math.log(k) + c[k] for k in range(1, n + 1)]
+    log_z = [0.0]
     for m in range(1, n + 1):
-        log_z[m] = _logsumexp(log_k_theta[:m] + log_z[m - 1 :: -1]) - math.log(m)
+        terms = list(map(add, log_k_theta, reversed(log_z)))
+        log_z.append(_logsumexp(terms) - math.log(m))
     return log_z
 
 
@@ -158,7 +169,7 @@ def exact_log_Z(params: SystemParams) -> float:
     free-space heat-kernel mass per cycle.
     """
     c = _cycle_log_constants(params, "exact")
-    return float(_log_Z_table(c, params.n)[params.n])
+    return _log_Z_table(c, params.n)[params.n]
 
 
 def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
@@ -175,8 +186,8 @@ def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
     x = params.d * n / (4.0 * params.beta)
     shift = _log1mexp(x)
     return {
-        "log_z": float(_log_Z_table(c, n)[n]),
-        "log_z_lower": float(_log_Z_table([ck + shift for ck in c], n)[n]),
+        "log_z": _log_Z_table(c, n)[n],
+        "log_z_lower": _log_Z_table([ck + shift for ck in c], n)[n],
         "max_shift": n * abs(shift),
     }
 
@@ -209,11 +220,14 @@ def mu_N_expected_shape(params: SystemParams) -> np.ndarray:
 
     E[r_k] = theta_k Z_{n-k} / Z_n with theta_k = e^{c[k]}, read off one
     cycle-index recursion table.  sum_k k E[Qhat(k)] = 1 is the recursion at
-    m = n and is checked to 1e-10.
+    m = n and is checked to 1e-10.  The only exactz route that loads NumPy,
+    on its first call, for the array it returns.
     """
+    import numpy as np
+
     c = _cycle_log_constants(params, "ensemble")
     n = params.n
-    log_z = _log_Z_table(c, n)
+    log_z = np.asarray(_log_Z_table(c, n))
     ks = np.arange(1, n + 1)
     eq = np.exp(np.asarray(c[1:]) + log_z[n - ks] - log_z[n]) / n
     mass = float(ks @ eq)

@@ -34,7 +34,8 @@ integer, and the sums of r_k are kept lazily.  At each batch end the kernel
 appends the running sums, exact integers, and run_chain differences them
 into per-batch tallies; no sample walks the occupations.
 Chains are single-stream and deterministic given the seed; estimator errors
-use batch means.
+use batch means, whose variance per column is a ratio of Python ints
+rounded once, so the module needs no NumPy.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
+from operator import mul
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .errors import ValidationError
 from .exactz import _cycle_log_constants, _occupation_log_weight, _require_n
@@ -372,13 +372,17 @@ class CycleStats(NamedTuple):
 def _batch_stderr(tallies: list[list[int]], per_batch: int) -> list[float]:
     """Batch-means standard errors, column by column, of per-batch integer tallies.
 
-    A batch mean is its tally over per_batch.  Each column is centred on its
-    first tally before np.std, exactly since the tallies are integers, so a
-    column that never changes reads 0.0 rather than an ulp-sized spread.
+    A batch mean is its tally x over per_batch.  Over nb batches the squared
+    error of the mean, (nb sum x^2 - (sum x)^2) / (nb (nb - 1) nb per_batch^2),
+    is a ratio of Python ints, rounded once by the true division; one sqrt
+    follows.  A column that never changes reads exactly 0.0.
     """
-    dev = np.array(tallies, dtype=np.float64)
-    dev -= dev[0]
-    return (np.std(dev, axis=0, ddof=1) / (per_batch * math.sqrt(len(tallies)))).tolist()
+    nb = len(tallies)
+    den = nb * nb * (nb - 1) * per_batch * per_batch
+    return [
+        math.sqrt((nb * sum(map(mul, col, col)) - sum(col) ** 2) / den)
+        for col in zip(*tallies)
+    ]
 
 
 def default_threshold(n: int) -> int:

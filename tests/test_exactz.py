@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from cyclegas.errors import CapError, ValidationError
 from cyclegas.exactz import (
     ScanRow,
     _cycle_log_constants,
+    _log_Z_table,
     _logsumexp,
     brute_force_log_Z,
     confinement_log_Z_bracket,
@@ -324,6 +326,55 @@ class TestExactLogZ:
         # n / rho = 8e320 overflows to inf, which made log Z and the shape NaN
         with pytest.raises(ValidationError, match="volume n / rho overflows"):
             engine(SystemParams(3, 1.0, 1e-320, n=8))
+
+
+def mpmath_log_Z_table(c: list[float], n: int) -> list[mpmath.mpf]:
+    """log Z_m for m = 0..n by the same recursion on the same float c[k], at 40 digits.
+
+    Run in linear space, m Z_m = sum_k k e^{c[k]} Z_{m-k}: an mpf exponent
+    does not overflow, so no shift is needed.
+    """
+    with mpmath.workdps(40):
+        k_theta = [None] + [k * mpmath.exp(mpmath.mpf(c[k])) for k in range(1, n + 1)]
+        z = [mpmath.mpf(1)]
+        for m in range(1, n + 1):
+            z.append(mpmath.fsum(k_theta[k] * z[m - k] for k in range(1, m + 1)) / m)
+        return [mpmath.log(x) for x in z]
+
+
+class TestLogZTable:
+    @pytest.mark.parametrize("n", [70, 300])
+    @pytest.mark.parametrize("rho_over_rho_c", [0.5, 2.0], ids=["normal", "condensed"])
+    def test_matches_a_40_digit_run_of_the_recursion(self, n, rho_over_rho_c):
+        # A priori bound, u = 2^-53.  Row m of the float table forms
+        # t_k = a_k + L_{m-k} with a_k = log k + c[k], then top + log fsum
+        # exp(t_k - top) - log m.  LSE is 1-Lipschitz in the largest input
+        # change, so row m inherits at most max_{j<m} E_j from earlier rows
+        # and adds its own rounding: a_k (<= u (log k + |a_k|)), t_k
+        # (<= u |t_k|), t_k - top (<= 2u T_m relative to each exp, with
+        # T_m = max_k |t_k|), exp (<= 2u), fsum (<= u), log (<= 2u log m),
+        # the add of top and the subtraction of log m (<= u (|L_m| + log m)
+        # each).  With M_m = max(T_m, |L_m|, max_k |a_k|) that is below
+        # 6u M_m + 5u log m + 3u; 8u (M_m + log m + 1) covers the
+        # second-order terms.  So E_n <= sum_m 8u (M_m + log m + 1), with
+        # T_m, L_m and a_k taken from the 40-digit run.
+        u = 2.0**-53
+        p = SystemParams(3, BETA_UNIT, rho_over_rho_c * critical_density(3, BETA_UNIT), n=n)
+        c = _cycle_log_constants(p, "chain")
+        ref = mpmath_log_Z_table(c, n)
+        with mpmath.workdps(40):
+            a = [0.0] + [float(mpmath.log(k) + mpmath.mpf(c[k])) for k in range(1, n + 1)]
+        ref_f = [float(x) for x in ref]
+        big_a = max(abs(x) for x in a[1:])
+        bounds = [0.0]
+        for m in range(1, n + 1):
+            t_max = max(abs(a[k] + ref_f[m - k]) for k in range(1, m + 1))
+            row = 8 * u * (max(t_max, abs(ref_f[m]), big_a) + math.log(m) + 1)
+            bounds.append(bounds[-1] + row)
+        got = _log_Z_table(c, n)
+        assert len(got) == n + 1
+        for m, (g, want, bound) in enumerate(zip(got, ref, bounds)):
+            assert abs(g - want) <= bound, (m, g, float(want), bound)
 
 
 class TestConfinement:

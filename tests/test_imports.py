@@ -148,5 +148,31 @@ class TestImportFootprint:
             " '--n', '10', '--steps', '100'])"
         )
         assert result == 0
-        assert {"numpy", "cyclegas.sampler", "cyclegas.thermo"} <= modules
+        assert {"cyclegas.sampler", "cyclegas.thermo"} <= modules
+        assert "numpy" not in modules
+        assert "cyclegas.entropy" not in modules
+
+    # d = 3, beta = 1, rho = 1 is condensed (rho_c = 0.0588): the chain's
+    # start reads the limiting shape without a direct Bose sum
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["exact-z", "--d", "3", "--beta", "1", "--rho", "1", "--n", "8", "--oracle"], 0),
+            (["exact-z", "--d", "3", "--beta", "1", "--rho", "1", "--n", "80"], 3),
+            (["sample", "--d", "3", "--beta", "1", "--rho", "1", "--n", "30",
+              "--steps", "2000"], 0),
+            (["scan-long-cycles", "--d", "3", "--beta", "1", "--rho", "1",
+              "--n-list", "20,40", "--steps", "2000"], 0),
+        ],
+        ids=["exact-z-oracle", "exact-z-cap", "sample", "scan-long-cycles"],
+    )
+    def test_exact_and_chain_commands_load_no_numpy(self, argv, code):
+        result, modules = loaded_after(
+            "import io, contextlib\nfrom cyclegas import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    result = cli.main({argv!r})"
+        )
+        assert result == code
+        assert "numpy" not in modules
         assert "cyclegas.entropy" not in modules

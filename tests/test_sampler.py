@@ -7,7 +7,6 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cyclegas.errors import CapError, ValidationError
@@ -290,6 +289,22 @@ def replayed_sums(p, steps, seed, burn_in, thin, k_report, threshold):
                 row[0] += k * r
     sums = [sum(column) for column in zip(*rows)]
     return n_samples, sums[1:], sums[0], tail_sum, rows
+
+
+def fraction_stderr(rows: list[list[int]], per_batch: int) -> list[float]:
+    """Batch-means errors per column from the centred sample variance in Fractions.
+
+    The centred sum equals (nb sum x^2 - (sum x)^2) / nb exactly, so each
+    squared error, var / (nb per_batch^2), is the integer ratio, rounded
+    once by float(); one sqrt follows.
+    """
+    nb = len(rows)
+    out = []
+    for col in zip(*rows):
+        mean = Fraction(sum(col), nb)
+        var = sum((x - mean) ** 2 for x in col) / (nb - 1)
+        out.append(math.sqrt(float(var / (nb * per_batch**2))))
+    return out
 
 
 class TestMoveAlgebra:
@@ -621,8 +636,7 @@ class TestRunChain:
         assert stats.long_cycle_fraction == float(Fraction(long_sum, denom))
         assert stats.tail_mass_mean == float(Fraction(tail_sum, denom))
         nb = len(rows) - 1
-        dev = np.array(rows[:nb], dtype=np.float64) - np.array(rows[0], dtype=np.float64)
-        stderr = (np.std(dev, axis=0, ddof=1) / (p.n * (n_samples // nb) * math.sqrt(nb))).tolist()
+        stderr = fraction_stderr(rows[:nb], p.n * (n_samples // nb))
         assert stats.fraction_stderr == stderr[0]
         assert stats.qhat_stderr == tuple(stderr[1:])
 
@@ -642,10 +656,17 @@ class TestRunChain:
     def test_run_chain_matches_pinned_output(self, case, p, kwargs):
         # every field, floats bit for bit, as the slot and point moves gave
         # it; its means equal a replay that walks the occupations between
-        # bare kernel calls (replayed_sums)
+        # bare kernel calls (replayed_sums), and its errors are the Fraction
+        # formula on the replay's batch tallies
         golden = json.loads(Path(__file__).with_name("run_chain_golden.json").read_text())
         want = {k: tuple(v) if isinstance(v, list) else v for k, v in golden[case].items()}
         assert run_chain(p, **kwargs) == CycleStats(**want)
+        knobs = {"burn_in": kwargs["steps"] // 10, "thin": 10, "k_report": want["k_report"],
+                 "threshold": want["threshold"], **kwargs}
+        n_samples, _, _, _, rows = replayed_sums(p, **knobs)
+        nb = len(rows) - 1
+        stderr = fraction_stderr(rows[:nb], p.n * (n_samples // nb))
+        assert (want["fraction_stderr"], want["qhat_stderr"]) == (stderr[0], tuple(stderr[1:]))
 
     def test_batch_stderr_of_a_constant_column_is_zero(self):
         # 50 batches of 450 samples at n = 2000 whose long-cycle mass never
