@@ -13,11 +13,9 @@ expansion's tail.  zeta less the same Euler-Maclaurin tail at K + 1 gives the
 truncated sums sum_{k<=K} k^-s.  Error bounds certify series truncation, not
 rounding.
 
-The zeta head sum_{k<n} k^-s (n is 16 to a few hundred in practice) is a
-math.fsum of Python floats, exactly rounded.  NumPy enters only at
-_bose_direct, which imports it on first call, so zeta, the expansion and a
-density solve that sums no series directly (any condensed point) run
-without loading it.
+Every direct sum is a math.fsum of Python floats, exactly rounded: the zeta
+head sum_{k<n} k^-s (n is 16 to a few hundred in practice) and the direct
+Bose series, which "auto" keeps to 64 terms.  The module needs no NumPy.
 """
 
 from __future__ import annotations
@@ -25,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 
 from .errors import CAPS, DivergenceError, PrecisionError, ValidationError
 
-_CHUNK = 1 << 16
 _MIN_TOL = 1e-14
 
 
@@ -183,15 +182,9 @@ def _certified_terms(s: float, alpha: float, tol: float, cap: int) -> tuple[int,
 
 def _bose_direct(s: float, alpha: float, k: int, tail: float) -> BoseEval:
     """The first k terms summed directly; tail bounds the rest."""
-    import numpy as np
-
-    chunk_sums = []
-    for lo in range(1, k + 1, _CHUNK):
-        hi = min(lo + _CHUNK, k + 1)
-        js = np.arange(lo, hi, dtype=np.float64)
-        chunk_sums.append(float(np.sum(js ** (-s) * np.exp(-alpha * js))))
-    value = math.fsum(chunk_sums)
-    return BoseEval(value=value, error_bound=tail, terms_used=k)
+    ks = range(1, k + 1)
+    terms = map(mul, map(pow, ks, repeat(-s)), map(math.exp, map(mul, ks, repeat(-alpha))))
+    return BoseEval(value=math.fsum(terms), error_bound=tail, terms_used=k)
 
 
 def _expansion_term_bound(s: float, alpha: float, k: int) -> float:
@@ -230,8 +223,10 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
             )
 
     # the singular leading term plus sum_{k<=k_top} zeta(s-k) (-alpha)^k / k!,
-    # whose k = s-1 term the -log(alpha) branch holds for integer s
-    inner_tol = max(tol / (8.0 * (k_top + 1)), 1e-15)
+    # whose k = s-1 term the -log(alpha) branch holds for integer s.  The
+    # coefficients' tol is rounded down to a power of 2, so calls whose tol
+    # and k_top differ (each root solve has its own tol) share memoised zetas
+    inner_tol = max(math.ldexp(0.5, math.frexp(tol / (8.0 * (k_top + 1)))[1]), 1e-15)
     s_int = round(s)
     is_integer = s == s_int
     if is_integer:
@@ -258,14 +253,16 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
 
 # "auto" sums directly up to this many terms.  Median of 30 calls on a 2-vCPU
 # x86-64 host (one core, tol 2.6e-11), s = 1 / s = 1.5:
-#   direct terms    4,096   8,192  16,384  32,768  262,144  524,288
-#   direct ms       0.045   0.067   0.120   0.750    4.5      8.5     (s = 1)
-#                   0.069   0.098   0.175   0.860    5.3     10.2     (s = 1.5)
-#   expansion ms    0.25-0.33 with a cold zeta cache, about 0.01 warm
-# Beyond 16,384 terms the temporaries pass glibc's 128 KB mmap threshold and
-# every call pays fresh page faults.  A root solve evaluates the expansion
-# warm after its first call, so the crossover sits below the cold break-even.
-_DIRECT_TERMS_MAX = 1 << 13
+#   direct terms      16      64     256   1,024   8,192
+#   direct ms      0.007   0.018   0.061   0.25    2.08     (s = 1)
+#                  0.008   0.020   0.062   0.25    2.08     (s = 1.5)
+#   expansion ms   0.08 / 0.14 with a cold zeta cache, about 0.009 warm
+# The direct sum costs about 0.25 us a term, and a root solve evaluates the
+# expansion warm after its first call.  So the crossover is the fewest terms
+# that still certify every alpha > 0.5, which the expansion refuses, at
+# tol >= 1e-14 for s >= 1/2: just above alpha = 0.5, s = 1/2 leaves a tail of
+# 2.4e-15 at 64 terms and 3e-8 at 32.
+_DIRECT_TERMS_MAX = 64
 
 
 def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval:
@@ -276,7 +273,7 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
     such s.  `method` picks the evaluation route: "direct" term-by-term
     summation, "expansion" the certified small-alpha expansion
     (alpha <= 0.5), or "auto" by measured cost: direct summation when it
-    certifies within _DIRECT_TERMS_MAX terms (always, by 128 terms, when
+    certifies within _DIRECT_TERMS_MAX terms (always, by 64 terms, when
     alpha > 0.5), the expansion otherwise (its alpha-independent zeta
     coefficients are cached, so repeated calls cost microseconds).
     """

@@ -8,11 +8,8 @@ for auditability.  Human diagnostics go to stderr only.  Exit codes: 0 ok,
 Each handler imports the layers it runs, so a command loads only those, and
 a usage error none.  The scalar commands (phase, alpha, free-energy) load
 thermo and bosefn; exact-z and converge add exactz, sample and
-scan-long-cycles add sampler, and those two layers run on Python floats and
-ints.  minimize always loads NumPy; every other command loads it only when a
-density solve sums a Bose series directly (phase, alpha, free-energy and
-converge at a normal point, exact-z for neg_chi, the chains for their start
-shape): never at a condensed point or on invalid input.
+scan-long-cycles add sampler.  Those layers, and so every density solve, run
+on Python floats and ints: only minimize loads NumPy.
 
 All physical inputs are dimensionless; beta is the time horizon of a
 diffusion with generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), so

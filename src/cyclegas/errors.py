@@ -54,8 +54,8 @@ CAPS = {
     # entropy.qhat_star_array (so minimize_S, minimizing_sequence), functional_S and
     # entropy_decomposition; cost: minimize_S's peak
     "shape": Cap(10**7, "320 MB: four float64 K-vectors in minimize_S", "K"),
-    # bosefn.bose_g(method="direct")
-    "bose_terms": Cap(10**8, "terms summed"),
+    # bosefn.bose_g(method="direct"); "auto" sums at most 64 terms
+    "bose_terms": Cap(10**8, "terms summed at about 0.35 us each: 35 s"),
     # bosefn._zeta_em
     "zeta_terms": Cap(10**7, "terms summed"),
 }

@@ -274,10 +274,64 @@ class TestBoseG:
         for s in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             for alpha in (0.004, 0.02, 0.1, 0.4):
                 direct_terms(s, alpha)
-        # either side of the "auto" crossover: 4,096 to 32,768 direct terms
+        # either side of the "auto" crossover: 64 to 512 direct terms
         for s in (0.5, 1.0, 1.5, 2.0, 2.5):
-            terms = [direct_terms(s, a) for a in (0.007, 0.0035, 0.0018, 0.0012)]
-            assert min(terms) <= bosefn._DIRECT_TERMS_MAX < max(terms) <= 32_768
+            terms = [direct_terms(s, a) for a in (0.5, 0.25, 0.12, 0.06)]
+            assert min(terms) <= bosefn._DIRECT_TERMS_MAX < max(terms) <= 512
+
+    @pytest.mark.parametrize("terms", [64, 4_096, 32_768])
+    def test_direct_sum_matches_polylog(self, terms):
+        # the sum method="direct" returns once _certified_terms has fixed the
+        # term count, here fixed directly so that every order reaches it;
+        # alpha * terms = 40 leaves a tail far below rounding.  Each term
+        # k^-s e^(-alpha k) carries one rounding each of pow and exp (at most
+        # 1 ulp, 2 u, each) and of their product (u), and the rounding of the
+        # argument alpha k (u relative) moves exp by alpha k u: (5 + alpha k) u
+        # of the term to first order, 6 + alpha k to cover the second.  The
+        # exactly rounded fsum adds u of the value
+        alpha = 40.0 / terms
+        for k in range(1, 13):
+            s = k / 2.0
+            g = bosefn._bose_direct(s, alpha, terms, bosefn._tail_bound(s, alpha, terms))
+            with mpmath.workdps(30):
+                err = float(abs(g.value - mpmath.polylog(s, mpmath.exp(-mpmath.mpf(alpha)))))
+            rounding = U * (g.value + math.fsum(
+                j ** -s * math.exp(-alpha * j) * (6.0 + alpha * j) for j in range(1, terms + 1)
+            ))
+            assert g.terms_used == terms
+            assert err <= g.error_bound + rounding, s
+
+    def test_expansion_shares_memoised_zetas_across_tols(self):
+        # 9 terms: tol / (8 * 9) stays in the binade [2^-46, 2^-45), so the
+        # three calls ask for zeta at one tol and only the first computes
+        for s in (0.5, 1.5, 2.0, 2.5):
+            bosefn._zeta_em.cache_clear()
+            misses = []
+            for f in (1.0, 1.25, 1.75):
+                g = bose_g(s, 0.01, f * 72 * 2.0**-46, method="expansion")
+                assert g.terms_used == 9
+                misses.append(bosefn._zeta_em.cache_info().misses)
+            assert misses[0] == misses[1] == misses[2] > 0
+
+    def test_alpha_above_half_certifies_directly(self, monkeypatch):
+        # the expansion refuses alpha > 0.5, so "auto" must certify there
+        # within its direct crossover at every order and at the tol floor;
+        # s = 1/2 needs 64 terms just above 0.5
+        summed = []
+        direct = bosefn._bose_direct
+
+        def counting_direct(s, alpha, k, tail):
+            summed.append(k)
+            return direct(s, alpha, k, tail)
+
+        monkeypatch.setattr(bosefn, "_bose_direct", counting_direct)
+        for k in range(1, 13):
+            for alpha in (math.nextafter(0.5, 1.0), 0.75, 2.0):
+                summed.clear()
+                g = bose_g(k / 2.0, alpha, 1e-14)
+                assert summed == [g.terms_used]
+                assert g.terms_used <= bosefn._DIRECT_TERMS_MAX
+                assert g.error_bound <= 1e-14
 
     def test_auto_sums_at_most_the_crossover(self, monkeypatch):
         summed = []
@@ -298,7 +352,8 @@ class TestBoseG:
 
     def test_auto_counts_its_direct_terms_once(self, monkeypatch):
         # one doubling from 16 terms picks the route, the terms summed and
-        # their certificate: a sum of 16 * 2^j terms costs j + 1 tail bounds
+        # their certificate: a sum of 16 * 2^j terms costs j + 1 tail bounds.
+        # The grid straddles the crossover, near alpha = 0.2-0.4 at this tol
         bounds, summed = [], []
         tail_bound, direct = bosefn._tail_bound, bosefn._bose_direct
 
@@ -314,7 +369,7 @@ class TestBoseG:
         monkeypatch.setattr(bosefn, "_bose_direct", counting_direct)
         routed = 0
         for s in HALF_INTEGER_ORDERS:
-            for alpha in np.geomspace(1e-3, 10.0, 30):
+            for alpha in np.geomspace(0.1, 10.0, 30):
                 bounds.clear()
                 summed.clear()
                 g = bose_g(s, float(alpha), 1e-12)

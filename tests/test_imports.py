@@ -58,6 +58,8 @@ EXPORTS = {
     ],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
+# d = 3, beta = 1/(4 pi): the normal side, 0.999 rho_c away from the transition
+NEAR_CRITICAL_RHO = repr(0.999 * cyclegas.critical_density(3, 0.0795775))
 
 
 class TestNamespace:
@@ -127,6 +129,11 @@ class TestImportFootprint:
             (["phase", "--d", "3", "--beta", "0.0795775", "--rho", "5.3"], 0),
             (["phase", "--d", "3", "--beta", "-1", "--rho", "1"], 2),
             (["phase", "--d", "3", "--beta", "1", "--rho", "1", "--no-such-flag"], 1),
+            # normal points: each density solve sums a Bose series
+            (["phase", "--d", "3", "--beta", "0.0795775", "--rho", "2.6"], 0),
+            (["phase", "--d", "3", "--beta", "0.0795775", "--rho", NEAR_CRITICAL_RHO], 0),
+            (["alpha", "--d", "2", "--beta", "1", "--rho", "0.1"], 0),
+            (["free-energy", "--d", "1", "--beta", "1", "--rho", "0.5"], 0),
         ],
     )
     def test_scalar_and_failing_commands_load_no_numpy(self, argv, code):
@@ -152,8 +159,8 @@ class TestImportFootprint:
         assert "numpy" not in modules
         assert "cyclegas.entropy" not in modules
 
-    # d = 3, beta = 1, rho = 1 is condensed (rho_c = 0.0588): the chain's
-    # start reads the limiting shape without a direct Bose sum
+    # d = 3, beta = 1 is condensed at rho = 1 and normal at rho = 0.01
+    # (rho_c = 0.0588), as is beta = 1/(4 pi) at rho = 1.3 (rho_c = 2.61)
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -163,8 +170,14 @@ class TestImportFootprint:
               "--steps", "2000"], 0),
             (["scan-long-cycles", "--d", "3", "--beta", "1", "--rho", "1",
               "--n-list", "20,40", "--steps", "2000"], 0),
+            (["exact-z", "--d", "3", "--beta", "1", "--rho", "0.01", "--n", "8"], 0),
+            (["sample", "--d", "3", "--beta", "1", "--rho", "0.01", "--n", "30",
+              "--steps", "2000"], 0),
+            (["converge", "--d", "3", "--beta", "0.0795775", "--rho", "1.3",
+              "--n-list", "10,20"], 0),
         ],
-        ids=["exact-z-oracle", "exact-z-cap", "sample", "scan-long-cycles"],
+        ids=["exact-z-oracle", "exact-z-cap", "sample", "scan-long-cycles",
+             "exact-z-normal", "sample-normal", "converge-normal"],
     )
     def test_exact_and_chain_commands_load_no_numpy(self, argv, code):
         result, modules = loaded_after(
