@@ -18,6 +18,7 @@ _EXPORTS = {
     "bosefn": ("BoseEval", "bose_g", "zeta"),
     "entropy": (
         "EntropyDecomposition",
+        "ExponentialShape",
         "MinimizeResult",
         "TruncatedShape",
         "entropy_decomposition",

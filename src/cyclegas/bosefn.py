@@ -9,9 +9,7 @@ summation of one fixed order (direct summation is hopeless near s = 1).  The
 small-alpha expansion needs zeta(s - k) at orders down to about -30; those at
 or below 0 come from the functional equation, zeta(s) = 2^s pi^(s-1)
 sin(pi s/2) Gamma(1-s) zeta(1-s), whose factor less the sine also bounds the
-expansion's tail.  zeta less the same Euler-Maclaurin tail at K + 1 gives the
-truncated sums sum_{k<=K} k^-s.  Error bounds certify series truncation, not
-rounding.
+expansion's tail.  Error bounds certify series truncation, not rounding.
 
 Every direct sum is a math.fsum of Python floats, exactly rounded: the zeta
 head sum_{k<n} k^-s (n is 16 to a few hundred in practice) and the direct
@@ -141,24 +139,6 @@ def zeta(s: float, tol: float) -> BoseEval:
     if s <= 1.0:
         raise DivergenceError(f"zeta diverges for s <= 1, got s={s}")
     return _zeta_em(s, tol)
-
-
-def _zeta_truncated(s: float, K: int, tol: float) -> BoseEval:
-    """sum_{k<=K} k^-s for s > 1, certified to tol: zeta(s) less _em_tail(s, K+1).
-
-    A K small enough that the tail's remainder bound exceeds tol/2 (K < 16
-    at tol 1e-17 for s >= 2.5) is summed directly, with no truncation.
-    """
-    remainder = _em_remainder(s, K + 1)
-    if remainder > tol / 2.0:
-        value = math.fsum(k ** -s for k in range(1, K + 1))
-        return BoseEval(value=value, error_bound=0.0, terms_used=K)
-    z = zeta(s, tol / 2.0)
-    return BoseEval(
-        value=z.value - _em_tail(s, K + 1),
-        error_bound=z.error_bound + remainder,
-        terms_used=z.terms_used + _EM_ORDER,
-    )
 
 
 def _tail_bound(s: float, alpha: float, k: int) -> float:

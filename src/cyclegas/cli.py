@@ -7,9 +7,10 @@ for auditability.  Human diagnostics go to stderr only.  Exit codes: 0 ok,
 
 Each handler imports the layers it runs, so a command loads only those, and
 a usage error none.  The scalar commands (phase, alpha, free-energy) load
-thermo and bosefn; exact-z and converge add exactz, sample and
-scan-long-cycles add sampler.  Those layers, and so every density solve, run
-on Python floats and ints: only minimize loads NumPy.
+thermo and bosefn; minimize adds entropy and polylog, exact-z and converge add exactz,
+sample and scan-long-cycles add sampler.  Every command runs on Python
+floats and ints, and none loads NumPy: minimize's dual and its qhat_head are
+formulas, and no command builds a shape's vector.
 
 All physical inputs are dimensionless; beta is the time horizon of a
 diffusion with generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), so
@@ -202,7 +203,7 @@ def _run_minimize(args) -> dict:
         "chi": chi_val,
         "boundary_mass": res.boundary_mass,
         "constraint_residual": res.constraint_residual,
-        "qhat_head": list(res.shape.qhat[:10]),
+        "qhat_head": res.shape.head(10),
     }
 
 

@@ -12,31 +12,34 @@ In the condensed regime the truncated dual root sits below zero and the
 constraint mass piles up at k = K; that boundary mass is the finite-K shadow
 of the escaping minimising sequences and is reported, never suppressed.
 
-Outside minimize_S every K-long step runs over blocks of k (_blocks): each
+The shapes the paper's variational problem produces are formulas, and are
+held as such: an ExponentialShape is Qhat*(k) e^(-lam k) on 1..K plus an
+optional bump eps at k = n.  minimize_S returns the minimiser (no bump) and
+minimizing_sequence the condensed sequence element Q_n (lam = 0).  Every sum
+over such a shape is a truncated polylogarithm sum_{k<=K} k^-s e^(-lam k),
+which polylog._truncated_polylog certifies in O(1) for either sign of lam:
+the dual's constraint mass, S, the decomposition's q, q* and H, the mass and
+the boundary mass.  So minimize_S builds no K-vector, and neither maker
+does; a shape's qhat is built on first access only, in one blocked pass that
+checks every block is finite and >= 0.
+
+TruncatedShape is the array route: caller-supplied vectors, and the closed
+forms' test oracle.  Each K-long step runs over blocks of k (_blocks): each
 element is the whole-vector formula in the same operation order, so Qhat* is
 bit-identical to it, each sum is the math.fsum of the blocks' np.sums, and
-no K-sized temporary is made beyond the shape itself.  Each maker builds its
-vector once and hands it to TruncatedShape read-only, uncopied; minimize_S
-evaluates its dual in place in one work buffer, so it peaks at four
-K-vectors (CAPS["shape"]).
-
-A shape made by minimizing_sequence is Qhat* plus one bump, so its S and
-decomposition have closed forms in q*_K = sum_{k<=K} Qhat*(k), which
-bosefn._zeta_truncated certifies: functional_S and entropy_decomposition
-take that route, in O(1), when the shape's parameters match, and the array
-route for every other shape (and as the closed forms' test oracle).
+no K-sized temporary is made beyond the shape itself.  NumPy is imported by
+the array route and by qhat's materialisation only.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-import numpy as np
-
-from .bosefn import _zeta_truncated
+from .polylog import _truncated_polylog
 from .errors import ValidationError, check_cap
 from .thermo import (
     REGIME_CONDENSED,
@@ -47,10 +50,14 @@ from .thermo import (
     solve_alpha,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _MASS_ATOL = 1e-7
 _BLOCK = 1 << 14  # lengths k per block, 128 KB of float64: the fastest of 2^13..2^15 timed
-_SUM_TOL = 1e-17  # truncation of q*_K / c >= 1: below half an ulp
+_SUM_TOL = 1e-17  # relative truncation of every truncated polylog: below half an ulp
 _LOG_TINY = math.log(sys.float_info.min)
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 def _blocks(K: int) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -58,6 +65,8 @@ def _blocks(K: int) -> Iterator[tuple[int, int, np.ndarray]]:
 
     ks is a view into one buffer that the next step overwrites.
     """
+    import numpy as np
+
     ks = np.arange(1.0, min(K, _BLOCK) + 1.0)
     for lo in range(0, K, _BLOCK):
         if lo:
@@ -68,54 +77,34 @@ def _blocks(K: int) -> Iterator[tuple[int, int, np.ndarray]]:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedShape:
-    """Increments Qhat(1..K) of a shape truncated at length K.
+    """Increments Qhat(1..K) of a shape truncated at length K, held as a vector.
 
     Elements representing genuine shapes carry constraint mass
     sum_k k Qhat(k) == 1; anything lighter must be flagged `relaxed`
-    (truncations of infinite shapes, diagnostic vectors).  A shape made by
-    minimizing_sequence also holds (d, beta, rho, n, eps) in _sequence,
-    which selects the closed forms; qhat is a read-only view of a read-only
-    base, so a write or setflags(write=True) through shape.qhat is refused.
-    The base itself owns its data and can be made writeable again; writing
-    through qhat.base is unsupported and leaves the tag stale.
-    TruncatedShape(shape.qhat, relaxed=True) is the same vector untagged,
-    adopted without a copy.
+    (truncations of infinite shapes, diagnostic vectors).  qhat is
+    read-only: a read-only array is adopted without a copy unless it views a
+    writeable one (so TruncatedShape(shape.qhat, relaxed=True) shares an
+    ExponentialShape's vector), and anything a caller could still write
+    through is copied.
     """
 
     qhat: np.ndarray
     relaxed: bool = False
-    _sequence: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # hold a read-only view of a read-only base that owns its data:
-        # NumPy refuses to set WRITEABLE on the view.  A read-only owner
-        # (the makers below hand over their fresh vector this way) or such a
-        # view (another shape's qhat) is adopted without a copy; anything a
-        # caller could still write through is copied
+        import numpy as np
+
         arr = np.asarray(self.qhat, dtype=np.float64)
         base = arr if arr.base is None else arr.base
-        if (
-            arr.flags.writeable
-            or not isinstance(base, np.ndarray)
-            or base.flags.writeable
-            or base.base is not None
-        ):
-            arr = base = arr.copy()
+        if arr.flags.writeable or not isinstance(base, np.ndarray) or base.flags.writeable:
+            arr = arr.copy()
             arr.setflags(write=False)
-        if arr is base:
-            arr = arr.view()
         object.__setattr__(self, "qhat", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("qhat must be a nonempty 1-d sequence")
         if not (arr.min() >= 0.0 and arr.max() < math.inf):  # NaN fails both
             raise ValidationError("qhat entries must be finite and >= 0")
-        mass = self.constraint_mass
-        if mass > 1.0 + _MASS_ATOL:
-            raise ValidationError(f"constraint mass {mass} exceeds 1")
-        if not self.relaxed and abs(mass - 1.0) > _MASS_ATOL:
-            raise ValidationError(
-                f"constraint mass {mass} != 1; pass relaxed=True for partial shapes"
-            )
+        _check_mass(self.constraint_mass, self.relaxed)
 
     @property
     def K(self) -> int:
@@ -127,8 +116,112 @@ class TruncatedShape:
         return math.fsum(float(ks @ qh[lo:hi]) for lo, hi, ks in _blocks(qh.size))
 
 
+def _check_mass(mass: float, relaxed: bool) -> None:
+    if mass > 1.0 + _MASS_ATOL:
+        raise ValidationError(f"constraint mass {mass} exceeds 1")
+    if not relaxed and abs(mass - 1.0) > _MASS_ATOL:
+        raise ValidationError(
+            f"constraint mass {mass} != 1; pass relaxed=True for partial shapes"
+        )
+
+
+def _polylog_sum(params: SystemParams, order: float, lam: float, K: int) -> float:
+    """Qhat*(1) sum_{k<=K} k^-order e^(-lam k), the sum certified to _SUM_TOL relative."""
+    t = _truncated_polylog(order, lam, K, _SUM_TOL).value
+    c = qhat_star(params, 1.0)
+    if lam >= 0.0:
+        return c * t
+    return math.exp(math.log(c) - lam * K + math.log(t))  # t is scaled by e^(lam K)
+
+
+@dataclass(frozen=True)
+class ExponentialShape:
+    """Increments Qhat(k) = Qhat*(k) e^(-lam k) on 1..K, plus eps at k = n if bump = (n, eps).
+
+    The shapes of minimize_S (no bump) and minimizing_sequence (lam = 0),
+    held as their parameters: constraint_mass, and functional_S and
+    entropy_decomposition at the shape's own (d, beta, rho), are formulas in
+    truncated polylogarithms, O(1) in K.  qhat is built on first access in one
+    blocked pass, which checks every block is finite and >= 0, and is
+    read-only; no formula reads it, so nothing written through it can change
+    them.
+    """
+
+    params: SystemParams
+    K: int
+    lam: float = 0.0
+    bump: tuple[int, float] | None = None
+    relaxed: bool = False
+
+    def __post_init__(self) -> None:
+        if self.K < 1:
+            raise ValidationError(f"K must be >= 1, got {self.K}")
+        check_cap("shape", self.K)
+        if not math.isfinite(self.lam):
+            raise ValidationError(f"lam must be finite, got {self.lam}")
+        if self.bump is not None:
+            n, eps = self.bump
+            if not 1 <= n <= self.K:
+                raise ValidationError(f"truncation K={self.K} must cover the bump at n={n}")
+            if not 0.0 <= eps < math.inf:
+                raise ValidationError(f"bump eps must be finite and >= 0, got {eps}")
+        _check_mass(self.constraint_mass, self.relaxed)
+
+    @property
+    def constraint_mass(self) -> float:
+        """sum_k k Qhat(k) = Qhat*(1) T(d/2, lam, K) + n eps."""
+        n, eps = self.bump or (0, 0.0)
+        return _polylog_sum(self.params, self.params.d / 2.0, self.lam, self.K) + n * eps
+
+    def head(self, m: int) -> list[float]:
+        """The first min(m, K) increments, from the formula: qhat is not built."""
+        lam = self.lam
+        out = [
+            qhat_star(self.params, float(k)) * math.exp(-lam * k)
+            for k in range(1, min(m, self.K) + 1)
+        ]
+        if self.bump is not None and self.bump[0] <= len(out):
+            out[self.bump[0] - 1] += self.bump[1]
+        return out
+
+    @cached_property
+    def qhat(self) -> np.ndarray:
+        """Qhat(1..K) as a read-only vector: qhat_star_array times e^(-lam k), plus the bump.
+
+        A block where e^(-lam k) alone would overflow, or Qhat*(k) falls below
+        the normal floats (a shape at a density near the float limit, whose
+        lam K is below -700), forms e^(log Qhat*(k) - lam k) instead.
+        """
+        import numpy as np
+
+        params, lam = self.params, self.lam
+        n, eps = self.bump or (0, 0.0)
+        log_c, order = math.log(qhat_star(params, 1.0)), 1.0 + params.d / 2.0
+        out = np.empty(self.K)
+        for lo, hi, ks in _blocks(self.K):
+            block = out[lo:hi]
+            if lam:
+                np.multiply(ks, -lam, out=block)
+                if -lam * hi > _LOG_HUGE or log_c - order * math.log(hi) < _LOG_TINY:
+                    block += log_c - order * np.log(ks)
+                    np.exp(block, out=block)
+                else:
+                    np.exp(block, out=block)
+                    block *= qhat_star(params, ks)
+            else:
+                block[:] = qhat_star(params, ks)
+            if lo < n <= hi:
+                block[n - 1 - lo] += eps
+            if not (block.min() >= 0.0 and block.max() < math.inf):  # NaN fails both
+                raise ValidationError("qhat entries must be finite and >= 0")
+        out.setflags(write=False)
+        return out
+
+
 def qhat_star_array(params: SystemParams, K: int) -> np.ndarray:
     """Reference increments Qhat*(k) = c / k^(1+d/2) for k = 1..K."""
+    import numpy as np
+
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     check_cap("shape", K)
@@ -148,6 +241,8 @@ def _xlogx_sum(x: np.ndarray, ref: np.ndarray, minus_one: bool) -> float:
     ref > 1), the term is -inf; only a block whose sum is not finite forms
     its non-finite terms again, as x (log x - log ref).
     """
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.divide(x, ref)
         np.log(terms, out=terms)
@@ -168,55 +263,64 @@ def _xlogx_sum(x: np.ndarray, ref: np.ndarray, minus_one: bool) -> float:
     return float(np.sum(terms))
 
 
-def _bump(params: SystemParams, n: int, eps: float) -> float:
-    """(Qhat*(n) + eps) log1p(eps/Qhat*(n)), the bump's term in S(Q_n).
+def _bump(params: SystemParams, lam: float, n: int, eps: float) -> float:
+    """(a + eps) log1p(eps/a) with a = Qhat*(n) e^(-lam n), the bump's term in S.
 
-    Where Qhat*(n) is below the normal floats (huge n) the term is formed
-    from log Qhat*(n) = log c - (1+d/2) log n, math.log taking the int n,
-    as eps (1 + t) (x + log1p(t)) with x = log(eps/Qhat*(n)) and t = e^-x.
+    Where a is below the normal floats (huge n) the term is formed from
+    log a = log c - (1+d/2) log n - lam n, math.log taking the int n, as
+    eps (1 + t) (x + log1p(t)) with x = log(eps/a) and t = e^-x.
     """
-    log_qn = math.log(qhat_star(params, 1.0)) - (1.0 + params.d / 2.0) * math.log(n)
-    if log_qn > _LOG_TINY:
-        qn = qhat_star(params, float(n))
-        return (qn + eps) * math.log1p(eps / qn)
+    drift = lam * n if lam else 0.0  # n may be past the floats
+    log_a = math.log(qhat_star(params, 1.0)) - (1.0 + params.d / 2.0) * math.log(n) - drift
+    if log_a > _LOG_TINY:
+        a = qhat_star(params, float(n)) if lam == 0.0 else math.exp(log_a)
+        return (a + eps) * math.log1p(eps / a)
     if eps == 0.0:
         return 0.0
-    x = math.log(eps) - log_qn
+    x = math.log(eps) - log_a
     t = math.exp(-x)
     return eps * (1.0 + t) * (x + math.log1p(t))
 
 
-def _s_of_sequence(params: SystemParams, n: int, eps: float, q_star: float) -> float:
-    """S of Q_n over a window where Qhat* has mass q_star: -q_star - eps + bump."""
-    return -q_star - eps + _bump(params, n, eps)
+def _closed_forms(
+    shape: TruncatedShape | ExponentialShape, params: SystemParams
+) -> tuple[float, float, float, float] | None:
+    """(S, q, q*, H) of an ExponentialShape at its own (d, beta, rho); None otherwise.
 
-
-def _sequence_of(shape: TruncatedShape, params: SystemParams) -> tuple[int, float, float] | None:
-    """(n, eps, q*_K) of a minimizing_sequence shape made at params' (d, beta, rho).
-
-    q*_K = c sum_{k<=K} k^-(1+d/2), certified to c _SUM_TOL.  None for any
-    other shape.
+    With c = Qhat*(1), mass M, q = c T(1+d/2, lam, K) + eps and q* =
+    c T(1+d/2, 0, K): S = -lam M - q + B and H = (-lam M + B)/q - log(q/q*),
+    where B = _bump(...) is the bump's term.  Exact up to rounding and the
+    _SUM_TOL truncation of each T (bose_g's floor for 0 < lam <= 0.5).
     """
-    tag = shape._sequence
-    if tag is None or tag[:3] != (params.d, params.beta, params.rho):
+    if not isinstance(shape, ExponentialShape):
         return None
-    sums = _zeta_truncated(1.0 + params.d / 2.0, shape.K, _SUM_TOL)
-    return tag[3], tag[4], qhat_star(params, 1.0) * sums.value
+    own = shape.params
+    if (own.d, own.beta, own.rho) != (params.d, params.beta, params.rho):
+        return None
+    lam, K, order = shape.lam, shape.K, 1.0 + params.d / 2.0
+    n, eps = shape.bump or (0, 0.0)
+    q_star = _polylog_sum(params, order, 0.0, K)
+    q0 = q_star if lam == 0.0 else _polylog_sum(params, order, lam, K)
+    q = q0 + eps
+    drift = 0.0 if lam == 0.0 else -lam * shape.constraint_mass
+    b = _bump(params, lam, n, eps) if eps else 0.0
+    # log(q/q*): as log1p(eps/q*) when lam = 0, where q0 is q*
+    log_ratio = math.log1p(eps / q_star) if lam == 0.0 else math.log(q) - math.log(q_star)
+    return drift - q + b, q, q_star, (drift + b) / q - log_ratio
 
 
-def functional_S(shape: TruncatedShape, params: SystemParams) -> float:
+def functional_S(shape: TruncatedShape | ExponentialShape, params: SystemParams) -> float:
     """Truncated S(Q) = sum_{k<=K} Qhat(k) (log(Qhat(k)/Qhat*(k)) - 1).
 
-    Zero increments contribute zero (x log x -> 0).  On the array route the
-    sum is exact up to float rounding.  A minimizing_sequence shape at
-    these parameters takes the closed form -q*_K - eps + (Qhat*(n) + eps)
-    log1p(eps/Qhat*(n)) instead, exact up to rounding and the certified
-    truncation c 1e-17 of q*_K.
+    Zero increments contribute zero (x log x -> 0).  An ExponentialShape at
+    its own parameters takes the closed form -lam M - q + B (_closed_forms);
+    every other shape takes the array route, its sum exact up to float
+    rounding.
     """
     check_cap("shape", shape.K)
-    seq = _sequence_of(shape, params)
-    if seq is not None:
-        return _s_of_sequence(params, *seq)
+    closed = _closed_forms(shape, params)
+    if closed is not None:
+        return closed[0]
     qh = shape.qhat
     return math.fsum(
         _xlogx_sum(qh[lo:hi], qhat_star(params, ks), True) for lo, hi, ks in _blocks(shape.K)
@@ -231,24 +335,22 @@ class EntropyDecomposition(NamedTuple):
 
 
 def entropy_decomposition(
-    shape: TruncatedShape, params: SystemParams
+    shape: TruncatedShape | ExponentialShape, params: SystemParams
 ) -> EntropyDecomposition:
     """Split S(Q) = q H(P|P*) + q log(q/q*) - q over the truncation window.
 
     P = Qhat/q and P* = Qhat*/q* are the normalised increment profiles;
     H is their relative entropy.  reconstructed_S must agree with
-    functional_S to float precision.  One pass over the blocks sums q and
-    q*, a second sums H.  A minimizing_sequence shape at these parameters
-    has q = q*_K + eps and H = ((Qhat*(n) + eps)/q) log1p(eps/Qhat*(n)) -
-    log1p(eps/q*_K) in closed form, with functional_S's truncation bound.
+    functional_S to float precision.  An ExponentialShape at its own
+    parameters has q, q* and H in closed form (_closed_forms).  On the array
+    route one pass over the blocks sums q and q*, a second sums H.
     """
+    import numpy as np
+
     check_cap("shape", shape.K)
-    seq = _sequence_of(shape, params)
-    if seq is not None:
-        n, eps, q_star = seq
-        q = q_star + eps
-        h = _bump(params, n, eps) / q - math.log1p(eps / q_star)
-        return _decomposition(q, q_star, h)
+    closed = _closed_forms(shape, params)
+    if closed is not None:
+        return _decomposition(*closed[1:])
     qh = shape.qhat
     parts = [(np.sum(qh[lo:hi]), np.sum(qhat_star(params, ks))) for lo, hi, ks in _blocks(shape.K)]
     q, q_star = (math.fsum(column) for column in zip(*parts))
@@ -265,28 +367,11 @@ def _decomposition(q: float, q_star: float, h: float) -> EntropyDecomposition:
     return EntropyDecomposition(q, q_star, h, q * h + q * math.log(q / q_star) - q)
 
 
-def _log_constraint_mass(
-    lam: float, log_base: np.ndarray, ks: np.ndarray, buf: np.ndarray
-) -> float:
-    """log sum_k k Qhat*(k) e^(-lambda k), overflow-safe; overwrites buf.
-
-    The max-shifted log-sum-exp of log_base - lam * ks, bit for bit as
-    fresh whole-vector NumPy temporaries give it, in buf alone:
-    ks * (-lam) + log_base rounds as log_base - lam * ks does.
-    """
-    np.multiply(ks, -lam, out=buf)
-    buf += log_base
-    m = float(np.max(buf))
-    buf -= m
-    np.exp(buf, out=buf)
-    return m + math.log(float(np.sum(buf)))
-
-
 @dataclass(frozen=True)
 class MinimizeResult:
     """Exact dual solution of the truncated constrained minimisation."""
 
-    shape: TruncatedShape
+    shape: ExponentialShape
     lam: float
     s_value: float
     boundary_mass: float  # K * Qhat(K), the constraint mass on the last site
@@ -297,67 +382,58 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
     """Minimise truncated S over {Qhat >= 0, sum_k k Qhat(k) = 1}.
 
     Stationarity gives Qhat(k) = Qhat*(k) e^(-lambda k); lambda solves the
-    scalar constraint sum_k k Qhat(k) = 1 to |residual| <= min(tol, 1e-7)
-    with thermo._bracketed_root, the root solver of the density equation,
-    between 0 and a far end that an elementary bound proves (lambda < 0 is
-    allowed: the truncated problem is always feasible).  tol lies in
-    [1e-13, 1), the domain of solve_alpha.  In the normal regime lambda
-    approaches the root of the density equation as K grows; in the condensed
-    regime lambda approaches 0 from below and mass concentrates at k = K.
+    scalar constraint Qhat*(1) T(d/2, lambda, K) = 1 to |residual| +
+    certified bound <= min(tol, 1e-7) with thermo._bracketed_root, the root
+    solver of the density equation, between 0 and a far end that an
+    elementary bound proves (lambda < 0 is allowed: the truncated problem is
+    always feasible).  Each evaluation is one polylog._truncated_polylog, O(1)
+    in K; no K-vector is built.  tol lies in [1e-13, 1), the domain of
+    solve_alpha.  In the normal regime lambda approaches the root of the
+    density equation as K grows; in the condensed regime lambda approaches
+    0 from below and mass concentrates at k = K.
     """
     if K < 100:
         raise ValidationError(f"K must be >= 100, got {K}")
     if not _MIN_TOL <= tol < 1.0:
         raise ValidationError(f"tol must be in [{_MIN_TOL}, 1), got {tol}")
-    # four K-vectors: qs, ks, log_base and the dual's work buffer
-    qs = qhat_star_array(params, K)
-    ks = np.arange(1, K + 1, dtype=np.float64)
-    log_base = ks * qs
-    np.log(log_base, out=log_base)
-    buf = np.empty(K)
+    check_cap("shape", K)
+    s = params.d / 2.0
+    c = qhat_star(params, 1.0)
+    log_c = math.log(c)
 
     # a shape that is not relaxed must hold its mass to _MASS_ATOL
     tol = min(tol, _MASS_ATOL)
 
     def residual(lam: float) -> tuple[float, float]:
+        t = _truncated_polylog(s, lam, K, _SUM_TOL)  # scaled by e^(lam K) below 0
         try:
-            return math.expm1(_log_constraint_mass(lam, log_base, ks, buf)), 0.0
+            excess = math.expm1(log_c + max(-lam * K, 0.0) + math.log(t.value))
         except OverflowError:  # the mass is past the floats: bisect from this end
             return math.inf, 0.0
+        return excess, (1.0 + excess) * t.error_bound / t.value
 
     # the mass falls as lambda rises: the root is above 0 when r0 > 0
     r0 = residual(0.0)[0]
+    log_top = log_c - s * math.log(K)  # log K Qhat*(K)
     if r0 > 0.0:
         # mass = Qhat*(1) sum_k k^(-d/2) e^(-lambda k) < Qhat*(1)/(e^lambda - 1) = 1 at b
-        lam, res = _bracketed_root(residual, 0.0, r0, math.log1p(float(qs[0])), tol)
+        lam, res = _bracketed_root(residual, 0.0, r0, math.log1p(c), tol)
     else:
-        # the boundary term K Qhat(K) = e^(log_base[-1] - lambda K) alone is 1 at
-        # b = log_base[-1] / K; the mass grows about linearly in it, and a step
+        # the boundary term K Qhat(K) = e^(log_top - lambda K) alone is 1 at
+        # b = log_top / K; the mass grows about linearly in it, and a step
         # that rounds to a term v <= 0 maps outside the bracket, so it bisects
-        log_top = float(log_base[-1])
         boundary = (
             lambda lam: math.exp(log_top - lam * K),
             lambda v: (log_top - math.log(v)) / K if v > 0.0 else math.inf,
         )
         lam, res = _bracketed_root(residual, 0.0, r0, log_top / K, tol, boundary)
 
-    # qh = qs * exp(-lam ks) in qs, S = sum qh (-lam ks - 1) in buf, with
-    # the roundings of those whole-vector expressions
-    np.multiply(ks, -lam, out=buf)
-    np.exp(buf, out=buf)
-    qh = np.multiply(qs, buf, out=qs)
-    np.multiply(ks, -lam, out=buf)
-    buf -= 1.0
-    buf *= qh
-    s_value = float(np.sum(buf))
-    # free the work vectors before the shape's checks add their block buffer
-    del ks, log_base, buf
-    qh.setflags(write=False)
+    shape = ExponentialShape(params, K, lam)
     return MinimizeResult(
-        shape=TruncatedShape(qh, relaxed=False),
+        shape=shape,
         lam=lam,
-        s_value=s_value,
-        boundary_mass=float(K * qh[-1]),
+        s_value=functional_S(shape, params),
+        boundary_mass=math.exp(log_top - lam * K),
         constraint_residual=res,
     )
 
@@ -379,25 +455,19 @@ def _condensed_bump(n: int, params: SystemParams, tol: float) -> tuple[float, fl
 
 def minimizing_sequence(
     n: int, params: SystemParams, K: int | None = None
-) -> TruncatedShape:
+) -> ExponentialShape:
     """The condensed-phase sequence element Q_n: Qhat* plus a bump at k = n.
 
     Qhat_n(n) = Qhat*(n) + (rho - rho_c)/(n rho); everywhere else Qhat_n =
     Qhat*.  Its full-series constraint mass is exactly 1; the truncation at K
-    is flagged relaxed and tagged for the closed forms of functional_S and
-    entropy_decomposition.  Only defined in the condensed regime.
+    is flagged relaxed.  Only defined in the condensed regime.
     """
     _, eps = _condensed_bump(n, params, 1e-10)
     if K is None:
         K = max(2 * n, 1000)
     if K < n:
         raise ValidationError(f"truncation K={K} must cover the bump at n={n}")
-    qh = qhat_star_array(params, K)
-    qh[n - 1] += eps
-    qh.setflags(write=False)
-    shape = TruncatedShape(qh, relaxed=True)
-    object.__setattr__(shape, "_sequence", (params.d, params.beta, params.rho, n, eps))
-    return shape
+    return ExponentialShape(params, K, bump=(n, eps), relaxed=True)
 
 
 def minimizing_sequence_s_closed_form(
@@ -411,4 +481,4 @@ def minimizing_sequence_s_closed_form(
     approached but never attained; it stays finite for any int n.
     """
     chi, eps = _condensed_bump(n, params, tol)
-    return _s_of_sequence(params, n, eps, -chi)
+    return chi - eps + _bump(params, 0.0, n, eps)

@@ -51,9 +51,9 @@ CAPS = {
     "permutations": Cap(9, "9! = 362,880 permutations"),
     # ChainState, exactz.log_weight
     "chain": Cap(100_000, "O(n) chain state"),
-    # entropy.qhat_star_array (so minimize_S, minimizing_sequence), functional_S and
-    # entropy_decomposition; cost: minimize_S's peak
-    "shape": Cap(10**7, "320 MB: four float64 K-vectors in minimize_S", "K"),
+    # entropy.qhat_star_array, the shapes (so minimize_S, minimizing_sequence),
+    # functional_S and entropy_decomposition; cost: a shape's qhat, built on access
+    "shape": Cap(10**7, "80 MB: one float64 K-vector, a shape's materialised qhat", "K"),
     # bosefn.bose_g(method="direct"); "auto" sums at most 64 terms
     "bose_terms": Cap(10**8, "terms summed at about 0.35 us each: 35 s"),
     # bosefn._zeta_em

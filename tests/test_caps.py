@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cyclegas import bosefn
+from cyclegas import bosefn, entropy
 from cyclegas.entropy import (
     TruncatedShape,
     entropy_decomposition,
@@ -84,24 +84,30 @@ def test_stated_costs_hold():
     cap = CAPS["permutations"]
     assert f"{cap.limit}! = {math.factorial(cap.limit):,}" in cap.cost
     cap = CAPS["shape"]
-    assert cap.cost == f"{4 * 8 * cap.limit // 10**6} MB: four float64 K-vectors in minimize_S"
+    want = f"{8 * cap.limit // 10**6} MB: one float64 K-vector, a shape's materialised qhat"
+    assert cap.cost == want
 
 
 @pytest.mark.parametrize("ratio", [0.5, 2.0], ids=["normal", "condensed"])
 def test_minimize_S_peaks_within_the_shape_cost(ratio):
-    # the stated megabytes at the cap, scaled to K = 10^6; a few KB of
-    # Python scalars ride on top of the float64 vectors
+    # the stated megabytes at the cap, scaled to K = 10^6: the solve builds
+    # no K-vector, and materialising qhat adds the vector and a few block
+    # buffers (the k block and Qhat*'s two temporaries)
     cap, K = CAPS["shape"], 10**6
     stated = int(cap.cost.split(" MB")[0]) * 10**6 * K // cap.limit
+    blocks = 4 * 8 * entropy._BLOCK
     params = SystemParams(3, BETA_UNIT, ratio * critical_density(3, BETA_UNIT))
-    minimize_S(params, K)
+    minimize_S(params, K).shape.qhat
     tracemalloc.start()
     try:
-        minimize_S(params, K)
+        res = minimize_S(params, K)
+        solve = tracemalloc.get_traced_memory()[1]
+        res.shape.qhat
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stated <= peak <= stated + 64 * 1024
+    assert solve < 64 * 1024
+    assert stated <= peak <= stated + blocks
 
 
 @pytest.mark.parametrize("call", [functional_S, entropy_decomposition])

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclegas import bosefn, entropy
+from cyclegas import entropy, polylog
 from cyclegas.entropy import (
+    ExponentialShape,
     TruncatedShape,
     entropy_decomposition,
     functional_S,
@@ -33,7 +34,6 @@ from cyclegas.thermo import (
 )
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
-log_constraint_mass = entropy._log_constraint_mass
 B = entropy._BLOCK
 BLOCK_EDGE_K = [1, B - 1, B, B + 1, 3 * B + 7]
 U = 2.0**-53
@@ -45,14 +45,21 @@ def whole_vector_logsumexp(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
+def log_constraint_mass(lam: float, log_base: np.ndarray, ks: np.ndarray) -> float:
+    """The array dual: log sum_k k Qhat*(k) e^(-lam k) over whole K-vectors.
+
+    log_base = log(k Qhat*(k)); the oracle of minimize_S's O(1) dual.
+    """
+    return whole_vector_logsumexp(log_base - lam * ks)
+
+
 def bisection_oracle(params: SystemParams, K: int, tol: float) -> float:
     """The dual root by a two-sided bracket search and plain bisection."""
     ks = np.arange(1, K + 1, dtype=np.float64)
     log_base = np.log(ks * qhat_star_array(params, K))
-    buf = np.empty(K)
 
     def log_mass(lam):
-        return log_constraint_mass(lam, log_base, ks, buf)
+        return log_constraint_mass(lam, log_base, ks)
 
     if log_mass(0.0) > 0.0:
         lo, hi = 0.0, 1.0
@@ -74,6 +81,33 @@ def bisection_oracle(params: SystemParams, K: int, tol: float) -> float:
         lam = 0.5 * (lo + hi)
         residual = math.expm1(log_mass(lam))
     raise AssertionError(f"bisection stalled at residual {residual}")
+
+
+def dual_rounding(log_base: np.ndarray, lam: float, K: int, terms_used: int) -> float:
+    """A-priori rounding between the O(1) and the array log constraint mass.
+
+    The array dual forms log_base - lam k with an absolute error of at most
+    u (|log_base| + |lam| K) per term before its log-sum-exp adds about
+    log2 K roundings; the O(1) route carries about one relative rounding per
+    summed term and per unit of |lam| K (its weights' recurrences and the
+    exponent), each at most 2u; 8u per unit bounds both with room.
+    """
+    size = float(np.max(np.abs(log_base))) + abs(lam) * K
+    return 8 * U * (size + math.log2(K) + terms_used)
+
+
+def polylog_sum(params: SystemParams, order: float, lam: float, K: int) -> tuple[float, float]:
+    """Qhat*(1) sum_{k<=K} k^-order e^(-lam k) and its certified bound, unscaled."""
+    t = polylog._truncated_polylog(order, lam, K, entropy._SUM_TOL)
+    scale = qhat_star(params, 1.0) * math.exp(max(-lam * K, 0.0))
+    return t.value * scale, t.error_bound * scale
+
+
+def closed_form_s_bound(params: SystemParams, lam: float, K: int) -> float:
+    """Certified truncation of S = -lam M - q, plus 16u of its parts for rounding."""
+    mass, mass_bound = polylog_sum(params, params.d / 2.0, lam, K)
+    q, q_bound = polylog_sum(params, 1.0 + params.d / 2.0, lam, K)
+    return abs(lam) * mass_bound + q_bound + 16 * U * (abs(lam) * mass + q)
 
 
 def normal_params() -> SystemParams:
@@ -131,23 +165,6 @@ class TestTruncatedShape:
             assert not shape.qhat.flags.writeable
             with pytest.raises(ValueError):
                 shape.qhat[0] = 0.0
-
-    def test_the_write_flag_cannot_be_set_again(self):
-        # qhat is a read-only view of a read-only base: NumPy refuses the flag
-        seq = minimizing_sequence(10, condensed_params(), K=1000)
-        owned = np.zeros(10)
-        owned[0] = 1.0
-        frozen = owned.copy()
-        frozen.setflags(write=False)
-        for shape in (
-            minimize_S(normal_params(), K=1000).shape,
-            seq,
-            TruncatedShape(seq.qhat, relaxed=True),
-            TruncatedShape(owned),
-            TruncatedShape(frozen),
-        ):
-            with pytest.raises(ValueError):
-                shape.qhat.setflags(write=True)
 
 
 class TestTruncatedShapeRefusals:
@@ -325,32 +342,51 @@ class TestMinimizeS:
         ids=["d1-normal", "d1-condensed", "d3-normal", "d3-condensed"],
     )
     def test_dual_evaluation_ceiling(self, monkeypatch, params, tol, K):
-        calls = []
+        qs = qhat_star_array(params, K)
+        ks = np.arange(1, K + 1, dtype=np.float64)
+        log_base = np.log(ks * qs)
+        s, log_c = params.d / 2.0, math.log(float(qs[0]))
+        polylog, root = entropy._truncated_polylog, entropy._bracketed_root
+        checked, calls = [], []
 
-        def counting(lam, log_base, ks, buf):
-            calls.append(lam)
-            got = log_constraint_mass(lam, log_base, ks, buf)
-            # the in-place dual is the whole-vector log-sum-exp bit for bit
-            assert got == whole_vector_logsumexp(log_base - lam * ks)
-            return got
+        def against_the_array_dual(order, lam, K_, tol_):
+            t = polylog(order, lam, K_, tol_)
+            if order == s:  # the O(1) log constraint mass, within its bound
+                got = log_c + max(-lam * K, 0.0) + math.log(t.value)
+                want = log_constraint_mass(lam, log_base, ks)
+                allowance = dual_rounding(log_base, lam, K, t.terms_used)
+                assert abs(got - want) <= t.error_bound / t.value + allowance, lam
+                checked.append(lam)
+            return t
 
-        monkeypatch.setattr(entropy, "_log_constraint_mass", counting)
+        def counting_root(f, *args):
+            def counted(lam):
+                calls.append(lam)
+                return f(lam)
+
+            return root(counted, *args)
+
+        monkeypatch.setattr(entropy, "_truncated_polylog", against_the_array_dual)
+        monkeypatch.setattr(entropy, "_bracketed_root", counting_root)
         res = minimize_S(params, K=K, tol=tol)
         assert abs(res.constraint_residual) <= tol
-        assert len(calls) <= 24, calls
+        assert len(calls) + 1 <= 24, calls  # and r0, at lambda = 0
+        assert set(calls) <= set(checked)
         # the proven bracket: the mass Qhat*(1) sum_k k^(-d/2) e^(-lam k) is
         # below Qhat*(1)/(e^lam - 1) = 1 at lam = log1p(Qhat*(1)), and the
         # boundary term alone, K Qhat*(K) e^(-lam K), is 1 at lam = log(K Qhat*(K))/K
-        qs = qhat_star_array(params, K)
-        ks = np.arange(1, K + 1, dtype=np.float64)
         qh = qs * np.exp(-res.lam * ks)
         assert res.shape.qhat.tobytes() == qh.tobytes()
-        assert res.s_value == float(np.sum(qh * (-res.lam * ks - 1.0)))
+        terms = qh * (-res.lam * ks - 1.0)
+        s_bound = closed_form_s_bound(params, res.lam, K) + sum_bound(float(np.sum(np.abs(terms))))
+        assert abs(res.s_value - float(np.sum(terms))) <= s_bound
         if float(np.sum(ks * qs)) > 1.0:
             lo, hi = 0.0, math.log1p(float(qs[0]))
         else:
             lo, hi = math.log(K * float(qs[-1])) / K, 0.0
-        assert all(lo <= lam <= hi for lam in calls), (lo, hi, calls)
+        # the bracket ends are formed from log Qhat*(1) and log K: an ulp apart
+        slack = 4 * U * max(abs(lo), abs(hi))
+        assert all(lo - slack <= lam <= hi + slack for lam in calls), (lo, hi, calls)
 
     @given(
         d=st.integers(1, 3),
@@ -377,11 +413,23 @@ class TestMinimizeS:
         K = 10**6
         ks = np.arange(1, K + 1, dtype=np.float64)
         log_base = np.log(ks * qhat_star_array(params, K))
-        assert log_constraint_mass(0.0, log_base, ks, np.empty(K)) > math.log(sys.float_info.max)
+        assert log_constraint_mass(0.0, log_base, ks) > math.log(sys.float_info.max)
         res = minimize_S(params, K=K)
         assert abs(res.constraint_residual) <= 1e-10
         assert res.lam == pytest.approx(703.3255263326934, rel=1e-12)
         assert res.s_value == pytest.approx(chi(params), rel=1e-13)
+
+    @pytest.mark.parametrize("K", [1000, 100_000])
+    def test_qhat_near_the_float_limit(self, K):
+        # at rho = 1e308, Qhat*(k) < 1e-308 is subnormal and the root has
+        # lam K < -709, so e^(-lam K) alone overflows: the vector is formed
+        # from log Qhat*(k), and its sums agree with the closed forms
+        res = minimize_S(SystemParams(3, BETA_UNIT, 1e308), K=K)
+        assert res.lam * K < -math.log(sys.float_info.max)
+        qhat = res.shape.qhat
+        assert res.boundary_mass == pytest.approx(K * float(qhat[-1]), rel=1e-12)
+        plain = TruncatedShape(qhat)
+        assert plain.constraint_mass == pytest.approx(res.shape.constraint_mass, rel=1e-12)
 
     def test_stationarity_residual(self):
         params = normal_params()
@@ -444,6 +492,63 @@ class TestMinimizeS:
             s = functional_S(TruncatedShape(qh, relaxed=True), params)
             gaps.append(abs(s - chi_val))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+class TestArrayDualOracle:
+    """minimize_S, O(1) in K, against the whole-vector array dual."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0], ids=["normal", "condensed"])
+    def test_matches_the_array_dual(self, d, ratio):
+        # at beta = 1/4pi the truncated mass at lambda = 0 is rho_K / rho: the
+        # root lies above 0 at ratio 0.5 and below it at ratio 2
+        K, tol = 20_000, 1e-12
+        ks = np.arange(1, K + 1, dtype=np.float64)
+        params = SystemParams(d, BETA_UNIT, ratio * float(np.sum(ks ** (-d / 2.0))))
+        res = minimize_S(params, K=K, tol=tol)
+        assert (res.lam > 0.0) == (ratio < 1.0)
+        assert abs(res.lam - bisection_oracle(params, K, tol)) <= 3 * tol
+        qs = qhat_star_array(params, K)
+        log_base = np.log(ks * qs)
+        qh = qs * np.exp(-res.lam * ks)
+        assert res.shape.qhat.tobytes() == qh.tobytes()
+        # the residual and S at the root, each within its certified bound
+        t = polylog._truncated_polylog(d / 2.0, res.lam, K, entropy._SUM_TOL)
+        array_residual = math.expm1(log_constraint_mass(res.lam, log_base, ks))
+        allowance = dual_rounding(log_base, res.lam, K, t.terms_used)
+        assert abs(res.constraint_residual - array_residual) <= t.error_bound / t.value + allowance
+        terms = qh * (-res.lam * ks - 1.0)
+        s_bound = closed_form_s_bound(params, res.lam, K) + sum_bound(float(np.sum(np.abs(terms))))
+        assert abs(res.s_value - float(np.sum(terms))) <= s_bound
+        boundary = K * float(qh[-1])
+        assert abs(res.boundary_mass - boundary) <= 1e-11 * max(boundary, 1.0)
+
+    def test_normal_limits_are_alpha_and_chi(self):
+        # near the transition the truncation shows up to K = 1e4; past it the
+        # root and S sit within the tolerance of the density solve
+        params = SystemParams(3, BETA_UNIT, 0.98 * critical_density(3, BETA_UNIT))
+        sol = solve_alpha(params, 1e-13)
+        tol = 1e-12
+        gaps = []
+        for K in (10**3, 10**4, 10**5, 10**7):
+            res = minimize_S(params, K=K, tol=tol)
+            gaps.append((abs(res.lam - sol.alpha), abs(res.s_value - sol.chi)))
+        assert gaps[0][0] > gaps[1][0] > 3 * tol and gaps[0][1] > gaps[1][1] > 1e-9
+        for lam_gap, s_gap in gaps[2:]:
+            assert lam_gap <= 3 * tol
+            assert s_gap <= 1e-11
+
+    def test_condensed_limits_are_zero_and_chi(self):
+        # lambda < 0 rises to 0 and S falls to chi, both about like log K / K
+        # and K^-1/2; at K = 1e7 S is within 1e-6 of chi
+        params = condensed_params()
+        chi_c = chi(params, 1e-13)
+        results = [minimize_S(params, K=K, tol=1e-12) for K in (10**3, 10**5, 10**7)]
+        lams = [res.lam for res in results]
+        gaps = [res.s_value - chi_c for res in results]
+        assert lams[0] < lams[1] < lams[2] < 0.0
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+        assert gaps[2] <= 1e-6
 
 
 class TestMinimizingSequence:
@@ -640,10 +745,10 @@ class TestBlockEdges:
         assert dec.reconstructed_S == q * h + q * math.log(q / dec.q_star) - q
 
 
-def untagged(shape: TruncatedShape) -> TruncatedShape:
-    """The same vector without the minimizing-sequence tag: the array route."""
+def untagged(shape: ExponentialShape) -> TruncatedShape:
+    """The same vector as a TruncatedShape, adopted without a copy: the array route."""
     plain = TruncatedShape(shape.qhat, relaxed=True)
-    assert plain.qhat is shape.qhat and plain._sequence is None
+    assert plain.qhat is shape.qhat
     return plain
 
 
@@ -657,7 +762,7 @@ CLOSED_FORM_CASES = [
 
 
 class TestClosedForms:
-    """minimizing_sequence shapes take closed forms; the array route is their oracle."""
+    """ExponentialShapes take closed forms; the array route is their oracle."""
 
     @staticmethod
     def rounding(abs_x: float, abs_terms: float) -> float:
@@ -680,8 +785,7 @@ class TestClosedForms:
         s_array, ref = functional_S(plain, params), entropy_decomposition(plain, params)
 
         # the certified truncation of q*_K = c sum_{k<=K} k^-(1+d/2)
-        sums = bosefn._zeta_truncated(1.0 + d / 2.0, K, entropy._SUM_TOL)
-        em = qhat_star(params, 1.0) * sums.error_bound
+        em = polylog_sum(params, 1.0 + d / 2.0, 0.0, K)[1]
         # sum|x| and sum|terms| of the array route's sums, from the shape:
         # Qhat* but for Qhat_n(n) = Qhat*(n) + eps, so every other term of S
         # is -Qhat*(k), and every other log(p/p*) of H is log(q*/q)
@@ -721,7 +825,7 @@ class TestClosedForms:
         def closed_form_called(*args):
             raise AssertionError("closed form taken")
 
-        monkeypatch.setattr(entropy, "_zeta_truncated", closed_form_called)
+        monkeypatch.setattr(entropy, "_truncated_polylog", closed_form_called)
         for p, (s_value, dec) in zip(others, want):
             assert functional_S(shape, p) == s_value
             assert entropy_decomposition(shape, p) == dec
@@ -729,13 +833,44 @@ class TestClosedForms:
         with pytest.raises(AssertionError, match="closed form taken"):
             functional_S(shape, params.with_n(5))
 
+    def test_writes_through_exposed_arrays_leave_the_closed_forms(self):
+        # no closed form reads a vector, so no write through one can leave
+        # them stale; the array route reads the vector as it is
+        params = condensed_params()
+        for shape in (
+            minimizing_sequence(1000, params, K=B + 1),
+            minimize_S(params, K=B + 1).shape,
+        ):
+
+            def closed():
+                return (
+                    functional_S(shape, params),
+                    entropy_decomposition(shape, params),
+                    shape.constraint_mass,
+                    shape.head(10),
+                )
+
+            want = closed()
+            plain = untagged(shape)
+            assert functional_S(plain, params) != 0.0
+            qhat = shape.qhat
+            assert qhat.base is None  # an owner: NumPy lets its flag be set again
+            qhat.setflags(write=True)
+            qhat[:] = 0.0
+            assert shape.qhat is qhat and plain.qhat is qhat
+            assert closed() == want
+            assert functional_S(plain, params) == 0.0
+
     def test_only_minimizing_sequence_tags_a_shape(self):
+        # the makers' shapes are parametric; a TruncatedShape is a vector only
         params = condensed_params()
         shape = minimizing_sequence(10, params, K=1000)
-        assert shape._sequence[:4] == (params.d, params.beta, params.rho, 10)
-        assert minimize_S(params, K=1000).shape._sequence is None
+        assert isinstance(shape, ExponentialShape)
+        assert (shape.params, shape.K, shape.lam, shape.bump[0]) == (params, 1000, 0.0, 10)
+        res = minimize_S(params, K=1000)
+        assert (res.shape.lam, res.shape.bump) == (res.lam, None)
         with pytest.raises(TypeError):
-            TruncatedShape(shape.qhat, relaxed=True, _sequence=shape._sequence)
+            TruncatedShape(shape.qhat, relaxed=True, bump=shape.bump)
 
 
 class TestBlockedMemory:

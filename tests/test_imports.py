@@ -15,6 +15,7 @@ EXPORTS = {
     "bosefn": ["BoseEval", "bose_g", "zeta"],
     "entropy": [
         "EntropyDecomposition",
+        "ExponentialShape",
         "MinimizeResult",
         "TruncatedShape",
         "entropy_decomposition",
@@ -64,7 +65,7 @@ NEAR_CRITICAL_RHO = repr(0.999 * cyclegas.critical_density(3, 0.0795775))
 
 class TestNamespace:
     def test_all_is_the_export_list(self):
-        assert len(NAMES) == 45
+        assert len(NAMES) == 46
         assert sorted(cyclegas.__all__) == sorted(NAMES)
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -145,7 +146,31 @@ class TestImportFootprint:
         )
         assert result == code
         assert "numpy" not in modules
-        assert not {"cyclegas.entropy", "cyclegas.exactz", "cyclegas.sampler"} & modules
+        assert not {"cyclegas.entropy", "cyclegas.polylog"} & modules
+        assert not {"cyclegas.exactz", "cyclegas.sampler"} & modules
+
+    # rho = 5.3 is condensed at beta = 0.0795775 (rho_c = 2.61): a dual root below 0
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["minimize", "--d", "3", "--beta", "0.0795775", "--rho", "5.3", "--K", "100000"], 0),
+            (["minimize", "--d", "1", "--beta", "1", "--rho", "0.5", "--K", "5000"], 0),
+            (["minimize", "--d", "1", "--beta", "1", "--rho", "0.5", "--K", "1000000000000"], 3),
+        ],
+        ids=["condensed", "normal", "cap"],
+    )
+    def test_minimize_loads_no_numpy(self, argv, code):
+        result, modules = loaded_after(
+            "import io, contextlib\nfrom cyclegas import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    result = cli.main({argv!r})"
+        )
+        assert result == code
+        assert "numpy" not in modules
+        assert {"cyclegas.entropy", "cyclegas.polylog", "cyclegas.thermo", "cyclegas.bosefn"} <= (
+            modules
+        )
 
     def test_a_chain_command_loads_its_layers(self):
         result, modules = loaded_after(
