@@ -18,14 +18,17 @@ cycles otherwise; it picks a cycle with chance k/n.  The proposal is
 symmetric on permutations, so its ratio is the permutation weights' alone,
 j theta_j (k-j) theta_{k-j} / (k theta_k) for a split, again free of
 occupation multiplicities.  Each kind of step is reversible on its own, so
-their fixed mixture is too.
+their fixed mixture is too.  Any fixed layout of the cycles on the n points
+gives the same proposal law; the kernel lays them out class by class in the
+occupation map's order and walks that map, one entry per distinct length,
+to place a point.
 
 One kernel, ChainState._advance, makes every move.  An accepted split writes
 one new cycle into the picked slot and appends the other; an accepted merge
-writes the sum into one slot and swap-removes the other.  The occupations
-and the cached log weight change on accepted moves only; no other index is
-kept.  The tests keep the moves as a plain randrange function and check the
-kernel against it step by step.
+writes the sum into one slot and swap-removes the other.  The occupations,
+the cycle count and the cached log weight change on accepted moves only; no
+other index is kept.  The tests keep the moves as a plain randrange function
+and check the kernel against it step by step.
 
 run_chain drives a chain through two calls of the kernel (burn-in, then
 the sampled rest), and in the sampled call the kernel records each sample
@@ -42,9 +45,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -93,6 +94,20 @@ def _running_sums(lazy: list[int], occ: dict[int, int], t: int, k_report: int) -
     return [lazy[k] + occ.get(k, 0) * t for k in range(k_report + 1)]
 
 
+def _place(occ: dict[int, int], u: int) -> tuple[int, int]:
+    """Point u's cycle length k and offset among the points of the k-cycles.
+
+    The cycles lie class by class in occ's order, the r_k k-cycles of a
+    class on k * r_k consecutive points, so u sits in the (offset // k)-th
+    k-cycle.  One pass over the distinct lengths; 0 <= u < n always lands.
+    """
+    for k, r in occ.items():
+        kr = k * r
+        if u < kr:
+            return k, u
+        u -= kr
+
+
 class _Sampling(NamedTuple):
     """How often run_chain samples the kernel, and where it reads the sums.
 
@@ -110,14 +125,15 @@ class _Sampling(NamedTuple):
 class ChainState:
     """Mutable split/merge chain state over partitions of params.n.
 
-    Keeps the occupation map occ (one live dict, no zero counts) and the
-    cycle list, one slot per cycle, which the slot picks read and whose
-    running sums place a point move's points.  Only the kernel, _advance,
-    changes them after the start, which rounds the limiting shape down and
-    puts the rest of the mass into one seed cycle.  The tables _L and _bits
-    (bit lengths for the uniform picks) are built once per state.  The
-    cached log weight tracks every accepted move; audit() recomputes it,
-    the mass and the cycle list's counts from scratch.
+    Keeps the occupation map occ (one live dict, no zero counts), whose
+    order lays out the cycles on which a point move's points fall, and the
+    cycle list, one slot per cycle, which the slot picks read.  Only the
+    kernel, _advance, changes them after the start, which rounds the
+    limiting shape down and puts the rest of the mass into one seed cycle.
+    The tables _L and _bits (bit lengths for the uniform picks) are built
+    once per state.  The cached log weight tracks every accepted move;
+    audit() recomputes it, the mass and the cycle list's counts from
+    scratch.
     """
 
     def __init__(self, params: SystemParams, seed: int = 0):
@@ -153,13 +169,18 @@ class ChainState:
         L[k-1] - L[m+1] (1-cycles auto-reject), and a slot merge of slots i
         != i2 into s = a + b has c[s] - c[a] - c[b] + L[m] - L[s-1].  A point
         move (a share _POINT_MOVE of the steps) draws points u and v from
-        0..n-1 and finds their slots in the cycle list's running sums: in
-        one slot it splits at j = (v - u) mod k, with ratio c[j] + c[k-j] -
-        c[k] + L[j] + L[k-j] - L[k] (u == v auto-rejects), and across two it
-        merges with ratio c[s] - c[a] - c[b] + L[s] - L[a] - L[b]; it counts
-        as the split or merge it proposes.  Slot picks inline
-        Random.randrange's getrandbits rejection loop (bits[x] =
-        x.bit_length()), so the stream is the one randrange would consume.
+        0..n-1 and _place maps each to its cycle's length and its offset
+        among that length's points, an O(distinct lengths) walk of occ: in
+        one cycle (equal lengths k and offset // k) it splits at j = (pv -
+        pu) mod k, with ratio c[j] + c[k-j] - c[k] + L[j] + L[k-j] - L[k]
+        (u == v auto-rejects), and across two it merges with ratio c[s] -
+        c[a] - c[b] + L[s] - L[a] - L[b]; it counts as the split or merge it
+        proposes, and acts on the first slot i holding its length (a merge
+        of equal lengths on the next such slot after i as i2), found by
+        list.index.  The cycle count m is a local that accepted moves change
+        by one.  Slot picks inline Random.randrange's getrandbits rejection
+        loop (bits[x] = x.bit_length()), so the stream is the one randrange
+        would consume.
         Accepted moves only touch the state: a split writes j into slot i and
         appends k - j, a merge writes s into slot i and swap-removes slot
         i2; occ loses k (a, then b) and gains j, then k - j (s), and the
@@ -193,6 +214,7 @@ class ChainState:
         n = self.n
         points_from = 1.0 - _POINT_MOVE
         split_below = 0.5 * points_from
+        m = len(cycles)
         log_weight = self.log_weight
         split_proposed = split_accepted = split_auto = 0
         merge_accepted = merge_auto = 0
@@ -208,7 +230,6 @@ class ChainState:
             seg = min(count, 1)  # the first sample follows the first move
         while True:
             for _ in range(seg):
-                m = len(cycles)
                 r = random()
                 if r < points_from:  # a slot move: slot i first
                     nbits = bits[m]
@@ -247,27 +268,24 @@ class ChainState:
                         s = a + b
                         dc = c[s] - c[a] - c[b]
                         total = dc + L[m] - L[s - 1]
-                else:  # a point move
-                    u = randrange(n)
-                    v = randrange(n)
-                    ends = list(accumulate(cycles))
-                    i = bisect_right(ends, u)
-                    i2 = bisect_right(ends, v)
-                    if i == i2:
+                else:  # a point move: u's and v's (length, offset) in occ's layout
+                    a, pu = _place(occ, randrange(n))
+                    b, pv = _place(occ, randrange(n))
+                    if a == b and pu // a == pv // a:  # one cycle
                         split_proposed += 1
-                        k = cycles[i]
-                        j = (v - u) % k
+                        k = a
+                        j = (pv - pu) % k
                         if j == 0:
                             split_auto += 1
                             continue
+                        i = cycles.index(k)
                         j2 = k - j
                         dc = c[j] + c[j2] - c[k]
                         total = dc + L[j] + L[j2] - L[k]
                     else:
                         k = 0  # a merge
-                        mm1 = m - 1
-                        a = cycles[i]
-                        b = cycles[i2]
+                        i = cycles.index(a)
+                        i2 = cycles.index(b, i + 1) if a == b else cycles.index(b)
                         s = a + b
                         dc = c[s] - c[a] - c[b]
                         total = dc + L[s] - L[a] - L[b]
@@ -275,6 +293,7 @@ class ChainState:
                     continue
                 if k:
                     split_accepted += 1
+                    m += 1
                     cycles[i] = j
                     cycles.append(j2)
                     rk = occ[k]
@@ -291,9 +310,10 @@ class ChainState:
                     long_mass += big[j] + big[j2] - big[k]
                 else:
                     merge_accepted += 1
+                    m -= 1
                     cycles[i] = s
                     last = cycles.pop()
-                    if i2 < mm1:
+                    if i2 < m:
                         cycles[i2] = last
                     ra = occ[a]
                     if ra == 1:

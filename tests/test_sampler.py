@@ -25,6 +25,7 @@ from cyclegas.sampler import (
     _batch_stderr,
     _Sampling,
     _cycle_log_constants,
+    _place,
     default_threshold,
     long_cycle_fraction_scan,
     run_chain,
@@ -83,6 +84,11 @@ def point_owners(cycles: list[int]) -> list[int]:
     return [slot for slot, k in enumerate(cycles) for _ in range(k)]
 
 
+def occ_layout(occ: dict[int, int]) -> list[int]:
+    """The cycle lengths class by class in occ's order: where a point move's points lie."""
+    return [k for k, r in occ.items() for _ in range(r)]
+
+
 def move_counts(occ: dict[int, int], removed, added) -> tuple[list[int], list[int]]:
     """Take the lengths in `removed` out of occ in place, then put `added` in.
 
@@ -134,18 +140,22 @@ def reference_step(st: ChainState) -> tuple[str, str]:
     else:
         u = rng.randrange(st.n)
         v = rng.randrange(st.n)
-        owner = point_owners(cycles)
-        i, i2 = owner[u], owner[v]
-        if i == i2:
+        layout = occ_layout(st.occ)
+        owner = point_owners(layout)
+        a, b = layout[owner[u]], layout[owner[v]]
+        # the move acts on the first slots holding its lengths, in slot order
+        i = cycles.index(a)
+        if owner[u] == owner[v]:
             kind = "split"
-            k = cycles[i]
+            k = a
             j = (v - u) % k
             if j == 0:
                 return kind, "auto_rejected"
             dc, lratio = point_split_terms(st._c, st._L, k, j)
         else:
             kind = "merge"
-            dc, lratio = point_merge_terms(st._c, st._L, cycles[i], cycles[i2])
+            i2 = next(slot for slot, x in enumerate(cycles) if x == b and slot != i)
+            dc, lratio = point_merge_terms(st._c, st._L, a, b)
     if kind == "split":
         removed, added = (k,), (j, k - j)
     else:
@@ -236,7 +246,7 @@ def one_step_moves(occ: dict[int, int], c: list[float], L: list[float]):
     1/(m (m - 1))); a point move picks an ordered pair of the n points
     (_POINT_MOVE / n^2), which auto-rejects when they coincide.
     """
-    cycles = [k for k, r in occ.items() for _ in range(r)]
+    cycles = occ_layout(occ)
     m, n = len(cycles), sum(cycles)
     slot = (1.0 - _POINT_MOVE) / 2
     for k in cycles:
@@ -246,6 +256,16 @@ def one_step_moves(occ: dict[int, int], c: list[float], L: list[float]):
         for i2, b in enumerate(cycles):
             if i1 != i2:
                 yield slot / (m * (m - 1)), merge_terms(c, L, m, a, b)[1], (a, b), (a + b,)
+    yield from point_moves(occ, c, L)
+
+
+def point_moves(occ: dict[int, int], c: list[float], L: list[float]):
+    """one_step_moves' point part: every ordered pair of distinct points, _POINT_MOVE / n^2 each.
+
+    The points lie on the cycles laid end to end in occ_layout's order.
+    """
+    cycles = occ_layout(occ)
+    n = sum(cycles)
     owner = point_owners(cycles)
     for u in range(n):
         for v in range(n):
@@ -350,6 +370,44 @@ class TestMoveAlgebra:
                     assert back == occ
                     assert sorted(outs_s) == sorted(ins_m)
                     assert sorted(ins_s) == sorted(outs_m)
+
+    @pytest.mark.parametrize(
+        "occ",
+        [
+            {1: 3, 2: 2, 5: 1},  # two equal 2-cycles, a unique long cycle
+            {5: 1, 2: 2, 1: 3},  # the same state, its classes in another order
+            {2: 1, 7: 1, 1: 3},
+            {4: 2, 1: 1, 3: 1},
+            {3: 4},  # equal lengths only
+            {12: 1},
+            {1: 1},
+        ],
+        ids=["1x3-2x2-5", "5-2x2-1x3", "2-7-1x3", "4x2-1-3", "3x4", "12", "1"],
+    )
+    def test_placement_proposes_exactly_the_point_moves(self, occ):
+        # every ordered pair (u, v) of the n * n, placed by _place and read
+        # by the kernel's rule (one cycle when the lengths and offset // k
+        # match), proposes the multiset of one_step_moves' point part, plus
+        # the n pairs u == v that auto-reject
+        n = sum(k * r for k, r in occ.items())
+        c = _cycle_log_constants(SystemParams(3, 0.5, 1.0, n=n), "chain")
+        got, coincident = Counter(), 0
+        for u in range(n):
+            a, pu = _place(occ, u)
+            for v in range(n):
+                b, pv = _place(occ, v)
+                if a == b and pu // a == pv // a:
+                    j = (pv - pu) % a
+                    if j == 0:
+                        coincident += 1
+                    else:
+                        got[(a,), (j, a - j)] += 1
+                else:
+                    got[(a, b), (a + b,)] += 1
+        moves = point_moves(occ, c, log_table(n))
+        want = Counter((removed, added) for _, _, removed, added in moves)
+        assert got == want
+        assert coincident == n
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_log_table_terms_match_lgamma_formulas(self, d):
