@@ -19,29 +19,33 @@ Bose series, which "auto" keeps to 64 terms.  The module needs no NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
+from typing import NamedTuple
 
 from .errors import CAPS, DivergenceError, PrecisionError, ValidationError
 
 _MIN_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class BoseEval:
-    """A series value with a rigorous bound on the truncation error."""
-
+class _BoseEval(NamedTuple):
     value: float
     error_bound: float
     terms_used: int
 
-    def __post_init__(self) -> None:
-        if self.error_bound < 0:
+
+class BoseEval(_BoseEval):
+    """A series value with a rigorous bound on the truncation error."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, error_bound: float, terms_used: int) -> "BoseEval":
+        if not error_bound >= 0:  # NaN fails too
             raise ValidationError("error_bound must be nonnegative")
-        if self.terms_used < 1:
+        if terms_used < 1:
             raise ValidationError("terms_used must be >= 1")
+        return _BoseEval.__new__(cls, value, error_bound, terms_used)
 
 
 # B_2j / (2j)! for j = 1..7: the corrections of Euler-Maclaurin order
@@ -258,7 +262,7 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
     coefficients are cached, so repeated calls cost microseconds).
     """
     _check_order(s)
-    if alpha < 0:
+    if not alpha >= 0:  # NaN fails too
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     if not _MIN_TOL <= tol < math.inf:
         raise ValidationError(f"tol must be finite and >= {_MIN_TOL}, got {tol}")

@@ -10,7 +10,9 @@ a usage error none.  The scalar commands (phase, alpha, free-energy) load
 thermo and bosefn; minimize adds entropy and polylog, exact-z and converge add exactz,
 sample and scan-long-cycles add sampler.  Every command runs on Python
 floats and ints, and none loads NumPy: minimize's dual and its qhat_head are
-formulas, and no command builds a shape's vector.
+formulas, and no command builds a shape's vector.  Nor does any load
+dataclasses (the records are NamedTuples), fractions or the partitions
+layer, which only the enumeration oracle imports; only --format csv loads csv.
 
 All physical inputs are dimensionless; beta is the time horizon of a
 diffusion with generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), so
@@ -20,7 +22,6 @@ there is no factor-of-2 freedom in beta.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -292,6 +293,8 @@ def _render(command: str, args, data) -> str:
     envelope = {"command": command, "config": _config_dict(args), "data": data}
     if args.output_format == "json":
         return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    import csv
+
     buf = io.StringIO()
     for key, val in sorted(envelope["config"].items()):
         buf.write(f"# {key}={val}\n")

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -75,8 +74,12 @@ def _blocks(K: int) -> Iterator[tuple[int, int, np.ndarray]]:
         yield lo, hi, ks[: hi - lo]
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedShape:
+class _TruncatedShape(NamedTuple):
+    qhat: np.ndarray
+    relaxed: bool = False
+
+
+class TruncatedShape(_TruncatedShape):
     """Increments Qhat(1..K) of a shape truncated at length K, held as a vector.
 
     Elements representing genuine shapes carry constraint mass
@@ -85,26 +88,28 @@ class TruncatedShape:
     read-only: a read-only array is adopted without a copy unless it views a
     writeable one (so TruncatedShape(shape.qhat, relaxed=True) shares an
     ExponentialShape's vector), and anything a caller could still write
-    through is copied.
+    through is copied.  Shapes compare and hash by identity: tuple equality
+    would compare the arrays.
     """
 
-    qhat: np.ndarray
-    relaxed: bool = False
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __new__(cls, qhat: np.ndarray, relaxed: bool = False) -> "TruncatedShape":
         import numpy as np
 
-        arr = np.asarray(self.qhat, dtype=np.float64)
+        arr = np.asarray(qhat, dtype=np.float64)
         base = arr if arr.base is None else arr.base
         if arr.flags.writeable or not isinstance(base, np.ndarray) or base.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)
-        object.__setattr__(self, "qhat", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("qhat must be a nonempty 1-d sequence")
         if not (arr.min() >= 0.0 and arr.max() < math.inf):  # NaN fails both
             raise ValidationError("qhat entries must be finite and >= 0")
-        _check_mass(self.constraint_mass, self.relaxed)
+        self = _TruncatedShape.__new__(cls, arr, relaxed)
+        _check_mass(self.constraint_mass, relaxed)
+        return self
 
     @property
     def K(self) -> int:
@@ -134,8 +139,15 @@ def _polylog_sum(params: SystemParams, order: float, lam: float, K: int) -> floa
     return math.exp(math.log(c) - lam * K + math.log(t))  # t is scaled by e^(lam K)
 
 
-@dataclass(frozen=True)
-class ExponentialShape:
+class _ExponentialShape(NamedTuple):
+    params: SystemParams
+    K: int
+    lam: float = 0.0
+    bump: tuple[int, float] | None = None
+    relaxed: bool = False
+
+
+class ExponentialShape(_ExponentialShape):
     """Increments Qhat(k) = Qhat*(k) e^(-lam k) on 1..K, plus eps at k = n if bump = (n, eps).
 
     The shapes of minimize_S (no bump) and minimizing_sequence (lam = 0),
@@ -144,28 +156,33 @@ class ExponentialShape:
     truncated polylogarithms, O(1) in K.  qhat is built on first access in one
     blocked pass, which checks every block is finite and >= 0, and is
     read-only; no formula reads it, so nothing written through it can change
-    them.
+    them.  The instance dict holds only that cached qhat: no attribute can be
+    set or deleted.
     """
 
-    params: SystemParams
-    K: int
-    lam: float = 0.0
-    bump: tuple[int, float] | None = None
-    relaxed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValidationError(f"K must be >= 1, got {self.K}")
-        check_cap("shape", self.K)
-        if not math.isfinite(self.lam):
-            raise ValidationError(f"lam must be finite, got {self.lam}")
-        if self.bump is not None:
-            n, eps = self.bump
-            if not 1 <= n <= self.K:
-                raise ValidationError(f"truncation K={self.K} must cover the bump at n={n}")
+    def __new__(
+        cls, params: SystemParams, K: int, lam: float = 0.0,
+        bump: tuple[int, float] | None = None, relaxed: bool = False,
+    ) -> "ExponentialShape":
+        if K < 1:
+            raise ValidationError(f"K must be >= 1, got {K}")
+        check_cap("shape", K)
+        if not math.isfinite(lam):
+            raise ValidationError(f"lam must be finite, got {lam}")
+        if bump is not None:
+            n, eps = bump
+            if not 1 <= n <= K:
+                raise ValidationError(f"truncation K={K} must cover the bump at n={n}")
             if not 0.0 <= eps < math.inf:
                 raise ValidationError(f"bump eps must be finite and >= 0, got {eps}")
-        _check_mass(self.constraint_mass, self.relaxed)
+        self = _ExponentialShape.__new__(cls, params, K, lam, bump, relaxed)
+        _check_mass(self.constraint_mass, relaxed)
+        return self
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"ExponentialShape is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def constraint_mass(self) -> float:
@@ -367,8 +384,7 @@ def _decomposition(q: float, q_star: float, h: float) -> EntropyDecomposition:
     return EntropyDecomposition(q, q_star, h, q * h + q * math.log(q / q_star) - q)
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     """Exact dual solution of the truncated constrained minimisation."""
 
     shape: ExponentialShape

@@ -22,17 +22,17 @@ weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError, check_cap
-from .partitions import Partition, enumerate_partitions
 from .thermo import SystemParams, _log1mexp, chi, thermal_factor
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .partitions import Partition
 
 
 def _require_n(params: SystemParams) -> int:
@@ -192,8 +192,7 @@ def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
-class WeightedEnsemble:
+class WeightedEnsemble(NamedTuple):
     """All partitions of n with their log weights and the normalisation."""
 
     params: SystemParams
@@ -206,6 +205,8 @@ class WeightedEnsemble:
 
 def weighted_ensemble(params: SystemParams) -> WeightedEnsemble:
     """Materialise the distribution over P_n (small n only)."""
+    from .partitions import enumerate_partitions
+
     c = _cycle_log_constants(params, "ensemble")
     table = {
         lam: _occupation_log_weight(lam.occupations, c)

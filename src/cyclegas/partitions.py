@@ -10,41 +10,44 @@ rational shape measure Q(l) = (1/n) sum_{k>=l} r_k together with its inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ValidationError, check_cap
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class Partition:
+
+class _Partition(NamedTuple):
+    n: int
+    occupations: tuple[tuple[int, int], ...]
+
+
+class Partition(_Partition):
     """Cycle type of a permutation class: occupation numbers of a partition.
 
     `occupations` is a sparse sorted tuple of (cycle length k, count r_k)
     with every stored count >= 1 and sum k * r_k == n.
     """
 
-    n: int
-    occupations: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"partition total must be >= 1, got {self.n}")
+    def __new__(cls, n: int, occupations: tuple[tuple[int, int], ...]) -> "Partition":
+        if n < 1:
+            raise ValidationError(f"partition total must be >= 1, got {n}")
         total = 0
         prev_k = 0
-        for k, r in self.occupations:
+        for k, r in occupations:
             if k <= prev_k:
                 raise ValidationError("occupation lengths must be strictly increasing")
             if r < 1:
                 raise ValidationError(f"stored occupation count must be >= 1, got r_{k}={r}")
             total += k * r
             prev_k = k
-        if total != self.n:
-            raise ValidationError(
-                f"occupations sum to {total}, expected n={self.n}"
-            )
+        if total != n:
+            raise ValidationError(f"occupations sum to {total}, expected n={n}")
+        return _Partition.__new__(cls, n, occupations)
 
     @classmethod
     def from_counts(cls, n: int, counts: dict[int, int]) -> "Partition":
@@ -75,42 +78,42 @@ class Partition:
         return sum(r for _, r in self.occupations)
 
 
-@dataclass(frozen=True)
-class ShapeMeasure:
+class _ShapeMeasure(NamedTuple):
+    n: int
+    tail: tuple[Fraction, ...]
+
+
+class ShapeMeasure(_ShapeMeasure):
     """Monotone tail measure of a partition: Q(l) = (1/n) sum_{k>=l} r_k.
 
     Stored as exact rationals with denominator dividing n so that the
     round trip through occupation numbers is bit-exact.
     """
 
-    n: int
-    tail: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"shape measure needs n >= 1, got {self.n}")
-        if not self.tail:
+    def __new__(cls, n: int, tail: tuple[Fraction, ...]) -> "ShapeMeasure":
+        if n < 1:
+            raise ValidationError(f"shape measure needs n >= 1, got {n}")
+        if not tail:
             raise ValidationError("shape measure tail must be nonempty")
         prev = None
-        for q in self.tail:
+        for q in tail:
             if q <= 0:
                 raise ValidationError("tail values must be positive")
-            if (q * self.n).denominator != 1:
+            if (q * n).denominator != 1:
                 raise ValidationError("tail values must be multiples of 1/n")
             if prev is not None and q > prev:
                 raise ValidationError("tail must be non-increasing")
             prev = q
-        if sum(self.tail, Fraction(0)) != 1:
+        if sum(tail) != 1:
             raise ValidationError("tail values must sum to 1")
+        return _ShapeMeasure.__new__(cls, n, tail)
 
     @property
     def increments(self) -> tuple[Fraction, ...]:
         """Q-hat(k) = Q(k) - Q(k+1), with Q(L+1) = 0."""
-        L = len(self.tail)
-        return tuple(
-            self.tail[i] - (self.tail[i + 1] if i + 1 < L else Fraction(0))
-            for i in range(L)
-        )
+        return tuple(q - q_next for q, q_next in zip(self.tail, (*self.tail[1:], 0)))
 
 
 def iter_parts(n: int) -> Iterator[list[int]]:
@@ -168,6 +171,8 @@ def partition_count(n: int) -> int:
 
 def shape_measure(lam: Partition) -> ShapeMeasure:
     """Tail measure Q(l) = (1/n) sum_{k>=l} r_k of a partition."""
+    from fractions import Fraction
+
     n = lam.n
     max_k = lam.occupations[-1][0]
     counts = lam.as_dict()

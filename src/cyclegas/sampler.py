@@ -47,12 +47,14 @@ import math
 import random
 from collections import Counter
 from operator import mul
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ValidationError
 from .exactz import _cycle_log_constants, _occupation_log_weight, _require_n
-from .partitions import Partition
 from .thermo import SystemParams, optimal_shape
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 _BATCHES = 50
 _POINT_MOVE = 2.0**-8  # the share of steps that are point moves
@@ -156,6 +158,8 @@ class ChainState:
 
     @property
     def current(self) -> Partition:
+        from .partitions import Partition
+
         return Partition.from_counts(self.n, self.occ)
 
     def occupation_key(self) -> tuple[tuple[int, int], ...]:

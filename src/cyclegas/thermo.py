@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bosefn import bose_g, zeta
 from .errors import PrecisionError, ValidationError
@@ -29,27 +28,31 @@ _DEFAULT_TOL = 1e-10
 _MIN_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Dimension, time horizon, density, and optional particle number.
-
-    volume is derived as n / rho when n is set (so n / volume == rho).
-    """
-
+class _SystemParams(NamedTuple):
     d: int
     beta: float
     rho: float
     n: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValidationError(f"dimension d must be a positive integer, got {self.d}")
-        if not self.beta > 0 or not math.isfinite(self.beta):
-            raise ValidationError(f"beta must be positive and finite, got {self.beta}")
-        if not self.rho > 0 or not math.isfinite(self.rho):
-            raise ValidationError(f"rho must be positive and finite, got {self.rho}")
-        if self.n is not None and (not isinstance(self.n, int) or self.n < 1):
-            raise ValidationError(f"n must be a positive integer when set, got {self.n}")
+
+class SystemParams(_SystemParams):
+    """Dimension, time horizon, density, and optional particle number.
+
+    volume is derived as n / rho when n is set (so n / volume == rho).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, beta: float, rho: float, n: Optional[int] = None) -> "SystemParams":
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise ValidationError(f"dimension d must be a positive integer, got {d}")
+        if not beta > 0 or not math.isfinite(beta):
+            raise ValidationError(f"beta must be positive and finite, got {beta}")
+        if not rho > 0 or not math.isfinite(rho):
+            raise ValidationError(f"rho must be positive and finite, got {rho}")
+        if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
+            raise ValidationError(f"n must be a positive integer when set, got {n}")
+        return _SystemParams.__new__(cls, d, beta, rho, n)
 
     @property
     def volume(self) -> float:
@@ -61,11 +64,10 @@ class SystemParams:
         return volume
 
     def with_n(self, n: int) -> "SystemParams":
-        return replace(self, n=n)
+        return type(self)(self.d, self.beta, self.rho, n)
 
 
-@dataclass(frozen=True)
-class ThermoSolution:
+class ThermoSolution(NamedTuple):
     """Resolved phase point: regime, tilt alpha, and derived quantities."""
 
     regime: str

@@ -231,6 +231,9 @@ class TestBoseG:
             bose_g(0.5, 0.0, 1e-10)
         with pytest.raises(ValidationError):
             bose_g(1.5, -0.1, 1e-10)
+        for method in ("auto", "direct", "expansion"):
+            with pytest.raises(ValidationError, match="alpha must be >= 0, got nan"):
+                bose_g(1.5, math.nan, 1e-10, method=method)
         with pytest.raises(ValidationError):
             bose_g(0.0, 1.0, 1e-10)
         with pytest.raises(ValidationError):
@@ -430,5 +433,7 @@ class TestBoseEval:
     def test_invariants(self):
         with pytest.raises(ValidationError):
             BoseEval(value=1.0, error_bound=-1e-3, terms_used=5)
+        with pytest.raises(ValidationError):
+            BoseEval(value=1.0, error_bound=math.nan, terms_used=3)  # NaN < 0 is False
         with pytest.raises(ValidationError):
             BoseEval(value=1.0, error_bound=1e-3, terms_used=0)

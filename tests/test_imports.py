@@ -90,13 +90,22 @@ class TestNamespace:
             assert namespace[name] is getattr(cyclegas, name)
 
 
+# stdlib modules no command needs: dataclasses (which loads inspect, ast and
+# dis), fractions (which loads decimal) and csv, which only --format csv uses
+STDLIB = {"dataclasses", "inspect", "fractions", "csv"}
+
+
 def loaded_after(code: str) -> tuple:
-    """Run code in a fresh interpreter; (its value of `result`, the cyclegas and numpy modules)."""
+    """Run code in a fresh interpreter; (its value of `result`, the modules it loaded).
+
+    The modules reported are cyclegas's, numpy and those in STDLIB.
+    """
     src = os.path.dirname(os.path.dirname(cyclegas.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    watched = sorted(STDLIB | {"numpy"})
     report = (
         "print(json.dumps([result, sorted(m for m in sys.modules"
-        " if m == 'numpy' or m.split('.')[0] == 'cyclegas')]))\n"
+        f" if m in {watched!r} or m.split('.')[0] == 'cyclegas')]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys\n" + code + "\n" + report],
@@ -148,6 +157,7 @@ class TestImportFootprint:
         assert "numpy" not in modules
         assert not {"cyclegas.entropy", "cyclegas.polylog"} & modules
         assert not {"cyclegas.exactz", "cyclegas.sampler"} & modules
+        assert not STDLIB & modules
 
     # rho = 5.3 is condensed at beta = 0.0795775 (rho_c = 2.61): a dual root below 0
     @pytest.mark.parametrize(
@@ -171,6 +181,7 @@ class TestImportFootprint:
         assert {"cyclegas.entropy", "cyclegas.polylog", "cyclegas.thermo", "cyclegas.bosefn"} <= (
             modules
         )
+        assert not STDLIB & modules
 
     def test_a_chain_command_loads_its_layers(self):
         result, modules = loaded_after(
@@ -183,6 +194,8 @@ class TestImportFootprint:
         assert {"cyclegas.sampler", "cyclegas.thermo"} <= modules
         assert "numpy" not in modules
         assert "cyclegas.entropy" not in modules
+        assert not STDLIB & modules
+        assert "cyclegas.partitions" not in modules
 
     # d = 3, beta = 1 is condensed at rho = 1 and normal at rho = 0.01
     # (rho_c = 0.0588), as is beta = 1/(4 pi) at rho = 1.3 (rho_c = 2.61)
@@ -214,3 +227,30 @@ class TestImportFootprint:
         assert result == code
         assert "numpy" not in modules
         assert "cyclegas.entropy" not in modules
+        assert not STDLIB & modules
+        assert "cyclegas.partitions" not in modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phase", "--d", "3", "--beta", "0.0795775", "--rho", "2.6"],
+            ["minimize", "--d", "1", "--beta", "1", "--rho", "0.5", "--K", "5000"],
+            ["exact-z", "--d", "3", "--beta", "1", "--rho", "1", "--n", "8"],
+            ["converge", "--d", "3", "--beta", "0.0795775", "--rho", "1.3", "--n-list", "10,20"],
+            ["sample", "--d", "3", "--beta", "1", "--rho", "1", "--n", "30", "--steps", "2000"],
+            ["scan-long-cycles", "--d", "3", "--beta", "1", "--rho", "1",
+             "--n-list", "20,40", "--steps", "2000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_loads_only_under_format_csv(self, argv):
+        for fmt, csv_loaded in (("json", False), ("csv", True)):
+            result, modules = loaded_after(
+                "import io, contextlib\nfrom cyclegas import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    result = cli.main({argv + ['--format', fmt]!r})"
+            )
+            assert result == 0
+            assert ("csv" in modules) is csv_loaded
+            assert not (STDLIB - {"csv"}) & modules
+            assert "cyclegas.partitions" not in modules

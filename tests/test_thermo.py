@@ -458,6 +458,11 @@ class TestSystemParams:
             SystemParams(3, 1.0, 0.0)
         with pytest.raises(ValidationError):
             SystemParams(3, 1.0, 1.0, n=0)
+        for flag in (True, False):  # bool subclasses int, but is no dimension or size
+            with pytest.raises(ValidationError, match="d must be a positive integer"):
+                SystemParams(flag, 1.0, 1.0)
+            with pytest.raises(ValidationError, match="n must be a positive integer"):
+                SystemParams(3, 1.0, 1.0, n=flag)
         for tol in (1e-14, 1.0, 1e300, math.inf, math.nan):
             with pytest.raises(ValidationError):
                 solve_alpha(SystemParams(3, 1.0, 1.0), tol=tol)
