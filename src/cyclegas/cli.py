@@ -8,7 +8,8 @@ for auditability.  Human diagnostics go to stderr only.  Exit codes: 0 ok,
 Each handler imports the layers it runs, so a command loads only those, and
 a usage error none.  The scalar commands (phase, alpha, free-energy) load
 thermo and bosefn; minimize adds entropy and polylog, exact-z and converge add exactz,
-sample and scan-long-cycles add sampler.  Every command runs on Python
+sample and scan-long-cycles add sampler but not exactz: the cycle weights
+both engines read live in thermo.  Every command runs on Python
 floats and ints, and none loads NumPy: minimize's dual and its qhat_head are
 formulas, and no command builds a shape's vector.  Nor does any load
 dataclasses (the records are NamedTuples), fractions or the partitions

@@ -36,8 +36,10 @@ class Cap(NamedTuple):
 
 
 # Every resource cap of the package, by route.  Size routes refuse a size
-# above limit through check_cap (CapError); the two term caps bound a
-# certified series and raise PrecisionError in bosefn instead.
+# above limit through check_cap (CapError); the exact, ensemble and chain
+# routes pass through thermo._cycle_log_constants, the one gate of the exact
+# sums and the chain.  The two term caps bound a certified series and raise
+# PrecisionError in bosefn instead.
 CAPS = {
     # iter_parts, enumerate_partitions, partition_count,
     # conjugacy_class_size

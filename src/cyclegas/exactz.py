@@ -5,7 +5,9 @@ prod_k |V|^r_k / (r_k! k^r_k) * (4 pi beta k)^(-d r_k / 2),
 one volume factor per cycle.  Because the weight factors over cycles, the
 sum over all partitions of m obeys the cycle-index recursion
 m Z_m = sum_{k=1}^m k theta_k Z_{m-k}, theta_k = e^{c[k]}, which gives
-log Z and the exact occupation expectations in O(n^2).  It runs in log
+log Z and the exact occupation expectations in O(n^2).  The table c and a
+partition's log weight come from thermo, which the chain reads them from
+too, so the sampler does not import this module.  The recursion runs in log
 space over Python floats, each row one max shift and one math.fsum of the
 shifted exps streamed through map: at the n <= 70 of the public routes that
 beats NumPy, whose per-call cost exceeds a row's arithmetic.  Enumeration of the
@@ -24,45 +26,17 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import add, sub
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import ValidationError, check_cap
-from .thermo import SystemParams, _log1mexp, chi, thermal_factor
+from .thermo import (
+    SystemParams, _cycle_log_constants, _log1mexp, _occupation_log_weight, _require_n, chi
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .partitions import Partition
-
-
-def _require_n(params: SystemParams) -> int:
-    if params.n is None:
-        raise ValidationError("this operation needs params.n set")
-    return params.n
-
-
-def _cycle_log_constants(params: SystemParams, route: str) -> list[float]:
-    """c[k] = log(n Qhat*(k)) = log(|V| / (4 pi beta)^(d/2)) - (1 + d/2) log k.
-
-    For k = 0..n (c[0] unused); in log space, as n Qhat*(k) underflows at large d.
-    The one gate into the exact engine: n = params.n must be set and within
-    the cap of `route` before the table is built.
-    """
-    n = _require_n(params)
-    check_cap(route, n)
-    log_w = math.log(params.volume) - math.log(thermal_factor(params.d, params.beta))
-    e = 1.0 + params.d / 2.0
-    return [0.0] + [log_w - e * math.log(k) for k in range(1, n + 1)]
-
-
-def _occupation_log_weight(
-    occupations: Iterable[tuple[int, int]], c: list[float]
-) -> float:
-    """sum_k r_k c[k] - log(r_k!) over the (k, r_k) pairs of one partition."""
-    w = 0.0
-    for k, r in occupations:
-        w += r * c[k] - math.lgamma(r + 1)
-    return w
 
 
 def log_weight(lam: Partition, params: SystemParams) -> float:

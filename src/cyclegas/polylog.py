@@ -171,7 +171,10 @@ def _truncated_polylog(s: float, lam: float, K: int, tol: float) -> BoseEval:
     - lam > 0.5: the direct sum to the first 16 2^i terms that _tail_bound certifies.
     - otherwise: bose_g(s, lam) less the tail past K, which only enters the bound
       once _tail_bound meets tol and is _bose_tail's otherwise.
+    A lam that is not finite raises ValidationError on every route.
     """
+    if not math.isfinite(lam):
+        raise ValidationError(f"lam must be finite, got {lam}")
     if K <= _DIRECT_TERMS_MAX:
         return _truncated_direct(s, lam, K)
     if lam <= 0.0:

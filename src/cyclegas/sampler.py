@@ -38,7 +38,8 @@ appends the running sums, exact integers, and run_chain differences them
 into per-batch tallies; no sample walks the occupations.
 Chains are single-stream and deterministic given the seed; estimator errors
 use batch means, whose variance per column is a ratio of Python ints
-rounded once, so the module needs no NumPy.
+rounded once, so the module needs no NumPy.  The weights log theta_k come
+from thermo, as the exact sums' do, so the chain does not load exactz.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ValidationError
-from .exactz import _cycle_log_constants, _occupation_log_weight, _require_n
-from .thermo import SystemParams, optimal_shape
+from .thermo import (
+    SystemParams, _cycle_log_constants, _occupation_log_weight, _require_n, optimal_shape
+)
 
 if TYPE_CHECKING:
     from .partitions import Partition

@@ -5,6 +5,12 @@ exponential tilt alpha, locates the critical density/time-horizon for d >= 3,
 and evaluates the limiting cycle-length distribution, condensate fraction,
 specific free energy f and entropy infimum chi = beta f / rho.
 
+It is also the one home of the cycle weight theta_k = |V| (4 pi beta k)^(-d/2) / k:
+thermal_factor, the reference shape qhat_star = theta_k / n, and the log-space
+table log theta_k (_cycle_log_constants) with a partition's log weight
+(_occupation_log_weight), which both the exact sums (exactz) and the chain
+(sampler) read, so the chain does not load the exact engine.
+
 All inputs are dimensionless; beta is the time horizon of a diffusion with
 generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), not Laplacian/2.
 """
@@ -13,10 +19,10 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .bosefn import bose_g, zeta
-from .errors import PrecisionError, ValidationError
+from .errors import PrecisionError, ValidationError, check_cap
 
 INFINITE = math.inf
 
@@ -112,11 +118,45 @@ def _density_scale(d: int, rho: float, factor: float) -> float:
 def qhat_star(params: SystemParams, k):
     """Qhat*(k) = 1/(rho (4 pi beta)^(d/2) k^(1+d/2)), k a float or float array.
 
-    n Qhat*(k) is theta_k, the weight of a k-cycle.
+    n Qhat*(k) is theta_k, the weight of a k-cycle.  Linear, unlike its log
+    twin _cycle_log_constants, and neither is a view of the other: this one
+    refuses a subnormal rho (4 pi beta)^(d/2), where the log table stays finite.
     """
     d = params.d
     c = 1.0 / _density_scale(d, params.rho, thermal_factor(d, params.beta))
     return c * k ** (-(1.0 + d / 2.0))
+
+
+def _require_n(params: SystemParams) -> int:
+    if params.n is None:
+        raise ValidationError("this operation needs params.n set")
+    return params.n
+
+
+def _cycle_log_constants(params: SystemParams, route: str) -> list[float]:
+    """c[k] = log(n Qhat*(k)) = log(|V| / (4 pi beta)^(d/2)) - (1 + d/2) log k.
+
+    For k = 0..n (c[0] unused); in log space, as n Qhat*(k) underflows at large d.
+    Built from log(n / rho), not from qhat_star, so it is finite wherever the
+    volume is, and its bits do not depend on qhat_star's rounding.
+    The one gate into the exact engine and the chain: n = params.n must be set
+    and within the cap of `route` before the table is built.
+    """
+    n = _require_n(params)
+    check_cap(route, n)
+    log_w = math.log(params.volume) - math.log(thermal_factor(params.d, params.beta))
+    e = 1.0 + params.d / 2.0
+    return [0.0] + [log_w - e * math.log(k) for k in range(1, n + 1)]
+
+
+def _occupation_log_weight(
+    occupations: Iterable[tuple[int, int]], c: list[float]
+) -> float:
+    """sum_k r_k c[k] - log(r_k!) over the (k, r_k) pairs of one partition."""
+    w = 0.0
+    for k, r in occupations:
+        w += r * c[k] - math.lgamma(r + 1)
+    return w
 
 
 def critical_density(d: int, beta: float) -> float:

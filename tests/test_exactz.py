@@ -15,7 +15,6 @@ from cyclegas import exactz
 from cyclegas.errors import CapError, ValidationError
 from cyclegas.exactz import (
     ScanRow,
-    _cycle_log_constants,
     _log_Z_table,
     _logsumexp,
     brute_force_log_Z,
@@ -29,6 +28,7 @@ from cyclegas.exactz import (
 from cyclegas.partitions import Partition, enumerate_partitions
 from cyclegas.thermo import (
     SystemParams,
+    _cycle_log_constants,
     critical_density,
     qhat_star,
     solve_alpha,

@@ -83,6 +83,15 @@ class TestNamespace:
             cyclegas.no_such_name
         assert not hasattr(cyclegas, "numpy")
 
+    def test_the_cycle_weight_helpers_have_one_home(self):
+        from cyclegas import exactz, sampler, thermo
+
+        for name in ("_cycle_log_constants", "_occupation_log_weight", "_require_n"):
+            home = getattr(thermo, name)
+            assert home.__module__ == "cyclegas.thermo"
+            assert getattr(exactz, name) is home
+            assert getattr(sampler, name) is home
+
     def test_star_import_binds_every_export(self):
         namespace: dict = {}
         exec("from cyclegas import *", namespace)
@@ -194,6 +203,7 @@ class TestImportFootprint:
         assert {"cyclegas.sampler", "cyclegas.thermo"} <= modules
         assert "numpy" not in modules
         assert "cyclegas.entropy" not in modules
+        assert "cyclegas.exactz" not in modules
         assert not STDLIB & modules
         assert "cyclegas.partitions" not in modules
 
@@ -211,11 +221,13 @@ class TestImportFootprint:
             (["exact-z", "--d", "3", "--beta", "1", "--rho", "0.01", "--n", "8"], 0),
             (["sample", "--d", "3", "--beta", "1", "--rho", "0.01", "--n", "30",
               "--steps", "2000"], 0),
+            (["scan-long-cycles", "--d", "3", "--beta", "1", "--rho", "0.01",
+              "--n-list", "20,40", "--steps", "2000"], 0),
             (["converge", "--d", "3", "--beta", "0.0795775", "--rho", "1.3",
               "--n-list", "10,20"], 0),
         ],
         ids=["exact-z-oracle", "exact-z-cap", "sample", "scan-long-cycles",
-             "exact-z-normal", "sample-normal", "converge-normal"],
+             "exact-z-normal", "sample-normal", "scan-long-cycles-normal", "converge-normal"],
     )
     def test_exact_and_chain_commands_load_no_numpy(self, argv, code):
         result, modules = loaded_after(
@@ -229,6 +241,9 @@ class TestImportFootprint:
         assert "cyclegas.entropy" not in modules
         assert not STDLIB & modules
         assert "cyclegas.partitions" not in modules
+        # the chain reads the cycle weight from thermo, not from the exact engine
+        if argv[0] in ("sample", "scan-long-cycles"):
+            assert "cyclegas.exactz" not in modules
 
     @pytest.mark.parametrize(
         "argv",

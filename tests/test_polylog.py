@@ -8,6 +8,7 @@ import pytest
 
 from cyclegas import polylog
 from cyclegas.bosefn import BoseEval
+from cyclegas.errors import ValidationError
 
 U = 2.0**-53
 
@@ -69,6 +70,13 @@ class TestTruncatedPolylog:
         assert abs(t.value - want) <= t.error_bound + rounding + self.allowance(t, lam, K)
         if lam <= 0.0 or lam > 0.5 or lam * K <= 1.0:  # every route but bose_g's floor
             assert t.error_bound <= 1e-17 * t.value
+
+    # K = 1 and 10 sum directly, 100 and 10**4 take the O(1) routes
+    @pytest.mark.parametrize("K", [1, 10, 100, 10**4])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_lam_that_is_not_finite(self, lam, K):
+        with pytest.raises(ValidationError, match=r"^lam must be finite"):
+            polylog._truncated_polylog(1.5, lam, K, 1e-17)
 
     def test_lam_zero_is_the_truncated_zeta(self):
         # zeta(s) less the Hurwitz zeta at K + 1, in mpmath

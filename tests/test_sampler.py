@@ -12,7 +12,6 @@ import pytest
 from cyclegas.errors import CapError, ValidationError
 from cyclegas.exactz import (
     _log_Z_table,
-    _occupation_log_weight,
     log_weight,
     mu_N_expected_shape,
     weighted_ensemble,
@@ -24,13 +23,17 @@ from cyclegas.sampler import (
     CycleStats,
     _batch_stderr,
     _Sampling,
-    _cycle_log_constants,
     _place,
     default_threshold,
     long_cycle_fraction_scan,
     run_chain,
 )
-from cyclegas.thermo import SystemParams, critical_density
+from cyclegas.thermo import (
+    SystemParams,
+    _cycle_log_constants,
+    _occupation_log_weight,
+    critical_density,
+)
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
 
