@@ -12,8 +12,9 @@ sin(pi s/2) Gamma(1-s) zeta(1-s), whose factor less the sine also bounds the
 expansion's tail.  Error bounds certify series truncation, not rounding.
 
 Every direct sum is a math.fsum of Python floats, exactly rounded: the zeta
-head sum_{k<n} k^-s (n is 16 to a few hundred in practice) and the direct
-Bose series, which "auto" keeps to 64 terms.  The module needs no NumPy.
+head sum_{k<n} k^-s (n is 16 to a few hundred in practice) and _bose_direct,
+the one direct sum of k^-s e^(-lam k), as _em_bracket is its one
+Euler-Maclaurin tail (polylog reads both).  The module needs no NumPy.
 """
 
 from __future__ import annotations
@@ -58,30 +59,25 @@ _B_OVER_FACT = tuple(
 )
 
 
-def _rising(s: float, r: int) -> float:
-    """Rising factorial s (s+1) ... (s+r-1)."""
-    out = 1.0
-    for i in range(r):
-        out *= s + i
-    return out
+def _em_bracket(s: float, lam: float, n: int) -> tuple[float, float]:
+    """Euler-Maclaurin at n for the tail sum_{k>=n} f(k) of f(x) = x^-s e^(-lam x).
 
-
-def _em_remainder(s: float, n: int) -> float:
-    """Bound on the remainder of _em_tail at n: its first omitted term (real s > 0)."""
-    m = _EM_ORDER
-    return abs(_B_OVER_FACT[m] * _rising(s, 2 * m + 1)) * n ** (-s - 2 * m - 1)
-
-
-def _em_tail(s: float, n: int, head: float = 0.0) -> float:
-    """head + sum_{k>=n} k^-s by Euler-Maclaurin at n, s > 0, s != 1.
-
-    The integral, the half end term and _EM_ORDER B_{2j} corrections are
-    added to head in that order; _em_remainder(s, n) bounds what is left out.
+    The tail is the integral of f over [n, inf) plus f(n) (bracket + R).  Returns
+    (bracket, first_omitted), relative to f(n): the half end term plus _EM_ORDER
+    corrections B_2j/(2j)! |f^(2j-1)(n)|, and the size of the next one, with
+    |f^(r)(n)| / f(n) = sum_i C(r, i) lam^(r-i) (s)_i n^-i (signed for s <= 0).
+    For s > 0 and lam >= 0, f is completely monotone and |R| <= first_omitted.
     """
-    value = head + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
-    for j in range(1, _EM_ORDER + 1):
-        value += _B_OVER_FACT[j - 1] * _rising(s, 2 * j - 1) * n ** (-s - 2 * j + 1)
-    return value
+    rising = [1.0]  # (s)_i n^-i
+    for i in range(2 * _EM_ORDER + 1):
+        rising.append(rising[-1] * (s + i) / n)
+    # |f^(r)(n)| / f(n) for odd r; at lam = 0 the sum's one nonzero term, a quarter the cost
+    odd = [
+        math.fsum(math.comb(r, i) * lam ** (r - i) * rising[i] for i in range(r + 1))
+        if lam else rising[r]
+        for r in range(1, 2 * _EM_ORDER + 2, 2)
+    ]
+    return math.fsum((0.5, *map(mul, _B_OVER_FACT, odd[:-1]))), abs(_B_OVER_FACT[-1] * odd[-1])
 
 
 _LOG2 = math.log(2.0)
@@ -101,13 +97,13 @@ def _log_reflection(x: float) -> float:
 def _zeta_em(s: float, tol: float) -> BoseEval:
     """Riemann zeta for real s != 1, certified to tol.
 
-    For s > 0 the terms below n are summed directly and the rest is
-    _em_tail(s, n).  For s <= 0, the continuation that the small-alpha
-    expansion sums, it is the functional equation: zeta(0) = -1/2 and the
-    trivial zeros are exact, and elsewhere zeta(1-s) to tol over the factor
-    e^_log_reflection(s) bounds the error by tol.  Memoised: the expansion's
-    zeta(s - k) coefficients do not depend on alpha, so a root solve pays
-    for them once.
+    For s > 0 the terms below n are summed directly, and the rest is the
+    integral n^(1-s)/(s-1) plus n^-s times _em_bracket(s, 0, n).  For s <= 0,
+    the continuation that the small-alpha expansion sums, it is the
+    functional equation: zeta(0) = -1/2 and the trivial zeros are exact, and
+    elsewhere zeta(1-s) to tol over the factor e^_log_reflection(s) bounds
+    the error by tol.  Memoised: the expansion's zeta(s - k) coefficients do
+    not depend on alpha, so a root solve pays for them once.
     """
     if abs(s - 1.0) < 1e-12:
         raise DivergenceError("zeta has a pole at s = 1")
@@ -119,13 +115,16 @@ def _zeta_em(s: float, tol: float) -> BoseEval:
         sine = math.sin(math.pi * (s % 4.0) / 2.0)  # s % 4 is exact: a short argument
         return BoseEval(sine * factor * z.value, factor * z.error_bound, z.terms_used)
     n = 16
-    while (remainder := _em_remainder(s, n)) > tol:
+    bracket, first_omitted = _em_bracket(s, 0.0, n)
+    while (remainder := first_omitted * n**-s) > tol:
         n *= 2
         if n > CAPS["zeta_terms"].limit:
             raise PrecisionError(
                 f"cannot certify zeta({s}) to {tol} within the summation cap"
             )
-    value = _em_tail(s, n, math.fsum(k ** -s for k in range(1, n)))
+        bracket, first_omitted = _em_bracket(s, 0.0, n)
+    head = math.fsum(k ** -s for k in range(1, n))
+    value = head + n ** (1.0 - s) / (s - 1.0) + n**-s * bracket
     return BoseEval(value=value, error_bound=remainder, terms_used=n - 1 + _EM_ORDER)
 
 
@@ -165,9 +164,10 @@ def _certified_terms(s: float, alpha: float, tol: float, cap: int) -> tuple[int,
 
 
 def _bose_direct(s: float, alpha: float, k: int, tail: float) -> BoseEval:
-    """The first k terms summed directly; tail bounds the rest."""
-    ks = range(1, k + 1)
-    terms = map(mul, map(pow, ks, repeat(-s)), map(math.exp, map(mul, ks, repeat(-alpha))))
+    """The first k terms, times e^(alpha k) if alpha < 0 (they grow to k); tail bounds the rest."""
+    shift = k if alpha < 0.0 else 0
+    exps = map(math.exp, map(mul, range(1 - shift, k + 1 - shift), repeat(-alpha)))
+    terms = map(mul, map(pow, range(1, k + 1), repeat(-s)), exps)
     return BoseEval(value=math.fsum(terms), error_bound=tail, terms_used=k)
 
 
@@ -201,7 +201,7 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
         if tail <= tol / 2.0:
             break
         k_top += 4
-        if k_top > 400:
+        if k_top > CAPS["expansion_terms"].limit:
             raise PrecisionError(
                 f"expansion of g_{s}({alpha}) did not certify to {tol}"
             )

@@ -38,8 +38,8 @@ class Cap(NamedTuple):
 # Every resource cap of the package, by route.  Size routes refuse a size
 # above limit through check_cap (CapError); the exact, ensemble and chain
 # routes pass through thermo._cycle_log_constants, the one gate of the exact
-# sums and the chain.  The two term caps bound a certified series and raise
-# PrecisionError in bosefn instead.
+# sums and the chain.  The last five bound the iterations of a certified
+# series or root and raise PrecisionError where they run instead.
 CAPS = {
     # iter_parts, enumerate_partitions, partition_count,
     # conjugacy_class_size
@@ -60,6 +60,12 @@ CAPS = {
     "bose_terms": Cap(10**8, "terms summed at about 0.35 us each: 35 s"),
     # bosefn._zeta_em
     "zeta_terms": Cap(10**7, "terms summed"),
+    # bosefn._bose_expansion: the last explicit term k, each a memoised zeta(s - k)
+    "expansion_terms": Cap(400, "terms zeta(s - k) (-alpha)^k / k! of the small-alpha expansion"),
+    # polylog._expint_scaled: about 200 steps at lam n = 1, more as lam n shrinks
+    "expint_steps": Cap(10_000, "continued-fraction steps of E_s"),
+    # thermo._bracketed_root (so every density and shape root), b's evaluation included
+    "root_evals": Cap(400, "evaluations of the certified function per root"),
 }
 
 

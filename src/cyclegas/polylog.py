@@ -6,10 +6,12 @@ Qhat*(1) T at s = d/2 and 1 + d/2.  _truncated_polylog evaluates it for
 either sign of lam in O(1) in K.  zeta less its Euler-Maclaurin tail at
 K + 1 gives the truncated zetas sum_{k<=K} k^(j-s), and a Poisson mixture of
 those is T at lam < 0; at lam > 0, T is bose_g's g_s(lam) less a tail, in
-closed form through the exponential integral E_s.  As in bosefn, the bounds
-certify truncation, not rounding, every sum is a math.fsum of Python floats
-and the module needs no NumPy.  It is its own module so that the commands
-that need no shape do not load it.
+closed form through the exponential integral E_s.  Both tails are bosefn's one
+Euler-Maclaurin tail, _em_bracket, and every short T is bosefn's one direct
+sum, _bose_direct, so the module has no Bernoulli table and no summation loop
+of its own.  As in bosefn, the bounds certify truncation, not rounding, every
+sum is a math.fsum of Python floats and the module needs no NumPy.  It is its
+own module so that the commands that need no shape do not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 from functools import lru_cache
 
 from .bosefn import (
-    _B_OVER_FACT,
     _DIRECT_TERMS_MAX,
     _EM_ORDER,
     _LOG2,
@@ -26,12 +27,13 @@ from .bosefn import (
     BoseEval,
     _bose_direct,
     _certified_terms,
+    _em_bracket,
     _log_reflection,
     _tail_bound,
     _zeta_em,
     bose_g,
 )
-from .errors import PrecisionError, ValidationError
+from .errors import CAPS, PrecisionError, ValidationError
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -48,17 +50,18 @@ def _zetas_needed(J: int) -> int:
 def _truncated_zetas(s: float, K: int, J: int, tol: float) -> tuple[tuple[float, float], ...]:
     """(z_j, error bound) for j = 0..J: z_j = K^-j sum_{k<=K} k^(j-s), to tol z_j each.
 
-    z_j is zeta(sigma) K^-j less the Euler-Maclaurin tail of _em_tail at n = K + 1,
-    sigma = s - j, each power n^-(sigma+r) K^-j formed as n^-(s+r) (n/K)^j so that
-    none leaves the floats; at sigma = 1 the pole's pair zeta(sigma) -
-    n^(1-sigma)/(sigma-1) is gamma + log n.  The remainder is at most the first
-    omitted term for sigma > 0, as in _em_remainder, and twice it for sigma <= 0:
-    once the integral of the order-m remainder converges it is at most twice its
-    first omitted term (DLMF 2.10.1, |B_2m - B~_2m(x)| <= 2|B_2m|), and up to that
-    order each term is at most ((|sigma| + 1)/(2 pi n))^2 <= 1/4 of the one before,
-    which 2J <= K ensures.  Where |zeta(sigma)| K^-j is below tol/8 of z_j's lower
-    bound (K^-j, or K^(1-s)/(1 + max(0, -sigma)) for sigma <= 1) it enters the
-    bound only.  Memoised: the table depends on neither lam nor the shape.
+    z_j is zeta(sigma) K^-j less the Euler-Maclaurin tail at n = K + 1, sigma = s - j:
+    the integral n^(1-sigma)/(sigma-1) and n^-sigma _em_bracket(sigma, 0, n), with
+    n^-sigma K^-j formed as n^-s (n/K)^j so that it stays in the floats; at
+    sigma = 1 the pole's pair zeta(sigma) - n^(1-sigma)/(sigma-1) is gamma + log n.
+    The remainder is at most the first omitted term for sigma > 0, and twice it
+    for sigma <= 0: once the integral of the order-m remainder converges it is at
+    most twice its first omitted term (DLMF 2.10.1, |B_2m - B~_2m(x)| <= 2|B_2m|),
+    and up to that order each term is at most ((|sigma| + 1)/(2 pi n))^2 <= 1/4
+    of the one before, which 2J <= K ensures.  Where |zeta(sigma)| K^-j is below
+    tol/8 of z_j's lower bound (K^-j, or K^(1-s)/(1 + max(0, -sigma)) for
+    sigma <= 1) it enters the bound only.  Memoised: the table depends on
+    neither lam nor the shape.
     """
     if 2 * J > K:
         raise ValidationError(f"truncated zetas need 2J <= K, got J={J}, K={K}")
@@ -68,12 +71,8 @@ def _truncated_zetas(s: float, K: int, J: int, tol: float) -> tuple[tuple[float,
     for j in range(J + 1):
         sigma = s - j
         base = n_s * math.exp(j * log_step)  # n^-sigma K^-j
-        bracket, rising = 0.5, sigma  # rising: (sigma)_(2i-1)
-        for i in range(1, _EM_ORDER + 1):
-            bracket += _B_OVER_FACT[i - 1] * rising * n ** (1 - 2 * i)
-            rising *= (sigma + 2 * i - 1) * (sigma + 2 * i)
-        first_omitted = abs(_B_OVER_FACT[_EM_ORDER] * rising) * base * n ** -(2 * _EM_ORDER + 1)
-        bound = first_omitted if sigma > 0.0 else 2.0 * first_omitted
+        bracket, first_omitted = _em_bracket(sigma, 0.0, n)
+        bound = base * first_omitted * (1.0 if sigma > 0.0 else 2.0)
         if sigma == 1.0:
             zs.append(((_EULER_GAMMA + math.log(n)) * K**-j - base * bracket, bound))
             continue
@@ -107,7 +106,7 @@ def _expint_scaled(p: float, z: float, tol: float) -> tuple[float, float, int]:
     """
     a_prev, a, b_prev, b = 1.0, 0.0, 0.0, 1.0  # numerators and denominators
     f_prev = math.inf
-    for i in range(1, 10_001):
+    for i in range(1, CAPS["expint_steps"].limit + 1):
         if i % 2:
             c, d = (1.0 if i == 1 else (i - 1) // 2), z
         else:
@@ -126,32 +125,14 @@ def _expint_scaled(p: float, z: float, tol: float) -> tuple[float, float, int]:
 def _bose_tail(s: float, lam: float, n: int, tol: float) -> BoseEval:
     """sum_{k>=n} k^-s e^(-lam k), lam > 0, by Euler-Maclaurin at n, certified to tol.
 
-    The integral is n^(1-s) E_s(lam n).  f(x) = x^-s e^(-lam x) is completely
-    monotone, so the remainder after _EM_ORDER corrections is at most the first
-    omitted one; |f^(r)(n)| = e^(-lam n) sum_i C(r, i) lam^(r-i) (s)_i n^(-s-i).
+    The integral n^(1-s) E_s(lam n), plus f(n) = n^-s e^(-lam n) times
+    _em_bracket(s, lam, n), whose first omitted term bounds the remainder.
     """
     scale = n**-s * math.exp(-lam * n)
     integral, cf_bound, cf_terms = _expint_scaled(s, lam * n, tol / (2.0 * n * scale))
-    rising = [1.0]  # (s)_i n^-i
-    for i in range(2 * _EM_ORDER + 1):
-        rising.append(rising[-1] * (s + i) / n)
-
-    def derivative(r: int) -> float:  # |f^(r)(n)| / scale
-        return math.fsum(math.comb(r, i) * lam ** (r - i) * rising[i] for i in range(r + 1))
-
-    corrections = math.fsum(
-        _B_OVER_FACT[i - 1] * derivative(2 * i - 1) for i in range(1, _EM_ORDER + 1)
-    )
-    value = scale * (n * integral + 0.5 + corrections)
-    remainder = scale * abs(_B_OVER_FACT[_EM_ORDER]) * derivative(2 * _EM_ORDER + 1)
-    return BoseEval(value, remainder + n * scale * cf_bound, cf_terms + _EM_ORDER)
-
-
-def _truncated_direct(s: float, lam: float, K: int) -> BoseEval:
-    """The K terms of _truncated_polylog summed directly, exactly."""
-    shift = K if lam < 0.0 else 0
-    terms = (k**-s * math.exp(-lam * (k - shift)) for k in range(1, K + 1))
-    return BoseEval(value=math.fsum(terms), error_bound=0.0, terms_used=K)
+    bracket, first_omitted = _em_bracket(s, lam, n)
+    value = scale * (n * integral + bracket)
+    return BoseEval(value, scale * (first_omitted + n * cf_bound), cf_terms + _EM_ORDER)
 
 
 def _truncated_polylog(s: float, lam: float, K: int, tol: float) -> BoseEval:
@@ -176,7 +157,7 @@ def _truncated_polylog(s: float, lam: float, K: int, tol: float) -> BoseEval:
     if not math.isfinite(lam):
         raise ValidationError(f"lam must be finite, got {lam}")
     if K <= _DIRECT_TERMS_MAX:
-        return _truncated_direct(s, lam, K)
+        return _bose_direct(s, lam, K, 0.0)
     if lam <= 0.0:
         x = -lam * K
         m = int(x)
@@ -190,7 +171,7 @@ def _truncated_polylog(s: float, lam: float, K: int, tol: float) -> BoseEval:
             total += weights[-1]
             j += 1
         if 2 * _zetas_needed(j) > K:
-            return _truncated_direct(s, lam, K)
+            return _bose_direct(s, lam, K, 0.0)
         zs = _truncated_zetas(s, K, _zetas_needed(j), tol)
         value = math.fsum(w * z for w, (z, _) in zip(weights, zs)) / total
         bound = math.fsum(w * b for w, (_, b) in zip(weights, zs)) / total
@@ -209,7 +190,7 @@ def _truncated_polylog(s: float, lam: float, K: int, tol: float) -> BoseEval:
     t_abs = tol * math.exp(-lam) / 4.0  # T >= e^-lam, its first term
     if lam > 0.5:
         k, tail = _certified_terms(s, lam, t_abs, K)
-        return _bose_direct(s, lam, k, tail) if k else _truncated_direct(s, lam, K)
+        return _bose_direct(s, lam, k, tail) if k else _bose_direct(s, lam, K, 0.0)
     g = bose_g(s, lam, max(t_abs, _MIN_TOL))
     tail = _tail_bound(s, lam, K)
     if tail <= t_abs:

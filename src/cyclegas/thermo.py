@@ -22,7 +22,7 @@ import sys
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .bosefn import bose_g, zeta
-from .errors import PrecisionError, ValidationError, check_cap
+from .errors import CAPS, PrecisionError, ValidationError, check_cap
 
 INFINITE = math.inf
 
@@ -32,6 +32,12 @@ REGIME_CONDENSED = "condensed"
 
 _DEFAULT_TOL = 1e-10
 _MIN_TOL = 1e-13
+
+
+def _check_dimension(d: int) -> None:
+    """Refuse a dimension that is not a positive int (a bool or float included)."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValidationError(f"dimension d must be a positive integer, got {d}")
 
 
 class _SystemParams(NamedTuple):
@@ -50,8 +56,7 @@ class SystemParams(_SystemParams):
     __slots__ = ()
 
     def __new__(cls, d: int, beta: float, rho: float, n: Optional[int] = None) -> "SystemParams":
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise ValidationError(f"dimension d must be a positive integer, got {d}")
+        _check_dimension(d)
         if not beta > 0 or not math.isfinite(beta):
             raise ValidationError(f"beta must be positive and finite, got {beta}")
         if not rho > 0 or not math.isfinite(rho):
@@ -164,10 +169,9 @@ def critical_density(d: int, beta: float) -> float:
 
     ValidationError where the quotient overflows.
     """
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
-    if beta <= 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
+    _check_dimension(d)
+    if not 0.0 < beta < INFINITE:  # NaN fails too
+        raise ValidationError(f"beta must be positive and finite, got {beta}")
     if d <= 2:
         return INFINITE
     rho_c = zeta(d / 2.0, _MIN_TOL).value / thermal_factor(d, beta)
@@ -183,8 +187,7 @@ def critical_beta(d: int, rho: float) -> float:
     infinite for d = 1, 2 where no condensation occurs.  The powers precede
     the quotient, so beta_c is finite (< 1e216) for every positive float rho.
     """
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
+    _check_dimension(d)
     if not 0.0 < rho < INFINITE:  # NaN fails too
         raise ValidationError(f"rho must be positive and finite, got {rho}")
     if d <= 2:
@@ -215,8 +218,8 @@ def _bracketed_root(
     retained twice in a row, in the coordinate u[0] (inverse u[1], by default
     the identity) in which f is about linear; steps that leave the open
     bracket bisect.  Returns the first evaluation, b's included, with
-    |f(x)| + error_bound <= tol_abs; PrecisionError after 400 evaluations or
-    at float resolution.
+    |f(x)| + error_bound <= tol_abs; PrecisionError after CAPS["root_evals"]
+    evaluations or at float resolution.
     """
     to_u, from_u = u
     f_b, error = f(b)
@@ -225,7 +228,7 @@ def _bracketed_root(
     lo, hi, f_lo, f_hi = (a, b, f_a, f_b) if a < b else (b, a, f_b, f_a)
     kept = None  # the end the last step left in place
     x = b
-    for _ in range(399):
+    for _ in range(CAPS["root_evals"].limit - 1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # bracket at floating-point resolution

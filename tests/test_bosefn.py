@@ -31,8 +31,8 @@ def reflection_rounding(s: float) -> float:
     inside log pi, the product), lgamma within 8 u, and two sums within u/2
     of the three magnitudes' total M each: at most 10 u M absolute, so 10 u M
     relative after exp.  exp (u/2), the sine of the reduced argument (under
-    6 u), zeta(1 - s) >= 1 from a fsum head and eight Euler-Maclaurin
-    additions (10 u) and two products (u) add under 20 u.
+    6 u), zeta(1 - s) >= 1 from a fsum head, the integral and the
+    Euler-Maclaurin bracket (10 u) and two products (u) add under 20 u.
     """
     magnitude = abs(s * math.log(2.0)) + abs((s - 1.0) * math.log(math.pi)) + math.lgamma(1.0 - s)
     return (10.0 * magnitude + 20.0) * U
@@ -175,6 +175,58 @@ class TestZeta:
                 want = mpmath.zeta(s)
                 err = float(abs(z.value - want))
             assert err <= z.error_bound + reflection_rounding(s) * float(abs(want)), s
+
+
+class TestEulerMaclaurinTail:
+    """_em_bracket on its own: the one tail behind zeta, the truncated zetas and _bose_tail.
+
+    The integral and f(n) are taken in 40-digit mpmath, so only the bracket is
+    the helper's.  Rounding allowance: the bracket is 0.5 plus corrections of
+    total size under 0.1 at these points, each within 20 u of itself (the
+    rounded B_2j/(2j)!, up to 13 rounded factors of (s)_r n^-r, and for lam > 0
+    a pow and a product per binomial term, all of one sign), and the fsum adds
+    u/2 of the bracket: under 3 u, stated as 8 u, of f(n).
+    """
+
+    @staticmethod
+    def check(tail, integral, f_n, bracket, first_omitted, mult=1.0):
+        err = abs(integral + f_n * bracket - tail)
+        assert err <= f_n * (mult * first_omitted + 8.0 * U), (float(err / f_n), first_omitted)
+
+    @pytest.mark.parametrize(
+        "sigma, n",
+        [(sigma, n) for sigma in (3.5, 1.5, 0.5, -0.5, -2.5) for n in (17, 1001)]
+        + [(sigma, 4) for sigma in (3.5, 1.5, 0.5)],
+    )
+    def test_hurwitz_tail_at_lam_zero(self, sigma, n):
+        # sum_{k>=n} k^-sigma, continued to sigma <= 1, is the Hurwitz zeta(sigma, n).
+        # For sigma > 0, f is completely monotone and the remainder is under the
+        # first omitted term at every n; for sigma <= 0 the bound is doubled, as
+        # _truncated_zetas uses it, which needs 2 pi n large against |sigma|
+        bracket, first_omitted = bosefn._em_bracket(sigma, 0.0, n)
+        with mpmath.workdps(40):
+            integral = mpmath.mpf(n) ** (1 - sigma) / (sigma - 1)
+            f_n = mpmath.mpf(n) ** -sigma
+            tail = mpmath.zeta(sigma, n)
+            self.check(tail, integral, f_n, bracket, first_omitted, 1.0 if sigma > 0 else 2.0)
+
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    @pytest.mark.parametrize("lam", [0.01, 0.3])
+    @pytest.mark.parametrize("n", [4, 17, 1001])
+    def test_lerch_tail(self, s, lam, n):
+        # sum_{k>=n} k^-s e^(-lam k) = e^(-lam n) Phi(e^-lam, s, n); integral n^(1-s) E_s(lam n)
+        bracket, first_omitted = bosefn._em_bracket(s, lam, n)
+        with mpmath.workdps(40):
+            lam_mp, n_mp = mpmath.mpf(lam), mpmath.mpf(n)
+            integral = n_mp ** (1 - s) * mpmath.expint(s, lam_mp * n_mp)
+            f_n = n_mp**-s * mpmath.exp(-lam_mp * n_mp)
+            tail = mpmath.exp(-lam_mp * n_mp) * mpmath.lerchphi(mpmath.exp(-lam_mp), s, n_mp)
+            self.check(tail, integral, f_n, bracket, first_omitted)
+
+    def test_first_omitted_term_bites_at_small_n(self):
+        # at n = 4 the bound, not the rounding, carries the check above
+        for s, lam in ((3.5, 0.0), (1.5, 0.0), (1.5, 0.3)):
+            assert bosefn._em_bracket(s, lam, 4)[1] > 1e3 * U
 
 
 class TestBoseG:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cyclegas import bosefn, entropy
+from cyclegas import bosefn, entropy, polylog, thermo
 from cyclegas.entropy import (
     TruncatedShape,
     entropy_decomposition,
@@ -126,6 +126,26 @@ def test_shape_functionals_keep_the_shape_cap_and_scale_check(monkeypatch, call)
         call(shape, SystemParams(2, 1.0, 1e-320))
 
 
+def evaluations_of_a_root():
+    """Evaluations _bracketed_root makes for log 2 as the root of e^-x - 1/2 on [0, 5]."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.exp(-x) - 0.5, 0.0
+
+    assert thermo._bracketed_root(f, 0.0, 0.5, 5.0, 1e-15)[0] == pytest.approx(math.log(2.0))
+    return len(calls)
+
+
+# the iteration caps, with the count each call below runs to
+ITERATION_CAPS = [
+    ("expansion_terms", 12, lambda: bosefn.bose_g(1.5, 0.5, 1e-14, method="expansion").terms_used - 1),
+    ("expint_steps", 206, lambda: polylog._expint_scaled(1.5, 1.0, 1e-17)[2]),
+    ("root_evals", 9, evaluations_of_a_root),
+]
+
+
 def test_term_caps_bound_the_certified_series(monkeypatch):
     def direct():
         return bosefn.bose_g(1.5, 1e-3, 1e-10, method="direct")
@@ -141,6 +161,14 @@ def test_term_caps_bound_the_certified_series(monkeypatch):
     monkeypatch.setitem(CAPS, "zeta_terms", CAPS["zeta_terms"]._replace(limit=32))
     with pytest.raises(PrecisionError):
         zeta()
+    # each iteration cap: the call runs at exactly its count and refuses one less
+    for route, count, call in ITERATION_CAPS:
+        assert call() == count
+        monkeypatch.setitem(CAPS, route, CAPS[route]._replace(limit=count))
+        assert call() == count
+        monkeypatch.setitem(CAPS, route, CAPS[route]._replace(limit=count - 1))
+        with pytest.raises(PrecisionError):
+            call()
 
 
 def test_zeta_term_cap_holds_after_doubling(monkeypatch):

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 import sys
 
 import mpmath
@@ -80,6 +81,26 @@ class TestCriticalConstants:
             critical_density(0, 1.0)
         with pytest.raises(ValidationError):
             critical_beta(3, -1.0)
+
+    @pytest.mark.parametrize("d", [True, 4.0, 3.5, 0, -1])
+    def test_dimension_is_checked_as_system_params_checks_it(self, d):
+        # one check and one message: a bool is not a dimension (True was d = 1,
+        # so rho_c = inf), a float is refused even when whole, and 3.5 no longer
+        # surfaces as the order s = 1.75 of zeta
+        want = f"dimension d must be a positive integer, got {d}"
+        for refused in (
+            lambda: SystemParams(d, 1.0, 1.0),
+            lambda: critical_density(d, 1.0),
+            lambda: critical_beta(d, 1.0),
+        ):
+            with pytest.raises(ValidationError, match=re.escape(want)):
+                refused()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rho_c_refuses_nan_beta(self, d):
+        # d = 1 returned inf for any beta, NaN included
+        with pytest.raises(ValidationError, match="beta must be positive and finite, got nan"):
+            critical_density(d, math.nan)
 
     @pytest.mark.parametrize("rho", [1e-310, 5e-324, 1.4e-308, 1e308])
     def test_beta_c_is_finite_for_every_positive_float_rho(self, rho):
