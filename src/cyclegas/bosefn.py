@@ -59,7 +59,15 @@ _B_OVER_FACT = tuple(
 )
 
 
-def _em_bracket(s: float, lam: float, n: int) -> tuple[float, float]:
+def _rising(s: float, n: int) -> list[float]:
+    """(s)_i n^-i for i = 0..2 _EM_ORDER + 1, the factors of _em_bracket's derivatives."""
+    rising = [1.0]
+    for i in range(2 * _EM_ORDER + 1):
+        rising.append(rising[-1] * (s + i) / n)
+    return rising
+
+
+def _em_bracket(s: float, lam: float, n: int, rising: list[float] | None = None) -> tuple[float, float]:
     """Euler-Maclaurin at n for the tail sum_{k>=n} f(k) of f(x) = x^-s e^(-lam x).
 
     The tail is the integral of f over [n, inf) plus f(n) (bracket + R).  Returns
@@ -67,16 +75,16 @@ def _em_bracket(s: float, lam: float, n: int) -> tuple[float, float]:
     corrections B_2j/(2j)! |f^(2j-1)(n)|, and the size of the next one, with
     |f^(r)(n)| / f(n) = sum_i C(r, i) lam^(r-i) (s)_i n^-i (signed for s <= 0).
     For s > 0 and lam >= 0, f is completely monotone and |R| <= first_omitted.
+    rising is _rising(s, n), built here unless the caller has it: a table over
+    s, s - 1, ... builds each from the last, as (s - 1)_(i+1) = (s - 1) (s)_i.
     """
-    rising = [1.0]  # (s)_i n^-i
-    for i in range(2 * _EM_ORDER + 1):
-        rising.append(rising[-1] * (s + i) / n)
+    if rising is None:
+        rising = _rising(s, n)
     # |f^(r)(n)| / f(n) for odd r; at lam = 0 the sum's one nonzero term, a quarter the cost
     odd = [
         math.fsum(math.comb(r, i) * lam ** (r - i) * rising[i] for i in range(r + 1))
-        if lam else rising[r]
         for r in range(1, 2 * _EM_ORDER + 2, 2)
-    ]
+    ] if lam else rising[1::2]
     return math.fsum((0.5, *map(mul, _B_OVER_FACT, odd[:-1]))), abs(_B_OVER_FACT[-1] * odd[-1])
 
 

@@ -64,7 +64,9 @@ CAPS = {
     "expansion_terms": Cap(400, "terms zeta(s - k) (-alpha)^k / k! of the small-alpha expansion"),
     # polylog._expint_scaled: about 200 steps at lam n = 1, more as lam n shrinks
     "expint_steps": Cap(10_000, "continued-fraction steps of E_s"),
-    # thermo._bracketed_root (so every density and shape root), b's evaluation included
+    # thermo._bracketed_root (so every density and shape root), the first
+    # evaluation included: b's, or a density root's seed.  A seeded density
+    # root takes one or two, minimize's unseeded dual root about ten
     "root_evals": Cap(400, "evaluations of the certified function per root"),
 }
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 
 from .bosefn import (
     _DIRECT_TERMS_MAX,
@@ -29,6 +31,7 @@ from .bosefn import (
     _certified_terms,
     _em_bracket,
     _log_reflection,
+    _rising,
     _tail_bound,
     _zeta_em,
     bose_g,
@@ -67,17 +70,21 @@ def _truncated_zetas(s: float, K: int, J: int, tol: float) -> tuple[tuple[float,
         raise ValidationError(f"truncated zetas need 2J <= K, got J={J}, K={K}")
     zs = []
     n = K + 1
-    log_k, log_step, n_s = math.log(K), math.log1p(1.0 / K), n**-s
+    log_k, log_step, n_s, k_s = math.log(K), math.log1p(1.0 / K), n**-s, K ** (1.0 - s)
+    rising = _rising(s, n)
     for j in range(J + 1):
         sigma = s - j
+        if j:  # (sigma)_(i+1) n^-(i+1) = (sigma / n) (sigma + 1)_i n^-i
+            rising = [1.0, *map(mul, rising, repeat(sigma / n, 2 * _EM_ORDER + 1))]
         base = n_s * math.exp(j * log_step)  # n^-sigma K^-j
-        bracket, first_omitted = _em_bracket(sigma, 0.0, n)
+        k_j, log_k_j = K**-j, j * log_k
+        bracket, first_omitted = _em_bracket(sigma, 0.0, n, rising)
         bound = base * first_omitted * (1.0 if sigma > 0.0 else 2.0)
         if sigma == 1.0:
-            zs.append(((_EULER_GAMMA + math.log(n)) * K**-j - base * bracket, bound))
+            zs.append(((_EULER_GAMMA + math.log(n)) * k_j - base * bracket, bound))
             continue
         value = -base * (n / (sigma - 1.0) + bracket)
-        lower = K**-j if sigma > 1.0 else K ** (1.0 - s) / (1.0 + max(0.0, -sigma))
+        lower = k_j if sigma > 1.0 else k_s / (1.0 + max(0.0, -sigma))
         log_need = math.log(tol * lower / 8.0)
         if sigma > 1.0:
             log_mag = math.inf  # zeta(sigma) > 1: always summed
@@ -87,12 +94,12 @@ def _truncated_zetas(s: float, K: int, J: int, tol: float) -> tuple[tuple[float,
             log_mag = -_LOG2
         else:  # the functional equation with zeta(1 - sigma) <= (1 - sigma)/(-sigma)
             log_mag = _log_reflection(sigma) + math.log((1.0 - sigma) / -sigma)
-        if log_mag - j * log_k < log_need:
-            bound += math.exp(log_mag - j * log_k)
+        if log_mag - log_k_j < log_need:
+            bound += math.exp(log_mag - log_k_j)
         else:
-            z = _zeta_em(sigma, math.ldexp(0.5, math.frexp(math.exp(log_need + j * log_k))[1]))
-            value += z.value * K**-j
-            bound += z.error_bound * K**-j
+            z = _zeta_em(sigma, math.ldexp(0.5, math.frexp(math.exp(log_need + log_k_j))[1]))
+            value += z.value * k_j
+            bound += z.error_bound * k_j
         zs.append((value, bound))
     return tuple(zs)
 

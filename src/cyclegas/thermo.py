@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .bosefn import bose_g, zeta
+from .bosefn import _zeta_em, bose_g, zeta
 from .errors import CAPS, PrecisionError, ValidationError, check_cap
 
 INFINITE = math.inf
@@ -208,36 +209,69 @@ def _bracketed_root(
     b: float,
     tol_abs: float,
     u: tuple[Callable[[float], float], Callable[[float], float]] = (float, float),
+    start: Optional[tuple[float, float]] = None,
 ) -> tuple[float, float]:
     """The x between a and b where a decreasing f crosses zero, and f(x).
 
-    f(x) returns (value, error_bound); f has the sign of f_a at a, where it is
-    not evaluated, and the caller proves that f has the other sign at b.  The
-    bracket is narrowed by regula falsi with the Illinois modification (Dowell
-    & Jarratt, BIT 11, 168 (1971)), which halves the value kept at an end
-    retained twice in a row, in the coordinate u[0] (inverse u[1], by default
-    the identity) in which f is about linear; steps that leave the open
-    bracket bisect.  Returns the first evaluation, b's included, with
-    |f(x)| + error_bound <= tol_abs; PrecisionError after CAPS["root_evals"]
+    f(x) returns (value, error_bound); f_a is f's value at a, where f is not
+    evaluated, or NaN where it is not known, and the caller proves that f has
+    the other sign at b.  Steps are taken in the coordinate u[0] (inverse
+    u[1], by default the identity) in which f is about linear.  Without a
+    start, f(b) is evaluated first and the bracket is narrowed by regula falsi
+    with the Illinois modification (Dowell & Jarratt, BIT 11, 168 (1971)),
+    which halves the value kept at an end retained twice in a row.  With
+    start = (x0, slope), x0 in [a, b] and slope an estimate of df/du there,
+    f(x0) is evaluated first, the first step is Newton's with that slope and
+    each later one a secant through the last two evaluations; b is evaluated
+    only as the last candidate once the bracket is at float resolution.  A
+    step that leaves the open bracket, or a zero slope, falls back to the
+    Illinois step, and that to bisection where it leaves the bracket too or
+    an end's value is not known.  Returns the first evaluation with |f(x)| +
+    error_bound <= tol_abs; PrecisionError after CAPS["root_evals"]
     evaluations or at float resolution.
     """
     to_u, from_u = u
-    f_b, error = f(b)
-    if abs(f_b) + error <= tol_abs:
-        return b, f_b
+    x, slope = (b, None) if start is None else start
+    f_x, error = f(x)
+    if abs(f_x) + error <= tol_abs:
+        return x, f_x
+    f_b = f_x if start is None else math.nan  # NaN: an end not evaluated
     lo, hi, f_lo, f_hi = (a, b, f_a, f_b) if a < b else (b, a, f_b, f_a)
+    if start is not None:  # the start replaces the end on its side
+        if f_x > 0.0:
+            lo, f_lo = x, f_x
+        else:
+            hi, f_hi = x, f_x
+        u_x = to_u(x)
     kept = None  # the end the last step left in place
-    x = b
     for _ in range(CAPS["root_evals"].limit - 1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break  # bracket at floating-point resolution
+            # the bracket is at floating-point resolution: an end not
+            # evaluated is the last candidate
+            if math.isnan(f_lo) or math.isnan(f_hi):
+                x = hi if math.isnan(f_hi) else lo
+                f_x, error = f(x)
+                if abs(f_x) + error <= tol_abs:
+                    return x, f_x
+            break
         u_lo, u_hi = to_u(lo), to_u(hi)
-        step = from_u(u_lo + f_lo * (u_hi - u_lo) / (f_lo - f_hi))
-        x = step if lo < step < hi else mid
+        step = math.nan
+        if slope:  # Newton's step with the start's slope, then the secant's
+            v = u_x - f_x / slope
+            if (v - u_lo) * (v - u_hi) < 0.0:
+                step = from_u(v)
+        if not lo < step < hi:  # Illinois, which a NaN end turns into bisection
+            step = from_u(u_lo + f_lo * (u_hi - u_lo) / (f_lo - f_hi))
+            if not lo < step < hi:
+                step = mid
+        x, f_prev = step, f_x
         f_x, error = f(x)
         if abs(f_x) + error <= tol_abs:
             return x, f_x
+        if slope is not None:  # the secant through the last two evaluations
+            u_prev, u_x = u_x, to_u(x)
+            slope = (f_x - f_prev) / (u_x - u_prev) if u_x != u_prev else 0.0
         if f_x > 0.0:
             lo, f_lo = x, f_x
             if kept == "hi":
@@ -251,12 +285,112 @@ def _bracketed_root(
     raise PrecisionError(f"root not certified to {tol_abs:.3g}: last step {x!r} in [{lo!r}, {hi!r}]")
 
 
+# The seed's float model of g_s switches from the small-alpha expansion to the
+# e^-alpha series at _SEED_SWITCH; with _SEED_TERMS terms each, both are
+# within about 1e-11 relative of g_s there, where they are worst.
+_SEED_SWITCH = 1.5
+_SEED_TERMS = 16
+_SEED_NEWTON = 8  # at most; 6 sufficed at d = 1, 3-6, 8 on 20 targets a decade over the floats
+
+
+def _horner(coefficients: tuple[float, ...], x: float) -> float:
+    """sum_k coefficients[k] x^k."""
+    total = 0.0
+    for c in reversed(coefficients):
+        total = total * x + c
+    return total
+
+
+@lru_cache(maxsize=64)
+def _g_model_terms(s: float) -> tuple[tuple[float, ...], tuple[float, ...], float, Optional[float]]:
+    """The constants of _g_model at order s: (small, large, singular, harmonic).
+
+    small holds zeta(s - k) (-1)^k / k! for k = 0.._SEED_TERMS, 0 at the pole
+    s - k = 1, and large j^-s for j = 1.._SEED_TERMS; singular is Gamma(1 - s),
+    or (-1)^n / n! at integer s = n + 1, where harmonic is H_n (else None).
+    The zetas come from bosefn's memoised _zeta_em, to 2^-40: the model needs
+    a few digits, not a certificate.
+    """
+    small = tuple(
+        0.0 if s - k == 1.0 else (-1.0) ** k * _zeta_em(s - k, 2.0**-40).value / math.factorial(k)
+        for k in range(_SEED_TERMS + 1)
+    )
+    large = tuple(j**-s for j in range(1, _SEED_TERMS + 1))
+    if s != round(s):
+        return small, large, math.gamma(1.0 - s), None
+    n = round(s) - 1
+    return small, large, (-1.0) ** n / math.factorial(n), math.fsum(1.0 / m for m in range(1, n + 1))
+
+
+def _g_model(s: float, alpha: float) -> float:
+    """A float model of g_s(alpha), alpha > 0, s a multiple of 1/2 that is not 0 or below -1/2.
+
+    Below _SEED_SWITCH it is Robinson's expansion (Phys. Rev. 83, 678 (1951))
+    cut after _SEED_TERMS terms: the singular term Gamma(1-s) alpha^(s-1), or
+    (-alpha)^(s-1) / (s-1)! (H_(s-1) - log alpha) at integer s, plus
+    sum_k zeta(s - k) (-alpha)^k / k!; from there on the series
+    sum_j j^-s e^(-alpha j) cut after as many terms.  Its derivative in alpha
+    is -_g_model(s - 1, alpha).
+    """
+    small, large, singular, harmonic = _g_model_terms(s)
+    if alpha >= _SEED_SWITCH:
+        y = math.exp(-alpha)
+        return y * _horner(large, y)
+    singular *= alpha ** (s - 1.0)
+    if harmonic is not None:
+        singular *= harmonic - math.log(alpha)
+    return singular + _horner(small, alpha)
+
+
+def _root_seed(
+    s: float,
+    target: float,
+    a: float,
+    b: float,
+    u: tuple[Callable[[float], float], Callable[[float], float]],
+    dalpha_du: Callable[[float], float],
+) -> tuple[float, float]:
+    """A start (alpha0, slope) for _bracketed_root on g_s(alpha) - target, alpha0 in [a, b].
+
+    alpha0 is the root of _g_model, by Newton's method in the coordinate u of
+    the root solve from the inverse of the model's leading terms.  It stops
+    after a step of at most 1e-6 relative, which leaves about 1e-12.  alpha0
+    is clamped into [a, b], and slope is the model's derivative in u there.
+    """
+    to_u, from_u = u
+    small, _, singular, _ = _g_model_terms(s)
+    gap = small[0] - target  # zeta(s) - target
+    if target <= math.exp(-_SEED_SWITCH):  # g_s ~ e^-alpha
+        alpha = -math.log(target)
+    elif s < 2.0:  # g_s ~ Gamma(1-s) alpha^(s-1) + zeta(s)
+        alpha = (-gap / singular) ** (1.0 / (s - 1.0))
+    else:  # g_s ~ zeta(s) - zeta(s-1) alpha; at s = 2, zeta(1) is the pole and 1 stands in
+        alpha = gap / (-small[1] or 1.0)
+    for _ in range(_SEED_NEWTON):
+        v = to_u(alpha)
+        step = (_g_model(s, alpha) - target) / (-_g_model(s - 1.0, alpha) * dalpha_du(alpha))
+        if not v - step > 0.0:
+            break
+        alpha = from_u(v - step)
+        if abs(step) <= 1e-6 * v:
+            break
+    # within a few ulps of b the model cannot tell the root from b (t - g(b),
+    # about t^2, is below the float resolution of t), and b is the root
+    alpha = b if alpha >= b - 4.0 * math.ulp(b) else max(alpha, a)
+    return alpha, -_g_model(s - 1.0, alpha) * dalpha_du(alpha)
+
+
 def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> float:
     """The unique alpha > 0 with g_{d/2}(alpha) = rho (4 pi beta)^(d/2).
 
-    d = 2 inverts g_1 in closed form; d = 1 and d >= 3 narrow a bracket whose
-    ends analytic bounds on g_{d/2} prove: [0, log1p(1/target)] at d >= 3,
-    where g_{d/2}(0) = zeta(d/2) lies above the target.
+    d = 2 inverts g_1 in closed form.  d = 1 and d >= 3 narrow a bracket
+    whose ends analytic bounds on g_{d/2} prove: [0, log1p(1/target)] at
+    d >= 3, where g_{d/2}(0) = zeta(d/2) lies above the target.  They start
+    from _root_seed, the root of a float model of g_{d/2}, and take secant
+    steps in the coordinate where g_{d/2} is about linear: sqrt(alpha) at
+    d >= 3, alpha^(-1/2) at d = 1.  The seed changes only where the root is
+    looked for: every evaluation lies in the bracket, and the root is still
+    the first one certified to tol.
     """
     target = _density_scale(d, rho, factor)
     if d == 2:  # g_1(alpha) = -log(1 - e^-alpha), checked at the float alpha
@@ -264,24 +398,34 @@ def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> 
         if not (alpha > 0.0 and abs(_log1mexp(alpha) + target) <= tol * target):
             raise PrecisionError(f"alpha is not certified to {tol} in floats at d=2, rho={rho}")
         return alpha
+    s = d / 2.0
     inner = max(tol * target / 8.0, 1e-14)
 
     def excess(alpha: float) -> tuple[float, float]:
-        g = bose_g(d / 2.0, alpha, inner)
+        g = bose_g(s, alpha, inner)
         return g.value - target, g.error_bound
 
     # g_s(alpha) < sum_k e^(-alpha k) = 1/(e^alpha - 1) term by term, so g_s < target at b
     b = math.log1p(1.0 / target)
     if d >= 3:
-        return _bracketed_root(excess, 0.0, rho_c * factor - target, b, tol * target)[0]
-    # sqrt(pi/alpha) - 2 < g_(1/2)(alpha) < sqrt(pi/alpha) by integral comparison and
-    # e^-alpha < g_(1/2)(alpha) term by term; dividing twice cannot overflow
-    a = max(math.pi / (target + 2.0) / (target + 2.0), -math.log(target))
-    b = min(math.pi / target / target, b)
-    if a == 0.0:
-        raise PrecisionError(f"alpha underflows at d=1, rho={rho}")
-    u = (lambda x: x**-0.5, lambda v: v**-2.0)  # in which g_(1/2) is about linear
-    return _bracketed_root(excess, a, excess(a)[0], b, tol * target, u)[0]
+        a, f_a = 0.0, rho_c * factor - target
+        u = (math.sqrt, lambda v: v * v)
+        dalpha_du = lambda alpha: 2.0 * math.sqrt(alpha)
+    else:
+        # sqrt(pi/alpha) - 2 < g_(1/2)(alpha) < sqrt(pi/alpha) by integral comparison and
+        # e^-alpha < g_(1/2)(alpha) term by term; dividing twice cannot overflow
+        a = max(math.pi / (target + 2.0) / (target + 2.0), -math.log(target))
+        b = min(math.pi / target / target, b)
+        if a == 0.0:
+            raise PrecisionError(f"alpha underflows at d=1, rho={rho}")
+        f_a = math.nan  # positive, and not evaluated
+        u = (lambda x: x**-0.5, lambda v: v**-2.0)
+        dalpha_du = lambda alpha: -2.0 * alpha**1.5
+    try:
+        start = _root_seed(s, target, a, b, u, dalpha_du)
+    except OverflowError:  # d = 1 past t = 1e102: alpha^(-3/2) in the model's slope
+        start = None
+    return _bracketed_root(excess, a, f_a, b, tol * target, u, start)[0]
 
 
 def solve_alpha(params: SystemParams, tol: float = _DEFAULT_TOL) -> ThermoSolution:

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cyclegas import polylog
+from cyclegas import bosefn, polylog
 from cyclegas.bosefn import BoseEval
 from cyclegas.errors import ValidationError
 
@@ -86,6 +86,24 @@ class TestTruncatedPolylog:
                 with mpmath.workdps(40):
                     want = mpmath.zeta(s) - mpmath.zeta(s, K + 1)
                 assert abs(t.value - float(want)) <= t.error_bound + 8 * U * t.value
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.0])
+    def test_truncated_zetas_step_the_rising_factorials_down(self, monkeypatch, s):
+        # each order's (sigma)_i n^-i, built from the order above it, is the
+        # direct product bosefn._rising(sigma, n) to rounding: about 2u per
+        # factor, 13 factors (s = 2 passes sigma = 0, whose entries are 0)
+        em_bracket, orders = polylog._em_bracket, []
+
+        def checking(sigma, lam, n, rising):
+            direct = bosefn._rising(sigma, n)
+            assert len(rising) == len(direct)
+            assert all(abs(r - d) <= 32 * U * abs(d) for r, d in zip(rising, direct)), sigma
+            orders.append(sigma)
+            return em_bracket(sigma, lam, n, rising)
+
+        monkeypatch.setattr(polylog, "_em_bracket", checking)
+        polylog._truncated_zetas.__wrapped__(s, 2000, 511, 1e-17)
+        assert orders == [s - j for j in range(512)]
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.5, 5.0])
     @pytest.mark.parametrize("z", [1.0, 3.0, 30.0])

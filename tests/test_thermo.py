@@ -273,8 +273,8 @@ class TestSolveAlpha:
         brackets = []
         bracketed_root = thermo._bracketed_root
 
-        def recording(f, a, f_a, b, tol_abs, u=(float, float)):
-            root = bracketed_root(f, a, f_a, b, tol_abs, u)
+        def recording(f, a, f_a, b, tol_abs, u=(float, float), start=None):
+            root = bracketed_root(f, a, f_a, b, tol_abs, u, start)
             brackets.append((f, a, b, tol_abs, root[0]))
             return root
 
@@ -297,9 +297,9 @@ class TestSolveAlpha:
         calls, brackets = [], []
         bracketed_root = thermo._bracketed_root
 
-        def recording(f, a, f_a, b, tol_abs, u=(float, float)):
+        def recording(f, a, f_a, b, tol_abs, u=(float, float), start=None):
             brackets.append((a, b))
-            return bracketed_root(f, a, f_a, b, tol_abs, u)
+            return bracketed_root(f, a, f_a, b, tol_abs, u, start)
 
         def recording_bose_g(s, alpha, *args, **kwargs):
             calls.append(alpha)
@@ -313,6 +313,72 @@ class TestSolveAlpha:
             solve_alpha(SystemParams(d, 1.0, rho), tol)
             [(a, b)] = brackets
             assert calls and all(a <= alpha <= b for alpha in calls), (rho, a, b, calls)
+
+    @staticmethod
+    def _root_evaluations(monkeypatch):
+        """(params, tol) -> the g_{d/2} evaluations of one solve_alpha, the energy term's excluded."""
+        calls = []
+
+        def counting_bose_g(s, *args, **kwargs):
+            calls.append(s)
+            return bose_g(s, *args, **kwargs)
+
+        monkeypatch.setattr(thermo, "bose_g", counting_bose_g)
+
+        def evaluations(params, tol):
+            calls.clear()
+            solve_alpha(params, tol)
+            return calls.count(params.d / 2.0)
+
+        return evaluations
+
+    # the most root evaluations on the ladder below; the seeded secant took at
+    # most 2 at every density, where Illinois regula falsi from b took up to 27
+    _LADDER_EVALS_CAP = 4
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-4])
+    @pytest.mark.parametrize("d", [1, 3, 4, 5])
+    def test_ladder_roots_take_few_evaluations(self, monkeypatch, d, tol):
+        # every density of the ladder certifies (PrecisionError would fail
+        # the test), from the seed, within the cap
+        evaluations = self._root_evaluations(monkeypatch)
+        counts = [evaluations(SystemParams(d, 1.0, rho), tol) for rho in self._bracket_ladder(d)]
+        assert max(counts) <= self._LADDER_EVALS_CAP, max(counts)
+
+    @pytest.mark.parametrize("d, mean_cap", [(1, 4.0), (3, 3.5)])
+    def test_root_evaluations_on_the_phase_grid_strata(self, monkeypatch, d, mean_cap):
+        # the benchmark's phase-grid strata at their midpoints, tol 1e-10: at
+        # d = 3, rho / rho_c in 0.05..0.95 and the band 0.990..0.999; at d = 1,
+        # g_(1/2)(alpha) from 0.05 to 12.  Illinois regula falsi took about 10
+        # evaluations a root at d = 3 and 6 at d = 1
+        edges = [0.05 + 0.06 * i for i in range(16)]
+        ratios = [(lo + hi) / 2.0 for lo, hi in zip(edges, edges[1:])]
+        ratios += [0.990, 0.9905, 0.991, 0.9915] + [0.992 + 0.001 * i for i in range(8)]
+        edges = [0.05, 0.1, 0.2, 0.5, 1, 2, 4, 8, 12]
+        targets = [math.sqrt(lo * hi) for lo, hi in zip(edges, edges[1:])]
+        evaluations, counts = self._root_evaluations(monkeypatch), []
+        for beta in (BETA_UNIT, 0.25, 1.0):
+            if d == 3:
+                rhos = [r * critical_density(3, beta) for r in ratios]
+            else:
+                rhos = [g / thermal_factor(1, beta) for g in targets]
+            counts += [evaluations(SystemParams(d, beta, rho), 1e-10) for rho in rhos]
+        assert sum(counts) / len(counts) <= mean_cap, counts
+        # the seed's model is within the certificate: most roots are its first evaluation
+        assert counts.count(1) >= 0.9 * len(counts), counts
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-4])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_ladder_roots_match_polylog(self, d, tol):
+        # every eighth density: |g_{d/2}(alpha) - t| <= tol t against a
+        # 40-digit polylog, with no allowance for rounding
+        factor = thermal_factor(d, 1.0)
+        for rho in self._bracket_ladder(d)[::8]:
+            alpha = solve_alpha(SystemParams(d, 1.0, rho), tol).alpha
+            with mpmath.workdps(40):
+                target = mpmath.mpf(rho * factor)
+                g = mpmath.polylog(d / 2.0, mpmath.exp(-mpmath.mpf(alpha)))
+                assert abs(g - target) <= tol * target, (rho, alpha)
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-4])
     @pytest.mark.parametrize("d", [1, 2])
@@ -364,6 +430,57 @@ class TestSolveAlpha:
                 continue
             via_beta = "condensed" if beta > sol.beta_c else "normal"
             assert sol.regime == via_beta
+
+
+class TestSeededRoot:
+    """_bracketed_root from a start (x0, slope): the fallbacks that a good seed never needs."""
+
+    @staticmethod
+    def _recorded(f):
+        calls = []
+
+        def recorded(x):
+            calls.append(x)
+            return f(x)
+
+        return recorded, calls
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -1e-300])
+    def test_a_useless_slope_falls_back_inside_the_bracket(self, slope):
+        # zero, of the wrong sign, or so flat that Newton's step leaves [0, 5]
+        f, calls = self._recorded(lambda x: (math.exp(-x) - 0.5, 0.0))
+        x, f_x = thermo._bracketed_root(f, 0.0, 0.5, 5.0, 1e-15, start=(3.0, slope))
+        assert abs(f_x) <= 1e-15 and x == pytest.approx(math.log(2.0))
+        assert calls[0] == 3.0 and all(0.0 < c < 5.0 for c in calls) and len(calls) <= 60
+
+    def test_later_steps_are_secants(self):
+        # a start slope 200 times too steep: Newton's steps with it would
+        # creep, the secant through the last two evaluations does not
+        f, calls = self._recorded(lambda x: (math.exp(-x) - 0.5, 0.0))
+        x, f_x = thermo._bracketed_root(f, 0.0, 0.5, 5.0, 1e-15, start=(3.0, -10.0))
+        assert abs(f_x) <= 1e-15 and len(calls) <= 10, calls
+
+    def test_a_step_past_u_zero_is_not_mirrored_into_the_bracket(self):
+        # in u = x^(-1/2), Newton's step from x0 = 2 lands at u = -0.6, which
+        # u[1] would map to x = 2.78 inside [1, 4]; it bisects to 3 instead
+        f, calls = self._recorded(lambda x: (3.0 - x, 0.0))
+        u = (lambda x: x**-0.5, lambda v: v**-2.0)
+        slope = 1.0 / (2.0**-0.5 + 0.6)
+        assert thermo._bracketed_root(f, 1.0, math.nan, 4.0, 1e-12, u, (2.0, slope)) == (3.0, 0.0)
+        assert calls == [2.0, 3.0]
+
+    def test_the_far_end_is_the_last_candidate(self):
+        # only b certifies; the start never evaluates it until the bracket
+        # reaches float resolution, and then once
+        f, calls = self._recorded(lambda x: (5.0 - x, 0.0))
+        assert thermo._bracketed_root(f, 0.0, 5.0, 5.0, 0.0, start=(1.0, -1.0)) == (5.0, 0.0)
+        assert calls.count(5.0) == 1 and calls[-1] == 5.0 and len(calls) <= 60
+
+    def test_no_candidate_left_raises(self):
+        f, calls = self._recorded(lambda x: (5.0 - x, 0.0))
+        with pytest.raises(PrecisionError):
+            thermo._bracketed_root(f, 0.0, 5.0, 5.0, -1.0, start=(1.0, -1.0))
+        assert calls.count(5.0) == 1
 
 
 class TestOptimalShape:
