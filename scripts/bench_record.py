@@ -3,6 +3,7 @@
 
     python scripts/bench_record.py 33                        # this checkout
     python scripts/bench_record.py 32 --checkout ../parent   # say, a git archive of the parent
+    python scripts/bench_record.py --compare BENCH_33.json BENCH_34.json
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` inside
 the checkout for every workload W of its BENCHMARK.json and every seed S of
@@ -14,6 +15,12 @@ every value; per run, its failed and attempted task counts and the provenance
 its result file carries (source sha256 and line count, versions, CPU, pins).
 The times are the harness's own, put at its reference host's speed by its
 probe.
+
+``--compare OLD NEW`` runs nothing: for each workload and end-to-end metric
+of two such files it prints both medians and their ratio NEW/OLD, and flags
+each change past the metric's bound in this repository's BENCHMARK.json
+("worse" or "better" by the metric's direction), and each workload whose
+share of failed tasks grew.  It exits 1 when anything got worse, else 0.
 """
 
 from __future__ import annotations
@@ -44,11 +51,45 @@ def summary(values: list[float], unit: str) -> dict:
     return {"unit": unit, "median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def compare(old_path: str, new_path: str, bench: dict) -> int:
+    """Print OLD and NEW medians per workload and metric; 1 if any got worse past its bound."""
+    with open(old_path) as fh:
+        old = json.load(fh)["workloads"]
+    with open(new_path) as fh:
+        new = json.load(fh)["workloads"]
+    worse = 0
+    for workload in (w["name"] for w in bench["workloads"]):
+        if workload not in old or workload not in new:
+            print(f"{workload}: not in both files")
+            continue
+        a, b = old[workload], new[workload]
+        share_a, share_b = a["failed"] / a["attempted"], b["failed"] / b["attempted"]
+        if share_b > share_a:
+            worse += 1
+            print(f"{workload} failed: {share_a:.4g} -> {share_b:.4g} of tasks  WORSE")
+        for m in bench["end_to_end"]:
+            x, y = a["metrics"][m["name"]]["median"], b["metrics"][m["name"]]["median"]
+            ratio = y / x if x else float("inf")
+            gain = ratio - 1.0 if m["better"] == "lower" else 1.0 - ratio
+            flag = "  WORSE" if gain > m["bound"] else "  better" if gain < -m["bound"] else ""
+            worse += flag == "  WORSE"
+            print(f"{workload} {m['name']}: {x:.6g} -> {y:.6g} {m['unit']}"
+                  f"  x{ratio:.3f} (bound {m['bound']:g}){flag}")
+    return 1 if worse else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("number", type=int, help="n of the BENCH_<n>.json to write")
+    ap.add_argument("number", type=int, nargs="?", help="n of the BENCH_<n>.json to write")
     ap.add_argument("--checkout", default=ROOT, help="the tree to measure (default: this one)")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two BENCH_*.json files instead of running")
     args = ap.parse_args(argv)
+    if args.compare:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+            return compare(*args.compare, json.load(fh))
+    if args.number is None:
+        ap.error("give the n of BENCH_<n>.json, or --compare OLD NEW")
 
     with open(os.path.join(args.checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)

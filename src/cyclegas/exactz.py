@@ -7,16 +7,17 @@ sum over all partitions of m obeys the cycle-index recursion
 m Z_m = sum_{k=1}^m k theta_k Z_{m-k}, theta_k = e^{c[k]}, which gives
 log Z and the exact occupation expectations in O(n^2).  The table c and a
 partition's log weight come from thermo, which the chain reads them from
-too, so the sampler does not import this module.  The recursion runs in log
-space over Python floats, each row one max shift and one math.fsum of the
-shifted exps streamed through map: at the n <= 70 of the public routes that
-beats NumPy, whose per-call cost exceeds a row's arithmetic.  Enumeration of the
-partitions (weighted_ensemble) and the sum over all n! permutations
-(brute_force_log_Z) stay on as independent oracles for small n.  The latter
-builds each permutation by insertion, element m going in as a fixed point or
-right after one of the m elements already placed; removing the largest
-element inverts the step, so every permutation is reached exactly once.  The
-free-space heat-kernel mass is used per cycle, with the confinement
+too, so the sampler does not import this module.  The recursion runs over
+Python floats in tilted linear space, each row one math.fsum of products
+streamed through map and one log, and falls back to log-space rows only
+where a row leaves the float range (see _log_Z_table): at the n <= 70 of
+the public routes that beats NumPy, whose per-call cost exceeds a row's
+arithmetic.  Enumeration of the partitions (weighted_ensemble) and the sum
+over all n! permutations (brute_force_log_Z) stay on as independent oracles
+for small n.  The latter builds each permutation by insertion, element m
+going in as a fixed point or right after one of the m elements already
+placed; removing the largest element inverts the step, so every permutation
+is reached exactly once.  The free-space heat-kernel mass is used per cycle, with the confinement
 correction exposed as a bracketing diagnostic rather than folded into the
 weights.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, sub
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import ValidationError, check_cap
@@ -37,6 +38,9 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .partitions import Partition
+
+# the range of a tilted row z_m that _log_Z_table keeps in linear space
+_Z_LOW, _Z_HIGH = 2.0**-600, 2.0**600
 
 
 def log_weight(lam: Partition, params: SystemParams) -> float:
@@ -122,16 +126,37 @@ def brute_force_log_Z(params: SystemParams) -> float:
 def _log_Z_table(c: list[float], n: int) -> list[float]:
     """log Z_m for m = 0..n from m Z_m = sum_{k=1}^m k e^{c[k]} Z_{m-k}, Z_0 = 1.
 
-    Each row is one max-shifted log-sum-exp over Python floats, so the table
-    stays finite where Z_m itself over- or underflows.  Row m pairs
-    log(k theta_k) with log Z_{m-k} by map over the reversed table, which
-    has exactly m entries then.
+    The rows run in tilted linear space: with mu = max_k c[k]/k the weights
+    kt[k] = k e^(c[k] - mu k) are at most k, so z_m = Z_m e^(-mu m) is at
+    most 1 (with every theta_k = 1 each permutation of m weighs 1/m!, so
+    Z_m = 1).  Row m is one exactly rounded math.fsum of the products
+    kt[k] z_{m-k}, streamed by map over the reversed table, over m, and
+    log Z_m = log z_m + mu m: no exp per term.  A weight or a product that
+    underflows is off by at most (k + 2) 2^-1075, under n^2 2^-1075 in a
+    row, so a row kept in linear space (m z_m > m 2^-600) loses at most
+    n 2^-475 to underflow, negligible against u = 2^-53 while
+    n^2 2^-1075 << u 2^-600, that is at any n a list can hold.  From the
+    first row whose z_m falls outside (2^-600, 2^600) (or is NaN) the rest
+    of the table runs in log space, each row one max-shifted log-sum-exp of
+    log(k theta_k) + log Z_{m-k}, finite where Z_m itself over- or
+    underflows.  That happens where one tilt cannot fit every row: at
+    extreme beta or rho, and past m of about 115 at d = 3, beta = 1/4pi in
+    both phases.
     """
-    log_k_theta = [math.log(k) + c[k] for k in range(1, n + 1)]
-    log_z = [0.0]
+    mu = max((c[k] / k for k in range(1, n + 1)), default=0.0)
+    kt = [k * math.exp(c[k] - mu * k) for k in range(1, n + 1)]
+    z = [1.0]
     for m in range(1, n + 1):
-        terms = list(map(add, log_k_theta, reversed(log_z)))
-        log_z.append(_logsumexp(terms) - math.log(m))
+        zm = math.fsum(map(mul, kt, reversed(z))) / m
+        if not _Z_LOW < zm < _Z_HIGH:
+            break
+        z.append(zm)
+    log_z = [math.log(zm) + mu * m for m, zm in enumerate(z)]
+    if len(z) <= n:
+        log_k_theta = [math.log(k) + c[k] for k in range(1, n + 1)]
+        for m in range(len(z), n + 1):
+            terms = list(map(add, log_k_theta, reversed(log_z)))
+            log_z.append(_logsumexp(terms) - math.log(m))
     return log_z
 
 
@@ -139,7 +164,7 @@ def exact_log_Z(params: SystemParams) -> float:
     """log of the partition-sum normalisation, by the cycle-index recursion.
 
     Exact up to rounding: the recursion sums the same weights as the
-    partition enumeration, in O(n^2) log-space operations, with the
+    partition enumeration, in O(n^2) operations, with the
     free-space heat-kernel mass per cycle.
     """
     c = _cycle_log_constants(params, "exact")

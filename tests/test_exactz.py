@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+from operator import add
 
 import mpmath
 import numpy as np
@@ -328,13 +329,44 @@ class TestExactLogZ:
             engine(SystemParams(3, 1.0, 1e-320, n=8))
 
 
-def mpmath_log_Z_table(c: list[float], n: int) -> list[mpmath.mpf]:
-    """log Z_m for m = 0..n by the same recursion on the same float c[k], at 40 digits.
+U = 2.0**-53
+NORMAL_EXP_MIN = math.log(2.0**-1022)  # exp(x) is a normal float from here up
+
+# the README's exact-z and converge points, all at n <= 70
+README_POINTS = [
+    (3, 1.0, 1.0),
+    (3, 0.0795775, 1.3),
+    (3, 0.07957747154594767, 1.306187674342744),
+    (3, 0.07957747154594767, 5.224750697370976),
+]
+
+# the corner grid: beta and rho from 1e-300 to 1e300, the refused points dropped
+CORNER_POWERS = (-300, -30, 0, 30, 300)
+
+
+def log_space_log_Z_table(c: list[float], n: int) -> list[float]:
+    """Oracle: the recursion wholly in log space, the row _log_Z_table runs once out of range.
+
+    Each row is one max-shifted log-sum-exp over Python floats, so the table
+    stays finite where Z_m itself over- or underflows.  Row m pairs
+    log(k theta_k) with log Z_{m-k} by map over the reversed table, which
+    has exactly m entries then.
+    """
+    log_k_theta = [math.log(k) + c[k] for k in range(1, n + 1)]
+    log_z = [0.0]
+    for m in range(1, n + 1):
+        terms = list(map(add, log_k_theta, reversed(log_z)))
+        log_z.append(_logsumexp(terms) - math.log(m))
+    return log_z
+
+
+def mpmath_log_Z_table(c: list[float], n: int, dps: int = 40) -> list[mpmath.mpf]:
+    """log Z_m for m = 0..n by the same recursion on the same float c[k], at dps digits.
 
     Run in linear space, m Z_m = sum_k k e^{c[k]} Z_{m-k}: an mpf exponent
     does not overflow, so no shift is needed.
     """
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         k_theta = [None] + [k * mpmath.exp(mpmath.mpf(c[k])) for k in range(1, n + 1)]
         z = [mpmath.mpf(1)]
         for m in range(1, n + 1):
@@ -342,39 +374,139 @@ def mpmath_log_Z_table(c: list[float], n: int) -> list[mpmath.mpf]:
         return [mpmath.log(x) for x in z]
 
 
+def table_and_first_log_row(monkeypatch, c: list[float], n: int) -> tuple[list[float], int]:
+    """_log_Z_table(c, n) and its first log-space row, n + 1 when every row is linear.
+
+    Each log-space row makes one call of exactz._logsumexp, which is counted.
+    """
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return _logsumexp(values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactz, "_logsumexp", counted)
+        table = _log_Z_table(c, n)
+    return table, n + 1 - len(calls)
+
+
+def a_priori_bounds(
+    c: list[float], n: int, ref: list[mpmath.mpf], first_log_row: int
+) -> list[float]:
+    """Bounds on |_log_Z_table(c, n)[m] - log Z_m|, m = 0..n, u = 2^-53.
+
+    Rows m < first_log_row run in tilted linear space.  With mu = max_k c[k]/k
+    (the table's float), x_k = fl(c[k] - fl(mu k)) and z_m = Z_m e^(-mu m):
+    - the weight kt_k = fl(k exp(x_k)) is off by u |mu k| (the product mu k),
+      u |x_k| (the subtraction), 2u (exp) and u (the factor k), relative;
+      z_m sums prod_k kt_k^r_k over the cycle types of m, whose
+      sum_k k r_k = m, so these move log z_m by at most m eta_m, with
+      eta_m = max_{k<=m} (|mu| + (|x_k| + 3)/k);
+    - each row's products, its exactly rounded fsum and its division by m
+      add 3u relative, and a row of positive terms inherits at most the
+      largest relative error of the rows it reads: 3u m by row m;
+    - log z_m adds 2u |log z_m|, mu m adds u |mu m|, their sum u |L_m|;
+    - a weight whose x_k is below log 2^-1022, or a subnormal product, is
+      off by at most (k + 2) 2^-1075 absolute.  With every z at most 1 and
+      m z_m > m 2^-600 in a linear row that is (m + 5) 2^-476 relative per
+      row, m (n + 5) 2^-476 by row m.
+    Rounding each 3 up to 4 covers the second-order terms.
+    The rows from first_log_row on run in log space.  Row m forms
+    t_k = a_k + L_{m-k} with a_k = log k + c[k], then
+    top + log fsum exp(t_k - top) - log m.  LSE is 1-Lipschitz in the largest
+    input change, so row m inherits at most max_{j<m} E_j from earlier rows
+    and adds its own rounding: a_k (<= u (log k + |a_k|)), t_k (<= u |t_k|),
+    t_k - top (<= 2u T_m relative to each exp, with T_m = max_k |t_k|), exp
+    (<= 2u), fsum (<= u), log (<= 2u log m), the add of top and the
+    subtraction of log m (<= u (|L_m| + log m) each).  With
+    M_m = max(T_m, |L_m|, max_k |a_k|) that is below 6u M_m + 5u log m + 3u;
+    8u (M_m + log m + 1) covers the second-order terms.
+    L_m, T_m and a_k are taken from the mpmath run.  first_log_row = 1 gives
+    the bound of the recursion run wholly in log space.
+    """
+    ref_f = [float(x) for x in ref]
+    with mpmath.workdps(40):
+        a = [0.0] + [float(mpmath.log(k) + mpmath.mpf(c[k])) for k in range(1, n + 1)]
+    big_a = max(abs(x) for x in a[1:])
+    mu = max(c[k] / k for k in range(1, n + 1))
+    eta = 0.0
+    bounds = [0.0]
+    for m in range(1, n + 1):
+        lm = ref_f[m]
+        if m < first_log_row:
+            x = c[m] - mu * m
+            if x >= NORMAL_EXP_MIN:
+                eta = max(eta, abs(mu) + (abs(x) + 4) / m)
+            row = U * (m * (eta + 4) + 2 * abs(lm - mu * m) + abs(mu * m) + abs(lm))
+            bounds.append(row + m * (n + 5) * 2.0**-476)
+        else:
+            t_max = max(abs(a[k] + ref_f[m - k]) for k in range(1, m + 1))
+            row = 8 * U * (max(t_max, abs(lm), big_a) + math.log(m) + 1)
+            bounds.append(max(bounds) + row)
+    return bounds
+
+
+def corner_points(d: int, n: int) -> list[tuple[float, float, list[float]]]:
+    """(beta, rho, c) over the corner grid where the exact route accepts the point."""
+    out = []
+    for eb in CORNER_POWERS:
+        for er in CORNER_POWERS:
+            beta, rho = 10.0**eb, 10.0**er
+            try:
+                out.append((beta, rho, _cycle_log_constants(SystemParams(d, beta, rho, n=n), "exact")))
+            except ValidationError:
+                pass
+    return out
+
+
 class TestLogZTable:
     @pytest.mark.parametrize("n", [70, 300])
     @pytest.mark.parametrize("rho_over_rho_c", [0.5, 2.0], ids=["normal", "condensed"])
-    def test_matches_a_40_digit_run_of_the_recursion(self, n, rho_over_rho_c):
-        # A priori bound, u = 2^-53.  Row m of the float table forms
-        # t_k = a_k + L_{m-k} with a_k = log k + c[k], then top + log fsum
-        # exp(t_k - top) - log m.  LSE is 1-Lipschitz in the largest input
-        # change, so row m inherits at most max_{j<m} E_j from earlier rows
-        # and adds its own rounding: a_k (<= u (log k + |a_k|)), t_k
-        # (<= u |t_k|), t_k - top (<= 2u T_m relative to each exp, with
-        # T_m = max_k |t_k|), exp (<= 2u), fsum (<= u), log (<= 2u log m),
-        # the add of top and the subtraction of log m (<= u (|L_m| + log m)
-        # each).  With M_m = max(T_m, |L_m|, max_k |a_k|) that is below
-        # 6u M_m + 5u log m + 3u; 8u (M_m + log m + 1) covers the
-        # second-order terms.  So E_n <= sum_m 8u (M_m + log m + 1), with
-        # T_m, L_m and a_k taken from the 40-digit run.
-        u = 2.0**-53
+    def test_matches_a_40_digit_run_of_the_recursion(self, n, rho_over_rho_c, monkeypatch):
         p = SystemParams(3, BETA_UNIT, rho_over_rho_c * critical_density(3, BETA_UNIT), n=n)
         c = _cycle_log_constants(p, "chain")
         ref = mpmath_log_Z_table(c, n)
-        with mpmath.workdps(40):
-            a = [0.0] + [float(mpmath.log(k) + mpmath.mpf(c[k])) for k in range(1, n + 1)]
-        ref_f = [float(x) for x in ref]
-        big_a = max(abs(x) for x in a[1:])
-        bounds = [0.0]
-        for m in range(1, n + 1):
-            t_max = max(abs(a[k] + ref_f[m - k]) for k in range(1, m + 1))
-            row = 8 * u * (max(t_max, abs(ref_f[m]), big_a) + math.log(m) + 1)
-            bounds.append(bounds[-1] + row)
-        got = _log_Z_table(c, n)
+        got, first_log = table_and_first_log_row(monkeypatch, c, n)
+        # every row of the n = 70 run is linear; past m of about 115 one tilt
+        # no longer fits, so the n = 300 run hands over to log space inside
+        # the table and its rows check both kinds on both sides of the switch
+        if n == 70:
+            assert first_log == n + 1
+        else:
+            assert 70 < first_log < n, first_log
+        bounds = a_priori_bounds(c, n, ref, first_log)
+        log_space = log_space_log_Z_table(c, n)
+        log_space_bounds = a_priori_bounds(c, n, ref, 1)
         assert len(got) == n + 1
         for m, (g, want, bound) in enumerate(zip(got, ref, bounds)):
             assert abs(g - want) <= bound, (m, g, float(want), bound)
+            assert abs(g - log_space[m]) <= bound + log_space_bounds[m], (m, first_log)
+        # no looser, at any row, than the bound of the rows run in log space
+        assert all(b <= o for b, o in zip(bounds, log_space_bounds)), first_log
+
+    @pytest.mark.parametrize("n", [9, 70])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_corner_grid_against_mpmath_and_the_log_space_recursion(self, d, n, monkeypatch):
+        points = corner_points(d, n)
+        assert len(points) >= 15, len(points)
+        for beta, rho, c in points:
+            got, first_log = table_and_first_log_row(monkeypatch, c, n)
+            ref = mpmath_log_Z_table(c, n, dps=60)
+            bounds = a_priori_bounds(c, n, ref, first_log)
+            log_space = log_space_log_Z_table(c, n)
+            log_space_bounds = a_priori_bounds(c, n, ref, 1)
+            for m in range(n + 1):
+                where = (beta, rho, m, first_log)
+                assert abs(got[m] - ref[m]) <= bounds[m], where
+                assert abs(log_space[m] - ref[m]) <= log_space_bounds[m], where
+                assert abs(got[m] - log_space[m]) <= bounds[m] + log_space_bounds[m], where
+
+    @pytest.mark.parametrize("point", README_POINTS, ids=lambda p: f"beta{p[1]:g}-rho{p[2]:g}")
+    def test_no_log_row_at_the_readme_points(self, point, monkeypatch):
+        for n in (8, 10, 20, 40, 60, 70):
+            c = _cycle_log_constants(SystemParams(*point, n=n), "exact")
+            assert table_and_first_log_row(monkeypatch, c, n)[1] == n + 1, n
 
 
 class TestConfinement:
