@@ -3,7 +3,9 @@
 
     python scripts/bench_record.py 33                        # this checkout
     python scripts/bench_record.py 32 --checkout ../parent   # say, a git archive of the parent
+    python scripts/bench_record.py 35 --parent ../parent     # this checkout and its parent, paired
     python scripts/bench_record.py --compare BENCH_33.json BENCH_34.json
+    python scripts/bench_record.py --compare BENCH_35.json   # its two sides
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` inside
 the checkout for every workload W of its BENCHMARK.json and every seed S of
@@ -16,11 +18,20 @@ its result file carries (source sha256 and line count, versions, CPU, pins).
 The times are the harness's own, put at its reference host's speed by its
 probe.
 
+``--parent CHECKOUT`` runs that checkout too, each seed's run of a workload
+back to back with the measured checkout's, the parent going first at the
+first, third, ... seed and second at the others, so that both sides see the
+same host.  The file then holds, per workload, the parent's side under
+"parent" (the same fields) and under "wins" the number of seeds at which the
+measured checkout beat the parent on each end-to-end metric.
+
 ``--compare OLD NEW`` runs nothing: for each workload and end-to-end metric
 of two such files it prints both medians and their ratio NEW/OLD, and flags
 each change past the metric's bound in this repository's BENCHMARK.json
 ("worse" or "better" by the metric's direction), and each workload whose
-share of failed tasks grew.  It exits 1 when anything got worse, else 0.
+share of failed tasks grew.  ``--compare FILE`` does the same for the parent
+side and the measured side of one file recorded with --parent, and prints
+each metric's wins.  It exits 1 when anything got worse, else 0.
 """
 
 from __future__ import annotations
@@ -51,12 +62,19 @@ def summary(values: list[float], unit: str) -> dict:
     return {"unit": unit, "median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(old_path: str, new_path: str, bench: dict) -> int:
-    """Print OLD and NEW medians per workload and metric; 1 if any got worse past its bound."""
+def compare(old_path: str, new_path: str | None, bench: dict) -> int:
+    """Print OLD and NEW medians per workload and metric; 1 if any got worse past its bound.
+
+    With new_path None, OLD is one file recorded with --parent: its parent
+    side against its own, with each metric's wins.
+    """
     with open(old_path) as fh:
         old = json.load(fh)["workloads"]
-    with open(new_path) as fh:
-        new = json.load(fh)["workloads"]
+    if new_path is None:
+        new, old = old, {w: entry["parent"] for w, entry in old.items()}
+    else:
+        with open(new_path) as fh:
+            new = json.load(fh)["workloads"]
     worse = 0
     for workload in (w["name"] for w in bench["workloads"]):
         if workload not in old or workload not in new:
@@ -73,63 +91,97 @@ def compare(old_path: str, new_path: str, bench: dict) -> int:
             gain = ratio - 1.0 if m["better"] == "lower" else 1.0 - ratio
             flag = "  WORSE" if gain > m["bound"] else "  better" if gain < -m["bound"] else ""
             worse += flag == "  WORSE"
+            wins = ""
+            if new_path is None:
+                wins = f"  wins {b['wins'][m['name']]}/{len(b['runs'])}"
             print(f"{workload} {m['name']}: {x:.6g} -> {y:.6g} {m['unit']}"
-                  f"  x{ratio:.3f} (bound {m['bound']:g}){flag}")
+                  f"  x{ratio:.3f} (bound {m['bound']:g}){flag}{wins}")
     return 1 if worse else 0
+
+
+def side(results: list[dict], bench: dict) -> dict:
+    """One checkout's runs of one workload: failed share, metric summaries, provenance."""
+    return {
+        "failed": sum(r["failed"] for r in results),
+        "attempted": sum(r["attempted"] for r in results),
+        "metrics": {
+            m["name"]: summary([r["metrics"][m["name"]]["value"] for r in results], m["unit"])
+            for m in bench["end_to_end"]
+        },
+        "runs": [
+            {"seed": r["seed"], "failed": r["failed"], "attempted": r["attempted"],
+             "provenance": r["provenance"]}
+            for r in results
+        ],
+    }
+
+
+def build_record(checkout: str, parent: str | None, bench: dict, runner=run) -> dict:
+    """Run every workload and seed in checkout (and parent, paired); the BENCH record."""
+    workloads = [w["name"] for w in bench["workloads"]]
+    trees = [checkout] if parent is None else [checkout, parent]
+    runs = [{w: [] for w in workloads} for _ in trees]
+    indexed = list(enumerate(trees))
+    for i, seed in enumerate(SEEDS):
+        for workload in workloads:
+            for j, tree in indexed if i % 2 else indexed[::-1]:
+                result = runner(tree, workload, seed, bench["run_seconds"])
+                runs[j][workload].append(result)
+                print(f"{workload} seed {seed} {tree}: failed {result['failed']}"
+                      f" of {result['attempted']}", file=sys.stderr)
+
+    record = {
+        "command": f"perfbench/run.py --workload W --seed S --seconds {bench['run_seconds']} --trace 0",
+        "seeds": list(SEEDS),
+        "workloads": {w: side(runs[0][w], bench) for w in workloads},
+    }
+    if parent is not None:
+        record["parent_first"] = [i % 2 == 0 for i in range(len(SEEDS))]
+        for w in workloads:
+            entry = record["workloads"][w]
+            entry["parent"] = side(runs[1][w], bench)
+            entry["wins"] = {}
+            for m in bench["end_to_end"]:
+                ours = entry["metrics"][m["name"]]["values"]
+                theirs = entry["parent"]["metrics"][m["name"]]["values"]
+                sign = 1 if m["better"] == "lower" else -1
+                entry["wins"][m["name"]] = sum(sign * (y - x) < 0 for x, y in zip(theirs, ours))
+    return record
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("number", type=int, nargs="?", help="n of the BENCH_<n>.json to write")
     ap.add_argument("--checkout", default=ROOT, help="the tree to measure (default: this one)")
-    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                    help="compare two BENCH_*.json files instead of running")
+    ap.add_argument("--parent", help="a second tree to run paired with the first, seed by seed")
+    ap.add_argument("--compare", nargs="+", metavar="FILE",
+                    help="compare OLD NEW, or one file's parent and measured sides, instead of running")
     args = ap.parse_args(argv)
     if args.compare:
+        if len(args.compare) > 2:
+            ap.error("--compare takes OLD NEW, or one file recorded with --parent")
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-            return compare(*args.compare, json.load(fh))
+            new = args.compare[1] if len(args.compare) == 2 else None
+            return compare(args.compare[0], new, json.load(fh))
     if args.number is None:
-        ap.error("give the n of BENCH_<n>.json, or --compare OLD NEW")
+        ap.error("give the n of BENCH_<n>.json, or --compare")
 
     with open(os.path.join(args.checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    workloads = [w["name"] for w in bench["workloads"]]
-    runs = {w: [] for w in workloads}
-    for seed in SEEDS:
-        for workload in workloads:
-            result = run(args.checkout, workload, seed, bench["run_seconds"])
-            runs[workload].append(result)
-            print(f"{workload} seed {seed}: failed {result['failed']} of {result['attempted']}",
-                  file=sys.stderr)
-
-    record = {
-        "command": f"perfbench/run.py --workload W --seed S --seconds {bench['run_seconds']} --trace 0",
-        "seeds": list(SEEDS),
-        "workloads": {
-            workload: {
-                "failed": sum(r["failed"] for r in results),
-                "attempted": sum(r["attempted"] for r in results),
-                "metrics": {
-                    m["name"]: summary([r["metrics"][m["name"]]["value"] for r in results], m["unit"])
-                    for m in bench["end_to_end"]
-                },
-                "runs": [
-                    {"seed": r["seed"], "failed": r["failed"], "attempted": r["attempted"],
-                     "provenance": r["provenance"]}
-                    for r in results
-                ],
-            }
-            for workload, results in runs.items()
-        },
-    }
+    record = build_record(args.checkout, args.parent, bench)
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     for workload, entry in record["workloads"].items():
         for name, m in entry["metrics"].items():
-            print(f"{workload} {name}: median {m['median']:.6g} {m['unit']}"
-                  f" (quartiles {m['q1']:.6g} to {m['q3']:.6g})")
+            line = (f"{workload} {name}: median {m['median']:.6g} {m['unit']}"
+                    f" (quartiles {m['q1']:.6g} to {m['q3']:.6g})")
+            if "parent" in entry:
+                p = entry["parent"]["metrics"][name]
+                line += (f"; parent {p['median']:.6g} ({p['q1']:.6g} to {p['q3']:.6g}),"
+                         f" wins {entry['wins'][name]}/{len(SEEDS)}")
+            print(line)
     print(f"wrote {path}")
     return 0
 

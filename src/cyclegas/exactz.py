@@ -15,9 +15,16 @@ the public routes that beats NumPy, whose per-call cost exceeds a row's
 arithmetic.  Enumeration of the partitions (weighted_ensemble) and the sum
 over all n! permutations (brute_force_log_Z) stay on as independent oracles
 for small n.  The latter builds each permutation by insertion, element m
-going in as a fixed point or right after one of the m elements already
+going in as a fixed point or right after one of the m - 1 elements already
 placed; removing the largest element inverts the step, so every permutation
-is reached exactly once.  The free-space heat-kernel mass is used per cycle, with the confinement
+is reached exactly once, and the L places inside an L-cycle give identical
+subtrees, walked once and copied.  Its n! terms are products of floats
+under a depth tilt: at depth m each is scaled by e^(-M_m), M_m the largest
+log weight of a permutation of m elements, which the identity or the
+m-cycle attains because a k-cycle's log weight per element peaks at k = 1
+or k = m.  So every term is at most 1, and the terms go to one math.fsum
+(the bound on what underflow loses is derived in brute_force_log_Z).  The
+free-space heat-kernel mass is used per cycle, with the confinement
 correction exposed as a bracketing diagnostic rather than folded into the
 weights.
 """
@@ -64,50 +71,41 @@ def _logsumexp(values: Sequence[float]) -> float:
 def _insertion_walk(
     lengths: list[int],
     w: float,
-    left: int,
-    t1: float,
-    grow: list[float],
+    m: int,
+    fix: list[float],
+    grow: list[list[float]],
     out: list[float],
 ) -> None:
-    """Append to out the log weight of every completion of one permutation.
+    """Append to out the tilted weight of every completion of one permutation.
 
-    That permutation has cycle lengths `lengths` and log weight w, and
-    `left` elements are still to place.  A new fixed point adds t1; each of
-    the L places inside a cycle of length L adds grow[L] = t[L+1] - t[L].
-    Module level with its state in the arguments: a self-calling closure
-    would be a reference cycle holding `out` until the cyclic collector ran.
+    That permutation of m - 1 elements has cycle lengths `lengths` and
+    tilted weight w; element m goes in next, and the walk ends at
+    n = len(fix) - 1 elements.  As a new fixed point element m multiplies w
+    by fix[m]; in each of the L places inside a cycle of length L, by
+    grow[m][L].  Those L places give the same subtree, so one is walked and
+    its terms are copied L - 1 times.  Module level with its state in the
+    arguments: a self-calling closure would be a reference cycle holding
+    `out` until the cyclic collector ran.
     """
-    if left == 1:
-        out.append(w + t1)
+    g = grow[m]
+    if m == len(fix) - 1:
+        out.append(w * fix[m])
         for L in lengths:
-            out.extend([w + grow[L]] * L)
+            out.extend([w * g[L]] * L)
         return
     lengths.append(1)
-    _insertion_walk(lengths, w + t1, left - 1, t1, grow, out)
+    _insertion_walk(lengths, w * fix[m], m + 1, fix, grow, out)
     lengths.pop()
-    for i in range(len(lengths)):
-        L = lengths[i]
+    for i, L in enumerate(lengths):
         lengths[i] = L + 1
-        x = w + grow[L]
-        for _ in range(L):
-            _insertion_walk(lengths, x, left - 1, t1, grow, out)
+        start = len(out)
+        _insertion_walk(lengths, w * g[L], m + 1, fix, grow, out)
+        out.extend(out[start:] * (L - 1))
         lengths[i] = L
 
 
-def brute_force_log_Z(params: SystemParams) -> float:
-    """Oracle: the permutation-sum normalisation, one term per permutation.
-
-    Each permutation contributes the product over its cycles of
-    |V| (4 pi beta k)^(-d/2); the total is divided by n!.  The permutations
-    of 0..n-1 are built by insertion: element m joins a permutation of
-    0..m-1 as a new fixed point or right after one of the m elements already
-    placed, inside that element's cycle.  Removing the largest element undoes
-    the step, so the n! insertion sequences give n! distinct permutations,
-    and the depth-first walk sends one log weight per permutation to the
-    log-sum-exp.  The cycle weight is written out here, not taken from
-    _cycle_log_constants, so that the oracle stays independent of the
-    recursion it checks.
-    """
+def _permutation_weights(params: SystemParams) -> tuple[list[float], float]:
+    """The n! tilted permutation weights e^(W(sigma) - M_n), and M_n (see brute_force_log_Z)."""
     n = _require_n(params)
     check_cap("permutations", n)
     log_v = math.log(params.volume)
@@ -116,11 +114,91 @@ def brute_force_log_Z(params: SystemParams) -> float:
     t = [0.0] * (n + 1)
     for k in range(1, n + 1):
         t[k] = log_v - d_half * math.log(four_pi_beta * k)
+    top = [0.0] + [max(m * t[1], t[m]) for m in range(1, n + 1)]
+    shift = [0.0] + [top[m - 1] - top[m] for m in range(1, n + 1)]
+    fix = [0.0] + [math.exp(t[1] + s) for s in shift[1:]]
+    grow = [[0.0] + [math.exp(t[L + 1] - t[L] + s) for L in range(1, m)]
+            for m, s in enumerate(shift)]
+    out: list[float] = []
+    _insertion_walk([], 1.0, 1, fix, grow, out)
+    return out, top[n]
 
-    grow = [t[k + 1] - t[k] for k in range(n)]
-    per_perm: list[float] = []
-    _insertion_walk([], 0.0, n, t[1], grow, per_perm)
-    return _logsumexp(per_perm) - math.lgamma(n + 1)
+
+def brute_force_log_Z(params: SystemParams) -> float:
+    """Oracle: the permutation-sum normalisation, one term per permutation.
+
+    A permutation sigma of n elements weighs e^W(sigma), W(sigma) the sum
+    over its cycles of t[k] = log|V| - (d/2) log(4 pi beta k), and the total
+    is divided by n!.  The cycle weight is written out here, not taken from
+    _cycle_log_constants, so that the oracle stays independent of the
+    recursion it checks.  The permutations are built by insertion: element m
+    joins a permutation of the first m - 1 as a new fixed point or right
+    after one of the m - 1 elements already placed, inside that element's
+    cycle.  Removing the largest element undoes the step, so the n!
+    insertion sequences give n! distinct permutations, and the depth-first
+    walk appends one term per permutation; the L places inside an L-cycle
+    give identical subtrees, so one is walked and its terms copied.
+
+    The terms are products of floats under a depth tilt.  On real k,
+    (t[k]/k)' has the sign of (d/2) log k - t[1] - d/2, which rises with k,
+    so t[k]/k falls and then rises and on 1..m peaks at k = 1 or k = m.  A
+    permutation of m elements with cycle lengths k_i, sum_i k_i = m, has
+    W = sum_i k_i t[k_i]/k_i <= M_m = max(m t[1], t[m]), attained by the
+    identity or the m-cycle.  Once element m is in, the running weight is
+    e^(W - M_m) <= 1: a fixed point multiplies it by
+    e^(t[1] + M_(m-1) - M_m), growing an L-cycle by
+    e^(t[L+1] - t[L] + M_(m-1) - M_m).  The n! terms go to one exactly
+    rounded math.fsum, log Z = log fsum + M_n - log n!: no exp, max or
+    subtraction per permutation.  The dominant permutation's term is 1, so
+    the sum lies in [1, n!].  Rounding: the M_m telescope along a path, so
+    a term's relative error is the sum over its n steps of the roundings in
+    t[L+1] - t[L], M_(m-1) - M_m and their sum, the exp and the product.
+
+    Underflow.  A fixed-point step never exceeds 1: a permutation of m - 1
+    elements and a fixed point is one of m, so t[1] + M_(m-1) <= M_m.
+    M_m = m t[1] exactly when t[1] >= -(d/2) log(m)/(m - 1), a threshold
+    that rises with m, so M switches at most once, from the identity to the
+    cycle.  A growth step is largest at L = m - 1, and in each case (the
+    identity at m - 1 and m, the cycle at both, the switch) its exponent is
+    at most (d/2) kappa_m, kappa_m = log(m)/(m - 1) - log(m/(m - 1)) <=
+    kappa_5 < 0.1793.  So every step is at most e^(0.0897 d).  A running
+    weight or a step that rounds below 2^-1022 is off by at most 2^-1075,
+    which the at most n - 1 later steps grow by at most e^(0.0897 d (n - 1)):
+    a term loses at most 2n 2^-1075 e^(0.0897 d (n - 1)), below 2^-1000 for
+    d <= 60 at the cap n <= 9, against a sum of at least 1.  The dominant
+    path's running weight at depth m is at least e^(-0.0897 d (n - m)), as
+    its later steps bring it to 1, so it never underflows.  One tilt
+    mu = max_k t[k]/k for every depth (as _log_Z_table uses) would not do:
+    at d = 3, beta = 1e57, rho = 1e300, n = 8 the fixed point e^(t[1] - mu)
+    underflows to 0 before the growth steps that restore the dominant n-cycle.
+    """
+    weights, top = _permutation_weights(params)
+    return math.log(math.fsum(weights)) + top - math.lgamma(params.n + 1)
+
+
+def _tilted_rows(c: list[float], n: int) -> tuple[float, list[float]]:
+    """mu and the rows z_0, z_1, ... of _log_Z_table kept in tilted linear space."""
+    mu = max((c[k] / k for k in range(1, n + 1)), default=0.0)
+    kt = [k * math.exp(c[k] - mu * k) for k in range(1, n + 1)]
+    z = [1.0]
+    for m in range(1, n + 1):
+        zm = math.fsum(map(mul, kt, reversed(z))) / m
+        if not _Z_LOW < zm < _Z_HIGH:
+            break
+        z.append(zm)
+    return mu, z
+
+
+def _log_Z_n(c: list[float], n: int) -> float:
+    """_log_Z_table(c, n)[n], taking the log of row n alone when every row is linear.
+
+    Where a row leaves the linear range the table is rebuilt; its log-space
+    rows cost far more than the linear rows run twice.
+    """
+    mu, z = _tilted_rows(c, n)
+    if len(z) > n:
+        return math.log(z[n]) + mu * n
+    return _log_Z_table(c, n)[n]
 
 
 def _log_Z_table(c: list[float], n: int) -> list[float]:
@@ -143,14 +221,7 @@ def _log_Z_table(c: list[float], n: int) -> list[float]:
     extreme beta or rho, and past m of about 115 at d = 3, beta = 1/4pi in
     both phases.
     """
-    mu = max((c[k] / k for k in range(1, n + 1)), default=0.0)
-    kt = [k * math.exp(c[k] - mu * k) for k in range(1, n + 1)]
-    z = [1.0]
-    for m in range(1, n + 1):
-        zm = math.fsum(map(mul, kt, reversed(z))) / m
-        if not _Z_LOW < zm < _Z_HIGH:
-            break
-        z.append(zm)
+    mu, z = _tilted_rows(c, n)
     log_z = [math.log(zm) + mu * m for m, zm in enumerate(z)]
     if len(z) <= n:
         log_k_theta = [math.log(k) + c[k] for k in range(1, n + 1)]
@@ -168,7 +239,7 @@ def exact_log_Z(params: SystemParams) -> float:
     free-space heat-kernel mass per cycle.
     """
     c = _cycle_log_constants(params, "exact")
-    return _log_Z_table(c, params.n)[params.n]
+    return _log_Z_n(c, params.n)
 
 
 def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
@@ -185,8 +256,8 @@ def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
     x = params.d * n / (4.0 * params.beta)
     shift = _log1mexp(x)
     return {
-        "log_z": _log_Z_table(c, n)[n],
-        "log_z_lower": _log_Z_table([ck + shift for ck in c], n)[n],
+        "log_z": _log_Z_n(c, n),
+        "log_z_lower": _log_Z_n([ck + shift for ck in c], n),
         "max_shift": n * abs(shift),
     }
 

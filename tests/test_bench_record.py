@@ -1,4 +1,4 @@
-"""Tests for scripts/bench_record.py --compare on two hand-made BENCH files."""
+"""Tests for scripts/bench_record.py: --compare on hand-made BENCH files, and the paired parent runs."""
 
 import importlib.util
 import json
@@ -57,3 +57,53 @@ def test_a_larger_failed_share_is_worse(tmp_path, capsys):
     assert bench_record.compare(old, old, BENCH) == 0
     assert bench_record.compare(old, new, BENCH) == 1
     assert "slow failed: 0 -> 0.1 of tasks  WORSE" in capsys.readouterr().out
+
+
+def stub_runner(calls: list):
+    """A runner that records each call and returns a result whose wall_s sorts by tree."""
+
+    def runner(tree, workload, seed, seconds):
+        calls.append((tree, workload, seed))
+        wall = {"new": 1.0, "parent": 2.0}[tree] + seed / 100
+        if tree == "new" and seed == 3:
+            wall = 5.0  # the parent wins this pair
+        return {
+            "seed": seed, "failed": 0, "attempted": 4, "provenance": {"tree": tree},
+            "metrics": {"wall_s": {"value": wall}, "rate": {"value": 10.0}},
+        }
+
+    return runner
+
+
+def test_parent_runs_interleave_seed_by_seed(monkeypatch):
+    monkeypatch.setattr(bench_record, "SEEDS", (1, 2, 3, 4))
+    calls = []
+    bench = dict(BENCH, run_seconds=7)
+    record = bench_record.build_record("new", "parent", bench, stub_runner(calls))
+    # each seed runs both trees back to back for each workload, the parent
+    # first at the first and third seeds, second at the others
+    want = []
+    for seed, order in ((1, ("parent", "new")), (2, ("new", "parent")),
+                        (3, ("parent", "new")), (4, ("new", "parent"))):
+        for workload in ("fast", "slow"):
+            want += [(tree, workload, seed) for tree in order]
+    assert calls == want
+    assert record["parent_first"] == [True, False, True, False]
+    entry = record["workloads"]["fast"]
+    assert entry["metrics"]["wall_s"]["values"] == [1.01, 1.02, 5.0, 1.04]
+    assert entry["parent"]["metrics"]["wall_s"]["values"] == [2.01, 2.02, 2.03, 2.04]
+    assert entry["parent"]["runs"][0]["provenance"] == {"tree": "parent"}
+    # lower wall_s wins 3 of 4 pairs; an equal rate wins none
+    assert entry["wins"] == {"wall_s": 3, "rate": 0}
+
+
+def test_one_file_compares_its_two_sides(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_record, "SEEDS", (1, 2, 3, 4))
+    record = bench_record.build_record("new", "parent", dict(BENCH, run_seconds=7), stub_runner([]))
+    path = tmp_path / "paired.json"
+    path.write_text(json.dumps(record))
+    assert bench_record.compare(str(path), None, BENCH) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    # medians: parent 2.025, new 1.03; x0.509 is better past the 0.25 bound
+    assert lines["fast wall_s"] == "2.025 -> 1.03 s  x0.509 (bound 0.25)  better  wins 3/4"
+    assert lines["slow rate"] == "10 -> 10 1/s  x1.000 (bound 0.1)  wins 0/4"

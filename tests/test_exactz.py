@@ -1,9 +1,11 @@
 """Tests for the exact finite-n ensemble against its permutation oracle."""
 
+import functools
 import gc
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from operator import add
 
 import mpmath
@@ -69,20 +71,89 @@ def oracle_cycle_weights(params: SystemParams) -> list[float]:
     ]
 
 
-def itertools_log_weights(params: SystemParams) -> list[float]:
-    """Reference: one log weight per permutation, each walked for its cycles.
+@functools.lru_cache(maxsize=None)
+def itertools_cycle_types(n: int) -> dict[tuple[int, ...], int]:
+    """How many permutations of n elements have each cycle type.
 
-    itertools.permutations builds every element and cycle_lengths walks it,
-    independently of the oracle's insertion order.
+    itertools.permutations builds every permutation and cycle_lengths walks
+    it, independently of the oracle's insertion order.
+    """
+    return Counter(
+        tuple(sorted(cycle_lengths(perm))) for perm in itertools.permutations(range(n))
+    )
+
+
+# the spacing of the subnormal floats: a reference weight rounded there is
+# off by at most half of it, not by u relative
+SUBNORMAL_STEP = 2.0**-1074
+
+
+def itertools_tilted_weights(params: SystemParams, top: float) -> list[float]:
+    """Reference: one weight e^(W - top) per permutation, W summed over its cycles at 40 digits.
+
+    Every permutation of a cycle type has the same weight, computed once.
+    Each is the float nearest the 40-digit value: within u relative, or
+    SUBNORMAL_STEP / 2 absolute below 2^-1022.
     """
     t = oracle_cycle_weights(params)
-    out = []
-    for perm in itertools.permutations(range(params.n)):
-        w = 0.0
-        for length in cycle_lengths(perm):
-            w += t[length]
-        out.append(w)
+    out: list[float] = []
+    with mpmath.workdps(40):
+        for lengths, count in itertools_cycle_types(params.n).items():
+            w = mpmath.fsum(mpmath.mpf(t[k]) for k in lengths) - mpmath.mpf(top)
+            out.extend([float(mpmath.exp(w))] * count)
     return out
+
+
+def itertools_log_Z(params: SystemParams, dps: int = 40) -> mpmath.mpf:
+    """log of the mean of e^W over every permutation, at dps digits.
+
+    The float lgamma(n + 1) is subtracted, as the oracle does, so that its
+    own rounding cancels.
+    """
+    t = oracle_cycle_weights(params)
+    with mpmath.workdps(dps):
+        total = mpmath.fsum(
+            count * mpmath.exp(mpmath.fsum(mpmath.mpf(t[k]) for k in lengths))
+            for lengths, count in itertools_cycle_types(params.n).items()
+        )
+        return mpmath.log(total) - mpmath.mpf(math.lgamma(params.n + 1))
+
+
+def oracle_error_bounds(params: SystemParams, log_z: float) -> tuple[float, float, float]:
+    """A priori bounds on brute_force_log_Z: (term relative, term absolute, log Z).
+
+    With u = 2^-53, t the oracle's cycle weights and M_m = max(m t[1], t[m])
+    (the floats the oracle forms), element m multiplies the running weight
+    by e^x, x = fl(a + D_m), D_m = fl(M_(m-1) - M_m), a = t[1] for a new
+    fixed point or fl(t[L+1] - t[L]), L < m, for a grown L-cycle.  Along a
+    path the exact exponents a + M_(m-1) - M_m telescope to W - M_n, so a
+    term's relative error is the sum over its n steps of the exponent's
+    roundings, u|a| (growth only), u|D_m| and u|x|, with 2u for the exp and
+    u for the product; each step is bounded by its worst kind, and one more
+    u covers the second-order terms.  The first step is exact: M_1 = t[1],
+    so x = t[1] - t[1] = 0 and e^x = 1.  Underflow adds at most
+    2n 2^-1075 e^(0.0897 d (n - 1)) absolute to each term (the derivation in
+    brute_force_log_Z's docstring).  log Z = log fsum + M_n - lgamma(n + 1)
+    then adds, beside the term error and n! times the absolute loss on a sum
+    of at least 1: the fsum (u), the log of a sum in [1, n!]
+    (2u lgamma(n + 1)), the add of M_n (u (|log Z| + lgamma(n + 1))) and the
+    subtraction of lgamma (u |log Z|), and u for the second order.
+    """
+    n = params.n
+    t = oracle_cycle_weights(params)
+    top = [0.0] + [max(m * t[1], t[m]) for m in range(1, n + 1)]
+    rel = U
+    for m in range(2, n + 1):
+        shift = top[m - 1] - top[m]
+        steps = [abs(shift) + abs(t[1] + shift)] + [
+            abs(t[L + 1] - t[L]) + abs(shift) + abs(t[L + 1] - t[L] + shift)
+            for L in range(1, m)
+        ]
+        rel += U * (max(steps) + 3)
+    underflow = math.ldexp(2 * n * math.exp(0.0897 * params.d * (n - 1)), -1075)
+    lg = math.lgamma(n + 1)
+    log_bound = rel + math.factorial(n) * underflow + U * (2 + 3 * lg + 2 * abs(log_z))
+    return rel, underflow, log_bound
 
 
 def recursion_log_Z(params: SystemParams) -> float:
@@ -204,55 +275,69 @@ class TestBruteForceOracle:
             brute_force_log_Z(SystemParams(3, 1.0, 1.0, n=10))
 
     @staticmethod
-    def record_terms(monkeypatch) -> list[list[float]]:
-        sent: list[list[float]] = []
+    def record_terms(monkeypatch) -> list[tuple[list[float], float]]:
+        """Record each (terms, M_n) the oracle sums, at the seam that builds them."""
+        sent: list[tuple[list[float], float]] = []
+        build = exactz._permutation_weights
 
-        def recording_logsumexp(values):
-            sent.append(list(values))
-            return _logsumexp(values)
+        def recording(params):
+            terms, top = build(params)
+            sent.append((list(terms), top))
+            return terms, top
 
-        monkeypatch.setattr(exactz, "_logsumexp", recording_logsumexp)
+        monkeypatch.setattr(exactz, "_permutation_weights", recording)
         return sent
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_one_term_per_permutation(self, monkeypatch, n):
         sent = self.record_terms(monkeypatch)
         brute_force_log_Z(SystemParams(2, 0.5, 1.0, n=n))
-        assert [len(terms) for terms in sent] == [math.factorial(n)]
+        assert [len(terms) for terms, _ in sent] == [math.factorial(n)]
+
+    def check_against_itertools(self, monkeypatch, p: SystemParams, dps: int = 40) -> tuple[float, float]:
+        """Run the oracle at p and check it against the permutations itertools builds.
+
+        The terms, sorted, against one 40-digit weight per permutation under
+        the same M_n, and log Z against a dps-digit sum over the
+        permutations, each within the bounds of oracle_error_bounds.
+        Returns that log Z bound and the reference log Z.
+        """
+        sent = self.record_terms(monkeypatch)
+        got = brute_force_log_Z(p)
+        assert math.isfinite(got), p
+        assert len(sent) == 1
+        terms, top = sent[0]
+        t = oracle_cycle_weights(p)
+        assert len(terms) == math.factorial(p.n)
+        assert top == max(p.n * t[1], t[p.n])
+        want = float(itertools_log_Z(p, dps))
+        rel, underflow, log_bound = oracle_error_bounds(p, want)
+        ref = itertools_tilted_weights(p, top)
+        for a, b in zip(sorted(terms), sorted(ref)):
+            assert abs(a - b) <= (rel + U) * b + underflow + SUBNORMAL_STEP, (p, a, b)
+        assert abs(got - want) <= log_bound, (p, got - want, log_bound)
+        return log_bound, want
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_the_itertools_reference(self, monkeypatch, n):
-        # A priori bound, u = 2^-53, T = max_k |t[k]|.  An insertion term adds
-        # n increments onto 0.0: t[1] exactly or t[L+1] - t[L], rounded once
-        # (<= 2uT each), with n - 1 rounded additions whose partial sums are
-        # sums of t over at most n cycles (<= u nT each).  A reference term
-        # has at most n - 1 such additions.  So paired terms differ by at most
-        # (2n + 2(n - 1)n) uT = 2n^2 uT, plus uT for second-order slack.
-        # Sorting keeps that bound termwise, and the log-sum-exp is
-        # 1-Lipschitz in the largest term change.  Each log-sum-exp also
-        # rounds on its own: x - max (<= 2nTu), exp (<= 2u relative), a sum
-        # of N = n! positive terms in any order ((N - 1)u relative), the log
-        # (<= u log N), max + log (<= u (|log Z| + log n!)) and the lgamma
-        # subtraction (<= u |log Z|).
-        u = 2.0**-53
+        # The new bound must be no looser than the one the oracle had as a
+        # log-sum-exp of one log weight per permutation, u = 2^-53,
+        # T = max_k |t[k]|: an insertion term adds n increments onto 0.0
+        # (t[1] exactly or t[L+1] - t[L], rounded once, <= 2uT each) with
+        # n - 1 rounded additions (<= u nT each), a reference term has at
+        # most n - 1 such additions, so paired terms differ by at most
+        # (2n^2 + 1) uT; each log-sum-exp also rounds on its own: x - max
+        # (<= 2nTu), exp (<= 2u), a sum of N = n! positive terms in any order
+        # ((N - 1)u relative), the log (<= u log N), max + log
+        # (<= u (|log Z| + log n!)) and the lgamma subtraction (<= u |log Z|).
         n_terms = math.factorial(n)
         for d in (1, 2, 3):
             for beta in (0.25, 1.0):
                 for rho in (0.5, 2.0):
                     p = SystemParams(d, beta, rho, n=n)
-                    t = oracle_cycle_weights(p)
-                    big_t = max(abs(x) for x in t[1:])
-                    per_term = (2 * n * n + 1) * u * big_t
-                    sent = self.record_terms(monkeypatch)
-                    got = brute_force_log_Z(p)
-                    want_terms = itertools_log_weights(p)
-                    assert len(sent) == 1 and len(sent[0]) == n_terms
-                    gap = max(
-                        abs(a - b) for a, b in zip(sorted(sent[0]), sorted(want_terms))
-                    )
-                    assert gap <= per_term, (n, d, beta, rho, gap, per_term)
-                    want = _logsumexp(want_terms) - math.lgamma(n + 1)
-                    lse_rounding = u * (
+                    log_bound, want = self.check_against_itertools(monkeypatch, p)
+                    big_t = max(abs(x) for x in oracle_cycle_weights(p)[1:])
+                    old_bound = (2 * n * n + 1) * U * big_t + 2 * U * (
                         2 * n * big_t
                         + 2
                         + (n_terms - 1)
@@ -260,8 +345,7 @@ class TestBruteForceOracle:
                         + 2 * abs(want)
                         + math.lgamma(n + 1)
                     )
-                    bound = per_term + 2 * lse_rounding
-                    assert abs(got - want) <= bound, (n, d, beta, rho, got - want, bound)
+                    assert log_bound <= old_bound, (p, log_bound, old_bound)
 
     def test_no_reference_cycle_holds_the_terms(self):
         # a self-calling closure is a reference cycle that keeps each call's
@@ -283,6 +367,16 @@ class TestBruteForceOracle:
                 gc.enable()
         # one n!-long list holds 8 * 8! bytes of pointers alone
         assert grown < 8 * math.factorial(8) / 10, grown
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_corner_grid_against_mpmath(self, d, monkeypatch):
+        points = [(beta, rho, 7) for beta, rho, _ in corner_points(d, 7)]
+        assert len(points) >= 15, len(points)
+        if d == 3:
+            # one tilt for every depth underflows the fixed point here
+            points.append((1e57, 1e300, 8))
+        for beta, rho, n in points:
+            self.check_against_itertools(monkeypatch, SystemParams(d, beta, rho, n=n), dps=60)
 
 
 class TestExactLogZ:
