@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclegas import exactz
-from cyclegas.errors import CapError, ValidationError
+from cyclegas.errors import CapError, PrecisionError, ValidationError
 from cyclegas.exactz import (
     ScanRow,
     _log_Z_table,
     _logsumexp,
+    _tilt,
     brute_force_log_Z,
     confinement_log_Z_bracket,
     convergence_scan,
@@ -439,7 +440,7 @@ CORNER_POWERS = (-300, -30, 0, 30, 300)
 
 
 def log_space_log_Z_table(c: list[float], n: int) -> list[float]:
-    """Oracle: the recursion wholly in log space, the row _log_Z_table runs once out of range.
+    """Oracle: the recursion wholly in log space, one max-shifted log-sum-exp per row.
 
     Each row is one max-shifted log-sum-exp over Python floats, so the table
     stays finite where Z_m itself over- or underflows.  Row m pairs
@@ -458,56 +459,100 @@ def mpmath_log_Z_table(c: list[float], n: int, dps: int = 40) -> list[mpmath.mpf
     """log Z_m for m = 0..n by the same recursion on the same float c[k], at dps digits.
 
     Run in linear space, m Z_m = sum_k k e^{c[k]} Z_{m-k}: an mpf exponent
-    does not overflow, so no shift is needed.
+    does not overflow, so no shift is needed.  Each row is one mpmath.fdot,
+    which sums the products at the working precision, as fsum of the
+    products would, in 0.8 s at n = 1000 where that fsum took 1.4 s.
     """
     with mpmath.workdps(dps):
-        k_theta = [None] + [k * mpmath.exp(mpmath.mpf(c[k])) for k in range(1, n + 1)]
+        k_theta = [k * mpmath.exp(mpmath.mpf(c[k])) for k in range(1, n + 1)]
         z = [mpmath.mpf(1)]
         for m in range(1, n + 1):
-            z.append(mpmath.fsum(k_theta[k] * z[m - k] for k in range(1, m + 1)) / m)
+            z.append(mpmath.fdot(k_theta[:m], reversed(z)) / m)
         return [mpmath.log(x) for x in z]
 
 
-def table_and_first_log_row(monkeypatch, c: list[float], n: int) -> tuple[list[float], int]:
-    """_log_Z_table(c, n) and its first log-space row, n + 1 when every row is linear.
+def table_and_tilts(
+    monkeypatch, c: list[float], n: int
+) -> tuple[list[float], list[tuple[int, float, float]]]:
+    """_log_Z_table(c, n) and its tilts (m_s, a, b), m_s the first row each one runs.
 
-    Each log-space row makes one call of exactz._logsumexp, which is counted.
+    Each tilt makes one call of exactz._tilt, which is recorded: the seed at
+    m_s = 3 (2 at n = 1), then one per re-tilt row.
     """
-    calls = []
+    tilts = []
 
-    def counted(values):
-        calls.append(1)
-        return _logsumexp(values)
+    def recording(c, n, logs, m):
+        out = _tilt(c, n, logs, m)
+        tilts.append((m, *out[:2]))
+        return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(exactz, "_logsumexp", counted)
+        patch.setattr(exactz, "_tilt", recording)
         table = _log_Z_table(c, n)
-    return table, n + 1 - len(calls)
+    return table, tilts
 
 
 def a_priori_bounds(
-    c: list[float], n: int, ref: list[mpmath.mpf], first_log_row: int
+    c: list[float], n: int, ref: list[mpmath.mpf], tilts: list[tuple[int, float, float]]
 ) -> list[float]:
-    """Bounds on |_log_Z_table(c, n)[m] - log Z_m|, m = 0..n, u = 2^-53.
+    """A priori bounds on |_log_Z_table(c, n)[m] - log Z_m|, m = 0..n, as its docstring derives them.
 
-    Rows m < first_log_row run in tilted linear space.  With mu = max_k c[k]/k
-    (the table's float), x_k = fl(c[k] - fl(mu k)) and z_m = Z_m e^(-mu m):
-    - the weight kt_k = fl(k exp(x_k)) is off by u |mu k| (the product mu k),
-      u |x_k| (the subtraction), 2u (exp) and u (the factor k), relative;
-      z_m sums prod_k kt_k^r_k over the cycle types of m, whose
-      sum_k k r_k = m, so these move log z_m by at most m eta_m, with
-      eta_m = max_{k<=m} (|mu| + (|x_k| + 3)/k);
-    - each row's products, its exactly rounded fsum and its division by m
-      add 3u relative, and a row of positive terms inherits at most the
-      largest relative error of the rows it reads: 3u m by row m;
-    - log z_m adds 2u |log z_m|, mu m adds u |mu m|, their sum u |L_m|;
-    - a weight whose x_k is below log 2^-1022, or a subnormal product, is
-      off by at most (k + 2) 2^-1075 absolute.  With every z at most 1 and
-      m z_m > m 2^-600 in a linear row that is (m + 5) 2^-476 relative per
-      row, m (n + 5) 2^-476 by row m.
-    Rounding each 3 up to 4 covers the second-order terms.
-    The rows from first_log_row on run in log space.  Row m forms
-    t_k = a_k + L_{m-k} with a_k = log k + c[k], then
+    Segment s runs rows m_s..M_s under the tilt (a, b), with the floats
+    x_k = fl(c[k] - fl(a k)) the table forms.  Row m of it is off by at most
+    R_s + m eta_s + (m - m_s + 1)(5u + U_s) relative, with
+    - eta_s = u max_{k<=m} (|a| + (|x_k| + 4)/k) over the normal weights
+      (e^(x_k) >= 2^-1022), the weights' error, at most k eta_s each;
+    - R_s the largest of u(|x_j - b| + 4) over the segment's rows j <= m (the
+      Z_0 terms beyond their weight) and, for each row j < m_s rebuilt at the
+      re-tilt, E_j + u(|a j| + |L_j - a j| + |L_j - a j - b| + 4);
+    - 5u the products, fsum, add and division of a row, second order included;
+    - U_s = (n + 3)(Z_s + K_s + 2^450) 2^-624 what underflow loses from a row
+      in the band, Z_s and K_s the largest z_j = e^(L_j - a j - b), j < M_s,
+      and kt_k = k e^(x_k), k <= M_s, that the segment reads.
+    Its log then adds E_m - eps_m = u(2|L_m - a m - b| + |a m| + |L_m - b| + |L_m|).
+    Rows 1 and 2 are stored in closed form: log Z_1 = c[1] exactly (bounded
+    here by u |L_1|, the mpmath run's own digits aside), and log Z_2 =
+    max(t, c[2]) + log1p(e^(-|t - c[2]|)) with t = fl(2 c[1] - fl(log 2)) off
+    by at most u(2|t| + |t - c[2]| + |L_2| + 8): t's subtraction and log 2,
+    then the difference, exp, log1p and the final add.
+    L_m is taken from the mpmath run.
+    """
+    big_l = [float(x) for x in ref]
+    bounds = [0.0] * (n + 1)
+    bounds[1] = U * abs(big_l[1])
+    if n > 1:
+        t = 2.0 * c[1] - math.log(2.0)
+        bounds[2] = U * (2 * abs(t) + abs(t - c[2]) + abs(big_l[2]) + 8)
+    ends = [m_s for m_s, _, _ in tilts[1:]] + [n + 1]
+    log_band = 450 * math.log(2.0)
+    for (m_s, a, b), end in zip(tilts, ends):
+        x = [0.0] + [c[k] - a * k for k in range(1, n + 1)]
+        log_k = max(math.log(k) + x[k] for k in range(1, end))
+        log_z = max((big_l[j] - a * j - b for j in range(1, end - 1)), default=-math.inf)
+        under = (n + 3) * 3 * math.exp(max(log_k, log_z, log_band) - 624 * math.log(2.0))
+        r_s = max(
+            (bounds[j] + U * (abs(a * j) + abs(big_l[j] - a * j) + abs(big_l[j] - a * j - b) + 4)
+             for j in range(1, m_s)),
+            default=0.0,
+        )
+        eta = 0.0
+        for k in range(1, m_s):
+            if x[k] >= NORMAL_EXP_MIN:
+                eta = max(eta, abs(a) + (abs(x[k]) + 4) / k)
+        for m in range(m_s, end):
+            if x[m] >= NORMAL_EXP_MIN:
+                eta = max(eta, abs(a) + (abs(x[m]) + 4) / m)
+            r_s = max(r_s, U * (abs(x[m] - b) + 4))
+            lm = big_l[m]
+            eps = r_s + m * eta * U + (m - m_s + 1) * (5 * U + under)
+            bounds[m] = eps + U * (2 * abs(lm - a * m - b) + abs(a * m) + abs(lm - b) + abs(lm))
+    return bounds
+
+
+def log_space_a_priori_bounds(c: list[float], n: int, ref: list[mpmath.mpf]) -> list[float]:
+    """Bounds on |log_space_log_Z_table(c, n)[m] - log Z_m|, m = 0..n, u = 2^-53.
+
+    Row m forms t_k = a_k + L_{m-k} with a_k = log k + c[k], then
     top + log fsum exp(t_k - top) - log m.  LSE is 1-Lipschitz in the largest
     input change, so row m inherits at most max_{j<m} E_j from earlier rows
     and adds its own rounding: a_k (<= u (log k + |a_k|)), t_k (<= u |t_k|),
@@ -516,28 +561,18 @@ def a_priori_bounds(
     subtraction of log m (<= u (|L_m| + log m) each).  With
     M_m = max(T_m, |L_m|, max_k |a_k|) that is below 6u M_m + 5u log m + 3u;
     8u (M_m + log m + 1) covers the second-order terms.
-    L_m, T_m and a_k are taken from the mpmath run.  first_log_row = 1 gives
-    the bound of the recursion run wholly in log space.
+    L_m, T_m and a_k are taken from the mpmath run.
     """
     ref_f = [float(x) for x in ref]
     with mpmath.workdps(40):
         a = [0.0] + [float(mpmath.log(k) + mpmath.mpf(c[k])) for k in range(1, n + 1)]
     big_a = max(abs(x) for x in a[1:])
-    mu = max(c[k] / k for k in range(1, n + 1))
-    eta = 0.0
     bounds = [0.0]
     for m in range(1, n + 1):
         lm = ref_f[m]
-        if m < first_log_row:
-            x = c[m] - mu * m
-            if x >= NORMAL_EXP_MIN:
-                eta = max(eta, abs(mu) + (abs(x) + 4) / m)
-            row = U * (m * (eta + 4) + 2 * abs(lm - mu * m) + abs(mu * m) + abs(lm))
-            bounds.append(row + m * (n + 5) * 2.0**-476)
-        else:
-            t_max = max(abs(a[k] + ref_f[m - k]) for k in range(1, m + 1))
-            row = 8 * U * (max(t_max, abs(lm), big_a) + math.log(m) + 1)
-            bounds.append(max(bounds) + row)
+        t_max = max(abs(a[k] + ref_f[m - k]) for k in range(1, m + 1))
+        row = 8 * U * (max(t_max, abs(lm), big_a) + math.log(m) + 1)
+        bounds.append(max(bounds) + row)
     return bounds
 
 
@@ -554,30 +589,53 @@ def corner_points(d: int, n: int) -> list[tuple[float, float, list[float]]]:
     return out
 
 
+def phase_table_reference(rho_over_rho_c: float, n: int) -> tuple[list[float], list[mpmath.mpf]]:
+    """c at d = 3, beta = 1/4pi, rho = rho_over_rho_c rho_c, and its 40-digit log Z table."""
+    p = SystemParams(3, BETA_UNIT, rho_over_rho_c * critical_density(3, BETA_UNIT), n=n)
+    c = _cycle_log_constants(p, "chain")
+    return c, mpmath_log_Z_table(c, n)
+
+
+@pytest.fixture(scope="module")
+def n1000_references() -> dict[float, tuple[list[float], list[mpmath.mpf]]]:
+    """The n = 1000 references of both phases, built once (about a second for both)."""
+    return {r: phase_table_reference(r, 1000) for r in (0.5, 2.0)}
+
+
 class TestLogZTable:
     @pytest.mark.parametrize("n", [70, 300])
     @pytest.mark.parametrize("rho_over_rho_c", [0.5, 2.0], ids=["normal", "condensed"])
     def test_matches_a_40_digit_run_of_the_recursion(self, n, rho_over_rho_c, monkeypatch):
-        p = SystemParams(3, BETA_UNIT, rho_over_rho_c * critical_density(3, BETA_UNIT), n=n)
-        c = _cycle_log_constants(p, "chain")
-        ref = mpmath_log_Z_table(c, n)
-        got, first_log = table_and_first_log_row(monkeypatch, c, n)
-        # every row of the n = 70 run is linear; past m of about 115 one tilt
-        # no longer fits, so the n = 300 run hands over to log space inside
-        # the table and its rows check both kinds on both sides of the switch
+        c, ref = phase_table_reference(rho_over_rho_c, n)
+        got, tilts = table_and_tilts(monkeypatch, c, n)
+        retilts = [m for m, _, _ in tilts[1:]]
+        # every row of the n = 70 run keeps the seed tilt; past m of about 100
+        # the rows leave the band, so the n = 300 run re-tilts inside the
+        # table and its rows check both segments on both sides of the switch
         if n == 70:
-            assert first_log == n + 1
+            assert retilts == []
         else:
-            assert 70 < first_log < n, first_log
-        bounds = a_priori_bounds(c, n, ref, first_log)
+            assert retilts and all(70 < m < n for m in retilts), retilts
+        bounds = a_priori_bounds(c, n, ref, tilts)
         log_space = log_space_log_Z_table(c, n)
-        log_space_bounds = a_priori_bounds(c, n, ref, 1)
+        log_space_bounds = log_space_a_priori_bounds(c, n, ref)
         assert len(got) == n + 1
         for m, (g, want, bound) in enumerate(zip(got, ref, bounds)):
             assert abs(g - want) <= bound, (m, g, float(want), bound)
-            assert abs(g - log_space[m]) <= bound + log_space_bounds[m], (m, first_log)
+            assert abs(g - log_space[m]) <= bound + log_space_bounds[m], (m, retilts)
         # no looser, at any row, than the bound of the rows run in log space
-        assert all(b <= o for b, o in zip(bounds, log_space_bounds)), first_log
+        assert all(b <= o for b, o in zip(bounds, log_space_bounds)), retilts
+
+    @pytest.mark.parametrize("rho_over_rho_c", [0.5, 2.0], ids=["normal", "condensed"])
+    def test_every_row_at_n1000_within_its_bound(self, rho_over_rho_c, n1000_references, monkeypatch):
+        c, ref = n1000_references[rho_over_rho_c]
+        got, tilts = table_and_tilts(monkeypatch, c, 1000)
+        assert len(tilts) >= 2, tilts  # at least one re-tilt, so a rebuilt segment is checked
+        bounds = a_priori_bounds(c, 1000, ref, tilts)
+        for m, (g, want, bound) in enumerate(zip(got, ref, bounds)):
+            assert abs(g - want) <= bound, (m, g, float(want), bound, tilts)
+        # the public routes read row n alone, under the same tilts
+        assert _log_Z_table(c, 1000, 1000) == got[-1:]
 
     @pytest.mark.parametrize("n", [9, 70])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
@@ -585,22 +643,39 @@ class TestLogZTable:
         points = corner_points(d, n)
         assert len(points) >= 15, len(points)
         for beta, rho, c in points:
-            got, first_log = table_and_first_log_row(monkeypatch, c, n)
+            got, tilts = table_and_tilts(monkeypatch, c, n)
             ref = mpmath_log_Z_table(c, n, dps=60)
-            bounds = a_priori_bounds(c, n, ref, first_log)
+            bounds = a_priori_bounds(c, n, ref, tilts)
             log_space = log_space_log_Z_table(c, n)
-            log_space_bounds = a_priori_bounds(c, n, ref, 1)
+            log_space_bounds = log_space_a_priori_bounds(c, n, ref)
             for m in range(n + 1):
-                where = (beta, rho, m, first_log)
+                where = (beta, rho, m, tilts)
+                assert math.isfinite(got[m]), where
                 assert abs(got[m] - ref[m]) <= bounds[m], where
                 assert abs(log_space[m] - ref[m]) <= log_space_bounds[m], where
                 assert abs(got[m] - log_space[m]) <= bounds[m] + log_space_bounds[m], where
 
     @pytest.mark.parametrize("point", README_POINTS, ids=lambda p: f"beta{p[1]:g}-rho{p[2]:g}")
     def test_no_log_row_at_the_readme_points(self, point, monkeypatch):
+        # no re-tilt: every row runs under the seed tilt
         for n in (8, 10, 20, 40, 60, 70):
             c = _cycle_log_constants(SystemParams(*point, n=n), "exact")
-            assert table_and_first_log_row(monkeypatch, c, n)[1] == n + 1, n
+            assert len(table_and_tilts(monkeypatch, c, n)[1]) == 1, n
+
+    def test_every_row_is_finite_at_n5000(self):
+        rho_c = critical_density(3, BETA_UNIT)
+        # both phases, and a corner point whose seed weights k e^(c[k] - a k)
+        # overflow from k = 877 (inf, until a re-tilt replaces them)
+        for d, beta, rho, n in [(3, BETA_UNIT, 0.5 * rho_c, 5000), (3, BETA_UNIT, 2.0 * rho_c, 5000),
+                                (3, 1e30, 1e300, 1000)]:
+            c = _cycle_log_constants(SystemParams(d, beta, rho, n=n), "chain")
+            assert all(map(math.isfinite, _log_Z_table(c, n))), (beta, rho, n)
+
+    def test_a_row_no_tilt_fits_is_refused(self):
+        # theta_4 = e^2000 lifts Z_4 past the floats under the tilt through
+        # rows 2 and 3 as under the seed: a refusal, not an inf or a NaN
+        with pytest.raises(PrecisionError, match="row 4"):
+            _log_Z_table([0.0, 0.0, 0.0, 0.0, 2000.0], 4)
 
 
 class TestConfinement:
