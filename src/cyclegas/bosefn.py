@@ -6,10 +6,13 @@ evaluation returns the value together with a rigorous truncation bound.  For
 alpha > 0 the series is summed directly with a geometric/integral tail bound;
 for alpha = 0 it is the Riemann zeta function, accelerated by Euler-Maclaurin
 summation of one fixed order (direct summation is hopeless near s = 1).  The
-small-alpha expansion needs zeta(s - k) at orders down to about -30; those at
-or below 0 come from the functional equation, zeta(s) = 2^s pi^(s-1)
-sin(pi s/2) Gamma(1-s) zeta(1-s), whose factor less the sine also bounds the
-expansion's tail.  Error bounds certify series truncation, not rounding.
+small-alpha expansion (Robinson, Phys. Rev. 83, 678 (1951)) is written once:
+_singular plus a Horner sum over _expansion_coefficients, one memoised table
+of zeta(s - k) (-1)^k / k! at one tol, which thermo's root seed reads too.
+Its zetas reach orders down to about -30; those at or below 0 come from the
+functional equation, zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s)
+zeta(1-s), whose factor less the sine also bounds the expansion's tail.
+Error bounds certify series truncation, not rounding.
 
 Every direct sum is a math.fsum of Python floats, exactly rounded: the zeta
 head sum_{k<n} k^-s (n is 16 to a few hundred in practice) and _bose_direct,
@@ -190,13 +193,59 @@ def _expansion_term_bound(s: float, alpha: float, k: int) -> float:
     )
 
 
-def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
-    """Convergent expansion of g_s about alpha = 0, certified for alpha <= 0.5.
+# every zeta(s - k) of the expansion is taken to this tol, whatever the
+# caller's: the bounds then add at most e^0.5 1e-15 < 2e-15 to the
+# expansion's, under half of _MIN_TOL, so one table serves every tol
+_COEFF_TOL = 1e-15
 
-    The terms zeta(s-k) (-alpha)^k / k! eventually decay geometrically with
-    ratio alpha/(2 pi); the tail after the last explicit term is bounded via
-    the functional-equation estimate in _expansion_term_bound.  Raises
-    PrecisionError when the summed bound exceeds tol.
+
+@lru_cache(maxsize=256)
+def _expansion_coefficients(s: float, k_top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """zeta(s - k) (-1)^k / k! for k = 0..k_top, and each one's error bound.
+
+    The pole slot s - k = 1 holds 0, its term being _singular's.  Memoised,
+    with every zeta at _COEFF_TOL: they do not depend on alpha or tol, so a
+    root solve and the seed's model share one table.
+    """
+    values, bounds, k_fact = [], [], 1.0  # k! is exact to k = 22, inf past 170
+    for k in range(k_top + 1):
+        k_fact *= k or 1
+        value, bound = (0.0, 0.0) if s - k == 1.0 else _zeta_em(s - k, _COEFF_TOL)[:2]
+        values.append((-1.0) ** k * value / k_fact)
+        bounds.append(bound / k_fact)
+    return tuple(values), tuple(bounds)
+
+
+def _horner(coefficients: tuple[float, ...], x: float) -> float:
+    """sum_k coefficients[k] x^k."""
+    total = 0.0
+    for c in reversed(coefficients):
+        total = total * x + c
+    return total
+
+
+def _singular(s: float, alpha: float) -> float:
+    """The expansion's term singular at alpha = 0: Gamma(1-s) alpha^(s-1).
+
+    At integer s = n + 1, where Gamma has its pole and zeta(s - n) = zeta(1)
+    its own, the two give (-alpha)^n / n! (H_n - log alpha) instead.
+    """
+    if s != round(s):
+        return math.gamma(1.0 - s) * alpha ** (s - 1.0)
+    n = round(s) - 1
+    harmonic = math.fsum(1.0 / m for m in range(1, n + 1))
+    return (-alpha) ** n / math.factorial(n) * (harmonic - math.log(alpha))
+
+
+def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
+    """Robinson's expansion of g_s about alpha = 0, certified for alpha <= 0.5.
+
+    g_s(alpha) = _singular(s, alpha) + sum_k zeta(s-k) (-alpha)^k / k!
+    (Phys. Rev. 83, 678 (1951)), summed over _expansion_coefficients.  Its
+    terms eventually decay geometrically with ratio alpha/(2 pi); the tail
+    after the last explicit term is bounded via the functional-equation
+    estimate in _expansion_term_bound.  Raises PrecisionError when the
+    summed bound exceeds tol.
     """
     if alpha > 0.5:
         raise ValidationError("expansion path requires alpha <= 0.5")
@@ -214,42 +263,20 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
                 f"expansion of g_{s}({alpha}) did not certify to {tol}"
             )
 
-    # the singular leading term plus sum_{k<=k_top} zeta(s-k) (-alpha)^k / k!,
-    # whose k = s-1 term the -log(alpha) branch holds for integer s.  The
-    # coefficients' tol is rounded down to a power of 2, so calls whose tol
-    # and k_top differ (each root solve has its own tol) share memoised zetas
-    inner_tol = max(math.ldexp(0.5, math.frexp(tol / (8.0 * (k_top + 1)))[1]), 1e-15)
-    s_int = round(s)
-    is_integer = s == s_int
-    if is_integer:
-        prefactor = (-alpha) ** (s_int - 1) / math.factorial(s_int - 1)
-        harmonic = sum(1.0 / m for m in range(1, s_int))
-        total = prefactor * (-math.log(alpha) + harmonic)
-    else:
-        total = math.gamma(1.0 - s) * alpha ** (s - 1.0)
-    inner_err = 0.0
-    coeff = 1.0  # (-alpha)^k / k!, built incrementally
-    for k in range(0, k_top + 1):
-        if k > 0:
-            coeff *= -alpha / k
-        if is_integer and k == s_int - 1:
-            continue
-        z = _zeta_em(s - k, inner_tol)
-        total += z.value * coeff
-        inner_err += z.error_bound * abs(coeff)
-    bound = tail + inner_err
+    values, bounds = _expansion_coefficients(s, k_top)
+    bound = tail + _horner(bounds, alpha)
     if bound > tol:
         raise PrecisionError(f"expansion of g_{s}({alpha}) certifies only {bound:.3g} > {tol}")
-    return BoseEval(value=total, error_bound=bound, terms_used=k_top + 1)
+    return BoseEval(value=_singular(s, alpha) + _horner(values, alpha), error_bound=bound, terms_used=k_top + 1)
 
 
 # "auto" sums directly up to this many terms.  Median of 30 calls on a 2-vCPU
-# x86-64 host (one core, tol 2.6e-11), s = 1 / s = 1.5:
+# Intel Xeon host (one core, alpha 0.01, tol 2.6e-11), s = 1 / s = 1.5:
 #   direct terms      16      64     256   1,024   8,192
-#   direct ms      0.007   0.018   0.061   0.25    2.08     (s = 1)
-#                  0.008   0.020   0.062   0.25    2.08     (s = 1.5)
-#   expansion ms   0.08 / 0.14 with a cold zeta cache, about 0.009 warm
-# The direct sum costs about 0.25 us a term, and a root solve evaluates the
+#   direct ms      0.009   0.022   0.075   0.31    2.56     (s = 1)
+#                  0.009   0.023   0.077   0.32    2.71     (s = 1.5)
+#   expansion ms   0.08 / 0.14 with a cold coefficient table, about 0.007 warm
+# The direct sum costs about 0.3 us a term, and a root solve evaluates the
 # expansion warm after its first call.  So the crossover is the fewest terms
 # that still certify every alpha > 0.5, which the expansion refuses, at
 # tol >= 1e-14 for s >= 1/2: just above alpha = 0.5, s = 1/2 leaves a tail of

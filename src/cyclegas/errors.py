@@ -60,7 +60,7 @@ CAPS = {
     "bose_terms": Cap(10**8, "terms summed at about 0.35 us each: 35 s"),
     # bosefn._zeta_em
     "zeta_terms": Cap(10**7, "terms summed"),
-    # bosefn._bose_expansion: the last explicit term k, each a memoised zeta(s - k)
+    # bosefn._bose_expansion: the last explicit term k, each a zeta(s - k) of its memoised table
     "expansion_terms": Cap(400, "terms zeta(s - k) (-alpha)^k / k! of the small-alpha expansion"),
     # polylog._expint_scaled: about 200 steps at lam n = 1, more as lam n shrinks
     "expint_steps": Cap(10_000, "continued-fraction steps of E_s"),

@@ -11,6 +11,10 @@ table log theta_k (_cycle_log_constants) with a partition's log weight
 (_occupation_log_weight), which both the exact sums (exactz) and the chain
 (sampler) read, so the chain does not load the exact engine.
 
+The density root starts from the root of _g_model, a float model of g_s
+that reads bosefn's small-alpha expansion and its coefficient table rather
+than a copy of its own.
+
 All inputs are dimensionless; beta is the time horizon of a diffusion with
 generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), not Laplacian/2.
 """
@@ -22,7 +26,7 @@ import sys
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .bosefn import _zeta_em, bose_g, zeta
+from .bosefn import _expansion_coefficients, _horner, _singular, bose_g, zeta
 from .errors import CAPS, PrecisionError, ValidationError, check_cap
 
 INFINITE = math.inf
@@ -293,53 +297,24 @@ _SEED_TERMS = 16
 _SEED_NEWTON = 8  # at most; 6 sufficed at d = 1, 3-6, 8 on 20 targets a decade over the floats
 
 
-def _horner(coefficients: tuple[float, ...], x: float) -> float:
-    """sum_k coefficients[k] x^k."""
-    total = 0.0
-    for c in reversed(coefficients):
-        total = total * x + c
-    return total
-
-
 @lru_cache(maxsize=64)
-def _g_model_terms(s: float) -> tuple[tuple[float, ...], tuple[float, ...], float, Optional[float]]:
-    """The constants of _g_model at order s: (small, large, singular, harmonic).
-
-    small holds zeta(s - k) (-1)^k / k! for k = 0.._SEED_TERMS, 0 at the pole
-    s - k = 1, and large j^-s for j = 1.._SEED_TERMS; singular is Gamma(1 - s),
-    or (-1)^n / n! at integer s = n + 1, where harmonic is H_n (else None).
-    The zetas come from bosefn's memoised _zeta_em, to 2^-40: the model needs
-    a few digits, not a certificate.
-    """
-    small = tuple(
-        0.0 if s - k == 1.0 else (-1.0) ** k * _zeta_em(s - k, 2.0**-40).value / math.factorial(k)
-        for k in range(_SEED_TERMS + 1)
-    )
-    large = tuple(j**-s for j in range(1, _SEED_TERMS + 1))
-    if s != round(s):
-        return small, large, math.gamma(1.0 - s), None
-    n = round(s) - 1
-    return small, large, (-1.0) ** n / math.factorial(n), math.fsum(1.0 / m for m in range(1, n + 1))
+def _seed_powers(s: float) -> tuple[float, ...]:
+    """j^-s for j = 1.._SEED_TERMS, the model's coefficients above _SEED_SWITCH."""
+    return tuple(j**-s for j in range(1, _SEED_TERMS + 1))
 
 
 def _g_model(s: float, alpha: float) -> float:
     """A float model of g_s(alpha), alpha > 0, s a multiple of 1/2 that is not 0 or below -1/2.
 
-    Below _SEED_SWITCH it is Robinson's expansion (Phys. Rev. 83, 678 (1951))
-    cut after _SEED_TERMS terms: the singular term Gamma(1-s) alpha^(s-1), or
-    (-alpha)^(s-1) / (s-1)! (H_(s-1) - log alpha) at integer s, plus
-    sum_k zeta(s - k) (-alpha)^k / k!; from there on the series
-    sum_j j^-s e^(-alpha j) cut after as many terms.  Its derivative in alpha
-    is -_g_model(s - 1, alpha).
+    Below _SEED_SWITCH it is bosefn's small-alpha expansion cut after
+    _SEED_TERMS terms, on its memoised coefficient table; from there on the
+    series sum_j j^-s e^(-alpha j) cut after as many terms.  Its derivative
+    in alpha is -_g_model(s - 1, alpha).
     """
-    small, large, singular, harmonic = _g_model_terms(s)
     if alpha >= _SEED_SWITCH:
         y = math.exp(-alpha)
-        return y * _horner(large, y)
-    singular *= alpha ** (s - 1.0)
-    if harmonic is not None:
-        singular *= harmonic - math.log(alpha)
-    return singular + _horner(small, alpha)
+        return y * _horner(_seed_powers(s), y)
+    return _singular(s, alpha) + _horner(_expansion_coefficients(s, _SEED_TERMS)[0], alpha)
 
 
 def _root_seed(
@@ -358,14 +333,14 @@ def _root_seed(
     is clamped into [a, b], and slope is the model's derivative in u there.
     """
     to_u, from_u = u
-    small, _, singular, _ = _g_model_terms(s)
-    gap = small[0] - target  # zeta(s) - target
+    zeta_s, minus_zeta_s1 = _expansion_coefficients(s, _SEED_TERMS)[0][:2]
+    gap = zeta_s - target
     if target <= math.exp(-_SEED_SWITCH):  # g_s ~ e^-alpha
         alpha = -math.log(target)
     elif s < 2.0:  # g_s ~ Gamma(1-s) alpha^(s-1) + zeta(s)
-        alpha = (-gap / singular) ** (1.0 / (s - 1.0))
+        alpha = (-gap / math.gamma(1.0 - s)) ** (1.0 / (s - 1.0))
     else:  # g_s ~ zeta(s) - zeta(s-1) alpha; at s = 2, zeta(1) is the pole and 1 stands in
-        alpha = gap / (-small[1] or 1.0)
+        alpha = gap / (-minus_zeta_s1 or 1.0)
     for _ in range(_SEED_NEWTON):
         v = to_u(alpha)
         step = (_g_model(s, alpha) - target) / (-_g_model(s - 1.0, alpha) * dalpha_du(alpha))

@@ -357,10 +357,11 @@ class TestBoseG:
             assert err <= g.error_bound + rounding, s
 
     def test_expansion_shares_memoised_zetas_across_tols(self):
-        # 9 terms: tol / (8 * 9) stays in the binade [2^-46, 2^-45), so the
-        # three calls ask for zeta at one tol and only the first computes
+        # 9 terms at three tols: the coefficient table does not depend on
+        # tol, so only the first call computes zetas
         for s in (0.5, 1.5, 2.0, 2.5):
             bosefn._zeta_em.cache_clear()
+            bosefn._expansion_coefficients.cache_clear()
             misses = []
             for f in (1.0, 1.25, 1.75):
                 g = bose_g(s, 0.01, f * 72 * 2.0**-46, method="expansion")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclegas import thermo
+from cyclegas import bosefn, thermo
 from cyclegas.bosefn import bose_g, zeta
 from cyclegas.errors import PrecisionError, ValidationError
 from cyclegas.thermo import (
@@ -29,6 +29,7 @@ from cyclegas.thermo import (
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)  # makes (4 pi beta)^(d/2) = 1
 ZETA_3_HALVES = 2.6123753486854883
+U = 2.0**-53
 
 
 def _mp_bose(s, alpha):
@@ -481,6 +482,60 @@ class TestSeededRoot:
         with pytest.raises(PrecisionError):
             thermo._bracketed_root(f, 0.0, 5.0, 5.0, -1.0, start=(1.0, -1.0))
         assert calls.count(5.0) == 1
+
+
+
+class TestSeedModel:
+    """_g_model, the seed's float model of g_s, on bosefn's shared coefficient table."""
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_expansion_coefficients_do_not_depend_on_tol(self, d):
+        # the first solve fills the table; a solve of the same point at a
+        # tighter and at a looser tol computes no zeta again
+        bosefn._zeta_em.cache_clear()
+        bosefn._expansion_coefficients.cache_clear()
+        params = SystemParams(d, BETA_UNIT, 0.9 * critical_density(d, BETA_UNIT))
+        misses = []
+        for tol in (1e-10, 1e-12, 1e-8):
+            solve_alpha(params, tol)
+            misses.append(bosefn._zeta_em.cache_info().misses)
+        assert misses[0] == misses[1] == misses[2] > 0, misses
+
+    @pytest.mark.parametrize("s", [-0.5, 0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_model_is_within_the_truncation_bounds(self, s):
+        # against a 40-digit polylog.  Below _SEED_SWITCH the model is the
+        # expansion through k = _SEED_TERMS, whose tail _expansion_term_bound
+        # at k = 17 over 1 - alpha/(2 pi) bounds (at s = -1/2 the ratio of its
+        # terms exceeds alpha/(2 pi) by 3%, which the bound's zeta(2) for
+        # zeta(18.5) covers); rounding adds the table's zeta bounds and
+        # Horner's 2 u a term, 40 u in all, of the sum of the terms' sizes.
+        # From the switch on it is sum_{j<=16} j^-s e^(-alpha j), which
+        # _tail_bound(s, alpha, 16) bounds for s > 0; rounding, j u in e^(-alpha j)
+        # and 2 u a term of Horner's, stays under 50 u of g
+        switch, terms = thermo._SEED_SWITCH, thermo._SEED_TERMS
+        alphas = [1e-6, 1e-3, 0.1, 0.5, 1.0, 1.4, math.nextafter(switch, 0.0)]
+        if s > 0:
+            alphas += [switch, 2.0, 5.0, 20.0]
+        for alpha in alphas:
+            model = thermo._g_model(s, alpha)
+            with mpmath.workdps(40):
+                want = mpmath.polylog(s, mpmath.exp(-mpmath.mpf(alpha)))
+                err = float(abs(model - want))
+            if alpha < switch:
+                values, bounds = bosefn._expansion_coefficients(s, terms)
+                sizes = abs(bosefn._singular(s, alpha)) + math.fsum(
+                    abs(c) * alpha**k for k, c in enumerate(values)
+                )
+                truncation = bosefn._expansion_term_bound(s, alpha, terms + 1) / (
+                    1.0 - alpha / (2.0 * math.pi)
+                )
+                allowance = bosefn._horner(bounds, alpha) + 40.0 * U * sizes
+            else:
+                truncation = bosefn._tail_bound(s, alpha, terms)
+                allowance = 50.0 * U * float(want)
+            assert err <= truncation + allowance, (alpha, err, truncation)
+            # README: within about 1e-11 of g_s, worst just below the switch
+            assert err <= 5e-11 * abs(float(want)), (alpha, err)
 
 
 class TestOptimalShape:
