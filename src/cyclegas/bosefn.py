@@ -230,9 +230,9 @@ def _singular(s: float, alpha: float) -> float:
     At integer s = n + 1, where Gamma has its pole and zeta(s - n) = zeta(1)
     its own, the two give (-alpha)^n / n! (H_n - log alpha) instead.
     """
-    if s != round(s):
+    if s % 1.0:
         return math.gamma(1.0 - s) * alpha ** (s - 1.0)
-    n = round(s) - 1
+    n = int(s) - 1
     harmonic = math.fsum(1.0 / m for m in range(1, n + 1))
     return (-alpha) ** n / math.factorial(n) * (harmonic - math.log(alpha))
 

@@ -11,9 +11,9 @@ table log theta_k (_cycle_log_constants) with a partition's log weight
 (_occupation_log_weight), which both the exact sums (exactz) and the chain
 (sampler) read, so the chain does not load the exact engine.
 
-The density root starts from the root of _g_model, a float model of g_s
-that reads bosefn's small-alpha expansion and its coefficient table rather
-than a copy of its own.
+Density roots start from the root of _g_model, a float model of g_s: below
+_SEED_SWITCH bosefn's small-alpha expansion on its one coefficient table,
+above it the series in e^-alpha.
 
 All inputs are dimensionless; beta is the time horizon of a diffusion with
 generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), not Laplacian/2.
