@@ -203,9 +203,8 @@ _COEFF_TOL = 1e-15
 def _expansion_coefficients(s: float, k_top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """zeta(s - k) (-1)^k / k! for k = 0..k_top, and each one's error bound.
 
-    The pole slot s - k = 1 holds 0, its term being _singular's.  Memoised,
-    with every zeta at _COEFF_TOL: they do not depend on alpha or tol, so a
-    root solve and the seed's model share one table.
+    The pole slot s - k = 1 holds 0, its term being _singular's.  Memoised:
+    with every zeta at _COEFF_TOL the table depends on neither alpha nor tol.
     """
     values, bounds, k_fact = [], [], 1.0  # k! is exact to k = 22, inf past 170
     for k in range(k_top + 1):

@@ -11,9 +11,8 @@ table log theta_k (_cycle_log_constants) with a partition's log weight
 (_occupation_log_weight), which both the exact sums (exactz) and the chain
 (sampler) read, so the chain does not load the exact engine.
 
-Density roots start from the root of _g_model, a float model of g_s: below
-_SEED_SWITCH bosefn's small-alpha expansion on its one coefficient table,
-above it the series in e^-alpha.
+Density roots start from the root of _g_model, a float model of g_s on
+bosefn's one table of small-alpha expansion coefficients.
 
 All inputs are dimensionless; beta is the time horizon of a diffusion with
 generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), not Laplacian/2.
