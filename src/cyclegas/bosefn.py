@@ -17,7 +17,9 @@ Error bounds certify series truncation, not rounding.
 Every direct sum is a math.fsum of Python floats, exactly rounded: the zeta
 head sum_{k<n} k^-s (n is 16 to a few hundred in practice) and _bose_direct,
 the one direct sum of k^-s e^(-lam k), as _em_bracket is its one
-Euler-Maclaurin tail (polylog reads both).  The module needs no NumPy.
+Euler-Maclaurin tail (polylog reads both).  Its first _DIRECT_TERMS_MAX
+powers k^-s are memoised in _powers, whose first 16 thermo's root seed
+reads too.  The module needs no NumPy.
 """
 
 from __future__ import annotations
@@ -174,12 +176,23 @@ def _certified_terms(s: float, alpha: float, tol: float, cap: int) -> tuple[int,
     return k, tail
 
 
+@lru_cache(maxsize=64)
+def _powers(s: float) -> tuple[float, ...]:
+    """j^-s for j = 1.._DIRECT_TERMS_MAX: short direct sums' and the root seed's powers."""
+    return tuple(j**-s for j in range(1, _DIRECT_TERMS_MAX + 1))
+
+
 def _bose_direct(s: float, alpha: float, k: int, tail: float) -> BoseEval:
-    """The first k terms, times e^(alpha k) if alpha < 0 (they grow to k); tail bounds the rest."""
+    """The first k terms, times e^(alpha k) if alpha < 0 (they grow to k); tail bounds the rest.
+
+    Each term is j^-s e^(-alpha j) summed by math.fsum, the j^-s read from
+    the memoised _powers(s) for k <= _DIRECT_TERMS_MAX, so the sum is the same
+    bits on either side of it.
+    """
     shift = k if alpha < 0.0 else 0
     exps = map(math.exp, map(mul, range(1 - shift, k + 1 - shift), repeat(-alpha)))
-    terms = map(mul, map(pow, range(1, k + 1), repeat(-s)), exps)
-    return BoseEval(value=math.fsum(terms), error_bound=tail, terms_used=k)
+    powers = _powers(s) if k <= _DIRECT_TERMS_MAX else map(pow, range(1, k + 1), repeat(-s))
+    return BoseEval(value=math.fsum(map(mul, powers, exps)), error_bound=tail, terms_used=k)
 
 
 def _expansion_term_bound(s: float, alpha: float, k: int) -> float:
@@ -226,14 +239,20 @@ def _horner(coefficients: tuple[float, ...], x: float) -> float:
 def _singular(s: float, alpha: float) -> float:
     """The expansion's term singular at alpha = 0: Gamma(1-s) alpha^(s-1).
 
-    At integer s = n + 1, where Gamma has its pole and zeta(s - n) = zeta(1)
-    its own, the two give (-alpha)^n / n! (H_n - log alpha) instead.
+    At integer s = n + 1 >= 1, where Gamma has its pole and zeta(s - n) =
+    zeta(1) its own, the two give (-alpha)^n / n! (H_n - log alpha) instead.
+    Past n = 170, where n! leaves the floats, (-alpha)^n / n! is formed
+    through lgamma and underflows to 0 for alpha <= 1.
     """
-    if s % 1.0:
+    if s % 1.0 or s < 1.0:
         return math.gamma(1.0 - s) * alpha ** (s - 1.0)
     n = int(s) - 1
     harmonic = math.fsum(1.0 / m for m in range(1, n + 1))
-    return (-alpha) ** n / math.factorial(n) * (harmonic - math.log(alpha))
+    if n <= 170:
+        lead = (-alpha) ** n / math.factorial(n)
+    else:
+        lead = (-1.0) ** n * math.exp(n * math.log(alpha) - math.lgamma(n + 1.0))
+    return lead * (harmonic - math.log(alpha))
 
 
 def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:

@@ -6,7 +6,8 @@ sum_k Qhat(k) (log(Qhat(k)/Qhat*(k)) - 1) with the convention 0 log 0 = 0.
 Minimisation over {Qhat >= 0, sum_k k Qhat(k) = 1} is solved exactly through
 the scalar Lagrangian dual: stationarity forces Qhat = Qhat* e^(-lambda k),
 leaving a single monotone root for lambda, found by the same bracketed
-solver as the density equation (thermo._bracketed_root).
+solver as the density equation (thermo._bracketed_root), from a seed: the
+density seed's model root above lambda = 0, the escaping-mass model below.
 
 In the condensed regime the truncated dual root sits below zero and the
 constraint mass piles up at k = K; that boundary mass is the finite-K shadow
@@ -45,6 +46,7 @@ from .thermo import (
     SystemParams,
     _MIN_TOL,
     _bracketed_root,
+    _root_seed,
     qhat_star,
     solve_alpha,
 )
@@ -156,8 +158,8 @@ class ExponentialShape(_ExponentialShape):
     truncated polylogarithms, O(1) in K.  qhat is built on first access in one
     blocked pass, which checks every block is finite and >= 0, and is
     read-only; no formula reads it, so nothing written through it can change
-    them.  The instance dict holds only that cached qhat: no attribute can be
-    set or deleted.
+    them.  The instance dict holds only the cached constraint_mass and qhat:
+    no attribute can be set or deleted.
     """
 
     def __new__(
@@ -184,9 +186,9 @@ class ExponentialShape(_ExponentialShape):
 
     __delattr__ = __setattr__
 
-    @property
+    @cached_property
     def constraint_mass(self) -> float:
-        """sum_k k Qhat(k) = Qhat*(1) T(d/2, lam, K) + n eps."""
+        """sum_k k Qhat(k) = Qhat*(1) T(d/2, lam, K) + n eps, computed once, at construction."""
         n, eps = self.bump or (0, 0.0)
         return _polylog_sum(self.params, self.params.d / 2.0, self.lam, self.K) + n * eps
 
@@ -405,8 +407,12 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
     always feasible).  Each evaluation is one polylog._truncated_polylog, O(1)
     in K; no K-vector is built.  tol lies in [1e-13, 1), the domain of
     solve_alpha.  In the normal regime lambda approaches the root of the
-    density equation as K grows; in the condensed regime lambda approaches
-    0 from below and mass concentrates at k = K.
+    density equation as K grows, and the search starts from the density
+    seed's model root (thermo._root_seed; no certified density solve); in
+    the condensed regime lambda approaches 0 from below, mass concentrates
+    at k = K, and the search starts from the escaping-mass model
+    (_escape_seed).  A seed moves only where the root is looked for: the
+    bracket and the certificate are the same.
     """
     if K < 100:
         raise ValidationError(f"K must be >= 100, got {K}")
@@ -432,8 +438,12 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
     r0 = residual(0.0)[0]
     log_top = log_c - s * math.log(K)  # log K Qhat*(K)
     if r0 > 0.0:
-        # mass = Qhat*(1) sum_k k^(-d/2) e^(-lambda k) < Qhat*(1)/(e^lambda - 1) = 1 at b
-        lam, res = _bracketed_root(residual, 0.0, r0, math.log1p(c), tol)
+        # mass = Qhat*(1) sum_k k^(-d/2) e^(-lambda k) < Qhat*(1)/(e^lambda - 1) = 1 at b;
+        # the mass is about Qhat*(1) g_{d/2}(lambda), so the density seed's
+        # model root starts the search
+        b = math.log1p(c)
+        lam0, g1 = _root_seed(s, 1.0 / c, 0.0, b)
+        lam, res = _bracketed_root(residual, 0.0, r0, b, tol, (float, float), (lam0, -c * g1))
     else:
         # the boundary term K Qhat(K) = e^(log_top - lambda K) alone is 1 at
         # b = log_top / K; the mass grows about linearly in it, and a step
@@ -442,7 +452,8 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
             lambda lam: math.exp(log_top - lam * K),
             lambda v: (log_top - math.log(v)) / K if v > 0.0 else math.inf,
         )
-        lam, res = _bracketed_root(residual, 0.0, r0, log_top / K, tol, boundary)
+        start = _escape_seed(-r0, K, log_top)
+        lam, res = _bracketed_root(residual, 0.0, r0, log_top / K, tol, boundary, start)
 
     shape = ExponentialShape(params, K, lam)
     return MinimizeResult(
@@ -452,6 +463,31 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
         boundary_mass=math.exp(log_top - lam * K),
         constraint_residual=res,
     )
+
+
+def _escape_seed(missing: float, K: int, log_top: float) -> tuple[float, float] | None:
+    """A start (lambda0, slope) for minimize_S's dual root below 0, or None.
+
+    Past lambda = 0 the mass that lambda adds piles up near k = K, where
+    its terms are about K Qhat*(K) e^(-lambda k) (k near K): the
+    escaping-mass model K Qhat*(K) e^(-lambda K) / (-lambda) = missing,
+    missing = 1 - mass(0).  In x = -lambda K it reads x - log x = log A,
+    A = missing / (K^2 Qhat*(K)), solved by Newton's method for the root
+    x > 1, which needs A > e.  The slope is the model's in the boundary
+    coordinate v = K Qhat*(K) e^x that the root steps in: the model's mass
+    is mass(0) + v K / x, so d mass / dv = (K / x) (1 - 1/x).
+    """
+    log_a = math.log(missing) - math.log(K) - log_top if missing > 0.0 else -math.inf
+    if not log_a > 1.0:
+        return None
+    x = log_a + math.log(log_a)
+    for _ in range(8):
+        step = (x - math.log(x) - log_a) / (1.0 - 1.0 / x)
+        x -= step
+        if abs(step) <= 1e-12 * x:
+            break
+    x = min(x, -log_top)  # the bracket's end at lambda = log_top / K
+    return -x / K, K / x * (1.0 - 1.0 / x)
 
 
 def _condensed_bump(n: int, params: SystemParams, tol: float) -> tuple[float, float]:

@@ -65,8 +65,9 @@ CAPS = {
     # polylog._expint_scaled: about 200 steps at lam n = 1, more as lam n shrinks
     "expint_steps": Cap(10_000, "continued-fraction steps of E_s"),
     # thermo._bracketed_root (so every density and shape root), the first
-    # evaluation included: b's, or a density root's seed.  A seeded density
-    # root takes one or two, minimize's unseeded dual root about ten
+    # evaluation included: b's, or a seed's.  A seeded density root takes
+    # one or two, minimize's seeded dual root one or two above lambda = 0
+    # and five or six below it
     "root_evals": Cap(400, "evaluations of the certified function per root"),
 }
 

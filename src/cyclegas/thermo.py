@@ -11,8 +11,10 @@ table log theta_k (_cycle_log_constants) with a partition's log weight
 (_occupation_log_weight), which both the exact sums (exactz) and the chain
 (sampler) read, so the chain does not load the exact engine.
 
-Density roots start from the root of _g_model, a float model of g_s on
-bosefn's one table of small-alpha expansion coefficients.
+Density roots start from the root of _g_model, a float model of g_s and
+of its slope -g_{s-1}, read in one pass over bosefn's one table of
+small-alpha expansion coefficients (or its memoised j^-s); entropy's dual
+root starts from the same model root.
 
 All inputs are dimensionless; beta is the time horizon of a diffusion with
 generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), not Laplacian/2.
@@ -22,10 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .bosefn import _expansion_coefficients, _horner, _singular, bose_g, zeta
+from .bosefn import _expansion_coefficients, _powers, _singular, bose_g, zeta
 from .errors import CAPS, PrecisionError, ValidationError, check_cap
 
 INFINITE = math.inf
@@ -295,63 +296,81 @@ _SEED_SWITCH = 1.5
 _SEED_TERMS = 16
 _SEED_NEWTON = 8  # at most; 6 sufficed at d = 1, 3-6, 8 on 20 targets a decade over the floats
 
+# The coordinate u of a density root, u[1] its inverse, and dalpha/du: g_s is
+# about linear in sqrt(alpha) for s > 1 and in alpha^(-1/2) below
+_SQRT_ALPHA = ((math.sqrt, lambda v: v * v), lambda alpha: 2.0 * math.sqrt(alpha))
+_INV_SQRT_ALPHA = ((lambda x: x**-0.5, lambda v: v**-2.0), lambda alpha: -2.0 * alpha**1.5)
 
-@lru_cache(maxsize=64)
-def _seed_powers(s: float) -> tuple[float, ...]:
-    """j^-s for j = 1.._SEED_TERMS, the model's coefficients above _SEED_SWITCH."""
-    return tuple(j**-s for j in range(1, _SEED_TERMS + 1))
+
+def _horner_slope(coefficients: Sequence[float], x: float) -> tuple[float, float]:
+    """sum_k coefficients[k] x^k, as bosefn._horner sums it, and its derivative in x."""
+    total = slope = 0.0
+    for c in reversed(coefficients):
+        slope = slope * x + total
+        total = total * x + c
+    return total, slope
 
 
-def _g_model(s: float, alpha: float) -> float:
-    """A float model of g_s(alpha), alpha > 0, s a multiple of 1/2 that is not 0 or below -1/2.
+def _g_model(s: float, alpha: float) -> tuple[float, float]:
+    """A float model of g_s(alpha) and of g_{s-1}(alpha) = -d g_s / d alpha, in one pass.
 
-    Below _SEED_SWITCH it is bosefn's small-alpha expansion cut after
-    _SEED_TERMS terms, on its memoised coefficient table; from there on the
-    series sum_j j^-s e^(-alpha j) cut after as many terms.  Its derivative
-    in alpha is -_g_model(s - 1, alpha).
+    alpha > 0, s a multiple of 1/2 that is not below -1/2.  Below
+    _SEED_SWITCH the model of g_s is bosefn's small-alpha expansion cut
+    after _SEED_TERMS terms, on its memoised coefficient table; from there
+    on the series sum_j j^-s e^(-alpha j) cut after as many terms, on
+    bosefn's memoised j^-s.  The model of g_{s-1} is minus its derivative:
+    _singular(s - 1) less the Horner sum's derivative below the switch, and
+    sum_j j^(1-s) e^(-alpha j) above it.
     """
     if alpha >= _SEED_SWITCH:
         y = math.exp(-alpha)
-        return y * _horner(_seed_powers(s), y)
-    return _singular(s, alpha) + _horner(_expansion_coefficients(s, _SEED_TERMS)[0], alpha)
+        total, slope = _horner_slope(_powers(s)[:_SEED_TERMS], y)
+        return y * total, y * (total + y * slope)
+    total, slope = _horner_slope(_expansion_coefficients(s, _SEED_TERMS)[0], alpha)
+    return _singular(s, alpha) + total, _singular(s - 1.0, alpha) - slope
 
 
-def _root_seed(
-    s: float,
-    target: float,
-    a: float,
-    b: float,
-    u: tuple[Callable[[float], float], Callable[[float], float]],
-    dalpha_du: Callable[[float], float],
-) -> tuple[float, float]:
-    """A start (alpha0, slope) for _bracketed_root on g_s(alpha) - target, alpha0 in [a, b].
+def _root_seed(s: float, target: float, a: float, b: float) -> tuple[float, float]:
+    """A start (alpha0, g1) for a root of g_s(alpha) = target, alpha0 in [a, b].
 
-    alpha0 is the root of _g_model, by Newton's method in the coordinate u of
-    the root solve from the inverse of the model's leading terms.  It stops
-    after a step of at most 1e-6 relative, which leaves about 1e-12.  alpha0
-    is clamped into [a, b], and slope is the model's derivative in u there.
+    alpha0 is the root of _g_model, by Newton's method in the coordinate u
+    where g_s is about linear, from the inverse of the model's leading terms;
+    each step reads the model's value and slope from one pass.  It stops
+    after a step of at most 1e-6 relative, which leaves about 1e-12, and g1
+    is then the last pass's model of g_{s-1}, which that step moves by about
+    1e-6 relative: the model's slope in alpha is -g1.  alpha0 is clamped into
+    [a, b]; a clamped or unconverged alpha0 takes one more pass for g1.  At
+    s = 1, g_1 inverts in closed form.
     """
-    to_u, from_u = u
+    (to_u, from_u), dalpha_du = _SQRT_ALPHA if s > 1.0 else _INV_SQRT_ALPHA
     zeta_s, minus_zeta_s1 = _expansion_coefficients(s, _SEED_TERMS)[0][:2]
     gap = zeta_s - target
     if target <= math.exp(-_SEED_SWITCH):  # g_s ~ e^-alpha
         alpha = -math.log(target)
+    elif s == 1.0:  # g_1(alpha) = -log(1 - e^-alpha)
+        alpha = -_log1mexp(target)
     elif s < 2.0:  # g_s ~ Gamma(1-s) alpha^(s-1) + zeta(s)
         alpha = (-gap / math.gamma(1.0 - s)) ** (1.0 / (s - 1.0))
     else:  # g_s ~ zeta(s) - zeta(s-1) alpha; at s = 2, zeta(1) is the pole and 1 stands in
         alpha = gap / (-minus_zeta_s1 or 1.0)
+    near = False  # whether the last pass's g1 holds at alpha
     for _ in range(_SEED_NEWTON):
         v = to_u(alpha)
-        step = (_g_model(s, alpha) - target) / (-_g_model(s - 1.0, alpha) * dalpha_du(alpha))
+        g, g1 = _g_model(s, alpha)
+        step = (g - target) / (-g1 * dalpha_du(alpha))
         if not v - step > 0.0:
             break
         alpha = from_u(v - step)
-        if abs(step) <= 1e-6 * v:
+        near = abs(step) <= 1e-6 * v
+        if near:
             break
     # within a few ulps of b the model cannot tell the root from b (t - g(b),
     # about t^2, is below the float resolution of t), and b is the root
-    alpha = b if alpha >= b - 4.0 * math.ulp(b) else max(alpha, a)
-    return alpha, -_g_model(s - 1.0, alpha) * dalpha_du(alpha)
+    if alpha >= b - 4.0 * math.ulp(b):
+        alpha, near = b, False
+    elif alpha < a:
+        alpha, near = a, False
+    return alpha, g1 if near else _g_model(s, alpha)[1]
 
 
 def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> float:
@@ -383,8 +402,7 @@ def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> 
     b = math.log1p(1.0 / target)
     if d >= 3:
         a, f_a = 0.0, rho_c * factor - target
-        u = (math.sqrt, lambda v: v * v)
-        dalpha_du = lambda alpha: 2.0 * math.sqrt(alpha)
+        u, dalpha_du = _SQRT_ALPHA
     else:
         # sqrt(pi/alpha) - 2 < g_(1/2)(alpha) < sqrt(pi/alpha) by integral comparison and
         # e^-alpha < g_(1/2)(alpha) term by term; dividing twice cannot overflow
@@ -393,10 +411,10 @@ def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> 
         if a == 0.0:
             raise PrecisionError(f"alpha underflows at d=1, rho={rho}")
         f_a = math.nan  # positive, and not evaluated
-        u = (lambda x: x**-0.5, lambda v: v**-2.0)
-        dalpha_du = lambda alpha: -2.0 * alpha**1.5
+        u, dalpha_du = _INV_SQRT_ALPHA
     try:
-        start = _root_seed(s, target, a, b, u, dalpha_du)
+        alpha0, g1 = _root_seed(s, target, a, b)
+        start = alpha0, -g1 * dalpha_du(alpha0)
     except OverflowError:  # d = 1 past t = 1e102: alpha^(-3/2) in the model's slope
         start = None
     return _bracketed_root(excess, a, f_a, b, tol * target, u, start)[0]

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 spec = importlib.util.spec_from_file_location(
     "bench_record", os.path.join(ROOT, "scripts", "bench_record.py")
@@ -107,3 +109,34 @@ def test_one_file_compares_its_two_sides(tmp_path, monkeypatch, capsys):
     # medians: parent 2.025, new 1.03; x0.509 is better past the 0.25 bound
     assert lines["fast wall_s"] == "2.025 -> 1.03 s  x0.509 (bound 0.25)  better  wins 3/4"
     assert lines["slow rate"] == "10 -> 10 1/s  x1.000 (bound 0.1)  wins 0/4"
+
+
+
+def test_seeds_choose_the_runs(tmp_path, monkeypatch):
+    assert bench_record.seed_list("1-10") == tuple(range(1, 11))
+    assert bench_record.seed_list("3,7-8,1") == (3, 7, 8, 1)
+    for bad in ("5-4", "", "1-", "a"):
+        with pytest.raises(ValueError):
+            bench_record.seed_list(bad)
+    # --seeds reaches build_record; without it build_record runs SEEDS
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(dict(BENCH, run_seconds=7)))
+    monkeypatch.setattr(bench_record, "ROOT", str(tmp_path))
+    built = []
+
+    def build_record(checkout, parent, bench, seeds=None):
+        built.append(seeds)
+        return {"seeds": list(seeds or ()), "workloads": {}}
+
+    monkeypatch.setattr(bench_record, "build_record", build_record)
+    assert bench_record.main(["99", "--seeds", "1-10"]) == 0
+    assert bench_record.main(["99"]) == 0
+    assert built == [tuple(range(1, 11)), None]
+    monkeypatch.undo()
+    calls = []
+    bench = dict(BENCH, run_seconds=7)
+    record = bench_record.build_record("new", "parent", bench, stub_runner(calls), seeds=(6, 9))
+    assert [seed for _, _, seed in calls] == [6] * 4 + [9] * 4
+    assert record["seeds"] == [6, 9] and record["parent_first"] == [True, False]
+    assert record["workloads"]["fast"]["parent"]["metrics"]["wall_s"]["values"] == [2.06, 2.09]
+    default = bench_record.build_record("new", None, bench, stub_runner([]))
+    assert default["seeds"] == list(bench_record.SEEDS) == [1, 2, 3, 4, 5]

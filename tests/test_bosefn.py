@@ -356,6 +356,28 @@ class TestBoseG:
             assert g.terms_used == terms
             assert err <= g.error_bound + rounding, s
 
+    @pytest.mark.parametrize("terms", [16, 64, 128])
+    def test_direct_sum_is_the_per_term_fsum(self, terms):
+        # to _DIRECT_TERMS_MAX terms the j^-s come from the memoised _powers,
+        # past it (128) from pow: the same bits as the per-term fsum either
+        # way, the terms scaled by e^(alpha terms) below alpha = 0
+        for s in HALF_INTEGER_ORDERS:
+            for alpha in (-0.01, 1e-3, 0.3, 2.0):
+                shift = terms if alpha < 0.0 else 0
+                want = math.fsum(
+                    j ** -s * math.exp(-alpha * (j - shift)) for j in range(1, terms + 1)
+                )
+                assert bosefn._bose_direct(s, alpha, terms, 0.0).value == want, (s, alpha)
+
+    def test_expansion_past_the_float_factorials(self):
+        # at integer s = n + 1 the singular term is (-alpha)^n / n! times a
+        # log, and n! leaves the floats at n = 171: the term underflows to 0
+        assert bosefn._singular(200.0, 0.01) == 0.0
+        g = bose_g(200.0, 0.01, 1e-10, method="expansion")
+        want = bose_g(200.0, 0.01, 1e-10, method="direct")
+        assert g.error_bound <= 1e-10
+        assert abs(g.value - want.value) <= g.error_bound + want.error_bound + 4 * U * want.value
+
     def test_expansion_shares_memoised_zetas_across_tols(self):
         # 9 terms at three tols: the coefficient table does not depend on
         # tol, so only the first call computes zetas

@@ -486,7 +486,7 @@ class TestSeededRoot:
 
 
 class TestSeedModel:
-    """_g_model, the seed's float model of g_s, on bosefn's shared coefficient table."""
+    """_g_model, the seed's float model of g_s and g_{s-1}, on bosefn's shared tables."""
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_expansion_coefficients_do_not_depend_on_tol(self, d):
@@ -500,6 +500,28 @@ class TestSeedModel:
             solve_alpha(params, tol)
             misses.append(bosefn._zeta_em.cache_info().misses)
         assert misses[0] == misses[1] == misses[2] > 0, misses
+
+    def test_one_model_pass_per_newton_step(self, monkeypatch):
+        # CI's density ladders at beta = 1/4pi.  Each Newton step of the seed
+        # reads g_s and g_{s-1} from one _g_model pass, and a converged seed
+        # starts the root with its last pass's slope: at most 3.5 passes a
+        # seeded root on average (5.18 at d = 1 and 4.69 at d = 3 with one
+        # pass per order and one more for the slope)
+        rho_c = critical_density(3, BETA_UNIT)
+        ladders = {
+            1: [10.0 ** (k / 4) for k in range(-16, 17)],
+            3: [rho_c * 10.0 ** (-k / 4) for k in range(1, 41)]
+            + [rho_c * (1 - 10.0 ** (-k / 2)) for k in range(2, 13)],
+        }
+        g_model, passes = thermo._g_model, []
+        monkeypatch.setattr(thermo, "_g_model", lambda *args: (passes.append(1), g_model(*args))[1])
+        for d, rhos in ladders.items():
+            counts = []
+            for rho in rhos:
+                passes.clear()
+                solve_alpha(SystemParams(d, BETA_UNIT, rho))
+                counts.append(len(passes))
+            assert min(counts) >= 1 and sum(counts) / len(counts) <= 3.5, (d, counts)
 
     @pytest.mark.parametrize("s", [-0.5, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_model_is_within_the_truncation_bounds(self, s):
@@ -517,10 +539,15 @@ class TestSeedModel:
         if s > 0:
             alphas += [switch, 2.0, 5.0, 20.0]
         for alpha in alphas:
-            model = thermo._g_model(s, alpha)
+            model, model_1 = thermo._g_model(s, alpha)
             with mpmath.workdps(40):
                 want = mpmath.polylog(s, mpmath.exp(-mpmath.mpf(alpha)))
                 err = float(abs(model - want))
+                want_1 = mpmath.polylog(s - 1, mpmath.exp(-mpmath.mpf(alpha)))
+                err_1 = float(abs(model_1 - want_1) / abs(want_1))
+            # the model of g_{s-1}, minus g_s's derivative, only steers
+            # Newton's steps: 3e-10 at worst, at s = -1/2 just below the switch
+            assert err_1 <= 1e-9, (alpha, err_1)
             if alpha < switch:
                 values, bounds = bosefn._expansion_coefficients(s, terms)
                 sizes = abs(bosefn._singular(s, alpha)) + math.fsum(
