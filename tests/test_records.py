@@ -160,6 +160,8 @@ def test_exponential_shape():
     assert (shape.lam, shape.bump, shape.relaxed) == (0.0, None, True)
     assert hash(shape) == hash(ExponentialShape(params, 200, relaxed=True))
     assert "qhat" not in vars(shape)  # built on first access, not at construction
+    # the constraint mass is computed once, at construction, for every formula to read
+    assert vars(shape) == {"constraint_mass": shape.constraint_mass}
     qhat = shape.qhat
     assert shape.qhat is qhat and not qhat.flags.writeable
     assert qhat[0] == qhat_star(params, 1.0)
