@@ -4,17 +4,16 @@
     python scripts/bench_record.py 33                        # this checkout
     python scripts/bench_record.py 32 --checkout ../parent   # say, a git archive of the parent
     python scripts/bench_record.py 35 --parent ../parent     # this checkout and its parent, paired
-    python scripts/bench_record.py 38 --parent ../parent --seeds 1-10   # ten pairs
     python scripts/bench_record.py --compare BENCH_33.json BENCH_34.json
     python scripts/bench_record.py --compare BENCH_35.json   # its two sides
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` inside
 the checkout for every workload W of its BENCHMARK.json and every seed S of
---seeds (say 1-10, or 1,3,7; default SEEDS, 1-5), T being BENCHMARK.json's
-run_seconds, and reads the result file each
-run leaves in the checkout's perfbench/out/.  Seeds are the outer loop, so a
-drift in the host's speed spreads over every workload.  The output holds, per
-workload and end-to-end metric, the median and quartiles over the seeds and
+SEEDS (1-10, the ten pairs a claimed gain is judged on), T being
+BENCHMARK.json's run_seconds, and reads the result file each run leaves in
+the checkout's perfbench/out/.  Seeds are the outer loop, so a drift in the
+host's speed spreads over every workload.  The output holds, per workload
+and end-to-end metric, the median and quartiles over the seeds and
 every value; per run, its failed and attempted task counts and the provenance
 its result file carries (source sha256 and line count, versions, CPU, pins).
 The times are the harness's own, put at its reference host's speed by its
@@ -46,19 +45,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SEEDS = (1, 2, 3, 4, 5)
-
-
-def seed_list(text: str) -> tuple[int, ...]:
-    """The seeds of --seeds: comma-separated seeds and inclusive ranges lo-hi."""
-    seeds = []
-    for part in text.split(","):
-        lo, dash, hi = part.partition("-")
-        first, last = int(lo), int(hi) if dash else int(lo)
-        if first > last:
-            raise ValueError(f"empty seed range {part!r}")
-        seeds.extend(range(first, last + 1))
-    return tuple(seeds)
+SEEDS = tuple(range(1, 11))
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -130,18 +117,13 @@ def side(results: list[dict], bench: dict) -> dict:
     }
 
 
-def build_record(checkout: str, parent: str | None, bench: dict, runner=run,
-                 seeds: tuple[int, ...] | None = None) -> dict:
-    """Run every workload and seed in checkout (and parent, paired); the BENCH record.
-
-    seeds defaults to SEEDS.
-    """
-    seeds = SEEDS if seeds is None else seeds
+def build_record(checkout: str, parent: str | None, bench: dict, runner=run) -> dict:
+    """Run every workload and seed in checkout (and parent, paired); the BENCH record."""
     workloads = [w["name"] for w in bench["workloads"]]
     trees = [checkout] if parent is None else [checkout, parent]
     runs = [{w: [] for w in workloads} for _ in trees]
     indexed = list(enumerate(trees))
-    for i, seed in enumerate(seeds):
+    for i, seed in enumerate(SEEDS):
         for workload in workloads:
             for j, tree in indexed if i % 2 else indexed[::-1]:
                 result = runner(tree, workload, seed, bench["run_seconds"])
@@ -151,11 +133,11 @@ def build_record(checkout: str, parent: str | None, bench: dict, runner=run,
 
     record = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {bench['run_seconds']} --trace 0",
-        "seeds": list(seeds),
+        "seeds": list(SEEDS),
         "workloads": {w: side(runs[0][w], bench) for w in workloads},
     }
     if parent is not None:
-        record["parent_first"] = [i % 2 == 0 for i in range(len(seeds))]
+        record["parent_first"] = [i % 2 == 0 for i in range(len(SEEDS))]
         for w in workloads:
             entry = record["workloads"][w]
             entry["parent"] = side(runs[1][w], bench)
@@ -173,7 +155,6 @@ def main(argv=None) -> int:
     ap.add_argument("number", type=int, nargs="?", help="n of the BENCH_<n>.json to write")
     ap.add_argument("--checkout", default=ROOT, help="the tree to measure (default: this one)")
     ap.add_argument("--parent", help="a second tree to run paired with the first, seed by seed")
-    ap.add_argument("--seeds", type=seed_list, help="the seeds to run, as 1-10 or 1,3,7 (default: 1-5)")
     ap.add_argument("--compare", nargs="+", metavar="FILE",
                     help="compare OLD NEW, or one file's parent and measured sides, instead of running")
     args = ap.parse_args(argv)
@@ -188,7 +169,7 @@ def main(argv=None) -> int:
 
     with open(os.path.join(args.checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    record = build_record(args.checkout, args.parent, bench, seeds=args.seeds)
+    record = build_record(args.checkout, args.parent, bench)
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
@@ -200,7 +181,7 @@ def main(argv=None) -> int:
             if "parent" in entry:
                 p = entry["parent"]["metrics"][name]
                 line += (f"; parent {p['median']:.6g} ({p['q1']:.6g} to {p['q3']:.6g}),"
-                         f" wins {entry['wins'][name]}/{len(record['seeds'])}")
+                         f" wins {entry['wins'][name]}/{len(SEEDS)}")
             print(line)
     print(f"wrote {path}")
     return 0

@@ -236,6 +236,15 @@ def _horner(coefficients: tuple[float, ...], x: float) -> float:
     return total
 
 
+def _horner_slope(coefficients: tuple[float, ...], x: float) -> tuple[float, float]:
+    """_horner(coefficients, x), the same bits, and its derivative in x."""
+    total = slope = 0.0
+    for c in reversed(coefficients):
+        slope = slope * x + total
+        total = total * x + c
+    return total, slope
+
+
 def _singular(s: float, alpha: float) -> float:
     """The expansion's term singular at alpha = 0: Gamma(1-s) alpha^(s-1).
 

@@ -408,7 +408,8 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
     in K; no K-vector is built.  tol lies in [1e-13, 1), the domain of
     solve_alpha.  In the normal regime lambda approaches the root of the
     density equation as K grows, and the search starts from the density
-    seed's model root (thermo._root_seed; no certified density solve); in
+    seed's model root where it gives one (thermo._root_seed; no certified
+    density solve); in
     the condensed regime lambda approaches 0 from below, mass concentrates
     at k = K, and the search starts from the escaping-mass model
     (_escape_seed).  A seed moves only where the root is looked for: the
@@ -440,10 +441,11 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
     if r0 > 0.0:
         # mass = Qhat*(1) sum_k k^(-d/2) e^(-lambda k) < Qhat*(1)/(e^lambda - 1) = 1 at b;
         # the mass is about Qhat*(1) g_{d/2}(lambda), so the density seed's
-        # model root starts the search
+        # model root starts the search where it gives one
         b = math.log1p(c)
-        lam0, g1 = _root_seed(s, 1.0 / c, 0.0, b)
-        lam, res = _bracketed_root(residual, 0.0, r0, b, tol, (float, float), (lam0, -c * g1))
+        seed = _root_seed(s, 1.0 / c, 0.0, b)
+        start = None if seed is None else (seed[0], -c * seed[1])
+        lam, res = _bracketed_root(residual, 0.0, r0, b, tol, (float, float), start)
     else:
         # the boundary term K Qhat(K) = e^(log_top - lambda K) alone is 1 at
         # b = log_top / K; the mass grows about linearly in it, and a step

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .bosefn import _expansion_coefficients, _powers, _singular, bose_g, zeta
+from .bosefn import _expansion_coefficients, _horner_slope, _powers, _singular, bose_g, zeta
 from .errors import CAPS, PrecisionError, ValidationError, check_cap
 
 INFINITE = math.inf
@@ -296,19 +296,16 @@ _SEED_SWITCH = 1.5
 _SEED_TERMS = 16
 _SEED_NEWTON = 8  # at most; 6 sufficed at d = 1, 3-6, 8 on 20 targets a decade over the floats
 
-# The coordinate u of a density root, u[1] its inverse, and dalpha/du: g_s is
-# about linear in sqrt(alpha) for s > 1 and in alpha^(-1/2) below
 _SQRT_ALPHA = ((math.sqrt, lambda v: v * v), lambda alpha: 2.0 * math.sqrt(alpha))
 _INV_SQRT_ALPHA = ((lambda x: x**-0.5, lambda v: v**-2.0), lambda alpha: -2.0 * alpha**1.5)
 
 
-def _horner_slope(coefficients: Sequence[float], x: float) -> tuple[float, float]:
-    """sum_k coefficients[k] x^k, as bosefn._horner sums it, and its derivative in x."""
-    total = slope = 0.0
-    for c in reversed(coefficients):
-        slope = slope * x + total
-        total = total * x + c
-    return total, slope
+def _coordinate(s: float):
+    """The coordinate u of a root of g_s(alpha) = target, as (u, its inverse), and dalpha/du.
+
+    g_s is about linear in sqrt(alpha) for s > 1 and in alpha^(-1/2) below.
+    """
+    return _SQRT_ALPHA if s > 1.0 else _INV_SQRT_ALPHA
 
 
 def _g_model(s: float, alpha: float) -> tuple[float, float]:
@@ -330,19 +327,22 @@ def _g_model(s: float, alpha: float) -> tuple[float, float]:
     return _singular(s, alpha) + total, _singular(s - 1.0, alpha) - slope
 
 
-def _root_seed(s: float, target: float, a: float, b: float) -> tuple[float, float]:
-    """A start (alpha0, g1) for a root of g_s(alpha) = target, alpha0 in [a, b].
+def _root_seed(s: float, target: float, a: float, b: float) -> Optional[tuple[float, float]]:
+    """A start (alpha0, g1) for a root of g_s(alpha) = target, alpha0 in [a, b], or None.
 
-    alpha0 is the root of _g_model, by Newton's method in the coordinate u
-    where g_s is about linear, from the inverse of the model's leading terms;
-    each step reads the model's value and slope from one pass.  It stops
-    after a step of at most 1e-6 relative, which leaves about 1e-12, and g1
-    is then the last pass's model of g_{s-1}, which that step moves by about
-    1e-6 relative: the model's slope in alpha is -g1.  alpha0 is clamped into
+    alpha0 is the root of _g_model, by Newton's method in the coordinate
+    _coordinate(s), from the inverse of the model's leading terms; each step
+    reads the model's value and slope from one pass.  It stops after a step
+    of at most 1e-6 relative, which leaves about 1e-12, and g1 is then the
+    last pass's model of g_{s-1}, which that step moves by about 1e-6
+    relative: the model's slope in alpha is -g1.  alpha0 is clamped into
     [a, b]; a clamped or unconverged alpha0 takes one more pass for g1.  At
-    s = 1, g_1 inverts in closed form.
+    s = 1, g_1 inverts in closed form.  There is no start (None) where the
+    first guess is not above 0, a target at or past the table's zeta(s), or
+    where the model leaves the floats (at d = 1 past t = 1e102,
+    alpha^(-3/2) in its slope overflows).
     """
-    (to_u, from_u), dalpha_du = _SQRT_ALPHA if s > 1.0 else _INV_SQRT_ALPHA
+    (to_u, from_u), dalpha_du = _coordinate(s)
     zeta_s, minus_zeta_s1 = _expansion_coefficients(s, _SEED_TERMS)[0][:2]
     gap = zeta_s - target
     if target <= math.exp(-_SEED_SWITCH):  # g_s ~ e^-alpha
@@ -353,24 +353,29 @@ def _root_seed(s: float, target: float, a: float, b: float) -> tuple[float, floa
         alpha = (-gap / math.gamma(1.0 - s)) ** (1.0 / (s - 1.0))
     else:  # g_s ~ zeta(s) - zeta(s-1) alpha; at s = 2, zeta(1) is the pole and 1 stands in
         alpha = gap / (-minus_zeta_s1 or 1.0)
+    if not alpha > 0.0:
+        return None
     near = False  # whether the last pass's g1 holds at alpha
-    for _ in range(_SEED_NEWTON):
-        v = to_u(alpha)
-        g, g1 = _g_model(s, alpha)
-        step = (g - target) / (-g1 * dalpha_du(alpha))
-        if not v - step > 0.0:
-            break
-        alpha = from_u(v - step)
-        near = abs(step) <= 1e-6 * v
-        if near:
-            break
-    # within a few ulps of b the model cannot tell the root from b (t - g(b),
-    # about t^2, is below the float resolution of t), and b is the root
-    if alpha >= b - 4.0 * math.ulp(b):
-        alpha, near = b, False
-    elif alpha < a:
-        alpha, near = a, False
-    return alpha, g1 if near else _g_model(s, alpha)[1]
+    try:
+        for _ in range(_SEED_NEWTON):
+            v = to_u(alpha)
+            g, g1 = _g_model(s, alpha)
+            step = (g - target) / (-g1 * dalpha_du(alpha))
+            if not v - step > 0.0:
+                break
+            alpha = from_u(v - step)
+            near = abs(step) <= 1e-6 * v
+            if near:
+                break
+        # within a few ulps of b the model cannot tell the root from b (t - g(b),
+        # about t^2, is below the float resolution of t), and b is the root
+        if alpha >= b - 4.0 * math.ulp(b):
+            alpha, near = b, False
+        elif alpha < a:
+            alpha, near = a, False
+        return alpha, g1 if near else _g_model(s, alpha)[1]
+    except ArithmeticError:
+        return None
 
 
 def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> float:
@@ -402,7 +407,6 @@ def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> 
     b = math.log1p(1.0 / target)
     if d >= 3:
         a, f_a = 0.0, rho_c * factor - target
-        u, dalpha_du = _SQRT_ALPHA
     else:
         # sqrt(pi/alpha) - 2 < g_(1/2)(alpha) < sqrt(pi/alpha) by integral comparison and
         # e^-alpha < g_(1/2)(alpha) term by term; dividing twice cannot overflow
@@ -411,12 +415,9 @@ def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> 
         if a == 0.0:
             raise PrecisionError(f"alpha underflows at d=1, rho={rho}")
         f_a = math.nan  # positive, and not evaluated
-        u, dalpha_du = _INV_SQRT_ALPHA
-    try:
-        alpha0, g1 = _root_seed(s, target, a, b)
-        start = alpha0, -g1 * dalpha_du(alpha0)
-    except OverflowError:  # d = 1 past t = 1e102: alpha^(-3/2) in the model's slope
-        start = None
+    u, dalpha_du = _coordinate(s)
+    seed = _root_seed(s, target, a, b)
+    start = None if seed is None else (seed[0], -seed[1] * dalpha_du(seed[0]))
     return _bracketed_root(excess, a, f_a, b, tol * target, u, start)[0]
 
 

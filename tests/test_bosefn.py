@@ -378,6 +378,17 @@ class TestBoseG:
         assert g.error_bound <= 1e-10
         assert abs(g.value - want.value) <= g.error_bound + want.error_bound + 4 * U * want.value
 
+    def test_horner_slope_sums_as_horner_does(self):
+        # the root seed reads the model's value from _horner_slope: the same
+        # bits as the certified expansion's _horner, and the derivative
+        for s in HALF_INTEGER_ORDERS:
+            coefficients = bosefn._expansion_coefficients(s, 16)[0]
+            for x in (1e-6, 0.01, 0.3, 1.4):
+                value, slope = bosefn._horner_slope(coefficients, x)
+                assert value == bosefn._horner(coefficients, x), (s, x)
+                want = math.fsum(k * c * x ** (k - 1) for k, c in enumerate(coefficients) if k)
+                assert slope == pytest.approx(want, rel=1e-12, abs=1e-300), (s, x)
+
     def test_expansion_shares_memoised_zetas_across_tols(self):
         # 9 terms at three tols: the coefficient table does not depend on
         # tol, so only the first call computes zetas

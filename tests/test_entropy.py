@@ -423,6 +423,24 @@ class TestMinimizeS:
         assert res.lam == pytest.approx(703.3255263326934, rel=1e-12)
         assert res.s_value == pytest.approx(chi(params), rel=1e-13)
 
+    @pytest.mark.parametrize("d", [8, 10, 12])
+    def test_root_near_the_critical_density(self, d):
+        # at K = 1e6 the tail past K is below an ulp of zeta(d/2), so within a
+        # few ulps of rho_c the target 1/Qhat*(1) can sit at or past the seed
+        # model's zeta(d/2) while the mass at lambda = 0 is still above 1:
+        # the density seed gives no start there, and the root is unseeded
+        for beta in (BETA_UNIT, 1.0):
+            rho_c = critical_density(d, beta)
+            rhos = [rho_c]
+            for direction in (0.0, math.inf):
+                rho = rho_c
+                for _ in range(4):
+                    rho = math.nextafter(rho, direction)
+                    rhos.append(rho)
+            for rho in rhos:
+                res = minimize_S(SystemParams(d, beta, rho), K=10**6)
+                assert abs(res.constraint_residual) <= 1e-10, (beta, rho)
+
     @pytest.mark.parametrize("K", [1000, 100_000])
     def test_qhat_near_the_float_limit(self, K):
         # at rho = 1e308, Qhat*(k) < 1e-308 is subnormal and the root has

@@ -501,6 +501,19 @@ class TestSeedModel:
             misses.append(bosefn._zeta_em.cache_info().misses)
         assert misses[0] == misses[1] == misses[2] > 0, misses
 
+    def test_no_seed_where_the_model_gives_none(self):
+        # a target at or past the table's zeta(s) (s > 1) puts the first
+        # guess at alpha <= 0, and at d = 1 past t = 1e102 the model's slope
+        # overflows: the root search then starts unseeded
+        for s in (1.5, 2.0, 4.0, 6.0):
+            zeta_s = bosefn._expansion_coefficients(s, thermo._SEED_TERMS)[0][0]
+            targets = [zeta_s] if s < 2.0 else [zeta_s, math.nextafter(zeta_s, math.inf)]
+            for target in targets:
+                assert thermo._root_seed(s, target, 0.0, math.log1p(1.0 / target)) is None, s
+        t = 1e110
+        assert thermo._root_seed(0.5, t, math.pi / (t + 2.0) ** 2, math.pi / t**2) is None
+        assert thermo._root_seed(4.0, 1.0, 0.0, math.log(2.0)) is not None
+
     def test_one_model_pass_per_newton_step(self, monkeypatch):
         # CI's density ladders at beta = 1/4pi.  Each Newton step of the seed
         # reads g_s and g_{s-1} from one _g_model pass, and a converged seed
