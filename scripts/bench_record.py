@@ -24,7 +24,10 @@ back to back with the measured checkout's, the parent going first at the
 first, third, ... seed and second at the others, so that both sides see the
 same host.  The file then holds, per workload, the parent's side under
 "parent" (the same fields) and under "wins" the number of seeds at which the
-measured checkout beat the parent on each end-to-end metric.
+measured checkout beat the parent on each end-to-end metric.  It refuses a
+pair whose absolute paths differ in length, and a pair where either checkout
+holds src/cyclegas/__pycache__ (see unfair_pair).  Every run is made with
+PYTHONDONTWRITEBYTECODE=1, so that no run leaves a cache behind.
 
 ``--compare OLD NEW`` runs nothing: for each workload and end-to-end metric
 of two such files it prints both medians and their ratio NEW/OLD, and flags
@@ -49,13 +52,33 @@ SEEDS = tuple(range(1, 11))
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in the checkout; its result file."""
+    """One perfbench run in the checkout, writing no bytecode; its result file."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    subprocess.run(argv, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run(argv, cwd=checkout, check=True, stdout=subprocess.DEVNULL, env=env)
     path = os.path.join(checkout, "perfbench", "out", f"result-{workload}-seed{seed}-trace0.json")
     with open(path) as fh:
         return json.load(fh)
+
+
+def unfair_pair(checkout: str, parent: str) -> str | None:
+    """Why two checkouts cannot be timed against each other, or None.
+
+    The harness's times lean with the length of a checkout's absolute path:
+    with the parent at a longer path the chain workload read 4.5-9.3% slower
+    than at an equal length.  And a checkout holding src/cyclegas/__pycache__
+    loads bytecode where the other compiles its source: setup_s read about
+    10% lower.
+    """
+    paths = [os.path.abspath(tree) for tree in (checkout, parent)]
+    if len(paths[0]) != len(paths[1]):
+        return f"the paths differ in length ({len(paths[0])} and {len(paths[1])}): {paths}"
+    for tree in paths:
+        cache = os.path.join(tree, "src", "cyclegas", "__pycache__")
+        if os.path.exists(cache):
+            return f"{cache} holds bytecode; remove it"
+    return None
 
 
 def summary(values: list[float], unit: str) -> dict:
@@ -150,7 +173,7 @@ def build_record(checkout: str, parent: str | None, bench: dict, runner=run) -> 
     return record
 
 
-def main(argv=None) -> int:
+def main(argv=None, runner=run) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("number", type=int, nargs="?", help="n of the BENCH_<n>.json to write")
     ap.add_argument("--checkout", default=ROOT, help="the tree to measure (default: this one)")
@@ -167,9 +190,13 @@ def main(argv=None) -> int:
     if args.number is None:
         ap.error("give the n of BENCH_<n>.json, or --compare")
 
+    if args.parent is not None:
+        unfair = unfair_pair(args.checkout, args.parent)
+        if unfair:
+            ap.error(f"--parent: the pair would not be timed alike: {unfair}")
     with open(os.path.join(args.checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    record = build_record(args.checkout, args.parent, bench)
+    record = build_record(args.checkout, args.parent, bench, runner)
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)

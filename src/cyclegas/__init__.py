@@ -30,20 +30,16 @@ _EXPORTS = {
     ),
     "errors": ("CapError", "CycleGasError", "DivergenceError", "PrecisionError", "ValidationError"),
     "exactz": (
-        "WeightedEnsemble",
         "brute_force_log_Z",
         "confinement_log_Z_bracket",
         "convergence_scan",
         "exact_log_Z",
-        "log_weight",
         "mu_N_expected_shape",
-        "weighted_ensemble",
     ),
     "partitions": (
         "Partition",
         "ShapeMeasure",
         "conjugacy_class_size",
-        "enumerate_partitions",
         "log_conjugacy_class_size",
         "occupations_from_shape",
         "partition_count",

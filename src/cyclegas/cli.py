@@ -13,7 +13,7 @@ both engines read live in thermo.  Every command runs on Python
 floats and ints, and none loads NumPy: minimize's dual and its qhat_head are
 formulas, and no command builds a shape's vector.  Nor does any load
 dataclasses (the records are NamedTuples), fractions or the partitions
-layer, which only the enumeration oracle imports; only --format csv loads csv.
+layer, which only ChainState.current imports; only --format csv loads csv.
 
 All physical inputs are dimensionless; beta is the time horizon of a
 diffusion with generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), so

@@ -444,7 +444,7 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
         # model root starts the search where it gives one
         b = math.log1p(c)
         seed = _root_seed(s, 1.0 / c, 0.0, b)
-        start = None if seed is None else (seed[0], -c * seed[1])
+        start = (b, None) if seed is None else (seed[0], -c * seed[1])
         lam, res = _bracketed_root(residual, 0.0, r0, b, tol, (float, float), start)
     else:
         # the boundary term K Qhat(K) = e^(log_top - lambda K) alone is 1 at
@@ -454,8 +454,9 @@ def minimize_S(params: SystemParams, K: int, tol: float = 1e-10) -> MinimizeResu
             lambda lam: math.exp(log_top - lam * K),
             lambda v: (log_top - math.log(v)) / K if v > 0.0 else math.inf,
         )
-        start = _escape_seed(-r0, K, log_top)
-        lam, res = _bracketed_root(residual, 0.0, r0, log_top / K, tol, boundary, start)
+        b = log_top / K
+        start = _escape_seed(-r0, K, log_top) or (b, None)
+        lam, res = _bracketed_root(residual, 0.0, r0, b, tol, boundary, start)
 
     shape = ExponentialShape(params, K, lam)
     return MinimizeResult(

@@ -36,22 +36,21 @@ class Cap(NamedTuple):
 
 
 # Every resource cap of the package, by route.  Size routes refuse a size
-# above limit through check_cap (CapError); the exact, ensemble and chain
-# routes pass through thermo._cycle_log_constants, the one gate of the exact
-# sums and the chain.  The last five bound the iterations of a certified
-# series or root and raise PrecisionError where they run instead.
+# above limit through check_cap (CapError); the exact and chain routes pass
+# through thermo._cycle_log_constants, the one gate of the exact sums and the
+# chain.  The last five bound the iterations of a certified series or root
+# and raise PrecisionError where they run instead.
 CAPS = {
-    # iter_parts, enumerate_partitions, partition_count,
+    # iter_parts (so the tests' enumeration oracle), partition_count,
     # conjugacy_class_size
     "enumeration": Cap(120, "p(120) = 1,844,349,560 partitions"),
-    # exact_log_Z (so convergence_scan, confinement_log_Z_bracket): the
-    # range of its enumeration oracle
+    # exact_log_Z (so convergence_scan, confinement_log_Z_bracket) and
+    # mu_N_expected_shape, one O(n^2) table each: the range of their
+    # enumeration oracle
     "exact": Cap(70, "oracle range p(70) = 4,087,968 partitions"),
-    # weighted_ensemble, mu_N_expected_shape
-    "ensemble": Cap(40, "p(40) = 37,338 partitions in memory"),
     # brute_force_log_Z
     "permutations": Cap(9, "9! = 362,880 permutations"),
-    # ChainState, exactz.log_weight
+    # ChainState (so run_chain)
     "chain": Cap(100_000, "O(n) chain state"),
     # entropy.qhat_star_array, the shapes (so minimize_S, minimizing_sequence),
     # functional_S and entropy_decomposition; cost: a shape's qhat, built on access

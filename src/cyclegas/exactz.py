@@ -5,69 +5,46 @@ prod_k |V|^r_k / (r_k! k^r_k) * (4 pi beta k)^(-d r_k / 2),
 one volume factor per cycle.  Because the weight factors over cycles, the
 sum over all partitions of m obeys the cycle-index recursion
 m Z_m = sum_{k=1}^m k theta_k Z_{m-k}, theta_k = e^{c[k]}, which gives
-log Z and the exact occupation expectations in O(n^2).  The table c and a
-partition's log weight come from thermo, which the chain reads them from
-too, so the sampler does not import this module.  The recursion runs over
-Python floats in tilted linear space, each row one math.fsum of products
-streamed through map, and re-tilts from its own logs where a row leaves its
-band, so that every row stays linear (see _log_Z_table): at the n <= 70 of
-the public routes that beats NumPy, whose per-call cost exceeds a row's
-arithmetic.  Enumeration of the partitions (weighted_ensemble) and the sum
-over all n! permutations (brute_force_log_Z) stay on as independent oracles
-for small n.  The latter builds each permutation by insertion, element m
-going in as a fixed point or right after one of the m - 1 elements already
-placed; removing the largest element inverts the step, so every permutation
-is reached exactly once, and the L places inside an L-cycle give identical
-subtrees, walked once and copied.  Its n! terms are products of floats
-under a depth tilt: at depth m each is scaled by e^(-M_m), M_m the largest
-log weight of a permutation of m elements, which the identity or the
-m-cycle attains because a k-cycle's log weight per element peaks at k = 1
-or k = m.  So every term is at most 1, and the terms go to one math.fsum
-(the bound on what underflow loses is derived in brute_force_log_Z).  The
-free-space heat-kernel mass is used per cycle, with the confinement
-correction exposed as a bracketing diagnostic rather than folded into the
-weights.
+log Z and the exact occupation expectations in O(n^2).  The table c comes
+from thermo, which the chain reads it from too, so the sampler does not
+import this module.  The recursion runs over Python floats in tilted linear
+space, each row one math.fsum of products streamed through map, and
+re-tilts from its own logs where a row leaves its band, so that every row
+stays linear (see _log_Z_table): at the n <= 70 of the public routes that
+beats NumPy, whose per-call cost exceeds a row's arithmetic.  The sum over
+all n! permutations (brute_force_log_Z) stays on as an independent oracle
+for small n; the enumeration of the partitions is a test helper.  The
+oracle builds each permutation by insertion, element m going in as a fixed
+point or right after one of the m - 1 elements already placed; removing
+the largest element inverts the step, so every permutation is reached
+exactly once, and the L places inside an L-cycle give identical subtrees,
+walked once and copied.  Its n! terms are products of floats under a depth
+tilt: at depth m each is scaled by e^(-M_m), M_m the largest log weight of
+a permutation of m elements, which the identity or the m-cycle attains
+because a k-cycle's log weight per element peaks at k = 1 or k = m.  So
+every term is at most 1, and the terms go to one math.fsum (the bound on
+what underflow loses is derived in brute_force_log_Z).  The free-space
+heat-kernel mass is used per cycle, with the confinement correction exposed
+as a bracketing diagnostic rather than folded into the weights.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import mul, sub
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PrecisionError, ValidationError, check_cap
-from .thermo import (
-    SystemParams, _cycle_log_constants, _log1mexp, _occupation_log_weight, _require_n, chi
-)
+from .thermo import SystemParams, _cycle_log_constants, _log1mexp, _require_n, chi
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .partitions import Partition
 
 # the band of a tilted row z_m (a row outside it re-tilts _log_Z_table), the
 # log of its top, and an x below which math.exp(x) is finite (it raises
 # OverflowError from 709.7828)
 _Z_LOW, _Z_HIGH, _LOG_Z_HIGH, _EXP_MAX = 2.0**-450, 2.0**450, 450.0 * math.log(2.0), 709.78
-
-
-def log_weight(lam: Partition, params: SystemParams) -> float:
-    """Natural-log ensemble weight of one partition: sum_k r_k log theta_k - log(r_k!)."""
-    n = _require_n(params)
-    if lam.n != n:
-        raise ValidationError(f"partition of {lam.n} does not match params.n={n}")
-    return _occupation_log_weight(lam.occupations, _cycle_log_constants(params, "chain"))
-
-
-def _logsumexp(values: Sequence[float]) -> float:
-    """log sum_i e^(values[i]): one max shift, then one math.fsum of the exps.
-
-    The shifted exps stream from C-level iterators into fsum, so no second
-    list of len(values) floats is made.
-    """
-    top = max(values)
-    return top + math.log(math.fsum(map(math.exp, map(sub, values, repeat(top)))))
 
 
 def _insertion_walk(
@@ -304,41 +281,18 @@ def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
     }
 
 
-class WeightedEnsemble(NamedTuple):
-    """All partitions of n with their log weights and the normalisation."""
-
-    params: SystemParams
-    log_weights: dict[Partition, float]
-    log_Z: float
-
-    def probability(self, lam: Partition) -> float:
-        return math.exp(self.log_weights[lam] - self.log_Z)
-
-
-def weighted_ensemble(params: SystemParams) -> WeightedEnsemble:
-    """Materialise the distribution over P_n (small n only)."""
-    from .partitions import enumerate_partitions
-
-    c = _cycle_log_constants(params, "ensemble")
-    table = {
-        lam: _occupation_log_weight(lam.occupations, c)
-        for lam in enumerate_partitions(params.n)
-    }
-    log_z = _logsumexp(list(table.values()))
-    return WeightedEnsemble(params=params, log_weights=table, log_Z=log_z)
-
-
 def mu_N_expected_shape(params: SystemParams) -> np.ndarray:
     """Exact expectations E[Qhat(k)] = E[r_k]/n for k = 1..n.
 
     E[r_k] = theta_k Z_{n-k} / Z_n with theta_k = e^{c[k]}, read off one
     cycle-index recursion table.  sum_k k E[Qhat(k)] = 1 is the recursion at
-    m = n and is checked to 1e-10.  The only exactz route that loads NumPy,
-    on its first call, for the array it returns.
+    m = n and is checked to 1e-10.  Under the exact cap, as its one O(n^2)
+    table costs what exact_log_Z's does.  The only exactz route that loads
+    NumPy, on its first call, for the array it returns.
     """
     import numpy as np
 
-    c = _cycle_log_constants(params, "ensemble")
+    c = _cycle_log_constants(params, "exact")
     n = params.n
     log_z = np.asarray(_log_Z_table(c, n))
     ks = np.arange(1, n + 1)

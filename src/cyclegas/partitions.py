@@ -2,15 +2,15 @@
 
 A partition of n is stored through its occupation numbers r_k (the number of
 parts, equivalently cycles, of length k).  The module provides streaming
-enumeration in descending-lexicographic order, the exact partition-count
-recurrence p(n), conjugacy-class sizes n!/prod(r_k! k^r_k), and the exact
-rational shape measure Q(l) = (1/n) sum_{k>=l} r_k together with its inverse.
+enumeration of parts lists in descending-lexicographic order, the exact
+partition-count recurrence p(n), conjugacy-class sizes n!/prod(r_k! k^r_k),
+and the exact rational shape measure Q(l) = (1/n) sum_{k>=l} r_k together
+with its inverse.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import groupby
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ValidationError, check_cap
@@ -146,14 +146,6 @@ def _parts(n: int) -> Iterator[list[int]]:
             c = v if v < rest else rest
             parts.append(c)
             rest -= c
-
-
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Stream every partition of n exactly once, descending-lex by parts."""
-    return (
-        Partition(n, tuple((k, len(list(run))) for k, run in groupby(reversed(parts))))
-        for parts in iter_parts(n)
-    )
 
 
 def partition_count(n: int) -> int:

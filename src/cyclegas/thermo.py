@@ -6,10 +6,10 @@ and evaluates the limiting cycle-length distribution, condensate fraction,
 specific free energy f and entropy infimum chi = beta f / rho.
 
 It is also the one home of the cycle weight theta_k = |V| (4 pi beta k)^(-d/2) / k:
-thermal_factor, the reference shape qhat_star = theta_k / n, and the log-space
-table log theta_k (_cycle_log_constants) with a partition's log weight
-(_occupation_log_weight), which both the exact sums (exactz) and the chain
-(sampler) read, so the chain does not load the exact engine.
+thermal_factor, the reference shape qhat_star = theta_k / n, the log-space
+table log theta_k (_cycle_log_constants), which both the exact sums (exactz)
+and the chain (sampler) read, so the chain does not load the exact engine,
+and a partition's log weight (_occupation_log_weight), which the chain reads.
 
 Density roots start from the root of _g_model, a float model of g_s and
 of its slope -g_{s-1}, read in one pass over bosefn's one table of
@@ -212,41 +212,41 @@ def _bracketed_root(
     f_a: float,
     b: float,
     tol_abs: float,
-    u: tuple[Callable[[float], float], Callable[[float], float]] = (float, float),
-    start: Optional[tuple[float, float]] = None,
+    u: tuple[Callable[[float], float], Callable[[float], float]],
+    start: tuple[float, Optional[float]],
 ) -> tuple[float, float]:
     """The x between a and b where a decreasing f crosses zero, and f(x).
 
     f(x) returns (value, error_bound); f_a is f's value at a, where f is not
     evaluated, or NaN where it is not known, and the caller proves that f has
     the other sign at b.  Steps are taken in the coordinate u[0] (inverse
-    u[1], by default the identity) in which f is about linear.  Without a
-    start, f(b) is evaluated first and the bracket is narrowed by regula falsi
-    with the Illinois modification (Dowell & Jarratt, BIT 11, 168 (1971)),
-    which halves the value kept at an end retained twice in a row.  With
-    start = (x0, slope), x0 in [a, b] and slope an estimate of df/du there,
-    f(x0) is evaluated first, the first step is Newton's with that slope and
-    each later one a secant through the last two evaluations; b is evaluated
-    only as the last candidate once the bracket is at float resolution.  A
-    step that leaves the open bracket, or a zero slope, falls back to the
-    Illinois step, and that to bisection where it leaves the bracket too or
-    an end's value is not known.  Returns the first evaluation with |f(x)| +
-    error_bound <= tol_abs; PrecisionError after CAPS["root_evals"]
-    evaluations or at float resolution.
+    u[1]) in which f is about linear.  start = (x0, slope), x0 in [a, b]:
+    f(x0) is evaluated first and replaces the end on its side of the root,
+    and b, unless it is x0, is evaluated only as the last candidate once the
+    bracket is at float resolution.  With slope an estimate of df/du at x0,
+    the first step is Newton's with it and each later one a secant through
+    the last two evaluations.  With slope None (a caller with no seed starts
+    at (b, None)) every step is regula falsi with the Illinois modification
+    (Dowell & Jarratt, BIT 11, 168 (1971)), which halves the value kept at
+    an end retained twice in a row.  A Newton or secant step that leaves the
+    open bracket, or a zero slope, falls back to the Illinois step, and that
+    to bisection where it leaves the bracket too or an end's value is not
+    known.  Returns the first evaluation with |f(x)| + error_bound <=
+    tol_abs; PrecisionError after CAPS["root_evals"] evaluations or at float
+    resolution.
     """
     to_u, from_u = u
-    x, slope = (b, None) if start is None else start
+    x, slope = start
     f_x, error = f(x)
     if abs(f_x) + error <= tol_abs:
         return x, f_x
-    f_b = f_x if start is None else math.nan  # NaN: an end not evaluated
-    lo, hi, f_lo, f_hi = (a, b, f_a, f_b) if a < b else (b, a, f_b, f_a)
-    if start is not None:  # the start replaces the end on its side
-        if f_x > 0.0:
-            lo, f_lo = x, f_x
-        else:
-            hi, f_hi = x, f_x
-        u_x = to_u(x)
+    # NaN: an end not evaluated; the start replaces the end on its side
+    lo, hi, f_lo, f_hi = (a, b, f_a, math.nan) if a < b else (b, a, math.nan, f_a)
+    if f_x > 0.0:
+        lo, f_lo = x, f_x
+    else:
+        hi, f_hi = x, f_x
+    u_x = to_u(x)
     kept = None  # the end the last step left in place
     for _ in range(CAPS["root_evals"].limit - 1):
         mid = 0.5 * (lo + hi)
@@ -417,7 +417,7 @@ def _solve_root(d: int, rho: float, factor: float, tol: float, rho_c: float) -> 
         f_a = math.nan  # positive, and not evaluated
     u, dalpha_du = _coordinate(s)
     seed = _root_seed(s, target, a, b)
-    start = None if seed is None else (seed[0], -seed[1] * dalpha_du(seed[0]))
+    start = (b, None) if seed is None else (seed[0], -seed[1] * dalpha_du(seed[0]))
     return _bracketed_root(excess, a, f_a, b, tol * target, u, start)[0]
 
 

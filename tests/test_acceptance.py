@@ -22,12 +22,7 @@ from cyclegas.entropy import (
     minimizing_sequence_s_closed_form,
     qhat_star_array,
 )
-from cyclegas.exactz import (
-    brute_force_log_Z,
-    convergence_scan,
-    exact_log_Z,
-    weighted_ensemble,
-)
+from cyclegas.exactz import brute_force_log_Z, convergence_scan, exact_log_Z
 from cyclegas.sampler import ChainState, run_chain
 from cyclegas.thermo import (
     SystemParams,
@@ -38,6 +33,7 @@ from cyclegas.thermo import (
     solve_alpha,
     thermal_factor,
 )
+from tests.oracles import weighted_ensemble
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
 

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 spec = importlib.util.spec_from_file_location(
     "bench_record", os.path.join(ROOT, "scripts", "bench_record.py")
@@ -116,3 +118,65 @@ def test_a_record_holds_ten_pairs():
     assert record["seeds"] == list(range(1, 11)) and len(calls) == 10 * 2 * 2
     assert record["parent_first"] == [True, False] * 5
     assert sum(record["workloads"]["fast"]["wins"].values()) == 9
+
+
+def checkout(root, *names: str, cache: bool = False) -> str:
+    """A checkout at root/names holding BENCHMARK.json, and src/cyclegas/__pycache__ with cache."""
+    tree = root.joinpath(*names)
+    (tree / "src" / "cyclegas").mkdir(parents=True)
+    (tree / "BENCHMARK.json").write_text(json.dumps(dict(BENCH, run_seconds=7)))
+    if cache:
+        (tree / "src" / "cyclegas" / "__pycache__").mkdir()
+    return str(tree)
+
+
+def by_name(calls: list):
+    """stub_runner on the last component of each checkout's path."""
+    runner = stub_runner(calls)
+    return lambda tree, *args: runner(os.path.basename(tree), *args)
+
+
+def test_parent_refuses_paths_of_two_lengths(tmp_path, capsys):
+    # the chain workload leans with the checkout path's length
+    calls = []
+    new, parent = checkout(tmp_path, "new"), checkout(tmp_path, "parent")
+    with pytest.raises(SystemExit) as err:
+        bench_record.main(["39", "--checkout", new, "--parent", parent], runner=by_name(calls))
+    assert err.value.code == 2 and calls == []
+    want = f"paths differ in length ({len(new)} and {len(parent)})"
+    assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cached", ["new", "parent"])
+def test_parent_refuses_a_bytecode_cache_on_either_side(tmp_path, capsys, cached):
+    calls = []
+    new = checkout(tmp_path, "ab", "new", cache=cached == "new")
+    parent = checkout(tmp_path, "parent", cache=cached == "parent")
+    assert len(new) == len(parent)
+    with pytest.raises(SystemExit) as err:
+        bench_record.main(["39", "--checkout", new, "--parent", parent], runner=by_name(calls))
+    assert err.value.code == 2 and calls == []
+    cache = os.path.join(new if cached == "new" else parent, "src", "cyclegas", "__pycache__")
+    assert f"{cache} holds bytecode" in capsys.readouterr().err
+
+
+def test_parent_runs_a_fair_pair(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "SEEDS", (1, 2))
+    monkeypatch.setattr(bench_record, "ROOT", str(tmp_path))
+    calls = []
+    new, parent = checkout(tmp_path, "ab", "new"), checkout(tmp_path, "parent")
+    assert bench_record.main(["39", "--checkout", new, "--parent", parent], runner=by_name(calls)) == 0
+    assert len(calls) == 2 * 2 * 2
+    record = json.loads((tmp_path / "BENCH_39.json").read_text())
+    assert record["workloads"]["fast"]["wins"] == {"wall_s": 2, "rate": 0}
+
+
+def test_runs_write_no_bytecode(tmp_path, monkeypatch):
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "result-fast-seed3-trace0.json").write_text(json.dumps({"seed": 3}))
+    seen = []
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda argv, **kwargs: seen.append(kwargs))
+    assert bench_record.run(str(tmp_path), "fast", 3, 7) == {"seed": 3}
+    [kwargs] = seen
+    assert kwargs["cwd"] == str(tmp_path) and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"

@@ -20,17 +20,9 @@ from cyclegas.exactz import (
     confinement_log_Z_bracket,
     convergence_scan,
     exact_log_Z,
-    log_weight,
     mu_N_expected_shape,
-    weighted_ensemble,
 )
-from cyclegas.partitions import (
-    Partition,
-    conjugacy_class_size,
-    enumerate_partitions,
-    iter_parts,
-    partition_count,
-)
+from cyclegas.partitions import Partition, conjugacy_class_size, iter_parts, partition_count
 from cyclegas.sampler import ChainState, run_chain
 from cyclegas.thermo import SystemParams, critical_density
 
@@ -42,27 +34,25 @@ def at(n: int) -> SystemParams:
 
 
 # every call that sizes its work by n (K for a shape), with the route whose
-# cap guards it
+# cap guards it and a row number that stays with the call, so that a test id
+# does not change when another row goes
 GUARDED = [
-    ("enumeration", iter_parts),
-    ("enumeration", enumerate_partitions),
-    ("enumeration", partition_count),
-    ("enumeration", lambda n: conjugacy_class_size(Partition(n, ((n, 1),)))),
-    ("exact", lambda n: exact_log_Z(at(n))),
-    ("exact", lambda n: convergence_scan(SystemParams(3, 1.0, 1.0), [n])),
-    ("exact", lambda n: confinement_log_Z_bracket(at(n))),
-    ("ensemble", lambda n: weighted_ensemble(at(n))),
-    ("ensemble", lambda n: mu_N_expected_shape(at(n))),
-    ("permutations", lambda n: brute_force_log_Z(at(n))),
-    ("chain", lambda n: ChainState(at(n))),
-    ("chain", lambda n: run_chain(at(n), steps=100)),
-    ("shape", lambda K: qhat_star_array(SystemParams(3, 1.0, 1.0), K)),
-    ("chain", lambda n: log_weight(Partition(n, ((n, 1),)), at(n))),
+    (0, "enumeration", iter_parts),
+    (2, "enumeration", partition_count),
+    (3, "enumeration", lambda n: conjugacy_class_size(Partition(n, ((n, 1),)))),
+    (4, "exact", lambda n: exact_log_Z(at(n))),
+    (5, "exact", lambda n: convergence_scan(SystemParams(3, 1.0, 1.0), [n])),
+    (6, "exact", lambda n: confinement_log_Z_bracket(at(n))),
+    (8, "exact", lambda n: mu_N_expected_shape(at(n))),
+    (9, "permutations", lambda n: brute_force_log_Z(at(n))),
+    (10, "chain", lambda n: ChainState(at(n))),
+    (11, "chain", lambda n: run_chain(at(n), steps=100)),
+    (12, "shape", lambda K: qhat_star_array(SystemParams(3, 1.0, 1.0), K)),
 ]
 
 
 @pytest.mark.parametrize(
-    "route, call", GUARDED, ids=[f"{route}-{i}" for i, (route, _) in enumerate(GUARDED)]
+    "route, call", [row[1:] for row in GUARDED], ids=[f"{route}-{i}" for i, route, _ in GUARDED]
 )
 def test_route_runs_at_its_cap_and_refuses_one_more(route, call):
     cap = CAPS[route]
@@ -78,7 +68,7 @@ def test_stated_costs_hold():
     assert partition_count(70) == 4_087_968
     assert partition_count(40) == 37_338
     assert math.factorial(9) == 362_880
-    for route in ("enumeration", "exact", "ensemble"):
+    for route in ("enumeration", "exact"):
         cap = CAPS[route]
         assert f"p({cap.limit}) = {partition_count(cap.limit):,}" in cap.cost
     cap = CAPS["permutations"]
@@ -134,7 +124,8 @@ def evaluations_of_a_root():
         calls.append(x)
         return math.exp(-x) - 0.5, 0.0
 
-    assert thermo._bracketed_root(f, 0.0, 0.5, 5.0, 1e-15)[0] == pytest.approx(math.log(2.0))
+    root = thermo._bracketed_root(f, 0.0, 0.5, 5.0, 1e-15, (float, float), (5.0, None))
+    assert root[0] == pytest.approx(math.log(2.0))
     return len(calls)
 
 

@@ -15,21 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclegas import exactz
-from cyclegas.errors import CapError, PrecisionError, ValidationError
+from cyclegas.errors import CAPS, CapError, PrecisionError, ValidationError
 from cyclegas.exactz import (
     ScanRow,
     _log_Z_table,
-    _logsumexp,
     _tilt,
     brute_force_log_Z,
     confinement_log_Z_bracket,
     convergence_scan,
     exact_log_Z,
-    log_weight,
     mu_N_expected_shape,
-    weighted_ensemble,
 )
-from cyclegas.partitions import Partition, enumerate_partitions
+from cyclegas.partitions import Partition
 from cyclegas.thermo import (
     SystemParams,
     _cycle_log_constants,
@@ -38,6 +35,7 @@ from cyclegas.thermo import (
     solve_alpha,
     thermal_factor,
 )
+from tests.oracles import _logsumexp, enumerate_partitions, log_weight, weighted_ensemble
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
 
@@ -751,24 +749,41 @@ class TestEnsembleDistribution:
         ks = np.arange(1, 6)
         assert float(ks @ cond[:5]) < float(ks @ norm[:5])
 
-    @given(system_points)
-    @settings(max_examples=40, deadline=None)
-    def test_property_expected_shape_matches_ensemble(self, point):
-        n = point[3]
-        p = SystemParams(*point[:3], n=n)
+    @staticmethod
+    def enumerated_expected_shape(p: SystemParams) -> np.ndarray:
+        """Oracle: E[r_k]/n summed over every partition of n with its probability."""
         ens = weighted_ensemble(p)
-        want = np.zeros(n)
+        want = np.zeros(p.n)
         for lam in ens.log_weights:
             prob = ens.probability(lam)
             for k, r in lam.occupations:
-                want[k - 1] += prob * r / n
+                want[k - 1] += prob * r / p.n
+        return want
+
+    @given(system_points)
+    @settings(max_examples=40, deadline=None)
+    def test_property_expected_shape_matches_ensemble(self, point):
+        p = SystemParams(*point[:3], n=point[3])
+        want = self.enumerated_expected_shape(p)
         got = mu_N_expected_shape(p)
         assert np.all(want > 0.0)
         assert float(np.max(np.abs(got - want) / want)) <= 1e-10
 
+    def test_runs_to_the_exact_cap(self):
+        # it reads one O(n^2) table, as exact_log_Z does, so it shares the
+        # exact cap; the enumeration still runs at n = 41 (p(41) = 44,583)
+        p = SystemParams(3, BETA_UNIT, 2.0 * critical_density(3, BETA_UNIT), n=41)
+        want = self.enumerated_expected_shape(p)
+        got = mu_N_expected_shape(p)
+        assert np.all(want > 0.0)
+        assert float(np.max(np.abs(got - want) / want)) <= 1e-10
+        with pytest.raises(CapError) as err:
+            mu_N_expected_shape(p.with_n(71))
+        assert str(err.value) == f"n=71 exceeds the exact cap of 70 ({CAPS['exact'].cost})"
+
     def test_cap(self):
         with pytest.raises(CapError):
-            mu_N_expected_shape(SystemParams(3, 1.0, 1.0, n=41))
+            mu_N_expected_shape(SystemParams(3, 1.0, 1.0, n=71))
 
 
 class TestConvergenceScan:

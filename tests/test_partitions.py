@@ -13,13 +13,13 @@ from cyclegas.partitions import (
     Partition,
     ShapeMeasure,
     conjugacy_class_size,
-    enumerate_partitions,
     iter_parts,
     log_conjugacy_class_size,
     occupations_from_shape,
     partition_count,
     shape_measure,
 )
+from tests.oracles import enumerate_partitions
 
 
 def pentagonal_partition_count(n: int) -> int:

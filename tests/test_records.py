@@ -13,9 +13,9 @@ import pytest
 from cyclegas.bosefn import BoseEval
 from cyclegas.entropy import ExponentialShape, MinimizeResult, TruncatedShape, minimize_S
 from cyclegas.errors import CapError, ValidationError
-from cyclegas.exactz import WeightedEnsemble, weighted_ensemble
 from cyclegas.partitions import Partition, ShapeMeasure
 from cyclegas.thermo import SystemParams, ThermoSolution, qhat_star
+from tests.oracles import WeightedEnsemble, weighted_ensemble
 
 BETA_UNIT = 0.07957747154594767  # 1 / (4 pi): (4 pi beta)^(d/2) = 1
 

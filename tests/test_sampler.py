@@ -10,13 +10,8 @@ from pathlib import Path
 import pytest
 
 from cyclegas.errors import CapError, ValidationError
-from cyclegas.exactz import (
-    _log_Z_table,
-    log_weight,
-    mu_N_expected_shape,
-    weighted_ensemble,
-)
-from cyclegas.partitions import Partition, enumerate_partitions
+from cyclegas.exactz import _log_Z_table, mu_N_expected_shape
+from cyclegas.partitions import Partition
 from cyclegas.sampler import (
     _POINT_MOVE,
     ChainState,
@@ -34,6 +29,7 @@ from cyclegas.thermo import (
     _occupation_log_weight,
     critical_density,
 )
+from tests.oracles import enumerate_partitions, log_weight, weighted_ensemble
 
 BETA_UNIT = 1.0 / (4.0 * math.pi)
 

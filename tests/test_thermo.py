@@ -30,6 +30,7 @@ from cyclegas.thermo import (
 BETA_UNIT = 1.0 / (4.0 * math.pi)  # makes (4 pi beta)^(d/2) = 1
 ZETA_3_HALVES = 2.6123753486854883
 U = 2.0**-53
+IDENTITY = (float, float)  # _bracketed_root's coordinate u and its inverse, for f linear in x
 
 
 def _mp_bose(s, alpha):
@@ -450,7 +451,7 @@ class TestSeededRoot:
     def test_a_useless_slope_falls_back_inside_the_bracket(self, slope):
         # zero, of the wrong sign, or so flat that Newton's step leaves [0, 5]
         f, calls = self._recorded(lambda x: (math.exp(-x) - 0.5, 0.0))
-        x, f_x = thermo._bracketed_root(f, 0.0, 0.5, 5.0, 1e-15, start=(3.0, slope))
+        x, f_x = thermo._bracketed_root(f, 0.0, 0.5, 5.0, 1e-15, IDENTITY, (3.0, slope))
         assert abs(f_x) <= 1e-15 and x == pytest.approx(math.log(2.0))
         assert calls[0] == 3.0 and all(0.0 < c < 5.0 for c in calls) and len(calls) <= 60
 
@@ -458,7 +459,7 @@ class TestSeededRoot:
         # a start slope 200 times too steep: Newton's steps with it would
         # creep, the secant through the last two evaluations does not
         f, calls = self._recorded(lambda x: (math.exp(-x) - 0.5, 0.0))
-        x, f_x = thermo._bracketed_root(f, 0.0, 0.5, 5.0, 1e-15, start=(3.0, -10.0))
+        x, f_x = thermo._bracketed_root(f, 0.0, 0.5, 5.0, 1e-15, IDENTITY, (3.0, -10.0))
         assert abs(f_x) <= 1e-15 and len(calls) <= 10, calls
 
     def test_a_step_past_u_zero_is_not_mirrored_into_the_bracket(self):
@@ -474,13 +475,13 @@ class TestSeededRoot:
         # only b certifies; the start never evaluates it until the bracket
         # reaches float resolution, and then once
         f, calls = self._recorded(lambda x: (5.0 - x, 0.0))
-        assert thermo._bracketed_root(f, 0.0, 5.0, 5.0, 0.0, start=(1.0, -1.0)) == (5.0, 0.0)
+        assert thermo._bracketed_root(f, 0.0, 5.0, 5.0, 0.0, IDENTITY, (1.0, -1.0)) == (5.0, 0.0)
         assert calls.count(5.0) == 1 and calls[-1] == 5.0 and len(calls) <= 60
 
     def test_no_candidate_left_raises(self):
         f, calls = self._recorded(lambda x: (5.0 - x, 0.0))
         with pytest.raises(PrecisionError):
-            thermo._bracketed_root(f, 0.0, 5.0, 5.0, -1.0, start=(1.0, -1.0))
+            thermo._bracketed_root(f, 0.0, 5.0, 5.0, -1.0, IDENTITY, (1.0, -1.0))
         assert calls.count(5.0) == 1
 
 
