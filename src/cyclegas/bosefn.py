@@ -297,17 +297,21 @@ def _bose_expansion(s: float, alpha: float, tol: float) -> BoseEval:
     return BoseEval(value=_singular(s, alpha) + _horner(values, alpha), error_bound=bound, terms_used=k_top + 1)
 
 
-# "auto" sums directly up to this many terms.  Median of 30 calls on a 2-vCPU
-# Intel Xeon host (one core, alpha 0.01, tol 2.6e-11), s = 1 / s = 1.5:
-#   direct terms      16      64     256   1,024   8,192
-#   direct ms      0.009   0.022   0.075   0.31    2.56     (s = 1)
-#                  0.009   0.023   0.077   0.32    2.71     (s = 1.5)
-#   expansion ms   0.08 / 0.14 with a cold coefficient table, about 0.007 warm
-# The direct sum costs about 0.3 us a term, and a root solve evaluates the
-# expansion warm after its first call.  So the crossover is the fewest terms
-# that still certify every alpha > 0.5, which the expansion refuses, at
-# tol >= 1e-14 for s >= 1/2: just above alpha = 0.5, s = 1/2 leaves a tail of
-# 2.4e-15 at 64 terms and 3e-8 at 32.
+# "auto" sums directly up to this many terms.  Best of 41 rounds of 100 calls,
+# interleaved, on a 2-vCPU Intel Xeon host (one core, Python 3.11.7,
+# tol 1e-10), at alpha 0.1 to 0.5 and s = 1/2, 3/2, 5/2 alike:
+#   direct terms          16          32          64
+#   direct us       3.4 - 3.6   5.3 - 5.5   8.9 - 9.2
+#   expansion us    2.9 - 3.0 warm (3.9 at s = 1/2, alpha = 0.5, 13 terms)
+# The warm expansion is cheaper than 16 direct terms (a root solve fills its
+# coefficient table at its first call), and alpha = 0.1 to 0.5 needs 32 to
+# 256 direct terms at this tol.  So at alpha <= 0.5 "auto" bounds the
+# 16-term sum once and otherwise takes the expansion; the sum serves large s
+# or a loose tol, where it certifies and the expansion would build a table
+# of about s terms.  Above 0.5, which the expansion refuses, the crossover is
+# the fewest terms that still certify every alpha at tol >= 1e-14 for
+# s >= 1/2: just above alpha = 0.5, s = 1/2 leaves a tail of 2.4e-15 at 64
+# terms and 3e-8 at 32.
 _DIRECT_TERMS_MAX = 64
 
 
@@ -318,10 +322,12 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
     zeta(s), evaluated by Euler-Maclaurin); alpha > 0 converges for every
     such s.  `method` picks the evaluation route: "direct" term-by-term
     summation, "expansion" the certified small-alpha expansion
-    (alpha <= 0.5), or "auto" by measured cost: direct summation when it
-    certifies within _DIRECT_TERMS_MAX terms (always, by 64 terms, when
-    alpha > 0.5), the expansion otherwise (its alpha-independent zeta
-    coefficients are cached, so repeated calls cost microseconds).
+    (alpha <= 0.5), or "auto" by measured cost.  At alpha <= 0.5 "auto"
+    checks one tail bound: the first 16 terms when that bound certifies
+    (large s or a loose tol), the expansion otherwise (its alpha-independent
+    zeta coefficients are cached, so repeated calls cost microseconds).
+    Above 0.5 it sums directly, doubling from 16 terms to the first count
+    that certifies, which is at most _DIRECT_TERMS_MAX = 64.
     """
     _check_order(s)
     if not alpha >= 0:  # NaN fails too
@@ -341,5 +347,5 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
         if not k:
             raise PrecisionError(f"cannot certify g_{s}({alpha}) to {tol} within {cap} terms")
         return _bose_direct(s, alpha, k, tail)
-    k, tail = _certified_terms(s, alpha, tol, _DIRECT_TERMS_MAX)
+    k, tail = _certified_terms(s, alpha, tol, 16 if alpha <= 0.5 else _DIRECT_TERMS_MAX)
     return _bose_direct(s, alpha, k, tail) if k else _bose_expansion(s, alpha, tol)

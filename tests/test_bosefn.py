@@ -467,6 +467,54 @@ class TestBoseG:
                     assert len(bounds) <= math.log2(g.terms_used / 16) + 1
         assert routed > 100
 
+    def test_auto_bounds_once_at_alpha_up_to_half(self, monkeypatch):
+        # where the expansion applies, the 16-term sum's one bound picks the
+        # route: the expansion wherever 32 or 64 terms would be summed
+        bounds = []
+        tail_bound = bosefn._tail_bound
+
+        def counting_tail_bound(s, alpha, k):
+            bounds.append(k)
+            return tail_bound(s, alpha, k)
+
+        monkeypatch.setattr(bosefn, "_tail_bound", counting_tail_bound)
+        for k in range(1, 13):
+            for alpha in np.geomspace(1e-6, 0.5, 25):
+                for tol in (1e-14, 1e-10, 1e-6):
+                    bounds.clear()
+                    g = bose_g(k / 2.0, float(alpha), tol)
+                    assert g.error_bound <= tol
+                    assert bounds == [16], (k / 2.0, alpha, tol, bounds)
+
+    def test_auto_sums_16_terms_at_a_large_order(self, monkeypatch):
+        # the bound is not skipped: at s = 200 the expansion would build a
+        # table of 202 coefficients, where 16 terms certify
+        summed = []
+        direct = bosefn._bose_direct
+
+        def counting_direct(s, alpha, k, tail):
+            summed.append(k)
+            return direct(s, alpha, k, tail)
+
+        monkeypatch.setattr(bosefn, "_bose_direct", counting_direct)
+        g = bose_g(200.0, 0.01, 1e-10)
+        assert summed == [16] and g.terms_used == 16 and g.error_bound <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.35, 0.4, 0.45, 0.5])
+    def test_auto_matches_polylog_where_its_route_moved(self, alpha):
+        # on 0.25 <= alpha <= 0.5 "auto" takes the expansion where it summed
+        # 32 or 64 terms: within its bound and the 8 u rounding allowance of
+        # test_expansion_matches_polylog, against a 40-digit polylog
+        for k in range(1, 13):
+            s = k / 2.0
+            for tol in (1e-14, 1e-10, 1e-6):
+                g = bose_g(s, alpha, tol)
+                with mpmath.workdps(40):
+                    err = float(abs(g.value - mpmath.polylog(s, mpmath.exp(-mpmath.mpf(alpha)))))
+                assert g.error_bound <= tol
+                magnitude = expansion_magnitude(s, alpha, g.terms_used)
+                assert err <= g.error_bound + 8.0 * U * magnitude, (s, tol)
+
     @pytest.mark.parametrize("alpha", [1e-3, 2e-4])
     @pytest.mark.parametrize("s", HALF_INTEGER_ORDERS)
     def test_auto_meets_tol_at_small_alpha(self, s, alpha):

@@ -209,6 +209,15 @@ class TestLogWeight:
             want = math.log(n * qhat_star(p, float(k)))
             assert c[k] == pytest.approx(want, rel=1e-13, abs=1e-13), k
 
+    def test_cycle_constants_read_log_k_bits(self):
+        # the memoised log k table gives the bits of math.log(k) at every n,
+        # on either side of its powers of two, and the cap's table fits
+        for n in (1, 2, 3, 4, 20, 63, 64, 65, 2000, CAPS["chain"].limit):
+            p = SystemParams(3, 0.3, 1.7, n=n)
+            log_w = math.log(p.volume) - math.log(thermal_factor(3, 0.3))
+            want = [0.0] + [log_w - 2.5 * math.log(k) for k in range(1, n + 1)]
+            assert _cycle_log_constants(p, "chain") == want, n
+
     def test_single_particle(self):
         p = SystemParams(2, 0.7, 0.5, n=1)
         lam = Partition(1, ((1, 1),))

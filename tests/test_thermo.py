@@ -537,6 +537,20 @@ class TestSeedModel:
                 counts.append(len(passes))
             assert min(counts) >= 1 and sum(counts) / len(counts) <= 3.5, (d, counts)
 
+    def test_moderate_density_roots_take_three_passes(self, monkeypatch):
+        # at d = 3 the first guess inverts two terms of the expansion in
+        # sqrt(alpha), or three of the series in e^-alpha: on alpha 0.3 to 1.5,
+        # where the leading terms alone left it 26-70% off and 4-5 passes,
+        # Newton's steps take at most 3
+        g_model, passes = thermo._g_model, []
+        monkeypatch.setattr(thermo, "_g_model", lambda *args: (passes.append(1), g_model(*args))[1])
+        for alpha in [0.3 + 0.02 * k for k in range(61)]:
+            target = bose_g(1.5, alpha, 1e-14).value
+            passes.clear()
+            sol = solve_alpha(SystemParams(3, BETA_UNIT, target))
+            assert sol.alpha == pytest.approx(alpha, rel=1e-8)
+            assert 1 <= len(passes) <= 3, (alpha, len(passes))
+
     @pytest.mark.parametrize("s", [-0.5, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_model_is_within_the_truncation_bounds(self, s):
         # against a 40-digit polylog.  Below _SEED_SWITCH the model is the
