@@ -29,6 +29,13 @@ pair whose absolute paths differ in length, and a pair where either checkout
 holds src/cyclegas/__pycache__ (see unfair_pair).  Every run is made with
 PYTHONDONTWRITEBYTECODE=1, so that no run leaves a cache behind.
 
+After the workloads it runs the checkout's tier-1 suite once per side
+(``python -m pytest -q --continue-on-collection-errors --durations=10``
+with src on PYTHONPATH, no bytecode and no pytest cache written) and keeps
+under "tier1" its passed and failed counts (errors count as failed), its
+wall seconds and its 10 slowest tests; with --parent, the parent's run sits
+under "tier1" "parent".
+
 ``--compare OLD NEW`` runs nothing: for each workload and end-to-end metric
 of two such files it prints both medians and their ratio NEW/OLD, and flags
 each change past the metric's bound in this repository's BENCHMARK.json
@@ -43,9 +50,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = tuple(range(1, 11))
@@ -60,6 +69,37 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     path = os.path.join(checkout, "perfbench", "out", f"result-{workload}-seed{seed}-trace0.json")
     with open(path) as fh:
         return json.load(fh)
+
+
+def run_tier1(checkout: str) -> tuple[str, float]:
+    """The checkout's tier-1 suite, writing no bytecode or cache: its output and wall seconds."""
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+            "--durations=10", "-p", "no:cacheprovider"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    return proc.stdout, time.perf_counter() - start
+
+
+def tier1(output: str, wall_s: float) -> dict:
+    """Counts, wall time and slowest tests of one tier-1 run from its pytest -q output.
+
+    The counts come from the last summary line ("1 failed, 902 passed in
+    54.67s"); errors count as failed.  slowest lists the --durations lines.
+    """
+    summary = [line for line in output.splitlines() if re.search(r" in [\d.]+s\b", line)] or [""]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary[-1])}
+    slowest = [
+        {"seconds": float(m[1]), "when": m[2], "test": m[3]}
+        for m in re.finditer(r"^([\d.]+)s (call|setup|teardown) +(\S.*)$", output, re.M)
+    ]
+    return {
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
+        "wall_s": wall_s,
+        "slowest": slowest,
+    }
 
 
 def unfair_pair(checkout: str, parent: str) -> str | None:
@@ -140,8 +180,13 @@ def side(results: list[dict], bench: dict) -> dict:
     }
 
 
-def build_record(checkout: str, parent: str | None, bench: dict, runner=run) -> dict:
-    """Run every workload and seed in checkout (and parent, paired); the BENCH record."""
+def build_record(
+    checkout: str, parent: str | None, bench: dict, runner=run, tier1_runner=None
+) -> dict:
+    """Run every workload and seed in checkout (and parent, paired), then tier-1; the BENCH record.
+
+    tier1_runner(tree) returns tier-1's output and wall seconds; None means run_tier1.
+    """
     workloads = [w["name"] for w in bench["workloads"]]
     trees = [checkout] if parent is None else [checkout, parent]
     runs = [{w: [] for w in workloads} for _ in trees]
@@ -154,12 +199,20 @@ def build_record(checkout: str, parent: str | None, bench: dict, runner=run) -> 
                 print(f"{workload} seed {seed} {tree}: failed {result['failed']}"
                       f" of {result['attempted']}", file=sys.stderr)
 
+    suites = [None] * len(trees)
+    for j, tree in indexed[::-1]:  # the parent first, as at the first seed
+        suites[j] = tier1(*(tier1_runner or run_tier1)(tree))
+        print(f"tier-1 {tree}: {suites[j]['passed']} passed, {suites[j]['failed']} failed"
+              f" in {suites[j]['wall_s']:.1f} s", file=sys.stderr)
+
     record = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {bench['run_seconds']} --trace 0",
         "seeds": list(SEEDS),
         "workloads": {w: side(runs[0][w], bench) for w in workloads},
+        "tier1": suites[0],
     }
     if parent is not None:
+        record["tier1"]["parent"] = suites[1]
         record["parent_first"] = [i % 2 == 0 for i in range(len(SEEDS))]
         for w in workloads:
             entry = record["workloads"][w]
@@ -173,7 +226,7 @@ def build_record(checkout: str, parent: str | None, bench: dict, runner=run) -> 
     return record
 
 
-def main(argv=None, runner=run) -> int:
+def main(argv=None, runner=run, tier1_runner=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("number", type=int, nargs="?", help="n of the BENCH_<n>.json to write")
     ap.add_argument("--checkout", default=ROOT, help="the tree to measure (default: this one)")
@@ -196,7 +249,7 @@ def main(argv=None, runner=run) -> int:
             ap.error(f"--parent: the pair would not be timed alike: {unfair}")
     with open(os.path.join(args.checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    record = build_record(args.checkout, args.parent, bench, runner)
+    record = build_record(args.checkout, args.parent, bench, runner, tier1_runner)
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
@@ -210,6 +263,11 @@ def main(argv=None, runner=run) -> int:
                 line += (f"; parent {p['median']:.6g} ({p['q1']:.6g} to {p['q3']:.6g}),"
                          f" wins {entry['wins'][name]}/{len(SEEDS)}")
             print(line)
+    suites = {"tier-1": record["tier1"], "parent tier-1": record["tier1"].get("parent")}
+    for name, suite in suites.items():
+        if suite is not None:
+            print(f"{name}: {suite['passed']} passed, {suite['failed']} failed"
+                  f" in {suite['wall_s']:.1f} s")
     print(f"wrote {path}")
     return 0
 

@@ -12,6 +12,7 @@ spec = importlib.util.spec_from_file_location(
 )
 bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
+RUN_TIER1 = bench_record.run_tier1
 
 BENCH = {
     "workloads": [{"name": "fast"}, {"name": "slow"}],
@@ -20,6 +21,30 @@ BENCH = {
         {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1},
     ],
 }
+
+
+# the tail of a tier-1 run's pytest -q --durations=10 output (two of its ten lines)
+TIER1_OUTPUT = """\
+........F.                                                               [100%]
+=================================== FAILURES ===================================
+FAILED tests/test_x.py::test_b - assert 1 == 2
+============================= slowest 10 durations =============================
+14.80s call     tests/test_acceptance.py::test_09_chain[n=2000 condensed]
+1.51s setup    tests/test_exactz.py::TestLogZTable::test_rows[1000]
+
+(8 durations < 0.005s hidden.  Use -vv to show these durations.)
+1 failed, 902 passed, 2 errors in 54.67s
+"""
+
+
+@pytest.fixture(autouse=True)
+def no_pytest_inside_pytest(monkeypatch):
+    """Every record these tests build reads TIER1_OUTPUT instead of running tier-1."""
+    calls = []
+    monkeypatch.setattr(
+        bench_record, "run_tier1", lambda tree: (calls.append(tree), (TIER1_OUTPUT, 60.0))[1]
+    )
+    return calls
 
 
 def record(path, failed: int, medians: dict[str, dict[str, float]]) -> str:
@@ -180,3 +205,61 @@ def test_runs_write_no_bytecode(tmp_path, monkeypatch):
     assert bench_record.run(str(tmp_path), "fast", 3, 7) == {"seed": 3}
     [kwargs] = seen
     assert kwargs["cwd"] == str(tmp_path) and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_tier1_reads_counts_and_slowest_tests():
+    suite = bench_record.tier1(TIER1_OUTPUT, 61.5)
+    # the two errors count as failed
+    assert (suite["passed"], suite["failed"], suite["wall_s"]) == (902, 3, 61.5)
+    first, second = suite["slowest"]
+    assert first == {
+        "seconds": 14.8,
+        "when": "call",
+        "test": "tests/test_acceptance.py::test_09_chain[n=2000 condensed]",
+    }
+    assert (second["seconds"], second["when"]) == (1.51, "setup")
+    clean = bench_record.tier1("....\n903 passed in 54.67s\n", 55.0)
+    assert (clean["passed"], clean["failed"], clean["slowest"]) == (903, 0, [])
+
+
+def test_tier1_runs_once_per_side_parent_first(no_pytest_inside_pytest, monkeypatch):
+    monkeypatch.setattr(bench_record, "SEEDS", (1, 2))
+    record = bench_record.build_record("new", "parent", dict(BENCH, run_seconds=7), stub_runner([]))
+    assert no_pytest_inside_pytest == ["parent", "new"]
+    assert record["tier1"]["passed"] == record["tier1"]["parent"]["passed"] == 902
+    assert record["tier1"]["wall_s"] == 60.0 and len(record["tier1"]["slowest"]) == 2
+    alone = bench_record.build_record("new", None, dict(BENCH, run_seconds=7), stub_runner([]))
+    assert "parent" not in alone["tier1"] and no_pytest_inside_pytest[2:] == ["new"]
+
+
+def test_an_injected_tier1_runner_replaces_pytest(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "SEEDS", (1, 2))
+    monkeypatch.setattr(bench_record, "ROOT", str(tmp_path))
+    trees = []
+    new = checkout(tmp_path, "new")
+
+    def fake(tree):
+        trees.append(tree)
+        return "7 passed in 1.00s\n", 2.0
+
+    assert bench_record.main(["41", "--checkout", new], runner=by_name([]), tier1_runner=fake) == 0
+    record = json.loads((tmp_path / "BENCH_41.json").read_text())
+    assert trees == [new]
+    assert record["tier1"] == {"passed": 7, "failed": 0, "wall_s": 2.0, "slowest": []}
+
+
+def test_tier1_writes_no_bytecode(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run(argv, **kwargs):
+        seen.append((argv, kwargs))
+        return bench_record.subprocess.CompletedProcess(argv, 0, stdout="3 passed in 0.10s\n")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    output, wall_s = RUN_TIER1(str(tmp_path))
+    assert output == "3 passed in 0.10s\n" and wall_s >= 0.0
+    [(argv, kwargs)] = seen
+    assert argv[1:3] == ["-m", "pytest"] and "--durations=10" in argv
+    assert argv[argv.index("-p") + 1] == "no:cacheprovider"
+    assert kwargs["cwd"] == str(tmp_path) and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == "src"

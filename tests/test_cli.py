@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from cyclegas import cli
 from cyclegas.cli import SEED_ENV_VAR, main
 
 
@@ -382,3 +384,100 @@ class TestExitCodes:
         assert doc["data"]["lam"] < 0.0
         assert doc["data"]["boundary_mass"] > 1e-4
         assert doc["data"]["s_value"] > doc["data"]["chi"]
+
+
+CSV_HEADERS = [
+    (["phase", "--d", "3", "--beta", "1", "--rho", "1"],
+     "regime,alpha,residual_bound,rho_c,beta_c,condensate_fraction"),
+    (["alpha", "--d", "1", "--beta", "1", "--rho", "0.5"], "alpha,regime,residual_bound"),
+    (["free-energy", "--d", "3", "--beta", "1", "--rho", "0.01"], "free_energy,chi,alpha,regime"),
+    (["minimize", "--d", "1", "--beta", "1", "--rho", "0.5", "--K", "500"],
+     "K,lam,s_value,chi,boundary_mass,constraint_residual"),
+    (["exact-z", "--d", "3", "--beta", "1", "--rho", "1", "--n", "8"],
+     "n,log_z,log_z_per_n,neg_chi,log_z_confinement_lower,confinement_max_shift,"
+     "log_z_brute,oracle_abs_diff"),
+    (["exact-z", "--d", "3", "--beta", "1", "--rho", "1", "--n", "8", "--oracle"],
+     "n,log_z,log_z_per_n,neg_chi,log_z_confinement_lower,confinement_max_shift,"
+     "log_z_brute,oracle_abs_diff"),
+    (["scan-long-cycles", "--d", "3", "--beta", BETA_UNIT_STR, "--rho", "5.3",
+      "--n-list", "50,100", "--steps", "2000", "--seed", "1"],
+     "n,fraction,stderr"),
+]
+
+# each command's one-line help and flags, in the order its usage lists them
+HELP = {
+    "phase": "regime, alpha, critical constants",
+    "alpha": "solve the density equation for alpha",
+    "free-energy": "specific free energy and chi",
+    "minimize": "minimise the truncated shape functional",
+    "exact-z": "exact finite-n partition sum",
+    "converge": "scan (1/n) log Z_n against its limit",
+    "sample": "split/merge chain cycle statistics",
+    "scan-long-cycles": "long-cycle mass across sizes",
+}
+SYSTEM, OUTPUT = ["--d", "--beta", "--rho"], ["--format", "--output"]
+FLAGS = {
+    "phase": SYSTEM + ["--tol"] + OUTPUT,
+    "alpha": SYSTEM + ["--tol"] + OUTPUT,
+    "free-energy": SYSTEM + ["--tol"] + OUTPUT,
+    "minimize": SYSTEM + ["--K", "--tol"] + OUTPUT,
+    "exact-z": SYSTEM + ["--n", "--oracle", "--tol"] + OUTPUT,
+    "converge": SYSTEM + ["--n-list", "--tol"] + OUTPUT,
+    "sample": SYSTEM
+    + ["--n", "--steps", "--burn-in", "--thin", "--k-report", "--threshold", "--seed"]
+    + OUTPUT,
+    "scan-long-cycles": SYSTEM + ["--n-list", "--steps", "--thin", "--seed"] + OUTPUT,
+}
+
+
+def long_flags(text: str) -> list[str]:
+    """The --flags named in text, each once, in the order they first appear."""
+    return list(dict.fromkeys(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text)))
+
+
+class TestTable:
+    @pytest.mark.parametrize(
+        "argv, header",
+        CSV_HEADERS,
+        ids=["phase", "alpha", "free-energy", "minimize", "exact-z", "exact-z-oracle", "scan"],
+    )
+    def test_csv_header(self, capsys, argv, header):
+        code, out, err = run_cli(capsys, argv + ["--format", "csv"])
+        assert code == 0, err
+        lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert lines[0] == header
+        assert len(lines) >= 2
+        assert all(len(ln.split(",")) == len(header.split(",")) for ln in lines[1:])
+
+    def test_exact_z_without_the_oracle_leaves_its_columns_empty(self, capsys):
+        _, out, _ = run_cli(
+            capsys,
+            ["exact-z", "--d", "3", "--beta", "1", "--rho", "1", "--n", "8", "--format", "csv"],
+        )
+        row = [ln for ln in out.splitlines() if not ln.startswith("#")][1]
+        assert row.endswith(",,") and not row.endswith(",,,")
+
+    def test_top_level_help_names_every_command(self, capsys):
+        code, out, err = run_cli(capsys, ["-h"])
+        assert code == 0 and err == ""
+        text = " ".join(out.split())
+        for name, help_text in HELP.items():
+            assert f" {name} {help_text} " in text
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_command_help_lists_its_own_flags(self, capsys, command):
+        code, out, err = run_cli(capsys, [command, "-h"])
+        assert code == 0 and err == ""
+        usage = out.split("\n\n")[0]
+        assert usage.startswith(f"usage: cyclegas {command} [-h] ")
+        assert long_flags(usage) == FLAGS[command]
+        assert long_flags(out) == FLAGS[command] + ["--help"]
+
+    @pytest.mark.parametrize("command", ["sample", "scan-long-cycles"])
+    def test_chain_help_offers_no_tol(self, capsys, command):
+        _, out, _ = run_cli(capsys, [command, "-h"])
+        assert "--tol" not in out
+
+    def test_schema_names_exactly_the_cli_commands(self):
+        # a command added to the CLI or to the schema alone fails here
+        assert set(SCHEMA["properties"]["command"]["enum"]) == set(cli._COMMANDS) == set(HELP)
