@@ -17,9 +17,9 @@ Error bounds certify series truncation, not rounding.
 Every direct sum is a math.fsum of Python floats, exactly rounded: the zeta
 head sum_{k<n} k^-s (n is 16 to a few hundred in practice) and _bose_direct,
 the one direct sum of k^-s e^(-lam k), as _em_bracket is its one
-Euler-Maclaurin tail (polylog reads both).  Its first _DIRECT_TERMS_MAX
-powers k^-s are memoised in _powers, whose first 16 thermo's root seed
-reads too.  The module needs no NumPy.
+Euler-Maclaurin tail (entropy's truncated polylogarithm reads both).  Its
+first _DIRECT_TERMS_MAX powers k^-s are memoised in _powers, whose first 16
+thermo's root seed reads too.  The module needs no NumPy.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ the row's columns.
 Each handler reaches the library through the package namespace, which
 imports a name's home module on first use, so a command loads only the
 layers it runs, and a usage error none.  The scalar commands (phase, alpha,
-free-energy) load thermo and bosefn; minimize adds entropy and polylog,
-exact-z and converge add exactz, sample and scan-long-cycles add sampler but
-not exactz: the cycle weights both engines read live in thermo.  Every
+free-energy) load thermo and bosefn; minimize adds entropy, exact-z and
+converge add exactz, sample and scan-long-cycles add sampler but not
+exactz: the cycle weights both engines read live in thermo.  Every
 command runs on Python floats and ints, and none loads NumPy: minimize's
 dual and its qhat_head are formulas, and no command builds a shape's vector.
 Nor does any load dataclasses (the records are NamedTuples), fractions or
@@ -91,7 +91,7 @@ def _run_minimize(args, params) -> dict:
 
 
 def _run_exact_z(args, params) -> dict:
-    """log Z_n, its confinement bracket and -chi (and the n! oracle), by the command's columns."""
+    """log Z_n, the shifted log Z, -chi (and the n! oracle), by the command's columns."""
     bracket = cyclegas.confinement_log_Z_bracket(params)
     log_z, lower, shift = (bracket[key] for key in ("log_z", "log_z_lower", "max_shift"))
     values = [args.n, log_z, log_z / args.n, -cyclegas.chi(params, args.tol), lower, shift]

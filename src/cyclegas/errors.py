@@ -61,7 +61,7 @@ CAPS = {
     "zeta_terms": Cap(10**7, "terms summed"),
     # bosefn._bose_expansion: the last explicit term k, each a zeta(s - k) of its memoised table
     "expansion_terms": Cap(400, "terms zeta(s - k) (-alpha)^k / k! of the small-alpha expansion"),
-    # polylog._expint_scaled: about 200 steps at lam n = 1, more as lam n shrinks
+    # entropy._expint_scaled: about 200 steps at lam n = 1, more as lam n shrinks
     "expint_steps": Cap(10_000, "continued-fraction steps of E_s"),
     # thermo._bracketed_root (so every density and shape root), the first
     # evaluation included: b's, or a seed's.  A seeded density root takes

@@ -24,8 +24,11 @@ a permutation of m elements, which the identity or the m-cycle attains
 because a k-cycle's log weight per element peaks at k = 1 or k = m.  So
 every term is at most 1, and the terms go to one math.fsum (the bound on
 what underflow loses is derived in brute_force_log_Z).  The free-space
-heat-kernel mass is used per cycle, with the confinement correction exposed
-as a bracketing diagnostic rather than folded into the weights.
+heat-kernel mass is used per cycle.  confinement_log_Z_bracket also reports
+log Z with every log theta_k shifted by log(1 - e^(-d n / 4 beta)); the
+shift depends on neither rho nor k, and the two numbers bound no box: at
+five points computed from the box levels, neither the Dirichlet nor the
+periodic box's exact log Z lies between them.
 """
 
 from __future__ import annotations
@@ -262,13 +265,14 @@ def exact_log_Z(params: SystemParams) -> float:
 
 
 def confinement_log_Z_bracket(params: SystemParams) -> dict[str, float]:
-    """Free-space log Z with its worst-case confinement shift.
+    """log Z, and log Z with every log theta_k shifted by log(1 - e^(-d n/4 beta)).
 
-    Under confinement the mass of one k-cycle lies in
-    [(4 pi beta k)^(-d/2) (1 - e^(-d n/4 beta)), (4 pi beta k)^(-d/2)].
-    log_z takes the upper end, log_z_lower the lower one (each c[k] shifted by
-    log(1 - e^(-d n/4 beta))); they differ by at most max_shift = n |shift|,
-    because a partition has at most n cycles.
+    log_z is the free-space log Z; log_z_lower is the same recursion with
+    each c[k] shifted by shift = log(1 - e^(-d n/4 beta)) < 0, and the two
+    differ by at most max_shift = n |shift|, because a partition has at most
+    n cycles.  They bound no box: the shift depends on neither rho nor k, and
+    neither the Dirichlet nor the periodic box's exact log Z lies between
+    them at any of five points computed from the box levels.
     """
     c = _cycle_log_constants(params, "exact")
     n = params.n

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ValidationError
 from .thermo import (
-    SystemParams, _cycle_log_constants, _occupation_log_weight, _require_n, optimal_shape
+    SystemParams, _cycle_log_constants, _log_table, _occupation_log_weight, _require_n, optimal_shape
 )
 
 if TYPE_CHECKING:
@@ -134,8 +134,8 @@ class ChainState:
     cycle list, one slot per cycle, which the slot picks read.  Only the
     kernel, _advance, changes them after the start, which rounds the
     limiting shape down and puts the rest of the mass into one seed cycle.
-    The tables _L and _bits (bit lengths for the uniform picks) are built
-    once per state.  The cached log weight tracks every accepted move;
+    The table _bits (bit lengths for the uniform picks) is built once per
+    state; _L is thermo's memoised log table.  The cached log weight tracks every accepted move;
     audit() recomputes it, the mass and the cycle list's counts from
     scratch.
     """
@@ -145,7 +145,7 @@ class ChainState:
         self.n = params.n
         self.rng = random.Random(seed)
         # L[r] = log r for r <= n + 2; L[0] is never read by a legal move
-        self._L = [-math.inf] + [math.log(r) for r in range(1, self.n + 3)]
+        self._L = _log_table(1 << (self.n + 2).bit_length())
         self._bits = [x.bit_length() for x in range(self.n + 1)]  # getrandbits widths
         self._zeros = [0] * (self.n + 1)  # the tally tables of unsampled moves
         self.acceptance_counts = {

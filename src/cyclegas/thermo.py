@@ -148,8 +148,9 @@ def _require_n(params: SystemParams) -> int:
 def _log_table(size: int) -> tuple[float, ...]:
     """math.log(k) for k = 1..size - 1, after a 0.0 in slot 0.
 
-    Read by _cycle_log_constants at the power of two above n, so the table
-    is built at most once per octave of n up to the chain cap.
+    Read by _cycle_log_constants at the power of two above n, and by
+    ChainState at the one above n + 2, so the table is built at most once
+    per octave of n up to the chain cap.
     """
     return (0.0, *map(math.log, range(1, size)))
 

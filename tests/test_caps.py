@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cyclegas import bosefn, entropy, polylog, thermo
+from cyclegas import bosefn, entropy, thermo
 from cyclegas.entropy import (
     TruncatedShape,
     entropy_decomposition,
@@ -131,7 +131,7 @@ def evaluations_of_a_root():
 # the iteration caps, with the count each call below runs to
 ITERATION_CAPS = [
     ("expansion_terms", 12, lambda: bosefn.bose_g(1.5, 0.5, 1e-14, method="expansion").terms_used - 1),
-    ("expint_steps", 206, lambda: polylog._expint_scaled(1.5, 1.0, 1e-17)[2]),
+    ("expint_steps", 206, lambda: entropy._expint_scaled(1.5, 1.0, 1e-17)[2]),
     ("root_evals", 9, evaluations_of_a_root),
 ]
 

@@ -69,11 +69,12 @@ class TestCommands:
         assert doc["data"]["beta_c"] == "infinity"
 
     def test_exact_z_oracle_agreement(self, capsys):
-        doc = run_json(
-            capsys,
-            ["exact-z", "--d", "3", "--beta", "1", "--rho", "1", "--n", "8", "--oracle"],
-        )
-        assert doc["data"]["oracle_abs_diff"] < 1e-12 * abs(doc["data"]["log_z"])
+        for n in ("8", "9"):  # 9 is the permutation cap
+            doc = run_json(
+                capsys,
+                ["exact-z", "--d", "3", "--beta", "1", "--rho", "1", "--n", n, "--oracle"],
+            )
+            assert doc["data"]["oracle_abs_diff"] < 1e-12 * abs(doc["data"]["log_z"])
 
     def test_alpha_and_free_energy(self, capsys):
         a = run_json(capsys, ["alpha", "--d", "1", "--beta", "1", "--rho", "0.5"])
@@ -145,6 +146,15 @@ class TestDeterminism:
         monkeypatch.delenv(SEED_ENV_VAR)
         doc_flag = run_json(capsys, argv + ["--seed", "7"])
         assert doc_flag["data"]["shape"] == doc_env["data"]["shape"]
+
+    def test_seed_env_var_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        code, out, err = run_cli(
+            capsys,
+            ["sample", "--d", "1", "--beta", "1", "--rho", "1", "--n", "20", "--steps", "100"],
+        )
+        assert (code, out) == (2, "")
+        assert "CYCLEGAS_SEED must be an integer, got 'abc'" in err
 
 
 class TestOutputs:
@@ -368,6 +378,14 @@ class TestExitCodes:
             ["converge", "--d", "1", "--beta", "1", "--rho", "1", "--n-list", "a,b"],
         )
         assert code == 2
+
+    def test_empty_n_list(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["converge", "--d", "1", "--beta", "1", "--rho", "1", "--n-list", ","],
+        )
+        assert (code, out) == (2, "")
+        assert "--n-list is empty" in err
 
     def test_converge_over_cap(self, capsys):
         code, _, _ = run_cli(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclegas import entropy, polylog
+from cyclegas import entropy
 from cyclegas.entropy import (
     ExponentialShape,
     TruncatedShape,
@@ -98,7 +98,7 @@ def dual_rounding(log_base: np.ndarray, lam: float, K: int, terms_used: int) -> 
 
 def polylog_sum(params: SystemParams, order: float, lam: float, K: int) -> tuple[float, float]:
     """Qhat*(1) sum_{k<=K} k^-order e^(-lam k) and its certified bound, unscaled."""
-    t = polylog._truncated_polylog(order, lam, K, entropy._SUM_TOL)
+    t = entropy._truncated_polylog(order, lam, K)
     scale = qhat_star(params, 1.0) * math.exp(max(-lam * K, 0.0))
     return t.value * scale, t.error_bound * scale
 
@@ -349,8 +349,8 @@ class TestMinimizeS:
         polylog, root = entropy._truncated_polylog, entropy._bracketed_root
         checked, calls = [], []
 
-        def against_the_array_dual(order, lam, K_, tol_):
-            t = polylog(order, lam, K_, tol_)
+        def against_the_array_dual(order, lam, K_):
+            t = polylog(order, lam, K_)
             if order == s:  # the O(1) log constraint mass, within its bound
                 got = log_c + max(-lam * K, 0.0) + math.log(t.value)
                 want = log_constraint_mass(lam, log_base, ks)
@@ -535,7 +535,7 @@ class TestArrayDualOracle:
         qh = qs * np.exp(-res.lam * ks)
         assert res.shape.qhat.tobytes() == qh.tobytes()
         # the residual and S at the root, each within its certified bound
-        t = polylog._truncated_polylog(d / 2.0, res.lam, K, entropy._SUM_TOL)
+        t = entropy._truncated_polylog(d / 2.0, res.lam, K)
         array_residual = math.expm1(log_constraint_mass(res.lam, log_base, ks))
         allowance = dual_rounding(log_base, res.lam, K, t.terms_used)
         assert abs(res.constraint_residual - array_residual) <= t.error_bound / t.value + allowance
@@ -619,6 +619,22 @@ class TestMinimizingSequence:
         params = condensed_params()
         with pytest.raises(ValidationError):
             minimizing_sequence(5000, params, K=1000)
+
+    @pytest.mark.parametrize("n, K", [(10, 1000), (600, 1200)])
+    def test_default_truncation_is_twice_n_or_1000(self, n, K):
+        shape = minimizing_sequence(n, condensed_params())
+        assert (shape.K, shape.bump[0]) == (K, n)
+
+    @pytest.mark.parametrize("m", [5, 12])
+    def test_head_holds_a_bump_inside_it(self, m):
+        # the bump at n = 5: the last entry of a head of 5, inside one of 12
+        params = condensed_params()
+        shape = minimizing_sequence(5, params, K=1000)
+        n, eps = shape.bump
+        head = shape.head(m)
+        assert len(head) == m
+        np.testing.assert_allclose(head, shape.qhat[:m], rtol=4 * U, atol=0.0)
+        assert head[n - 1] - qhat_star(params, float(n)) == pytest.approx(eps, rel=1e-14)
 
     @pytest.mark.parametrize("n", [10**130, 10**200, 10**400])
     def test_huge_n_tends_to_chi(self, n):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cyclegas import bosefn, polylog
+from cyclegas import bosefn, entropy
 from cyclegas.bosefn import BoseEval
 from cyclegas.errors import ValidationError
 
@@ -65,7 +65,7 @@ class TestTruncatedPolylog:
         + [(10**6, s, y / 10**6) for s in (0.5, 2.5) for y in (-25.0, 0.0, 3.0, 30.0)],
     )
     def test_matches_the_sum_of_its_terms(self, K, s, lam):
-        t = polylog._truncated_polylog(s, lam, K, 1e-17)
+        t = entropy._truncated_polylog(s, lam, K)
         want, rounding = self.reference(s, lam, K)
         assert abs(t.value - want) <= t.error_bound + rounding + self.allowance(t, lam, K)
         if lam <= 0.0 or lam > 0.5 or lam * K <= 1.0:  # every route but bose_g's floor
@@ -76,13 +76,13 @@ class TestTruncatedPolylog:
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_refuses_a_lam_that_is_not_finite(self, lam, K):
         with pytest.raises(ValidationError, match=r"^lam must be finite"):
-            polylog._truncated_polylog(1.5, lam, K, 1e-17)
+            entropy._truncated_polylog(1.5, lam, K)
 
     def test_lam_zero_is_the_truncated_zeta(self):
         # zeta(s) less the Hurwitz zeta at K + 1, in mpmath
         for s in (1.5, 2.5, 3.5):
             for K in (100, 10**4, 10**6):
-                t = polylog._truncated_polylog(s, 0.0, K, 1e-17)
+                t = entropy._truncated_polylog(s, 0.0, K)
                 with mpmath.workdps(40):
                     want = mpmath.zeta(s) - mpmath.zeta(s, K + 1)
                 assert abs(t.value - float(want)) <= t.error_bound + 8 * U * t.value
@@ -92,7 +92,7 @@ class TestTruncatedPolylog:
         # each order's (sigma)_i n^-i, built from the order above it, is the
         # direct product bosefn._rising(sigma, n) to rounding: about 2u per
         # factor, 13 factors (s = 2 passes sigma = 0, whose entries are 0)
-        em_bracket, orders = polylog._em_bracket, []
+        em_bracket, orders = entropy._em_bracket, []
 
         def checking(sigma, lam, n, rising):
             direct = bosefn._rising(sigma, n)
@@ -101,15 +101,15 @@ class TestTruncatedPolylog:
             orders.append(sigma)
             return em_bracket(sigma, lam, n, rising)
 
-        monkeypatch.setattr(polylog, "_em_bracket", checking)
-        polylog._truncated_zetas.__wrapped__(s, 2000, 511, 1e-17)
+        monkeypatch.setattr(entropy, "_em_bracket", checking)
+        entropy._truncated_zetas.__wrapped__(s, 2000, 511)
         assert orders == [s - j for j in range(512)]
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.5, 5.0])
     @pytest.mark.parametrize("z", [1.0, 3.0, 30.0])
     def test_exponential_integral_continued_fraction(self, p, z):
         # each of its steps rounds about once: 2u per step, relative
-        value, bound, steps = polylog._expint_scaled(p, z, 1e-17)
+        value, bound, steps = entropy._expint_scaled(p, z, 1e-17)
         with mpmath.workdps(40):
             want = float(mpmath.expint(p, z) * mpmath.exp(z))
         assert abs(value - want) <= bound + 2 * U * steps * value
