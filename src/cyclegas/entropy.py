@@ -711,11 +711,13 @@ def minimizing_sequence(
 
     Qhat_n(n) = Qhat*(n) + (rho - rho_c)/(n rho); everywhere else Qhat_n =
     Qhat*.  Its full-series constraint mass is exactly 1; the truncation at K
-    is flagged relaxed.  Only defined in the condensed regime.
+    is flagged relaxed.  Only defined in the condensed regime.  K defaults to
+    max(n, min(2n, CAPS["shape"].limit), 1000): 2n, or the shape cap where 2n
+    exceeds it, so n up to the cap builds and a larger n raises CapError.
     """
     _, eps = _condensed_bump(n, params, 1e-10)
     if K is None:
-        K = max(2 * n, 1000)
+        K = max(n, min(2 * n, CAPS["shape"].limit), 1000)
     if K < n:
         raise ValidationError(f"truncation K={K} must cover the bump at n={n}")
     return ExponentialShape(params, K, bump=(n, eps), relaxed=True)

@@ -17,8 +17,10 @@ for small n; the enumeration of the partitions is a test helper.  The
 oracle builds each permutation by insertion, element m going in as a fixed
 point or right after one of the m - 1 elements already placed; removing
 the largest element inverts the step, so every permutation is reached
-exactly once, and the L places inside an L-cycle give identical subtrees,
-walked once and copied.  Its n! terms are products of floats under a depth
+exactly once.  A term depends only on the cycle types along its path: the
+walk branches once per distinct cycle length L, carries the multiplicity
+L c_L of the c_L cycles of length L down, and writes each leaf term that
+many times.  Its n! terms are products of floats under a depth
 tilt: at depth m each is scaled by e^(-M_m), M_m the largest log weight of
 a permutation of m elements, which the identity or the m-cycle attains
 because a k-cycle's log weight per element peaks at k = 1 or k = m.  So
@@ -51,39 +53,42 @@ _Z_LOW, _Z_HIGH, _LOG_Z_HIGH, _EXP_MAX = 2.0**-450, 2.0**450, 450.0 * math.log(2
 
 
 def _insertion_walk(
-    lengths: list[int],
+    counts: list[int],
     w: float,
+    mult: int,
     m: int,
     fix: list[float],
     grow: list[list[float]],
     out: list[float],
 ) -> None:
-    """Append to out the tilted weight of every completion of one permutation.
+    """Append to out the tilted weight of every completion of mult permutations.
 
-    That permutation of m - 1 elements has cycle lengths `lengths` and
-    tilted weight w; element m goes in next, and the walk ends at
-    n = len(fix) - 1 elements.  As a new fixed point element m multiplies w
-    by fix[m]; in each of the L places inside a cycle of length L, by
-    grow[m][L].  Those L places give the same subtree, so one is walked and
-    its terms are copied L - 1 times.  Module level with its state in the
-    arguments: a self-calling closure would be a reference cycle holding
-    `out` until the cyclic collector ran.
+    Those permutations of m - 1 elements share the cycle type `counts`
+    (counts[L] cycles of length L) and the tilted weight w; element m goes in
+    next, and the walk ends at n = len(fix) - 1 elements.  As a new fixed
+    point element m multiplies w by fix[m]; in each of the L counts[L]
+    places inside the cycles of length L, by grow[m][L].  Those places give
+    subtrees with the same terms, so the walk branches once per distinct
+    length, carries the multiplicity L counts[L] down, and writes each leaf
+    term mult times.  Module level with its state in the arguments: a
+    self-calling closure would be a reference cycle holding `out` until the
+    cyclic collector ran.
     """
     g = grow[m]
     if m == len(fix) - 1:
-        out.append(w * fix[m])
-        for L in lengths:
-            out.extend([w * g[L]] * L)
+        out += [w * fix[m]] * mult
+        for L in range(1, m):
+            if c := counts[L]:
+                out += [w * g[L]] * (mult * L * c)
         return
-    lengths.append(1)
-    _insertion_walk(lengths, w * fix[m], m + 1, fix, grow, out)
-    lengths.pop()
-    for i, L in enumerate(lengths):
-        lengths[i] = L + 1
-        start = len(out)
-        _insertion_walk(lengths, w * g[L], m + 1, fix, grow, out)
-        out.extend(out[start:] * (L - 1))
-        lengths[i] = L
+    counts[1] += 1
+    _insertion_walk(counts, w * fix[m], mult, m + 1, fix, grow, out)
+    counts[1] -= 1
+    for L in range(1, m):
+        if c := counts[L]:
+            counts[L], counts[L + 1] = c - 1, counts[L + 1] + 1
+            _insertion_walk(counts, w * g[L], mult * L * c, m + 1, fix, grow, out)
+            counts[L], counts[L + 1] = c, counts[L + 1] - 1
 
 
 def _permutation_weights(params: SystemParams) -> tuple[list[float], float]:
@@ -102,7 +107,7 @@ def _permutation_weights(params: SystemParams) -> tuple[list[float], float]:
     grow = [[0.0] + [math.exp(t[L + 1] - t[L] + s) for L in range(1, m)]
             for m, s in enumerate(shift)]
     out: list[float] = []
-    _insertion_walk([], 1.0, 1, fix, grow, out)
+    _insertion_walk([0] * (n + 1), 1.0, 1, 1, fix, grow, out)
     return out, top[n]
 
 
@@ -118,8 +123,10 @@ def brute_force_log_Z(params: SystemParams) -> float:
     after one of the m - 1 elements already placed, inside that element's
     cycle.  Removing the largest element undoes the step, so the n!
     insertion sequences give n! distinct permutations, and the depth-first
-    walk appends one term per permutation; the L places inside an L-cycle
-    give identical subtrees, so one is walked and its terms copied.
+    walk appends one term per permutation.  The L c_L places in the c_L
+    cycles of length L give equal terms, so the walk branches once per
+    distinct length and writes each leaf term once per permutation on its
+    path; each term is the same product of steps, so what follows holds.
 
     The terms are products of floats under a depth tilt.  On real k,
     (t[k]/k)' has the sign of (d/2) log k - t[1] - d/2, which rises with k,

@@ -23,7 +23,7 @@ from cyclegas.entropy import (
     minimizing_sequence_s_closed_form,
     qhat_star_array,
 )
-from cyclegas.errors import ValidationError
+from cyclegas.errors import CapError, ValidationError
 from cyclegas.thermo import (
     SystemParams,
     chi,
@@ -624,6 +624,22 @@ class TestMinimizingSequence:
     def test_default_truncation_is_twice_n_or_1000(self, n, K):
         shape = minimizing_sequence(n, condensed_params())
         assert (shape.K, shape.bump[0]) == (K, n)
+
+    def test_default_truncation_stops_at_the_shape_cap(self):
+        # 2n = 1.2e7 is past the cap, so K is the cap; the mass is the closed
+        # form, and the 80 MB qhat is never built
+        params = condensed_params()
+        n, K = 6_000_000, 10**7
+        shape = minimizing_sequence(n, params)
+        assert (shape.K, shape.bump[0]) == (K, n)
+        # sum_{k > K} k^(-3/2) = 2 / sqrt(K + 1/2) to O(K^(-5/2))
+        tail = 2.0 / math.sqrt(K + 0.5) / params.rho
+        assert shape.constraint_mass + tail == pytest.approx(1.0, abs=1e-12)
+        assert "qhat" not in shape.__dict__
+
+    def test_default_truncation_past_the_shape_cap_is_refused(self):
+        with pytest.raises(CapError, match="shape cap"):
+            minimizing_sequence(10**7 + 1, condensed_params())
 
     @pytest.mark.parametrize("m", [5, 12])
     def test_head_holds_a_bump_inside_it(self, m):

@@ -302,6 +302,38 @@ class TestBruteForceOracle:
         brute_force_log_Z(SystemParams(2, 0.5, 1.0, n=n))
         assert [len(terms) for terms, _ in sent] == [math.factorial(n)]
 
+    @staticmethod
+    def walk_calls(n: int, cycle_type: tuple[int, ...] = ()) -> int:
+        """Calls of the walk from one permutation of this sorted cycle type to n elements.
+
+        The call is one node; below n elements it has one child for a new
+        fixed point and one per distinct cycle length, that length grown by 1.
+        """
+        if sum(cycle_type) + 1 == n:
+            return 1
+        grown = [
+            cycle_type[:i] + (L + 1,) + cycle_type[i + 1:]
+            for i, L in enumerate(cycle_type)
+            if L not in cycle_type[:i]
+        ]
+        children = [cycle_type + (1,), *grown]
+        return 1 + sum(TestBruteForceOracle.walk_calls(n, tuple(sorted(c))) for c in children)
+
+    @pytest.mark.parametrize("n, calls", [(8, 352), (9, 1116)])
+    def test_walk_branches_once_per_distinct_length(self, monkeypatch, n, calls):
+        # one call per cycle type along each path; branching once per cycle
+        # instead would take 1,156 and 5,296 calls
+        walk, seen = exactz._insertion_walk, []
+
+        def counting(*args):
+            seen.append(1)
+            return walk(*args)
+
+        monkeypatch.setattr(exactz, "_insertion_walk", counting)
+        terms, _ = exactz._permutation_weights(SystemParams(3, 1.0, 1.0, n=n))
+        assert len(terms) == math.factorial(n)
+        assert len(seen) == self.walk_calls(n) == calls
+
     def check_against_itertools(self, monkeypatch, p: SystemParams, dps: int = 40) -> tuple[float, float]:
         """Run the oracle at p and check it against the permutations itertools builds.
 
