@@ -19,13 +19,15 @@ point or right after one of the m - 1 elements already placed; removing
 the largest element inverts the step, so every permutation is reached
 exactly once.  A term depends only on the cycle types along its path: the
 walk branches once per distinct cycle length L, carries the multiplicity
-L c_L of the c_L cycles of length L down, and writes each leaf term that
-many times.  Its n! terms are products of floats under a depth
+L c_L of the c_L cycles of length L down, and writes each leaf term once
+with that multiplicity.  Its terms are products of floats under a depth
 tilt: at depth m each is scaled by e^(-M_m), M_m the largest log weight of
 a permutation of m elements, which the identity or the m-cycle attains
 because a k-cycle's log weight per element peaks at k = 1 or k = m.  So
-every term is at most 1, and the terms go to one math.fsum (the bound on
-what underflow loses is derived in brute_force_log_Z).  The free-space
+every term is at most 1, and the sum of multiplicity times term is formed
+exactly in integers and rounded once, the float one math.fsum over all n!
+terms would give (the bound on what underflow loses is derived in
+brute_force_log_Z).  The free-space
 heat-kernel mass is used per cycle.  confinement_log_Z_bracket also reports
 log Z with every log theta_k shifted by log(1 - e^(-d n / 4 beta)); the
 shift depends on neither rho nor k, and the two numbers bound no box: at
@@ -59,9 +61,9 @@ def _insertion_walk(
     m: int,
     fix: list[float],
     grow: list[list[float]],
-    out: list[float],
+    out: list[tuple[float, int]],
 ) -> None:
-    """Append to out the tilted weight of every completion of mult permutations.
+    """Append to out each tilted weight of the completions of mult permutations, with its count.
 
     Those permutations of m - 1 elements share the cycle type `counts`
     (counts[L] cycles of length L) and the tilted weight w; element m goes in
@@ -69,17 +71,17 @@ def _insertion_walk(
     point element m multiplies w by fix[m]; in each of the L counts[L]
     places inside the cycles of length L, by grow[m][L].  Those places give
     subtrees with the same terms, so the walk branches once per distinct
-    length, carries the multiplicity L counts[L] down, and writes each leaf
-    term mult times.  Module level with its state in the arguments: a
-    self-calling closure would be a reference cycle holding `out` until the
-    cyclic collector ran.
+    length, carries the multiplicity L counts[L] down, and appends each leaf
+    term once, as the pair (term, the number of permutations it stands for).
+    Module level with its state in the arguments: a self-calling closure
+    would be a reference cycle holding `out` until the cyclic collector ran.
     """
     g = grow[m]
     if m == len(fix) - 1:
-        out += [w * fix[m]] * mult
+        out.append((w * fix[m], mult))
         for L in range(1, m):
             if c := counts[L]:
-                out += [w * g[L]] * (mult * L * c)
+                out.append((w * g[L], mult * L * c))
         return
     counts[1] += 1
     _insertion_walk(counts, w * fix[m], mult, m + 1, fix, grow, out)
@@ -91,8 +93,12 @@ def _insertion_walk(
             counts[L], counts[L + 1] = c, counts[L + 1] - 1
 
 
-def _permutation_weights(params: SystemParams) -> tuple[list[float], float]:
-    """The n! tilted permutation weights e^(W(sigma) - M_n), and M_n (see brute_force_log_Z)."""
+def _permutation_weights(params: SystemParams) -> tuple[list[tuple[float, int]], float]:
+    """The n! tilted permutation weights e^(W(sigma) - M_n) as (term, multiplicity) pairs, and M_n.
+
+    The multiplicities sum to n!; each pair is one leaf of the walk (see
+    brute_force_log_Z), 764 of them at n = 8 and 2,620 at n = 9.
+    """
     n = _require_n(params)
     check_cap("permutations", n)
     log_v = math.log(params.volume)
@@ -106,13 +112,13 @@ def _permutation_weights(params: SystemParams) -> tuple[list[float], float]:
     fix = [0.0] + [math.exp(t[1] + s) for s in shift[1:]]
     grow = [[0.0] + [math.exp(t[L + 1] - t[L] + s) for L in range(1, m)]
             for m, s in enumerate(shift)]
-    out: list[float] = []
+    out: list[tuple[float, int]] = []
     _insertion_walk([0] * (n + 1), 1.0, 1, 1, fix, grow, out)
     return out, top[n]
 
 
 def brute_force_log_Z(params: SystemParams) -> float:
-    """Oracle: the permutation-sum normalisation, one term per permutation.
+    """Oracle: the permutation-sum normalisation, summed over all n! permutations.
 
     A permutation sigma of n elements weighs e^W(sigma), W(sigma) the sum
     over its cycles of t[k] = log|V| - (d/2) log(4 pi beta k), and the total
@@ -122,11 +128,12 @@ def brute_force_log_Z(params: SystemParams) -> float:
     joins a permutation of the first m - 1 as a new fixed point or right
     after one of the m - 1 elements already placed, inside that element's
     cycle.  Removing the largest element undoes the step, so the n!
-    insertion sequences give n! distinct permutations, and the depth-first
-    walk appends one term per permutation.  The L c_L places in the c_L
-    cycles of length L give equal terms, so the walk branches once per
-    distinct length and writes each leaf term once per permutation on its
-    path; each term is the same product of steps, so what follows holds.
+    insertion sequences give n! distinct permutations.  The L c_L places in
+    the c_L cycles of length L give equal terms, so the depth-first walk
+    branches once per distinct length and writes each leaf term once, with
+    the number of permutations on its path as its multiplicity; the
+    multiplicities sum to n!, and each term is the same product of steps as
+    each permutation's own, so what follows holds per permutation.
 
     The terms are products of floats under a depth tilt.  On real k,
     (t[k]/k)' has the sign of (d/2) log k - t[1] - d/2, which rises with k,
@@ -136,9 +143,16 @@ def brute_force_log_Z(params: SystemParams) -> float:
     identity or the m-cycle.  Once element m is in, the running weight is
     e^(W - M_m) <= 1: a fixed point multiplies it by
     e^(t[1] + M_(m-1) - M_m), growing an L-cycle by
-    e^(t[L+1] - t[L] + M_(m-1) - M_m).  The n! terms go to one exactly
-    rounded math.fsum, log Z = log fsum + M_n - log n!: no exp, max or
-    subtraction per permutation.  The dominant permutation's term is 1, so
+    e^(t[L+1] - t[L] + M_(m-1) - M_m).  The sum S of mult x over the pairs
+    is formed exactly and rounded once: float.as_integer_ratio gives
+    x = num/den, den a power of two no larger than 2^1074, so mult x is the
+    integer mult num 2^1074/den in units of 2^-1074; those integers add
+    exactly, and one int / int division, which CPython rounds to nearest,
+    ties to even, turns the sum into a float.  That is the float an exactly
+    rounded math.fsum over the n! terms gives, to the bit, as both round the
+    same exact number once, so the sum costs one u, and
+    log Z = log S + M_n - log n!: no exp, max or subtraction per
+    permutation.  The dominant permutation's term is 1, so
     the sum lies in [1, n!].  Rounding: the M_m telescope along a path, so
     a term's relative error is the sum over its n steps of the roundings in
     t[L+1] - t[L], M_(m-1) - M_m and their sum, the exp and the product.
@@ -161,8 +175,12 @@ def brute_force_log_Z(params: SystemParams) -> float:
     rho = 1e300, n = 8 the fixed point e^(t[1] - mu) underflows to 0 before
     the growth steps that restore the dominant n-cycle.
     """
-    weights, top = _permutation_weights(params)
-    return math.log(math.fsum(weights)) + top - math.lgamma(params.n + 1)
+    pairs, top = _permutation_weights(params)
+    total = 0  # the exact sum of mult x, in units of 2^-1074
+    for x, mult in pairs:
+        num, den = x.as_integer_ratio()
+        total += (num * mult) << (1075 - den.bit_length())
+    return math.log(total / (1 << 1074)) + top - math.lgamma(params.n + 1)
 
 
 def _tilt(c: list[float], n: int, logs: list[float], m: int) -> tuple:

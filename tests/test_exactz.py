@@ -70,6 +70,11 @@ def oracle_cycle_weights(params: SystemParams) -> list[float]:
     ]
 
 
+def expand(pairs: list[tuple[float, int]]) -> list[float]:
+    """The oracle's (term, multiplicity) pairs as one term per permutation."""
+    return [x for x, mult in pairs for _ in range(mult)]
+
+
 @functools.lru_cache(maxsize=None)
 def itertools_cycle_types(n: int) -> dict[tuple[int, ...], int]:
     """How many permutations of n elements have each cycle type.
@@ -132,9 +137,10 @@ def oracle_error_bounds(params: SystemParams, log_z: float) -> tuple[float, floa
     u covers the second-order terms.  The first step is exact: M_1 = t[1],
     so x = t[1] - t[1] = 0 and e^x = 1.  Underflow adds at most
     2n 2^-1075 e^(0.0897 d (n - 1)) absolute to each term (the derivation in
-    brute_force_log_Z's docstring).  log Z = log fsum + M_n - lgamma(n + 1)
+    brute_force_log_Z's docstring).  log Z = log S + M_n - lgamma(n + 1)
     then adds, beside the term error and n! times the absolute loss on a sum
-    of at least 1: the fsum (u), the log of a sum in [1, n!]
+    of at least 1: the sum of the (term, multiplicity) pairs, formed exactly
+    and rounded once (u), the log of a sum in [1, n!]
     (2u lgamma(n + 1)), the add of M_n (u (|log Z| + lgamma(n + 1))) and the
     subtraction of lgamma (u |log Z|), and u for the second order.
     """
@@ -283,15 +289,15 @@ class TestBruteForceOracle:
             brute_force_log_Z(SystemParams(3, 1.0, 1.0, n=10))
 
     @staticmethod
-    def record_terms(monkeypatch) -> list[tuple[list[float], float]]:
-        """Record each (terms, M_n) the oracle sums, at the seam that builds them."""
-        sent: list[tuple[list[float], float]] = []
+    def record_terms(monkeypatch) -> list[tuple[list[tuple[float, int]], float]]:
+        """Record each (pairs, M_n) the oracle sums, at the seam that builds them."""
+        sent: list[tuple[list[tuple[float, int]], float]] = []
         build = exactz._permutation_weights
 
         def recording(params):
-            terms, top = build(params)
-            sent.append((list(terms), top))
-            return terms, top
+            pairs, top = build(params)
+            sent.append((list(pairs), top))
+            return pairs, top
 
         monkeypatch.setattr(exactz, "_permutation_weights", recording)
         return sent
@@ -300,7 +306,7 @@ class TestBruteForceOracle:
     def test_one_term_per_permutation(self, monkeypatch, n):
         sent = self.record_terms(monkeypatch)
         brute_force_log_Z(SystemParams(2, 0.5, 1.0, n=n))
-        assert [len(terms) for terms, _ in sent] == [math.factorial(n)]
+        assert [sum(mult for _, mult in pairs) for pairs, _ in sent] == [math.factorial(n)]
 
     @staticmethod
     def walk_calls(n: int, cycle_type: tuple[int, ...] = ()) -> int:
@@ -330,15 +336,16 @@ class TestBruteForceOracle:
             return walk(*args)
 
         monkeypatch.setattr(exactz, "_insertion_walk", counting)
-        terms, _ = exactz._permutation_weights(SystemParams(3, 1.0, 1.0, n=n))
-        assert len(terms) == math.factorial(n)
+        pairs, _ = exactz._permutation_weights(SystemParams(3, 1.0, 1.0, n=n))
+        assert sum(mult for _, mult in pairs) == math.factorial(n)
         assert len(seen) == self.walk_calls(n) == calls
 
     def check_against_itertools(self, monkeypatch, p: SystemParams, dps: int = 40) -> tuple[float, float]:
         """Run the oracle at p and check it against the permutations itertools builds.
 
-        The terms, sorted, against one 40-digit weight per permutation under
-        the same M_n, and log Z against a dps-digit sum over the
+        The pairs, expanded into one term per permutation and sorted, against
+        one 40-digit weight per permutation under the same M_n, and log Z
+        against a dps-digit sum over the
         permutations, each within the bounds of oracle_error_bounds.
         Returns that log Z bound and the reference log Z.
         """
@@ -346,7 +353,8 @@ class TestBruteForceOracle:
         got = brute_force_log_Z(p)
         assert math.isfinite(got), p
         assert len(sent) == 1
-        terms, top = sent[0]
+        pairs, top = sent[0]
+        terms = expand(pairs)
         t = oracle_cycle_weights(p)
         assert len(terms) == math.factorial(p.n)
         assert top == max(p.n * t[1], t[p.n])
@@ -407,6 +415,41 @@ class TestBruteForceOracle:
                 gc.enable()
         # one n!-long list holds 8 * 8! bytes of pointers alone
         assert grown < 8 * math.factorial(8) / 10, grown
+
+    def test_one_call_holds_no_term_per_permutation(self):
+        p = SystemParams(3, 1.0, 1.0, n=9)
+        brute_force_log_Z(p)
+        tracemalloc.start()
+        try:
+            brute_force_log_Z(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n!-long list holds 8 * 9! bytes of pointers alone
+        assert peak < 8 * math.factorial(9) / 10, peak
+
+    @pytest.mark.parametrize("n, entries", [(8, 764), (9, 2620)])
+    def test_one_pair_per_leaf_term(self, n, entries):
+        pairs, _ = exactz._permutation_weights(SystemParams(3, 1.0, 1.0, n=n))
+        assert len(pairs) == entries
+        assert sum(mult for _, mult in pairs) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_the_exact_sum_has_the_bits_of_one_fsum(self, n):
+        # the pairs summed exactly and rounded once give the float that
+        # math.fsum, exactly rounded, gives over the n! expanded terms:
+        # acceptance 01's grid, beta and rho at 1e-30 and 1e30 (subnormal and
+        # zero terms), and four points where an fsum of the rounded products
+        # mult x would move log Z (at n = 5, 4, 9 and 6 in turn)
+        points = [(d, beta, rho) for d in (1, 2, 3) for beta in (0.25, 1.0) for rho in (0.5, 2.0)]
+        corners = (1e-30, 1e30)
+        points += [(d, beta, rho) for d in (1, 2, 3, 5, 8) for beta in corners for rho in corners]
+        points += [(1, 0.5, 6.0), (1, 0.25, 6.2), (2, 0.5, 4.9), (1, 2.0, 0.3)]
+        for d, beta, rho in points:
+            p = SystemParams(d, beta, rho, n=n)
+            pairs, top = exactz._permutation_weights(p)
+            want = math.log(math.fsum(expand(pairs))) + top - math.lgamma(n + 1)
+            assert brute_force_log_Z(p) == want, (p, brute_force_log_Z(p), want)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_corner_grid_against_mpmath(self, d, monkeypatch):
