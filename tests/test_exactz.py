@@ -345,8 +345,8 @@ class TestBruteForceOracle:
 
         The pairs, expanded into one term per permutation and sorted, against
         one 40-digit weight per permutation under the same M_n, and log Z
-        against a dps-digit sum over the
-        permutations, each within the bounds of oracle_error_bounds.
+        against a dps-digit sum over the permutations, each within the
+        bounds of oracle_error_bounds.
         Returns that log Z bound and the reference log Z.
         """
         sent = self.record_terms(monkeypatch)
