@@ -3,8 +3,9 @@
 The order s is a positive multiple of 1/2: a k-cycle in d dimensions weighs
 (4 pi beta k)^(-d/2), so only g_{d/2} and g_{(d+2)/2} are ever needed.  Every
 evaluation returns the value together with a rigorous truncation bound.  For
-alpha > 0 the series is summed directly with a geometric/integral tail bound;
-for alpha = 0 it is the Riemann zeta function, accelerated by Euler-Maclaurin
+alpha > 0 the series is summed directly, at most 64 terms with a
+geometric/integral tail bound, or else by the small-alpha expansion; for
+alpha = 0 it is the Riemann zeta function, accelerated by Euler-Maclaurin
 summation of one fixed order (direct summation is hopeless near s = 1).  The
 small-alpha expansion (Robinson, Phys. Rev. 83, 678 (1951)) is written once:
 _singular plus a Horner sum over _expansion_coefficients, one memoised table
@@ -320,9 +321,9 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
 
     s is a positive multiple of 1/2.  alpha = 0 requires s > 1 (the value is
     zeta(s), evaluated by Euler-Maclaurin); alpha > 0 converges for every
-    such s.  `method` picks the evaluation route: "direct" term-by-term
-    summation, "expansion" the certified small-alpha expansion
-    (alpha <= 0.5), or "auto" by measured cost.  At alpha <= 0.5 "auto"
+    such s.  `method` picks the evaluation route: "expansion" the certified
+    small-alpha expansion (alpha <= 0.5), or "auto" by measured cost; any
+    other raises ValidationError.  At alpha <= 0.5 "auto"
     checks one tail bound: the first 16 terms when that bound certifies
     (large s or a loose tol), the expansion otherwise (its alpha-independent
     zeta coefficients are cached, so repeated calls cost microseconds).
@@ -334,18 +335,12 @@ def bose_g(s: float, alpha: float, tol: float, method: str = "auto") -> BoseEval
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     if not _MIN_TOL <= tol < math.inf:
         raise ValidationError(f"tol must be finite and >= {_MIN_TOL}, got {tol}")
-    if method not in ("auto", "direct", "expansion"):
+    if method not in ("auto", "expansion"):
         raise ValidationError(f"unknown method {method!r}")
     if alpha == 0.0:
         return zeta(s, tol)
 
     if method == "expansion":
         return _bose_expansion(s, alpha, tol)
-    if method == "direct":
-        cap = CAPS["bose_terms"].limit
-        k, tail = _certified_terms(s, alpha, tol, cap)
-        if not k:
-            raise PrecisionError(f"cannot certify g_{s}({alpha}) to {tol} within {cap} terms")
-        return _bose_direct(s, alpha, k, tail)
     k, tail = _certified_terms(s, alpha, tol, 16 if alpha <= 0.5 else _DIRECT_TERMS_MAX)
     return _bose_direct(s, alpha, k, tail) if k else _bose_expansion(s, alpha, tol)

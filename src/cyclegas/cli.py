@@ -3,7 +3,8 @@
 Every run writes a single machine-readable artifact (JSON object or CSV
 table) to stdout or --output, with the fully resolved configuration embedded
 for auditability.  Human diagnostics go to stderr only.  Exit codes: 0 ok,
-1 usage, 2 validation error, 3 cap/precision error.
+1 usage, 2 validation error, 3 cap/precision error.  argparse reports a
+usage problem with its own exit 2, which main returns as 1.
 
 Each command is one row of _COMMANDS: its help text, its own flags (--n
 among them where it takes one), whether it takes --tol, its handler and its
@@ -43,15 +44,6 @@ import cyclegas
 from .errors import CapError, PrecisionError, ValidationError
 
 SEED_ENV_VAR = "CYCLEGAS_SEED"
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage problems."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
 
 
 def _default_seed() -> int:
@@ -212,8 +204,8 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="cyclegas",
         description=(
             "Thermodynamics of cycle-weighted random partitions: phase boundaries, free energies, "
@@ -263,8 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.error("a command is required")
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse's usage exit 2 is this CLI's 1; -h exits 0
+        return 1 if exc.code else 0
     try:
         if vars(args).get("seed", 0) is None:
             args.seed = _default_seed()

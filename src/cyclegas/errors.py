@@ -38,7 +38,7 @@ class Cap(NamedTuple):
 # Every resource cap of the package, by route.  Size routes refuse a size
 # above limit through check_cap (CapError); the exact and chain routes pass
 # through thermo._cycle_log_constants, the one gate of the exact sums and the
-# chain.  The last five bound the iterations of a certified series or root
+# chain.  The last four bound the iterations of a certified series or root
 # and raise PrecisionError where they run instead.
 CAPS = {
     # iter_parts (so the tests' enumeration oracle), partition_count,
@@ -55,8 +55,6 @@ CAPS = {
     # entropy.qhat_star_array, the shapes (so minimize_S, minimizing_sequence),
     # functional_S and entropy_decomposition; cost: a shape's qhat, built on access
     "shape": Cap(10**7, "80 MB: one float64 K-vector, a shape's materialised qhat", "K"),
-    # bosefn.bose_g(method="direct"); "auto" sums at most 64 terms
-    "bose_terms": Cap(10**8, "terms summed at about 0.35 us each: 35 s"),
     # bosefn._zeta_em
     "zeta_terms": Cap(10**7, "terms summed"),
     # bosefn._bose_expansion: the last explicit term k, each a zeta(s - k) of its memoised table

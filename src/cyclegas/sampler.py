@@ -164,9 +164,6 @@ class ChainState:
 
         return Partition.from_counts(self.n, self.occ)
 
-    def occupation_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.occ.items()))
-
     def _advance(self, count: int, sampling: Optional[_Sampling] = None) -> int:
         """The move kernel: `count` Metropolis-Hastings steps; returns how many landed.
 

@@ -194,10 +194,10 @@ def test_criterion_09_sampler_exactness():
             batch_size = (steps - burn) // nb
             counts = Counter()
             batches = [Counter() for _ in range(nb)]
-            key = st.occupation_key()
+            key = tuple(sorted(st.occ.items()))
             for i in range(steps):
                 if st.step():  # only a landed move changes the state
-                    key = st.occupation_key()
+                    key = tuple(sorted(st.occ.items()))
                 if i < burn:
                     continue
                 counts[key] += 1
@@ -217,10 +217,10 @@ def test_criterion_09_sampler_exactness():
         p = SystemParams(3, 0.25, 1.0, n=4)
         st = ChainState(p, seed=99)
         trans = Counter()
-        prev = cur = st.occupation_key()
+        prev = cur = tuple(sorted(st.occ.items()))
         for i in range(1_000_000):
             if st.step():
-                cur = st.occupation_key()
+                cur = tuple(sorted(st.occ.items()))
             if i >= 50_000:
                 trans[(prev, cur)] += 1
             prev = cur

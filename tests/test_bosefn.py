@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from cyclegas import bosefn
 from cyclegas.bosefn import BoseEval, bose_g, zeta
-from cyclegas.errors import DivergenceError, PrecisionError, ValidationError
+from cyclegas.errors import DivergenceError, ValidationError
 
 # zeta(3/2) frozen from the alternating-series oracle below
 ZETA_3_HALVES = 2.6123753486854883
@@ -80,6 +80,17 @@ def direct_series(s: float, alpha: float, n_terms: int) -> float:
         ks = np.arange(lo, hi, dtype=np.float64)
         total += float(np.sum(ks ** (-s) * np.exp(-alpha * ks)))
     return total
+
+
+def certified_direct(s: float, alpha: float, tol: float) -> BoseEval:
+    """The series summed to the first 16 * 2^j terms whose tail bounds meet tol.
+
+    A reference for the expansion and "auto": _certified_terms picks the
+    count, up to 10^8 terms, and _bose_direct sums it.
+    """
+    k, tail = bosefn._certified_terms(s, alpha, tol, 10**8)
+    assert k, (s, alpha, tol)
+    return bosefn._bose_direct(s, alpha, k, tail)
 
 
 def integral_representation(s: float, alpha: float) -> tuple[float, float]:
@@ -283,16 +294,17 @@ class TestBoseG:
             bose_g(0.5, 0.0, 1e-10)
         with pytest.raises(ValidationError):
             bose_g(1.5, -0.1, 1e-10)
-        for method in ("auto", "direct", "expansion"):
+        for method in ("auto", "expansion"):
             with pytest.raises(ValidationError, match="alpha must be >= 0, got nan"):
                 bose_g(1.5, math.nan, 1e-10, method=method)
+        with pytest.raises(ValidationError, match="unknown method 'direct'"):
+            bose_g(1.5, 0.1, 1e-10, method="direct")
         with pytest.raises(ValidationError):
             bose_g(0.0, 1.0, 1e-10)
         with pytest.raises(ValidationError):
             bose_g(1.5, 1.0, 1e-15)  # tol below the certifiable floor
-        with pytest.raises(PrecisionError):
-            # direct summation alone cannot certify this within the term cap
-            bose_g(0.5, 1e-9, 1e-12, method="direct")
+        # direct summation alone cannot certify this within 10^8 terms
+        assert bosefn._certified_terms(0.5, 1e-9, 1e-12, 10**8)[0] == 0
         with pytest.raises(ValidationError):
             bose_g(1.5, 0.7, 1e-10, method="expansion")  # alpha beyond 0.5
 
@@ -321,7 +333,7 @@ class TestBoseG:
 
     def test_expansion_agrees_with_direct(self):
         def direct_terms(s, alpha):
-            d = bose_g(s, alpha, 1e-13, method="direct")
+            d = certified_direct(s, alpha, 1e-13)
             e = bose_g(s, alpha, 1e-13, method="expansion")
             assert abs(d.value - e.value) <= d.error_bound + e.error_bound + 1e-13
             return d.terms_used
@@ -336,7 +348,7 @@ class TestBoseG:
 
     @pytest.mark.parametrize("terms", [64, 4_096, 32_768])
     def test_direct_sum_matches_polylog(self, terms):
-        # the sum method="direct" returns once _certified_terms has fixed the
+        # the sum certified_direct returns once _certified_terms has fixed the
         # term count, here fixed directly so that every order reaches it;
         # alpha * terms = 40 leaves a tail far below rounding.  Each term
         # k^-s e^(-alpha k) carries one rounding each of pow and exp (at most
@@ -374,7 +386,7 @@ class TestBoseG:
         # log, and n! leaves the floats at n = 171: the term underflows to 0
         assert bosefn._singular(200.0, 0.01) == 0.0
         g = bose_g(200.0, 0.01, 1e-10, method="expansion")
-        want = bose_g(200.0, 0.01, 1e-10, method="direct")
+        want = certified_direct(200.0, 0.01, 1e-10)
         assert g.error_bound <= 1e-10
         assert abs(g.value - want.value) <= g.error_bound + want.error_bound + 4 * U * want.value
 
@@ -521,7 +533,7 @@ class TestBoseG:
         # the expansion (integer orders through its -log(alpha) branch) and
         # "auto" each certify tol and agree with direct summation
         tol = 1e-12
-        direct = bose_g(s, alpha, tol, method="direct")
+        direct = certified_direct(s, alpha, tol)
         for g in (bose_g(s, alpha, tol, method="expansion"), bose_g(s, alpha, tol)):
             assert g.error_bound <= tol
             assert abs(g.value - direct.value) <= (

@@ -190,6 +190,11 @@ class TestReferenceShape:
         got = qhat_star_array(params, K)
         assert got.tobytes() == qhat_star(params, ks).tobytes()
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_empty_truncation_is_rejected(self, K):
+        with pytest.raises(ValidationError, match=f"K must be >= 1, got {K}$"):
+            qhat_star_array(SystemParams(3, 0.37, 1.9), K)
+
 
 class TestFunctionalS:
     def test_tilted_reference_identity(self):
@@ -614,6 +619,12 @@ class TestMinimizingSequence:
             minimizing_sequence(10, normal_params())
         with pytest.raises(ValidationError):
             minimizing_sequence_s_closed_form(10, SystemParams(3, BETA_UNIT, 0.5))
+
+    def test_bump_before_the_first_cycle_is_rejected(self):
+        # at a condensed point, where n is the only thing wrong
+        for n in (0, -3):
+            with pytest.raises(ValidationError, match=f"n must be >= 1, got {n}$"):
+                minimizing_sequence(n, condensed_params())
 
     def test_truncation_must_cover_bump(self):
         params = condensed_params()

@@ -118,6 +118,10 @@ class TestPartitionCount:
         with pytest.raises(CapError):
             partition_count(CAPS["enumeration"].limit + 1)
 
+    def test_negative_n_is_rejected(self):
+        with pytest.raises(ValidationError, match="n must be >= 0, got -1$"):
+            partition_count(-1)
+
 
 class TestClassSizes:
     def test_single_cycle_class(self):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclegas import sampler
 from cyclegas.errors import CapError, ValidationError
 from cyclegas.exactz import _log_Z_table, mu_N_expected_shape
 from cyclegas.partitions import Partition
@@ -564,6 +565,15 @@ class TestKernel:
         pooled = sum(r.long_cycle_fraction for r in runs) / len(runs)
         assert abs(pooled - exact) < 0.05
 
+    def test_start_caps_a_count_that_would_overfill_n(self, monkeypatch):
+        # the rounded limiting shape holds at most n points for every
+        # SystemParams (its mass is at most 1), so a shape of mass 1.5 stands
+        # in: r_1 = 5 fits n = 10, r_2 = 5 would not and is cut to 2, r_3 to
+        # none, and the one point left becomes a 1-cycle
+        monkeypatch.setattr(sampler, "optimal_shape", lambda params: (None, lambda k: 0.5))
+        occ = sampler._shape_occupations(SystemParams(3, BETA_UNIT, 1.0, n=10))
+        assert occ == {1: 6, 2: 2}
+
     @pytest.mark.parametrize("n", [12, 5, 1])
     def test_rejected_step_changes_only_rng_and_counters(self, n):
         p = SystemParams(3, 0.5, 1.0, n=n)
@@ -829,6 +839,13 @@ class TestRunChain:
         for steps in (0, -5):  # named as steps, not as the burn_in it implies
             with pytest.raises(ValidationError, match=f"steps must be >= 1, got {steps}$"):
                 run_chain(p, steps=steps, seed=0)
+        for thin in (0, -2):
+            with pytest.raises(ValidationError, match=f"thin must be >= 1, got {thin}$"):
+                run_chain(p, steps=100, seed=0, thin=thin)
+        # one recorded sample (step 10 of 10 past a burn-in of 9) gives no error bar
+        with pytest.raises(ValidationError, match="need at least 2 recorded samples"):
+            run_chain(p, steps=10, burn_in=9, seed=0)
+        run_chain(p, steps=11, burn_in=0, seed=0)  # two samples, at steps 1 and 11
         with pytest.raises(CapError):
             ChainState(SystemParams(3, 1.0, 1.0, n=200_000))
 

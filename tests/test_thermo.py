@@ -515,6 +515,17 @@ class TestSeedModel:
         assert thermo._root_seed(0.5, t, math.pi / (t + 2.0) ** 2, math.pi / t**2) is None
         assert thermo._root_seed(4.0, 1.0, 0.0, math.log(2.0)) is not None
 
+    def test_a_seed_below_the_bracket_is_clamped_to_a(self):
+        # at d = 1 and t = 10^15.65 the bracket from the analytic bounds on
+        # g_(1/2) is a few ulps wide and the model's root lies below it: the
+        # seed starts at a, with the model's slope there
+        t = 10.0 ** (313 / 20)
+        a = max(math.pi / (t + 2.0) / (t + 2.0), -math.log(t))
+        b = min(math.pi / t / t, math.log1p(1.0 / t))
+        assert a < b
+        assert thermo._root_seed(0.5, t, a, b) == (a, thermo._g_model(0.5, a)[1])
+        assert thermo._root_seed(0.5, t, 0.0, b)[0] < a
+
     def test_one_model_pass_per_newton_step(self, monkeypatch):
         # CI's density ladders at beta = 1/4pi.  Each Newton step of the seed
         # reads g_s and g_{s-1} from one _g_model pass, and a converged seed
