@@ -4,8 +4,7 @@
     python scripts/bench_record.py 33                        # this checkout
     python scripts/bench_record.py 32 --checkout ../parent   # say, a git archive of the parent
     python scripts/bench_record.py 35 --parent ../parent     # this checkout and its parent, paired
-    python scripts/bench_record.py --compare BENCH_33.json BENCH_34.json
-    python scripts/bench_record.py --compare BENCH_35.json   # its two sides
+    python scripts/bench_record.py --compare BENCH_35.json   # its two sides, and a verdict
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` inside
 the checkout for every workload W of its BENCHMARK.json and every seed S of
@@ -36,13 +35,17 @@ under "tier1" its passed and failed counts (errors count as failed), its
 wall seconds and its 10 slowest tests; with --parent, the parent's run sits
 under "tier1" "parent".
 
-``--compare OLD NEW`` runs nothing: for each workload and end-to-end metric
-of two such files it prints both medians and their ratio NEW/OLD, and flags
-each change past the metric's bound in this repository's BENCHMARK.json
-("worse" or "better" by the metric's direction), and each workload whose
-share of failed tasks grew.  ``--compare FILE`` does the same for the parent
-side and the measured side of one file recorded with --parent, and prints
-each metric's wins.  It exits 1 when anything got worse, else 0.
+``--compare FILE`` runs nothing.  FILE is one record made with --parent:
+for each workload and end-to-end metric it prints the parent's median and
+the measured one, their ratio, and the measured side's wins.  It flags each
+change past the metric's bound in this repository's BENCHMARK.json ("worse"
+or "better" by the metric's direction) and each workload whose share of
+failed tasks grew.  Under each metric it prints whether a gain there could
+be claimed: the measured side must win at least 9 of every 10 pairs (a tie
+wins for neither side), and its median must beat the parent's by more than
+the parent's quartile spread (q3 - q1).  Only a file's two sides compare:
+files from two sessions measure the host as much as the code.  It exits 1
+when anything got worse, else 0.
 """
 
 from __future__ import annotations
@@ -126,40 +129,52 @@ def summary(values: list[float], unit: str) -> dict:
     return {"unit": unit, "median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(old_path: str, new_path: str | None, bench: dict) -> int:
-    """Print OLD and NEW medians per workload and metric; 1 if any got worse past its bound.
+def claim(entry: dict, metric: dict) -> str:
+    """Whether one file's measured side may claim a gain on one metric, and why."""
+    name, pairs = metric["name"], len(entry["runs"])
+    wins, need = entry["wins"][name], -(-9 * pairs // 10)  # 9 of every 10 pairs
+    ours, theirs = entry["metrics"][name], entry["parent"]["metrics"][name]
+    gain = theirs["median"] - ours["median"]
+    if metric["better"] == "higher":
+        gain = -gain
+    spread = theirs["q3"] - theirs["q1"]
+    verdict = "claimable" if wins >= need and gain > spread else "no claim"
+    return (f"{verdict} (wins {wins}/{pairs}, need {need}; median gain {gain:.6g}"
+            f" {metric['unit']} against parent quartile spread {spread:.6g} {metric['unit']})")
 
-    With new_path None, OLD is one file recorded with --parent: its parent
-    side against its own, with each metric's wins.
-    """
-    with open(old_path) as fh:
-        old = json.load(fh)["workloads"]
-    if new_path is None:
-        new, old = old, {w: entry["parent"] for w, entry in old.items()}
-    else:
-        with open(new_path) as fh:
-            new = json.load(fh)["workloads"]
+
+def compare(path: str, bench: dict) -> int:
+    """Print a paired file's two sides per workload and metric; 1 if any got worse past a bound."""
+    with open(path) as fh:
+        record = json.load(fh)["workloads"]
+    unpaired = [w for w, entry in record.items() if "parent" not in entry]
+    if unpaired:
+        print(f"{path}: no parent side for {', '.join(unpaired)}; record it with --parent",
+              file=sys.stderr)
+        return 2
     worse = 0
     for workload in (w["name"] for w in bench["workloads"]):
-        if workload not in old or workload not in new:
-            print(f"{workload}: not in both files")
+        if workload not in record:
+            print(f"{workload}: not in the file")
             continue
-        a, b = old[workload], new[workload]
-        share_a, share_b = a["failed"] / a["attempted"], b["failed"] / b["attempted"]
+        entry = record[workload]
+        parent = entry["parent"]
+        share_a = parent["failed"] / parent["attempted"]
+        share_b = entry["failed"] / entry["attempted"]
         if share_b > share_a:
             worse += 1
             print(f"{workload} failed: {share_a:.4g} -> {share_b:.4g} of tasks  WORSE")
         for m in bench["end_to_end"]:
-            x, y = a["metrics"][m["name"]]["median"], b["metrics"][m["name"]]["median"]
+            name = m["name"]
+            x, y = parent["metrics"][name]["median"], entry["metrics"][name]["median"]
             ratio = y / x if x else float("inf")
-            gain = ratio - 1.0 if m["better"] == "lower" else 1.0 - ratio
-            flag = "  WORSE" if gain > m["bound"] else "  better" if gain < -m["bound"] else ""
+            loss = ratio - 1.0 if m["better"] == "lower" else 1.0 - ratio
+            flag = "  WORSE" if loss > m["bound"] else "  better" if loss < -m["bound"] else ""
             worse += flag == "  WORSE"
-            wins = ""
-            if new_path is None:
-                wins = f"  wins {b['wins'][m['name']]}/{len(b['runs'])}"
-            print(f"{workload} {m['name']}: {x:.6g} -> {y:.6g} {m['unit']}"
-                  f"  x{ratio:.3f} (bound {m['bound']:g}){flag}{wins}")
+            print(f"{workload} {name}: {x:.6g} -> {y:.6g} {m['unit']}"
+                  f"  x{ratio:.3f} (bound {m['bound']:g}){flag}"
+                  f"  wins {entry['wins'][name]}/{len(entry['runs'])}")
+            print(f"{workload} {name} verdict: {claim(entry, m)}")
     return 1 if worse else 0
 
 
@@ -232,14 +247,13 @@ def main(argv=None, runner=run, tier1_runner=None) -> int:
     ap.add_argument("--checkout", default=ROOT, help="the tree to measure (default: this one)")
     ap.add_argument("--parent", help="a second tree to run paired with the first, seed by seed")
     ap.add_argument("--compare", nargs="+", metavar="FILE",
-                    help="compare OLD NEW, or one file's parent and measured sides, instead of running")
+                    help="compare one file's parent and measured sides, instead of running")
     args = ap.parse_args(argv)
     if args.compare:
-        if len(args.compare) > 2:
-            ap.error("--compare takes OLD NEW, or one file recorded with --parent")
+        if len(args.compare) > 1 or args.number is not None:
+            ap.error("--compare takes one file recorded with --parent; two files measure the host")
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-            new = args.compare[1] if len(args.compare) == 2 else None
-            return compare(args.compare[0], new, json.load(fh))
+            return compare(args.compare[0], json.load(fh))
     if args.number is None:
         ap.error("give the n of BENCH_<n>.json, or --compare")
 

@@ -24,6 +24,10 @@ Nor does any load dataclasses (the records are NamedTuples), fractions or
 the partitions layer, which only ChainState.current imports; only --format
 csv loads csv.
 
+Every input comes from argv; the CLI reads no environment variable of its
+own.  The chain commands (sample, scan-long-cycles) take --seed, default 0,
+so a chain is deterministic given its command line.
+
 All physical inputs are dimensionless; beta is the time horizon of a
 diffusion with generator Laplacian (heat kernel (4 pi beta k)^(-d/2)), so
 there is no factor-of-2 freedom in beta.
@@ -35,24 +39,12 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from typing import Any, Callable, NamedTuple
 
 import cyclegas
 
 from .errors import CapError, PrecisionError, ValidationError
-
-SEED_ENV_VAR = "CYCLEGAS_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-
 
 def _parse_n_list(raw: str) -> list[int]:
     try:
@@ -185,7 +177,7 @@ _COMMANDS = {
             "--thin": {"type": int, "default": 10},
             "--k-report": {"type": int},
             "--threshold": {"type": int},
-            "--seed": {"type": int, "help": f"default ${SEED_ENV_VAR} or 0"},
+            "--seed": {"type": int, "default": 0, "help": "default 0"},
         },
         with_tol=False,
     ),
@@ -197,7 +189,7 @@ _COMMANDS = {
             "--n-list": {"default": "500,2000,8000", "help": "comma-separated sizes"},
             "--steps": {"type": int, "required": True},
             "--thin": {"type": int, "default": 10},
-            "--seed": {"type": int, "help": f"default ${SEED_ENV_VAR} or 0"},
+            "--seed": {"type": int, "default": 0, "help": "default 0"},
         },
         with_tol=False,
     ),
@@ -258,8 +250,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse's usage exit 2 is this CLI's 1; -h exits 0
         return 1 if exc.code else 0
     try:
-        if vars(args).get("seed", 0) is None:
-            args.seed = _default_seed()
         params = cyclegas.SystemParams(args.d, args.beta, args.rho, getattr(args, "n", None))
         data = _COMMANDS[args.command].handler(args, params)
         text = _render(args.command, args, data)

@@ -191,17 +191,19 @@ class ChainState:
         minus L[r] for each an addition reaches.
 
         With `sampling`, the kernel also takes (count - 1) // thin + 1
-        samples without leaving its loop: one after its first move and one
-        after every thin-th move after that; the fewer than thin moves left
-        over come last, unsampled.  Each accepted move
-        updates two per-length tables without testing k_report or the
-        threshold: the long-cycle mass, a running integer, changes by
-        big[added] - big[removed] (big[x] = x past the threshold, else 0),
-        and a change of r_k by delta after t samples adds -delta * t to
-        lazy[k], so lazy[k] + r_k * t sums r_k over the t samples; lazy[0]
-        sums the long-cycle mass.  At each t in sampling.stops the kernel
-        appends those sums to sampling.sums.  Without `sampling`, t = 0 and
-        both tables are the state's all-zero one.
+        samples: the moves run as segments of one range() each, and the
+        kernel leaves the inner loop after each segment to take one sample.
+        The first segment is one move, each next one thin moves, and the
+        fewer than thin moves left over run last as a segment of their own,
+        unsampled.  Each accepted move updates two per-length tables without
+        testing k_report or the threshold: the long-cycle mass, a running
+        integer, changes by big[added] - big[removed] (big[x] = x past the
+        threshold, else 0), and a change of r_k by delta after t samples adds
+        -delta * t to lazy[k], so lazy[k] + r_k * t sums r_k over the t
+        samples; each sample adds the long-cycle mass to lazy[0].  Only at
+        the samples t in sampling.stops does the kernel append those sums to
+        sampling.sums.  Without `sampling`, the moves are one segment, t = 0
+        and both tables are the state's all-zero one.
         """
         rng = self.rng
         random = rng.random

@@ -395,8 +395,6 @@ def _root_seed(s: float, target: float, a: float, b: float) -> Optional[tuple[fl
             v = to_u(alpha)
             g, g1 = _g_model(s, alpha)
             step = (g - target) / (-g1 * dalpha_du(alpha))
-            if not v - step > 0.0:
-                break
             alpha = from_u(v - step)
             near = abs(step) <= 1e-6 * v
             if near:

@@ -1,4 +1,4 @@
-"""Tests for scripts/bench_record.py: --compare on hand-made BENCH files, and the paired parent runs."""
+"""Tests for scripts/bench_record.py: --compare on hand-made paired files, and the paired runs."""
 
 import importlib.util
 import json
@@ -47,43 +47,89 @@ def no_pytest_inside_pytest(monkeypatch):
     return calls
 
 
-def record(path, failed: int, medians: dict[str, dict[str, float]]) -> str:
-    workloads = {
-        name: {
-            "failed": failed if name == "slow" else 0,
-            "attempted": 10,
-            "metrics": {m: {"median": v} for m, v in values.items()},
-        }
-        for name, values in medians.items()
-    }
+def record(path, failed: int, parent: dict, medians: dict, wins: int = 5) -> str:
+    """One file recorded with --parent over 10 pairs, each side given by its medians.
+
+    On the measured side the "slow" workload failed `failed` of its 10
+    tasks, every metric won `wins` pairs, and each parent quartile lies 1%
+    from its median (a quartile spread of 2% of the median).
+    """
+
+    def side(values: dict, failed: int) -> dict:
+        metrics = {m: {"median": v, "q1": 0.99 * v, "q3": 1.01 * v} for m, v in values.items()}
+        return {"failed": failed, "attempted": 10, "metrics": metrics}
+
+    workloads = {}
+    for name, values in medians.items():
+        entry = side(values, failed if name == "slow" else 0)
+        entry.update(parent=side(parent[name], 0), wins=dict.fromkeys(values, wins), runs=[{}] * 10)
+        workloads[name] = entry
     path.write_text(json.dumps({"workloads": workloads}))
     return str(path)
 
 
+def compared(capsys) -> dict[str, str]:
+    return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+
+
 def test_flags_each_change_past_its_bound(tmp_path, capsys):
-    old = record(tmp_path / "old.json", 0, {
-        "fast": {"wall_s": 1.0, "rate": 100.0},
-        "slow": {"wall_s": 2.0, "rate": 50.0},
-    })
-    new = record(tmp_path / "new.json", 0, {
+    parent = {"fast": {"wall_s": 1.0, "rate": 100.0}, "slow": {"wall_s": 2.0, "rate": 50.0}}
+    paired = record(tmp_path / "paired.json", 0, parent, {
         "fast": {"wall_s": 0.5, "rate": 105.0},  # better past 0.25; rate inside 0.1
         "slow": {"wall_s": 2.4, "rate": 40.0},  # wall inside 0.25; rate worse past 0.1
     })
-    assert bench_record.compare(old, new, BENCH) == 1
-    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
-    assert lines["fast wall_s"] == "1 -> 0.5 s  x0.500 (bound 0.25)  better"
-    assert lines["fast rate"] == "100 -> 105 1/s  x1.050 (bound 0.1)"
-    assert lines["slow wall_s"] == "2 -> 2.4 s  x1.200 (bound 0.25)"
-    assert lines["slow rate"] == "50 -> 40 1/s  x0.800 (bound 0.1)  WORSE"
+    assert bench_record.compare(paired, BENCH) == 1
+    lines = compared(capsys)
+    assert lines["fast wall_s"] == "1 -> 0.5 s  x0.500 (bound 0.25)  better  wins 5/10"
+    assert lines["fast rate"] == "100 -> 105 1/s  x1.050 (bound 0.1)  wins 5/10"
+    assert lines["slow wall_s"] == "2 -> 2.4 s  x1.200 (bound 0.25)  wins 5/10"
+    assert lines["slow rate"] == "50 -> 40 1/s  x0.800 (bound 0.1)  WORSE  wins 5/10"
 
 
 def test_a_larger_failed_share_is_worse(tmp_path, capsys):
     medians = {"fast": {"wall_s": 1.0, "rate": 1.0}, "slow": {"wall_s": 1.0, "rate": 1.0}}
-    old = record(tmp_path / "old.json", 0, medians)
-    new = record(tmp_path / "new.json", 1, medians)
-    assert bench_record.compare(old, old, BENCH) == 0
-    assert bench_record.compare(old, new, BENCH) == 1
+    same = record(tmp_path / "same.json", 0, medians, medians)
+    failing = record(tmp_path / "failing.json", 1, medians, medians)
+    assert bench_record.compare(same, BENCH) == 0
+    assert bench_record.compare(failing, BENCH) == 1
     assert "slow failed: 0 -> 0.1 of tasks  WORSE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "wins, wall_s, rate, verdicts",
+    [
+        # 9 of 10 pairs and a median gain past the parent's 2% quartile spread
+        (9, 0.97, 103.0, ("claimable", "claimable")),
+        (8, 0.97, 103.0, ("no claim", "no claim")),  # one pair short
+        (10, 0.99, 101.0, ("no claim", "no claim")),  # inside the spread
+        (10, 1.02, 97.0, ("no claim", "no claim")),  # worse
+    ],
+)
+def test_a_claim_needs_nine_wins_and_a_gain_past_the_parent_spread(
+    tmp_path, capsys, wins, wall_s, rate, verdicts
+):
+    parent = {"fast": {"wall_s": 1.0, "rate": 100.0}}
+    medians = {"fast": {"wall_s": wall_s, "rate": rate}}
+    paired = record(tmp_path / "paired.json", 0, parent, medians, wins)
+    assert bench_record.compare(paired, dict(BENCH, workloads=[{"name": "fast"}])) == 0
+    lines = compared(capsys)
+    for metric, verdict in zip(("wall_s", "rate"), verdicts):
+        assert lines[f"fast {metric} verdict"].startswith(f"{verdict} (wins {wins}/10, need 9;")
+    gain = f"{1.0 - wall_s:.6g} s against parent quartile spread 0.02 s)"
+    assert lines["fast wall_s verdict"].endswith(gain)
+
+
+def test_compare_takes_one_paired_file(tmp_path, capsys):
+    medians = {"fast": {"wall_s": 1.0, "rate": 1.0}}
+    paired = record(tmp_path / "paired.json", 0, medians, medians)
+    with pytest.raises(SystemExit) as err:
+        bench_record.main(["--compare", paired, paired])
+    assert err.value.code == 2
+    assert "--compare takes one file recorded with --parent" in capsys.readouterr().err
+    alone = tmp_path / "alone.json"
+    alone.write_text(json.dumps({"workloads": {"fast": {"failed": 0, "attempted": 1}}}))
+    assert bench_record.compare(str(alone), BENCH) == 2
+    assert "no parent side for fast" in capsys.readouterr().err
 
 
 def stub_runner(calls: list):
@@ -129,11 +175,12 @@ def test_one_file_compares_its_two_sides(tmp_path, monkeypatch, capsys):
     record = bench_record.build_record("new", "parent", dict(BENCH, run_seconds=7), stub_runner([]))
     path = tmp_path / "paired.json"
     path.write_text(json.dumps(record))
-    assert bench_record.compare(str(path), None, BENCH) == 0
-    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert bench_record.compare(str(path), BENCH) == 0
+    lines = compared(capsys)
     # medians: parent 2.025, new 1.03; x0.509 is better past the 0.25 bound
     assert lines["fast wall_s"] == "2.025 -> 1.03 s  x0.509 (bound 0.25)  better  wins 3/4"
     assert lines["slow rate"] == "10 -> 10 1/s  x1.000 (bound 0.1)  wins 0/4"
+    assert lines["fast wall_s verdict"].startswith("no claim (wins 3/4, need 4;")
 
 
 def test_a_record_holds_ten_pairs():

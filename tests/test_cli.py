@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from cyclegas import cli
-from cyclegas.cli import SEED_ENV_VAR, main
+from cyclegas.cli import main
 
 
 def load_schema() -> dict:
@@ -134,27 +134,25 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_seed_env_var(self, capsys, monkeypatch):
-        argv = [
-            "sample",
-            "--d", "1", "--beta", "1", "--rho", "1",
-            "--n", "60", "--steps", "5000",
-        ]
-        monkeypatch.setenv(SEED_ENV_VAR, "7")
-        doc_env = run_json(capsys, argv)
-        assert doc_env["data"]["seed"] == 7
-        monkeypatch.delenv(SEED_ENV_VAR)
-        doc_flag = run_json(capsys, argv + ["--seed", "7"])
-        assert doc_flag["data"]["shape"] == doc_env["data"]["shape"]
-
-    def test_seed_env_var_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "abc")
-        code, out, err = run_cli(
-            capsys,
-            ["sample", "--d", "1", "--beta", "1", "--rho", "1", "--n", "20", "--steps", "100"],
-        )
-        assert (code, out) == (2, "")
-        assert "CYCLEGAS_SEED must be an integer, got 'abc'" in err
+    def test_seed_defaults_to_zero_whatever_the_environment(self, capsys, monkeypatch):
+        """Every input comes from argv: CYCLEGAS_SEED, set or not, changes nothing."""
+        system = ["--d", "1", "--beta", "1", "--rho", "1", "--steps", "2000"]
+        for argv in (["sample", "--n", "20"], ["scan-long-cycles", "--n-list", "10,20"]):
+            outputs = []
+            for env in (None, "7", "abc"):
+                if env is None:
+                    monkeypatch.delenv("CYCLEGAS_SEED", raising=False)
+                else:
+                    monkeypatch.setenv("CYCLEGAS_SEED", env)
+                code, out, err = run_cli(capsys, argv + system)
+                assert (code, err) == (0, ""), (argv[0], env)
+                outputs.append(out)
+            assert outputs[1] == outputs[2] == outputs[0], argv[0]
+            doc = json.loads(outputs[0])
+            assert doc["config"]["seed"] == 0
+            assert run_json(capsys, argv + system + ["--seed", "0"]) == doc
+            if argv[0] == "sample":
+                assert doc["data"]["seed"] == 0
 
 
 class TestOutputs:

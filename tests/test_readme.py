@@ -1,8 +1,10 @@
-"""README's module table and size sentence, against the package they describe."""
+"""README's module table, size sentence and test count, against what they describe."""
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import cyclegas
 from cyclegas.errors import CAPS
@@ -47,3 +49,11 @@ def test_size_sentence_matches_the_code():
     assert code == sum(map(code_lines, sources))
     assert exported == len(cyclegas.__all__)
     assert caps == len(CAPS)
+
+
+def test_test_count_matches_the_whole_run(whole_run_count):
+    if whole_run_count is None:
+        pytest.skip("only a run of the whole suite counts its tests")
+    match = re.search(r"\((\d[\d,]*) tests, about \d+ s on 2 vCPUs\)", README)
+    assert match is not None
+    assert int(match[1].replace(",", "")) == whole_run_count
